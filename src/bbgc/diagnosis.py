@@ -23,6 +23,7 @@ from .embedding import (
     mccs as mccs_of_mean,
     mean_similarities,
     neighbor_counts,
+    scan,
 )
 from .errors import (
     EmptyCollectionError,
@@ -110,17 +111,25 @@ def mccs(anchor_embedding: np.ndarray, pool_embeddings: np.ndarray, theta: float
                      mean_similarity=s, n_samples=int(np.asarray(pool_embeddings).shape[0]))
 
 
-def population_stats(anchors: SampleStore, pool: SampleStore, theta: float) -> PopulationStats:
-    """Per-anchor MCCS plus population mean and unbiased standard deviation."""
+def _check_population(anchors: SampleStore, pool: SampleStore) -> None:
     check_disjoint(anchors, pool)
     if anchors.count < 2:
         raise TooFewAnchorsError(f"need >= 2 anchors, got {anchors.count}")
-    sims = mean_similarities(anchors.embeddings, pool.embeddings, theta)
+
+
+def _stats(sims: np.ndarray, n_samples: int) -> PopulationStats:
+    """Per-anchor MCCS of mean similarities, with their mean and spread."""
     values = np.array([mccs_of_mean(s) for s in sims], dtype=np.float64)
     return PopulationStats(mu=float(np.mean(values)),
                            sigma=float(np.std(values, ddof=1)),
-                           m=anchors.count, values=values,
-                           mean_similarities=sims, n_samples=pool.count)
+                           m=sims.shape[0], values=values,
+                           mean_similarities=sims, n_samples=n_samples)
+
+
+def population_stats(anchors: SampleStore, pool: SampleStore, theta: float) -> PopulationStats:
+    """Per-anchor MCCS plus population mean and unbiased standard deviation."""
+    _check_population(anchors, pool)
+    return _stats(mean_similarities(anchors.embeddings, pool.embeddings, theta), pool.count)
 
 
 def _count_order(counts: np.ndarray) -> np.ndarray:
@@ -128,21 +137,26 @@ def _count_order(counts: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(counts.shape[0]), -counts))
 
 
+def _rank(counts: np.ndarray) -> np.ndarray:
+    """:func:`_count_order`, warning when even the winner has no neighbor."""
+    order = _count_order(counts)
+    if counts[order[0]] == 0:
+        warnings.warn("no anchor has any neighbor: no dense mode exists",
+                      RuntimeWarning, stacklevel=3)
+    return order
+
+
 def find_worst_mode(anchors: SampleStore, pool: SampleStore, radius: float,
                     runner_ups: int = 9) -> DenseModeResult:
     """The anchor with the most pool neighbors within ``radius``."""
     check_disjoint(anchors, pool)
     counts = neighbor_counts(anchors.embeddings, pool.embeddings, radius)
-    order = _count_order(counts)
+    order = _rank(counts)
     winner = int(order[0])
-    isolated = counts[winner] == 0
-    if isolated:
-        warnings.warn("no anchor has any neighbor: no dense mode exists",
-                      RuntimeWarning, stacklevel=2)
     ups = tuple((int(i), int(counts[i])) for i in order[1:max(1, runner_ups + 1)][:runner_ups])
     return DenseModeResult(anchor_index=winner, neighbor_count=int(counts[winner]),
                            radius=float(radius), runner_ups=ups,
-                           no_dense_mode=bool(isolated))
+                           no_dense_mode=bool(counts[winner] == 0))
 
 
 def top_k_modes(anchors: SampleStore, pool: SampleStore, radius: float = 0.25,
@@ -189,12 +203,11 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
     check_theta(theta)
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}")
-    pool_perm = _shuffled(pool.count, seed)
     if kind == "mccs_single":
         if anchor_embedding is None:
             raise ValueError("mccs_single needs anchor_embedding")
         sizes = _check_sizes(sizes, pool.count, "pool")
-        shuffled_pool = pool.embeddings[pool_perm]
+        shuffled_pool = pool.embeddings[_shuffled(pool.count, seed)]
         dots = shuffled_pool @ np.asarray(anchor_embedding, dtype=np.float64)
         cos_t = math.cos(math.pi * theta)
         sims = np.zeros(pool.count, dtype=np.float64)
@@ -211,16 +224,21 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
     sizes = _check_sizes(sizes, min(pool.count, anchors.count), "pool and anchors")
     if sizes[0] < 2:
         raise SizesOutOfRangeError("population curves need sizes >= 2")
-    anchor_perm = _shuffled(anchors.count, seed, offset=_ANCHOR_SHUFFLE_OFFSET)
-    pool_emb = pool.embeddings[pool_perm]
-    anchor_emb = anchors.embeddings[anchor_perm]
-    points = []
-    for s in sizes:
-        sims = mean_similarities(anchor_emb[:s], pool_emb[:s], theta)
-        values = np.array([mccs_of_mean(v) for v in sims])
-        stat = float(np.mean(values)) if kind == "mu_mccs" else float(np.std(values, ddof=1))
-        points.append((s, stat))
-    return ConvergenceCurve(statistic_kind=kind, points=tuple(points))
+    mu, sigma = _population_curves(anchors, pool, sizes, theta, seed)
+    return mu if kind == "mu_mccs" else sigma
+
+
+def _population_curves(anchors: SampleStore, pool: SampleStore, sizes: list[int],
+                       theta: float, seed: int) -> tuple[ConvergenceCurve, ConvergenceCurve]:
+    """Both population curves from one prefix scan per size, gathering only rows read."""
+    top = sizes[-1]
+    pool_emb = pool.embeddings[_shuffled(pool.count, seed)[:top]]
+    anchor_emb = anchors.embeddings[
+        _shuffled(anchors.count, seed, offset=_ANCHOR_SHUFFLE_OFFSET)[:top]]
+    stats = [(s, _stats(mean_similarities(anchor_emb[:s], pool_emb[:s], theta), s))
+             for s in sizes]
+    return (ConvergenceCurve("mu_mccs", tuple((s, st.mu) for s, st in stats)),
+            ConvergenceCurve("sigma_mccs", tuple((s, st.sigma) for s, st in stats)))
 
 
 def mode_consistency_check(anchors: SampleStore, pool: SampleStore, sizes,
@@ -251,26 +269,21 @@ def build_report(anchors: SampleStore, pool: SampleStore, theta: float, radius: 
                  k: int = 24, runner_ups: int = 9, curve_sizes=None,
                  seed: int = 0) -> dict:
     """Full diagnosis as a JSON-ready mapping with a fixed field order."""
-    check_theta(theta)
-    check_radius(radius)
-    stats = population_stats(anchors, pool, theta)
-    counts = neighbor_counts(anchors.embeddings, pool.embeddings, radius)
-    order = _count_order(counts)
+    _check_population(anchors, pool)
+    # theta and radius are validated once, by the scan
+    counts, sims = scan(anchors.embeddings, pool.embeddings, theta, radius)
+    stats = _stats(sims, pool.count)
+    order = _rank(counts)
     worst = int(order[0])
-    if counts[worst] == 0:
-        warnings.warn("no anchor has any neighbor: no dense mode exists",
-                      RuntimeWarning, stacklevel=2)
     top = order[:min(k, anchors.count)]
     curves = []
     if curve_sizes:
         curves.append(convergence_curve(
             "mccs_single", pool, curve_sizes, theta, seed,
             anchor_embedding=anchors.embeddings[worst]))
-        population_sizes = [s for s in curve_sizes if 2 <= s <= anchors.count]
-        for kind in ("mu_mccs", "sigma_mccs"):
-            if population_sizes:
-                curves.append(convergence_curve(kind, pool, population_sizes, theta,
-                                                seed, anchors=anchors))
+        population_sizes = [int(s) for s in curve_sizes if 2 <= s <= anchors.count]
+        if population_sizes:
+            curves.extend(_population_curves(anchors, pool, population_sizes, theta, seed))
     return {
         "schema": 1,
         "theta": float(theta),

@@ -7,12 +7,13 @@ exactly zero.  The collapse score (MCCS) compresses the mean similarity
 of an anchor against a comparison pool into [0, 1], with 0.5 hit when
 the mean similarity is 1/e.
 
-Batch kernels compare dot products against precomputed cosine
-thresholds instead of taking an arccos per pair: ``arccos`` is monotone
-decreasing, so ``d <= r`` and ``dot >= cos(pi*r)`` pick the same pairs,
-and only the surviving pairs need transcendentals.  Summations run over
-whole rows inside fixed-size anchor chunks, so results do not depend on
-the worker count.
+One batch kernel, :func:`scan`, reduces a single anchor x pool dot block
+per fixed-size anchor chunk to both neighbor counts and similarity sums.
+It compares dots against precomputed cosine thresholds instead of taking
+an arccos per pair: ``arccos`` is monotone decreasing, so ``d <= r`` and
+``dot >= cos(pi*r)`` pick the same pairs, and only the surviving pairs
+need transcendentals.  Sums run over whole rows inside each chunk, so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -104,61 +105,48 @@ def mccs(mean_similarity: float) -> float:
     return 1.0 / (1.0 - math.log(s))
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense (len(a), len(b)) matrix of angular distances."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(f"shapes {a.shape} and {b.shape}")
-    dots = np.clip(a @ b.T, -1.0, 1.0)
-    return np.arccos(dots) / math.pi
+def scan(anchors: np.ndarray, pool: np.ndarray, theta: float | None,
+         radius: float | None) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Per-anchor (neighbor counts, mean similarities) from one pass.
+
+    Counts include pairs exactly at ``radius``; pairs at distance >= theta
+    add exactly 0 to the mean.  A ``None`` threshold skips that half and
+    returns ``None`` for it.
+    """
+    cos_r = None if radius is None else math.cos(math.pi * check_radius(radius))
+    theta = None if theta is None else check_theta(theta)
+    cos_t = None if theta is None else math.cos(math.pi * theta)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    pool = np.asarray(pool, dtype=np.float64)
+    if anchors.ndim != 2 or pool.ndim != 2 or anchors.shape[1] != pool.shape[1]:
+        raise DimensionMismatchError(f"shapes {anchors.shape} and {pool.shape}")
+
+    def scan_chunk(lo: int, hi: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        dots = anchors[lo:hi] @ pool.T
+        counts = sums = None
+        if cos_r is not None:
+            counts = np.count_nonzero(dots >= cos_r, axis=1).astype(np.int64)
+        if cos_t is not None:
+            # survivors come out in row-major order, so each row's terms form
+            # one contiguous slice, summed by np.sum as a whole-row sum would be
+            near = dots > cos_t
+            d = np.arccos(np.clip(dots[near], -1.0, 1.0)) / math.pi
+            terms = np.expm1(np.maximum(theta - d, 0.0))
+            ends = np.cumsum(np.count_nonzero(near, axis=1))
+            sums = np.array([np.sum(row) for row in np.split(terms, ends)[:-1]])
+        return counts, sums
+
+    # an empty anchor set still yields one (empty) part of each dtype
+    parts = run_chunks(scan_chunk, anchors.shape[0], ANCHOR_CHUNK) or [scan_chunk(0, 0)]
+    counts, sums = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
+    return counts, None if theta is None else sums / (math.expm1(theta) * pool.shape[0])
 
 
 def neighbor_counts(anchors: np.ndarray, pool: np.ndarray, radius: float) -> np.ndarray:
     """Per-anchor count of pool embeddings within ``radius`` (inclusive)."""
-    radius = check_radius(radius)
-    anchors = np.asarray(anchors, dtype=np.float64)
-    pool = np.asarray(pool, dtype=np.float64)
-    if anchors.ndim != 2 or pool.ndim != 2 or anchors.shape[1] != pool.shape[1]:
-        raise DimensionMismatchError(f"shapes {anchors.shape} and {pool.shape}")
-    cos_r = math.cos(math.pi * radius)
-
-    def count_chunk(lo: int, hi: int) -> np.ndarray:
-        dots = anchors[lo:hi] @ pool.T
-        return np.count_nonzero(dots >= cos_r, axis=1).astype(np.int64)
-
-    parts = run_chunks(count_chunk, anchors.shape[0], ANCHOR_CHUNK)
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return scan(anchors, pool, None, radius)[0]
 
 
 def mean_similarities(anchors: np.ndarray, pool: np.ndarray, theta: float) -> np.ndarray:
-    """Per-anchor mean similarity against every pool embedding.
-
-    Pairs at distance >= theta contribute exactly 0, so only dots above
-    cos(pi*theta) are pushed through arccos/expm1.
-    """
-    theta = check_theta(theta)
-    anchors = np.asarray(anchors, dtype=np.float64)
-    pool = np.asarray(pool, dtype=np.float64)
-    if anchors.ndim != 2 or pool.ndim != 2 or anchors.shape[1] != pool.shape[1]:
-        raise DimensionMismatchError(f"shapes {anchors.shape} and {pool.shape}")
-    n = pool.shape[0]
-    cos_t = math.cos(math.pi * theta)
-    denom = math.expm1(theta)
-
-    def sum_chunk(lo: int, hi: int) -> np.ndarray:
-        dots = anchors[lo:hi] @ pool.T
-        out = np.empty(hi - lo, dtype=np.float64)
-        for i in range(hi - lo):
-            row = dots[i]
-            near = row[row > cos_t]
-            if near.size == 0:
-                out[i] = 0.0
-                continue
-            d = np.arccos(np.clip(near, -1.0, 1.0)) / math.pi
-            out[i] = float(np.sum(np.expm1(np.maximum(theta - d, 0.0))))
-        return out
-
-    parts = run_chunks(sum_chunk, anchors.shape[0], ANCHOR_CHUNK)
-    sums = np.concatenate(parts) if parts else np.zeros(0, dtype=np.float64)
-    return sums / (denom * n)
+    """Per-anchor mean similarity against every pool embedding."""
+    return scan(anchors, pool, theta, None)[1]

@@ -51,6 +51,7 @@ from .rng import (
     STREAM_MODEL_LATENT,
     STREAM_POOL,
     CounterStream,
+    derive_seed,
     hash_latents,
     hash_to_unit,
     splitmix64,
@@ -61,11 +62,6 @@ _NOISE_SALT = 0x4E4F49534553414C54 % (1 << 64)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 _UNIT_NORM_TOL = 1e-4   # 32-bit wire format tolerance
-
-
-def _derive(seed: int, salt: int) -> int:
-    return int(splitmix64(np.array([np.uint64(seed) ^ np.uint64(salt)],
-                                   dtype=np.uint64))[0])
 
 
 def sample_latents(n: int, latent_dim: int, seed: int,
@@ -216,8 +212,8 @@ class SyntheticSource:
 
     def __init__(self, model: SyntheticModel):
         self.model = model
-        self._select_seed = _derive(model.seed, _SELECT_SALT)
-        self._noise_seed = _derive(model.seed, _NOISE_SALT)
+        self._select_seed = derive_seed(model.seed, _SELECT_SALT)
+        self._noise_seed = derive_seed(model.seed, _NOISE_SALT)
 
     @property
     def latent_dim(self) -> int:

@@ -201,13 +201,15 @@ def parse_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
             emb = grid[:, 4 * latent_dim:fixed].copy().view("<f4")
             return (lat.astype(np.float64), emb.astype(np.float64), None, count)
 
-    lat = np.empty((count, latent_dim), dtype=np.float64)
-    emb = np.empty((count, embed_dim), dtype=np.float64)
+    # no more than len(payload) // rec0 records can fit, whatever the header claims
+    cap = min(count, len(payload) // rec0)
+    lat = np.empty((cap, latent_dim), dtype=np.float64)
+    emb = np.empty((cap, embed_dim), dtype=np.float64)
     refs: list[bytes] = []
     off = 0
     parsed = 0
     size = len(payload)
-    for i in range(count):
+    for i in range(cap):
         if off + rec0 > size:
             break
         row = np.frombuffer(payload[off:off + fixed], dtype="<f4")

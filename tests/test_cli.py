@@ -11,7 +11,7 @@ from bbgc.cli import main
 from bbgc.jsonutil import read_json
 from bbgc.rng import STREAM_ANCHORS, STREAM_POOL, CounterStream
 from bbgc.source import SubprocessSource, SyntheticSource, build_synthetic_model
-from bbgc.store import latents_disjoint, read_store
+from bbgc.store import HEADER, MAGIC, VERSION, latents_disjoint, read_store
 
 SPEC = {
     "kind": "synthetic",
@@ -233,6 +233,18 @@ def test_input_errors_exit_3(pipeline, tmp_path):
                  "--pool", "50", "--out", str(tmp_path / "x.json")]) == 3
     assert main(["report", "--report", str(pipeline["spec"]),
                  "--out", str(tmp_path / "t")]) == 3
+
+
+def test_oversized_store_count_exits_3(pipeline, tmp_path, capsys):
+    blob = pipeline["pool"].read_bytes()
+    _magic, _version, latent_dim, embed_dim, _count, seed = HEADER.unpack(blob[:HEADER.size])
+    bad = tmp_path / "bad.bbgc"
+    bad.write_bytes(HEADER.pack(MAGIC, VERSION, latent_dim, embed_dim, 2 ** 40, seed)
+                    + blob[HEADER.size:])
+    capsys.readouterr()
+    assert main(["report", "--store", str(bad), "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_calibration_errors_exit_4(pipeline, tmp_path):

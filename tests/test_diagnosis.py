@@ -1,5 +1,7 @@
 """Diagnosis statistics against the naive double-loop references."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,69 @@ def test_build_report_warns_when_isolated():
         report = build_report(a, b, theta=0.3, radius=0.01)
     assert report["worst_mode"]["neighbor_count"] == 0
     assert report["curves"] == []
+
+
+def test_build_report_equals_public_functions():
+    # the fused report path must agree exactly with the one-question functions
+    center = np.zeros(8)
+    center[2] = 1.0
+    a = planted_store(70, 8, 40, center, dense_fraction=0.1)
+    b = planted_store(500, 8, 41, center, dense_fraction=0.1)
+    sizes = [5, 20, 60, 300]
+    report = build_report(a, b, theta=0.3, radius=0.25, k=12, curve_sizes=sizes, seed=5)
+    stats = population_stats(a, b, 0.3)
+    worst = find_worst_mode(a, b, 0.25)
+    top = top_k_modes(a, b, 0.25, k=12)
+    assert report["mu_mccs"] == stats.mu and report["sigma_mccs"] == stats.sigma
+
+    def entry(i, count):
+        return {"anchor_index": i, "neighbor_count": count, "mccs": float(stats.values[i])}
+
+    assert report["worst_mode"] == entry(worst.anchor_index, worst.neighbor_count)
+    assert report["top_k"] == [entry(t.anchor_index, t.neighbor_count) for t in top]
+    curves = [convergence_curve("mccs_single", b, sizes, 0.3, 5,
+                                anchor_embedding=a.embeddings[worst.anchor_index])]
+    curves += [convergence_curve(kind, b, [5, 20, 60], 0.3, 5, anchors=a)
+               for kind in ("mu_mccs", "sigma_mccs")]
+    assert report["curves"] == [
+        {"kind": c.statistic_kind, "points": [[s, v] for s, v in c.points]} for c in curves]
+
+
+def test_build_report_isolated_warns_once_like_find_worst_mode():
+    a = make_store(3, 32, 30)
+    b = make_store(3, 32, 31)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = build_report(a, b, theta=0.3, radius=0.01, k=2, curve_sizes=[2, 3])
+    assert [str(w.message) for w in caught] == [
+        "no anchor has any neighbor: no dense mode exists"]
+    with pytest.warns(RuntimeWarning, match="no dense mode"):
+        worst = find_worst_mode(a, b, 0.01)
+    assert report["worst_mode"]["anchor_index"] == worst.anchor_index
+    assert [t["anchor_index"] for t in report["top_k"]] == [
+        t.anchor_index for t in top_k_modes(a, b, 0.01, k=2)]
+
+
+def test_build_report_scans_once_and_checks_disjointness_once(monkeypatch):
+    import bbgc.diagnosis as D
+    import bbgc.embedding as E
+    a = make_store(30, 8, 42)
+    b = make_store(400, 8, 43)
+    real_scan, real_disjoint = E.scan, D.latents_disjoint
+    shapes, disjoint_calls = [], []
+
+    def counting_scan(anchors, pool, theta, radius):
+        shapes.append((len(anchors), len(pool)))
+        return real_scan(anchors, pool, theta, radius)
+
+    def counting_disjoint(x, y):
+        disjoint_calls.append(1)
+        return real_disjoint(x, y)
+
+    monkeypatch.setattr(E, "scan", counting_scan)
+    monkeypatch.setattr(D, "scan", counting_scan)
+    monkeypatch.setattr(D, "latents_disjoint", counting_disjoint)
+    build_report(a, b, 0.3, 0.25, curve_sizes=[5, 20, 100], seed=1)
+    # one full anchors x pool scan, then one prefix scan per population size
+    assert shapes == [(30, 400), (5, 5), (20, 20)]
+    assert len(disjoint_calls) == 1

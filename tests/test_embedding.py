@@ -14,7 +14,7 @@ from bbgc.embedding import (
     neighbor_counts,
     normalize,
     normalize_rows,
-    pairwise_distances,
+    scan,
     similarity,
 )
 from bbgc.errors import NonFiniteError, ZeroVectorError
@@ -92,15 +92,6 @@ def test_normalize_rejects_degenerate_input():
         normalize_rows(np.array([[1.0, 0.0], [np.inf, 1.0]]))
 
 
-def test_pairwise_distances_against_naive():
-    a = unit_rows(7, 12, 0)
-    b = unit_rows(13, 12, 1)
-    got = pairwise_distances(a, b)
-    for i in range(7):
-        for j in range(13):
-            assert abs(got[i, j] - naive_distance(a[i], b[j])) <= 1e-12
-
-
 def test_neighbor_counts_against_naive():
     a = unit_rows(9, 6, 2)
     b = unit_rows(400, 6, 3)
@@ -145,3 +136,39 @@ def test_kernels_chunk_invariant(monkeypatch):
     monkeypatch.setenv("BBGC_THREADS", "8")
     np.testing.assert_array_equal(E.neighbor_counts(a, b, 0.25), base_counts)
     np.testing.assert_array_equal(E.mean_similarities(a, b, 0.3), base_sims)
+
+
+def row_by_row_mean_similarities(a, b, theta):
+    """Reference: each row's surviving terms summed on their own."""
+    dots = a @ b.T
+    out = np.empty(a.shape[0])
+    for i, row in enumerate(dots):
+        near = row[row > math.cos(math.pi * theta)]
+        d = np.arccos(np.clip(near, -1.0, 1.0)) / math.pi
+        out[i] = np.sum(np.expm1(np.maximum(theta - d, 0.0)))
+    return out / (math.expm1(theta) * b.shape[0])
+
+
+def test_scan_matches_both_views_bit_for_bit(monkeypatch):
+    # one pass yields exactly what the single-purpose views and a row-by-row
+    # reference return, also with chunk boundaries that fall mid-block and
+    # rows with more survivors than one pairwise-sum block
+    import bbgc.embedding as E
+    a = unit_rows(150, 8, 8)
+    b = unit_rows(3_000, 8, 9)
+    b[:400] = a[:40].repeat(10, axis=0)
+    base_counts = neighbor_counts(a, b, 0.25)
+    base_sims = mean_similarities(a, b, 0.3)
+    assert base_sims.tobytes() == row_by_row_mean_similarities(a, b, 0.3).tobytes()
+    monkeypatch.setattr(E, "ANCHOR_CHUNK", 17)
+    counts, sims = scan(a, b, 0.3, 0.25)
+    assert counts.tobytes() == base_counts.tobytes()
+    assert sims.tobytes() == base_sims.tobytes()
+    assert counts.dtype == np.int64 and sims.dtype == np.float64
+    assert scan(a, b, None, 0.25)[1] is None and scan(a, b, 0.3, None)[0] is None
+
+
+def test_scan_empty_anchor_set():
+    counts, sims = scan(np.empty((0, 4)), unit_rows(5, 4, 10), 0.3, 0.25)
+    assert counts.shape == sims.shape == (0,)
+    assert counts.dtype == np.int64 and sims.dtype == np.float64

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from bbgc import store as store_format
 from bbgc.errors import (
     InvalidConfigError,
     MalformedResponseError,
@@ -199,6 +200,13 @@ def test_unpack_frame_rejects_garbage():
     good = pack_frame(np.zeros((3, 2)), as_latents=True)
     with pytest.raises(MalformedResponseError, match="truncated"):
         unpack_frame(good[:-5])
+
+
+def test_unpack_frame_rejects_oversized_count():
+    good = pack_frame(np.zeros((3, 2)), as_latents=True)
+    head = store_format.HEADER.pack(store_format.MAGIC, store_format.VERSION, 2, 0, 2 ** 40, 0)
+    with pytest.raises(MalformedResponseError, match="truncated: 3 of 1099511627776"):
+        unpack_frame(head + good[store_format.HEADER.size:])
 
 
 # -- worker loop ----------------------------------------------------------------

@@ -19,6 +19,7 @@ from bbgc.jsonutil import decode_matrix, dumps, encode_matrix, format_float
 from bbgc.store import (
     HEADER,
     MAGIC,
+    VERSION,
     SampleStore,
     StoreWriter,
     export_table,
@@ -169,6 +170,20 @@ def test_truncation_strict_and_recover(tmp_path):
         st = read_store(cut, recover=True)
     assert st.count == 8
     np.testing.assert_array_equal(st.latents, lat[:8].astype(np.float32))
+
+
+def test_oversized_count_is_truncation_not_allocation(tmp_path):
+    # a header may claim far more records than the file holds; parsing must
+    # not size its buffers from that claim
+    path = tmp_path / "huge.bbgc"
+    lat, emb = make_data(3, 2, 2)
+    write_store(path, lat, emb, seed=0)
+    blob = path.read_bytes()
+    path.write_bytes(HEADER.pack(MAGIC, VERSION, 2, 2, 2 ** 40, 0) + blob[HEADER.size:])
+    with pytest.raises(TruncatedStoreError, match="promises 1099511627776 records, only 3"):
+        read_store(path)
+    with pytest.warns(RuntimeWarning, match="recovered 3 of"):
+        assert read_store(path, recover=True).count == 3
 
 
 def test_recover_with_refs(tmp_path):
