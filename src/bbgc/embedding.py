@@ -139,7 +139,11 @@ def scan(anchors: np.ndarray, pool: np.ndarray, theta: float | None,
     # an empty anchor set still yields one (empty) part of each dtype
     parts = run_chunks(scan_chunk, anchors.shape[0], ANCHOR_CHUNK) or [scan_chunk(0, 0)]
     counts, sums = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
-    return counts, None if theta is None else sums / (math.expm1(theta) * pool.shape[0])
+    if theta is None:
+        return counts, None
+    # np.expm1(theta) can exceed math.expm1(theta) in the last bit, so a
+    # fully collapsed anchor's mean could land at 1 + 2**-52
+    return counts, np.minimum(sums / (math.expm1(theta) * pool.shape[0]), 1.0)
 
 
 def neighbor_counts(anchors: np.ndarray, pool: np.ndarray, radius: float) -> np.ndarray:

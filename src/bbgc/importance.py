@@ -6,6 +6,21 @@ Prior draws landing inside a hull are kept with probability p (the
 reference-to-dense neighbor count ratio); draws outside every hull are
 always kept, so off-mode regions are provably untouched.
 
+A proposal batch is matched to the plan's entries in order, each entry
+taking the still-unmatched rows through three stages:
+
+1. The entry's bounding sphere rejects rows further than tol·(1+|z|)
+   outside it.
+2. Where Qhull could build the hull (latent dim 2 to 4, vertices not
+   flat), an exact screen: a row whose largest violation of the unit
+   facet halfspaces exceeds the tolerance, the vertices' own measured
+   violation and a floating-point rounding bound is provably outside.
+   A row is provably inside when it has nonnegative coefficients over
+   the entry's vertex rows that reproduce it within tolerance: they are
+   its barycentric coordinates in the cone from the vertex centroid over
+   the facet its ray from the centroid leaves through.
+3. Every other row goes to :func:`hull_membership`.
+
 Hull membership solves a simplex-constrained least-squares projection
 with Frank-Wolfe iterations using away steps.  Away steps matter: the
 plain method stalls at O(1/t) when the projection lies on a hull face,
@@ -21,10 +36,12 @@ never produce a false positive.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .embedding import check_radius, neighbor_counts
 from .errors import AcceptanceStallError, EmptyStoreError, ZeroDenseCountError
@@ -34,6 +51,19 @@ from .store import SampleStore
 
 _PROPOSAL_BATCH = 8192   # fixed: batch boundaries are part of no contract,
                          # but stats are counted per full batch
+
+# Qhull facet counts grow steeply with dimension: for 100 vertices about
+# 166 facets at 4-d, 2479 at 6-d and 48 496 at 8-d, where one batch's
+# violation block alone would take 3.2 GB.
+_FACET_MAX_DIM = 4
+
+# Each quantity the screen compares (n·z + b, a vertex's n·v + b, the
+# centroid, V^T a - z) is a sum of at most k + dim + 2 rounded terms, for
+# k vertices, whose magnitudes add up to at most 1 + |z| + scale, so its
+# error is below gamma_(k+dim+2)·(1 + |z| + scale) <= (k + dim + 2)·eps·(...)
+# in any summation order (Higham, Accuracy and Stability of Numerical
+# Algorithms, §3.1).  The factor 4 covers the few that stack in one verdict.
+_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -48,6 +78,19 @@ class HullMembership:
 
 
 @dataclass(frozen=True)
+class _FacetScreen:
+    """One entry's hull as Qhull facets, each coned to the vertex centroid."""
+
+    normals: np.ndarray        # (facets, L) unit normals, n·x + b <= 0 inside
+    offsets: np.ndarray        # (facets,)
+    depths: np.ndarray         # (facets,) -(n·c + b) > 0 at the centroid c
+    corners: np.ndarray        # (facets, L, L) each facet's vertex rows
+    inverses: np.ndarray       # (facets, L, L) z - c -> weights on the corners
+    slack: float               # largest n·v + b over the entry's own vertices
+    scale: float               # max |v| + max |b|, the size of rounded terms
+
+
+@dataclass(frozen=True)
 class PlanEntry:
     p: float
     vertices: np.ndarray       # (hull size, L) float64
@@ -56,6 +99,7 @@ class PlanEntry:
     mode_index: int            # anchor index the mode came from, -1 if unknown
     bound_center: np.ndarray = field(repr=False, default=None)
     bound_radius: float = 0.0
+    screen: _FacetScreen | None = field(repr=False, compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -80,14 +124,43 @@ class AcceptanceStats:
     outside_accepted: int
 
 
+def _facet_screen(vertices: np.ndarray, center: np.ndarray) -> _FacetScreen | None:
+    """Facets of the vertices' hull, or None where Qhull is not used:
+    above ``_FACET_MAX_DIM``, in 1-d, or on a flat hull."""
+    k, dim = vertices.shape
+    if not 2 <= dim <= _FACET_MAX_DIM or k <= dim:
+        return None
+    try:
+        hull = ConvexHull(vertices)
+    except QhullError:
+        return None
+    norms = np.linalg.norm(hull.equations[:, :-1], axis=1)
+    normals = hull.equations[:, :-1] / norms[:, None]
+    offsets = hull.equations[:, -1] / norms
+    depths = -(normals @ center + offsets)
+    if not np.all(depths > 0.0):
+        return None
+    corners = vertices[hull.simplices]
+    return _FacetScreen(
+        normals=normals, offsets=offsets, depths=depths, corners=corners,
+        # pinv, not inv: a sliver facet gets useless weights, which the
+        # residual check then rejects, instead of an exception
+        inverses=np.linalg.pinv(np.swapaxes(corners - center, 1, 2)),
+        slack=float(np.max(vertices @ normals.T + offsets)),
+        scale=float(np.max(np.linalg.norm(vertices, axis=1)) + np.max(np.abs(offsets))))
+
+
 def _finish_entry(p: float, vertices: np.ndarray, dense_count: int, ref_count: int,
                   mode_index: int) -> PlanEntry:
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("plan vertices must be finite")
     center = vertices.mean(axis=0)
     radius = float(np.max(np.linalg.norm(vertices - center, axis=1)))
     return PlanEntry(p=float(p), vertices=vertices, dense_count=int(dense_count),
                      ref_count=int(ref_count), mode_index=int(mode_index),
-                     bound_center=center, bound_radius=radius)
+                     bound_center=center, bound_radius=radius,
+                     screen=_facet_screen(vertices, center))
 
 
 # Frank-Wolfe steps mix the iterate with one vertex at a time, which
@@ -284,6 +357,11 @@ def build_plan(pool: SampleStore, dense_modes: Sequence[tuple[np.ndarray, int]],
         p = min(1.0, ref_count / dc)
         entries.append(_finish_entry(p, pool.latents[np.sort(nearest)], dc,
                                      int(round(ref_count)), mode_idx[j]))
+    latent_dim = pool.latents.shape[1]
+    if size <= latent_dim:
+        warnings.warn(f"hulls of {size} vertices cannot span the {latent_dim}-d latent "
+                      "space: they hold almost no prior mass, so the plan will accept "
+                      "nearly every draw", RuntimeWarning, stacklevel=2)
     return ImportanceSamplingPlan(
         entries=tuple(entries), reference_index=refs[0],
         reference_latent=pool.latents[refs[0]].copy(),
@@ -291,18 +369,55 @@ def build_plan(pool: SampleStore, dense_modes: Sequence[tuple[np.ndarray, int]],
         r0=float(r0), hull_size=int(hull_size))
 
 
-def _match_entry(plan: ImportanceSamplingPlan, z: np.ndarray) -> int:
-    """Index of the first entry whose hull contains z, else -1."""
-    tau_scale = 1.0 + float(np.linalg.norm(z))
+def _screen(entry: PlanEntry, z: np.ndarray, znorm: np.ndarray,
+            tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(provably inside, undecided) masks of rows z against the entry's hull.
+
+    Every hull point satisfies n·x + b <= slack, so a row violating some
+    facet by more than tau + slack, plus rounding, is further than tau
+    from the hull.  A row is inside when w0·c + sum(w_i·v_i) reproduces
+    it within tau, rounding included, with w0, w >= 0: the coefficients
+    w0/k on every vertex row plus w on the facet's rows are then a convex
+    combination of the entry's own vertices."""
+    screen = entry.screen
+    c = entry.bound_center
+    k, dim = entry.vertices.shape
+    rounding = _ROUNDING * (k + dim + 2) * (1.0 + znorm + screen.scale)
+    gap = z @ screen.normals.T + screen.offsets
+    outside = np.max(gap, axis=1) > tau + screen.slack + rounding
+    rows = np.flatnonzero(~outside)
+    # the ray from c through z leaves through the facet with the largest
+    # n·(z - c) / depth, which is (n·z + b) / depth + 1
+    facet = np.argmax(gap[rows] / screen.depths, axis=1)
+    w = np.einsum("mij,mj->mi", screen.inverses[facet], z[rows] - c)
+    w0 = 1.0 - w.sum(axis=1)
+    x = w0[:, None] * c + np.einsum("mi,mij->mj", w, screen.corners[facet])
+    residual = np.linalg.norm(x - z[rows], axis=1)
+    inside = np.zeros(len(z), dtype=bool)
+    inside[rows] = ((w0 >= 0.0) & np.all(w >= 0.0, axis=1)
+                    & (residual + rounding[rows] <= tau[rows]))
+    return inside, ~(outside | inside)
+
+
+def _match_entries(plan: ImportanceSamplingPlan, z: np.ndarray) -> np.ndarray:
+    """Per row of z, the index of the first entry whose hull contains it, else -1."""
+    match = np.full(z.shape[0], -1, dtype=np.int64)
+    znorm = np.linalg.norm(z, axis=1)
+    tau = plan.tol * (1.0 + znorm)
     for e, entry in enumerate(plan.entries):
-        quick = float(np.linalg.norm(z - entry.bound_center))
-        if quick > entry.bound_radius + plan.tol * tau_scale:
-            continue
-        result = hull_membership(z, entry.vertices, tol=plan.tol,
-                                 max_iters=plan.max_iters)
-        if result.is_member:
-            return e
-    return -1
+        rows = np.flatnonzero(match < 0)
+        # every hull point lies in the bounding sphere
+        rows = rows[np.linalg.norm(z[rows] - entry.bound_center, axis=1)
+                    <= entry.bound_radius + tau[rows]]
+        if entry.screen is not None:
+            inside, undecided = _screen(entry, z[rows], znorm[rows], tau[rows])
+            match[rows[inside]] = e
+            rows = rows[undecided]
+        for i in rows:
+            if hull_membership(z[i], entry.vertices, tol=plan.tol,
+                               max_iters=plan.max_iters).is_member:
+                match[i] = e
+    return match
 
 
 def sample_calibrated_is(plan: ImportanceSamplingPlan, latent_dim: int, n: int,
@@ -321,6 +436,7 @@ def sample_calibrated_is(plan: ImportanceSamplingPlan, latent_dim: int, n: int,
         if entry.vertices.shape[1] != latent_dim:
             raise ValueError(
                 f"plan vertices have dim {entry.vertices.shape[1]}, not {latent_dim}")
+    p = np.array([entry.p for entry in plan.entries])
     proposals = CounterStream(seed, STREAM_IS_PROPOSAL)
     accepts = CounterStream(seed, STREAM_IS_ACCEPT)
     kept: list[np.ndarray] = []
@@ -335,16 +451,12 @@ def sample_calibrated_is(plan: ImportanceSamplingPlan, latent_dim: int, n: int,
         batch = min(_PROPOSAL_BATCH, limit - total)
         z = proposals.normal_rows(offset, batch, latent_dim)
         u = accepts.uniforms(offset, batch)
-        keep = np.ones(batch, dtype=bool)
-        if plan.entries:
-            for i in range(batch):
-                e = _match_entry(plan, z[i])
-                if e >= 0:
-                    in_hull += 1
-                    if u[i] <= plan.entries[e].p:
-                        in_hull_accepted += 1
-                    else:
-                        keep[i] = False
+        match = _match_entries(plan, z)
+        hit = match >= 0
+        keep = ~hit
+        keep[hit] = u[hit] <= p[match[hit]]
+        in_hull += int(np.count_nonzero(hit))
+        in_hull_accepted += int(np.count_nonzero(keep[hit]))
         kept.append(z[keep])
         total += batch
         accepted += int(np.count_nonzero(keep))

@@ -316,19 +316,20 @@ def unpack_frame(blob: bytes) -> tuple[int, int, np.ndarray, np.ndarray, list[by
 
 
 def _frame_body_size(payload: memoryview, latent_dim: int, embed_dim: int,
-                     count: int) -> int | None:
-    """Bytes consumed by ``count`` records, or None if more data is needed."""
+                     count: int, start: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+    """(bytes, records) of the complete records at the head of ``payload``,
+    at most ``count``.  ``start`` is what an earlier call returned on a
+    prefix of the same payload; the scan resumes there."""
     fixed = 4 * latent_dim + 4 * embed_dim
-    off = 0
+    off, done = start
     size = len(payload)
-    for _ in range(count):
-        if off + fixed + 4 > size:
-            return None
+    while done < count and off + fixed + 4 <= size:
         (ref_len,) = store_format.REF_LEN.unpack(payload[off + fixed:off + fixed + 4])
+        if off + fixed + 4 + ref_len > size:
+            break
         off += fixed + 4 + ref_len
-        if off > size:
-            return None
-    return off
+        done += 1
+    return off, done
 
 
 def _validate_embeddings(emb: np.ndarray, embed_dim: int, n: int) -> np.ndarray:
@@ -442,13 +443,12 @@ class SubprocessSource(_BatchedSource):
         sel = selectors.DefaultSelector()
         sel.register(fd, selectors.EVENT_READ)
         buf = bytearray()
-        body_size: int | None = None
         header: tuple | None = None
+        progress = (0, 0)   # (bytes, records) of the body parsed so far
         try:
             while True:
-                if header is not None and body_size is not None and \
-                        len(buf) >= store_format.HEADER.size + body_size:
-                    return bytes(buf[:store_format.HEADER.size + body_size])
+                if header is not None and progress[1] == header[4]:
+                    return bytes(buf[:store_format.HEADER.size + progress[0]])
                 budget = deadline - time.monotonic()
                 if budget <= 0:
                     raise SourceTimeoutError(self._fail(conn, "child response timed out"))
@@ -461,8 +461,9 @@ class SubprocessSource(_BatchedSource):
                 if header is None and len(buf) >= store_format.HEADER.size:
                     header = store_format.HEADER.unpack(buf[:store_format.HEADER.size])
                 if header is not None:
-                    body_size = _frame_body_size(
-                        memoryview(buf)[store_format.HEADER.size:], header[2], header[3], header[4])
+                    progress = _frame_body_size(
+                        memoryview(buf)[store_format.HEADER.size:], header[2], header[3],
+                        header[4], progress)
         finally:
             sel.close()
 
@@ -649,6 +650,22 @@ def generate(source, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | Non
     return emb, refs
 
 
+_READ_PIECE = 1 << 20
+
+
+def _read_body(stdin, size: int) -> bytes:
+    """``size`` bytes of a request, read in bounded pieces: the size comes
+    from the request header, so a lying header must not set an allocation."""
+    pieces = []
+    while size > 0:
+        piece = stdin.read(min(size, _READ_PIECE))
+        if not piece:
+            raise SourceUnavailableError("truncated request body")
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
+
+
 def run_worker(source, stdin, stdout) -> None:
     """Child side of the subprocess protocol: frames in, frames out, flush."""
     header_size = store_format.HEADER.size
@@ -664,10 +681,7 @@ def run_worker(source, stdin, stdout) -> None:
         if latent_dim != source.latent_dim:
             raise MalformedResponseError(
                 f"request latent_dim {latent_dim}, source has {source.latent_dim}")
-        fixed = 4 * latent_dim + 4 * embed_dim + 4
-        body = stdin.read(count * fixed)
-        if len(body) < count * fixed:
-            raise SourceUnavailableError("truncated request body")
+        body = _read_body(stdin, count * (4 * latent_dim + 4 * embed_dim + 4))
         lat, _emb, _refs, parsed = store_format.parse_records(body, latent_dim, embed_dim, count)
         if parsed < count:
             raise MalformedResponseError("unparseable request body")

@@ -1,6 +1,7 @@
 """End-to-end command-line pipelines and exit-code contracts."""
 
 import hashlib
+import io
 import json
 import sys
 
@@ -263,6 +264,14 @@ def test_source_errors_exit_5(tmp_path):
     }))
     assert main(["sample", "--source", str(spec), "--n", "5",
                  "--out", str(tmp_path / "x.bbgc")]) == 5
+
+
+def test_worker_oversized_request_exits_5(pipeline, monkeypatch, capsys):
+    head = HEADER.pack(MAGIC, VERSION, 2, 0, 2 ** 40, 0)
+    stdin = io.TextIOWrapper(io.BufferedReader(io.BytesIO(head + b"abc")))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["worker", "--source", str(pipeline["spec"])]) == 5
+    assert "truncated request body" in capsys.readouterr().err
 
 
 def test_worker_dim_mismatch_exit_3(pipeline):

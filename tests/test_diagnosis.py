@@ -78,6 +78,14 @@ def test_single_anchor_mccs():
     assert got.anchor_index == 7 and got.n_samples == 150
 
 
+def test_fully_collapsed_anchor_scores_one():
+    # at theta = 1, np.expm1 and math.expm1 may differ in the last bit
+    anchor = np.eye(8)[0]
+    for theta in (0.3, 0.7, 1.0):
+        got = mccs(anchor, np.tile(anchor, (5, 1)), theta)
+        assert got.mean_similarity == 1.0 and got.value == 1.0
+
+
 def test_population_stats_matches_naive():
     a = make_store(12, 8, 7)
     b = make_store(300, 8, 8)

@@ -1,19 +1,25 @@
 """Hull projection, plan construction, and gated rejection sampling."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
+import bbgc.importance as importance
 from bbgc.errors import AcceptanceStallError, EmptyStoreError, ZeroDenseCountError
 from bbgc.importance import (
     ImportanceSamplingPlan,
     _finish_entry,
-    _match_entry,
+    _match_entries,
     build_plan,
     hull_membership,
     load_plan,
     sample_calibrated_is,
     save_plan,
 )
+from bbgc.embedding import normalize_rows
 from bbgc.rng import STREAM_IS_PROPOSAL, CounterStream
 from bbgc.store import SampleStore
 
@@ -97,6 +103,8 @@ def test_hull_membership_validation():
         hull_membership(np.zeros(3), v)
     with pytest.raises(ValueError):
         hull_membership(np.zeros(2), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        _finish_entry(0.5, np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]), 4, 2, 0)
 
 
 # -- plan construction -----------------------------------------------------------
@@ -163,14 +171,135 @@ def test_build_plan_validation():
         build_plan(pool, [(unit(0), 0)], [5], r0=0.25, hull_size=0)
 
 
+def test_build_plan_warns_on_hull_that_cannot_span_the_latent_space():
+    pool = eight_row_pool()                           # latent dim 2
+    with pytest.warns(RuntimeWarning, match="2 vertices cannot span the 2-d"):
+        build_plan(pool, [(unit(0), 0)], [5], r0=0.25, hull_size=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_plan(pool, [(unit(0), 0)], [5], r0=0.25, hull_size=3)
+
+
 def test_match_entry_takes_first_containing_hull():
     v = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 1.5]])
     plan = ImportanceSamplingPlan(
         entries=(_finish_entry(0.7, v, 4, 2, 0), _finish_entry(0.1, v, 4, 2, 1)),
         reference_index=0, reference_latent=np.zeros(2),
         reference_embedding=unit(0), r0=0.25, hull_size=3)
-    assert _match_entry(plan, np.array([0.0, 0.0])) == 0
-    assert _match_entry(plan, np.array([40.0, 0.0])) == -1
+    match = _match_entries(plan, np.array([[0.0, 0.0], [40.0, 0.0]]))
+    np.testing.assert_array_equal(match, [0, -1])
+
+
+# -- batched matching against per-row Frank-Wolfe and the enumeration oracle --------
+
+def plan_of(*hulls, tol=TOL):
+    return ImportanceSamplingPlan(
+        entries=tuple(_finish_entry(0.5, v, 4, 2, i) for i, v in enumerate(hulls)),
+        reference_index=0, reference_latent=np.zeros(hulls[0].shape[1]),
+        reference_embedding=unit(0), r0=0.25, hull_size=len(hulls[0]), tol=tol)
+
+
+def reference_match(plan, z):
+    """The per-row loop: first entry whose hull_membership verdict is a member."""
+    out = []
+    for row in z:
+        hits = [e for e, entry in enumerate(plan.entries)
+                if hull_membership(row, entry.vertices, tol=plan.tol,
+                                   max_iters=plan.max_iters).is_member]
+        out.append(hits[0] if hits else -1)
+    return np.array(out)
+
+
+def near_facets(rng, v, n):
+    """Points within +-2 tau of random points on random facets of hull(v)."""
+    hull = ConvexHull(v)
+    f = rng.integers(0, len(hull.simplices), n)
+    w = rng.dirichlet(np.ones(v.shape[1]), n)
+    on = np.einsum("mi,mij->mj", w, v[hull.simplices[f]])
+    tau = TOL * (1.0 + np.linalg.norm(on, axis=1))
+    return on + hull.equations[f, :-1] * (rng.uniform(-2.0, 2.0, n) * tau)[:, None]
+
+
+def near_vertices(rng, v, n):
+    """Points up to 3 tau from random vertices in random directions; near a
+    sharp vertex a point can violate no facet by tau yet lie beyond tau."""
+    at = v[rng.integers(0, len(v), n)]
+    step = rng.normal(size=at.shape)
+    step /= np.linalg.norm(step, axis=1)[:, None]
+    tau = TOL * (1.0 + np.linalg.norm(at, axis=1))
+    return at + step * (rng.uniform(0.0, 3.0, n) * tau)[:, None]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_batched_matcher_agrees_with_frank_wolfe_and_oracle(dim):
+    rng = np.random.default_rng(40 + dim)
+    v = random_hull(rng, k=7, dim=dim)
+    plan = plan_of(v)
+    assert plan.entries[0].screen is not None
+    z = np.vstack([near_facets(rng, v, 60), near_vertices(rng, v, 60),
+                   rng.normal(size=(30, dim)) * 2.0,
+                   (v.T @ rng.dirichlet(np.ones(7), 30).T).T])
+    match = _match_entries(plan, z)
+    np.testing.assert_array_equal(match, reference_match(plan, z))
+    truth = [hull_distance(row, v) <= TOL * (1 + np.linalg.norm(row)) for row in z]
+    np.testing.assert_array_equal(match == 0, truth)
+    assert 0 < np.count_nonzero(match == 0) < len(z)
+
+
+@pytest.mark.parametrize("tamper", ["swap cones", "halve weights"])
+def test_batched_matcher_checks_the_coefficients_it_computes(tamper):
+    rng = np.random.default_rng(12)
+    # sharp corners, where rows beyond tau violate no facet by tau
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.05]])
+    v = np.vstack([corners, rng.dirichlet(np.ones(3), 6) @ corners])
+    plan = plan_of(v)
+    entry = plan.entries[0]
+    if tamper == "swap cones":
+        # the weights still reproduce every row, but are negative outside
+        # the other facet's cone
+        shuffle = rng.permutation(len(entry.screen.corners))
+        screen = dataclasses.replace(entry.screen, corners=entry.screen.corners[shuffle],
+                                     inverses=entry.screen.inverses[shuffle])
+    else:
+        # the weights stay nonnegative slightly beyond a facet, but no
+        # longer reproduce the rows
+        screen = dataclasses.replace(entry.screen, inverses=entry.screen.inverses * 0.5)
+    plan = dataclasses.replace(plan, entries=(dataclasses.replace(entry, screen=screen),))
+    z = np.vstack([near_facets(rng, v, 100), near_vertices(rng, v, 300),
+                   (v.T @ rng.dirichlet(np.ones(9), 50).T).T])
+    np.testing.assert_array_equal(_match_entries(plan, z), reference_match(plan, z))
+
+
+def test_batched_matcher_without_facet_screen():
+    rng = np.random.default_rng(9)
+    line = np.outer(rng.uniform(-2, 2, 6), [1.0, 0.5]) + [0.3, -0.1]    # collinear
+    few = random_hull(rng, k=3, dim=4)                    # hull_size <= latent_dim
+    wide = random_hull(rng, k=12, dim=5)                  # above the facet cap
+    for v in (line, few, wide):
+        plan = plan_of(v)
+        assert plan.entries[0].screen is None
+        k, dim = v.shape
+        z = np.vstack([(v.T @ rng.dirichlet(np.ones(k), 20).T).T,
+                       (v.T @ rng.dirichlet(np.ones(k), 20).T).T
+                       + rng.normal(size=(20, dim)) * 1e-3,
+                       rng.normal(size=(20, dim))])
+        match = _match_entries(plan, z)
+        np.testing.assert_array_equal(match, reference_match(plan, z))
+        assert np.count_nonzero(match == 0) >= 20
+
+
+def test_batched_matcher_sends_only_the_boundary_band_to_frank_wolfe(monkeypatch):
+    plan = box_plan(p=0.5)
+    z = CounterStream(7, STREAM_IS_PROPOSAL).normal_rows(0, 8192, 2)
+    calls = []
+    monkeypatch.setattr(importance, "hull_membership",
+                        lambda *a, **k: calls.append(1) or hull_membership(*a, **k))
+    match = _match_entries(plan, z)
+    assert len(calls) <= 5
+    inside = np.all(np.abs(z) <= 3.5, axis=1)
+    far = np.all(np.abs(np.abs(z) - 3.5) > 1e-3, axis=1)
+    np.testing.assert_array_equal(match[far] == 0, inside[far])
+    np.testing.assert_array_equal(match[~far], reference_match(plan, z[~far]))
 
 
 # -- gated sampling ---------------------------------------------------------------
@@ -257,6 +386,25 @@ def test_plan_file_round_trip(tmp_path):
         # vertices travel as f32
         np.testing.assert_array_equal(
             e_new.vertices, e_old.vertices.astype(np.float32).astype(np.float64))
+
+
+def test_plan_file_round_trip_keeps_the_accepted_sequence(tmp_path):
+    rng = np.random.default_rng(5)
+    emb = normalize_rows(rng.normal(size=(400, 4)) * 0.1 + unit(0))
+    # f32-exact latents survive the file's f32 vertices unchanged
+    lat = rng.normal(size=(400, 3)).astype(np.float32).astype(np.float64)
+    plan = build_plan(SampleStore(lat, emb, seed=0), [(unit(0), 0)], [0],
+                      r0=0.25, hull_size=60)
+    path = tmp_path / "plan.json"
+    save_plan(str(path), plan)
+    back = load_plan(str(path))
+    assert back.entries[0].screen is not None
+    out, stats = sample_calibrated_is(plan, 3, 300, seed=2)
+    out_back, stats_back = sample_calibrated_is(back, 3, 300, seed=2)
+    np.testing.assert_array_equal(out, out_back)
+    assert stats == stats_back and stats.in_hull > 0
+    z = CounterStream(2, STREAM_IS_PROPOSAL).normal_rows(0, 400, 3)
+    np.testing.assert_array_equal(_match_entries(back, z), reference_match(back, z))
 
 
 def test_load_plan_rejects_bad_files(tmp_path):

@@ -21,6 +21,7 @@ from bbgc.source import (
     SourceSpec,
     SubprocessSource,
     SyntheticSource,
+    _frame_body_size,
     build_synthetic_model,
     generate,
     load_source_spec,
@@ -209,6 +210,21 @@ def test_unpack_frame_rejects_oversized_count():
         unpack_frame(head + good[store_format.HEADER.size:])
 
 
+def test_frame_body_size_resumes_across_uneven_slices():
+    fixed = 4 * 3 + 4 * 2
+    refs = [b"", b"x" * 9, b"", b"abc", b"y" * 40, b"z"]
+    body = b"".join(bytes(fixed) + store_format.REF_LEN.pack(len(r)) + r for r in refs)
+    whole = _frame_body_size(memoryview(body), 3, 2, len(refs))
+    assert whole == (len(body), len(refs))
+    progress = (0, 0)
+    for end in (0, 5, fixed + 2, fixed + 4, 40, 41, 77, 150, len(body) - 1, len(body)):
+        progress = _frame_body_size(memoryview(body)[:end], 3, 2, len(refs), progress)
+        assert progress == _frame_body_size(memoryview(body)[:end], 3, 2, len(refs))
+    assert progress == whole
+    # records past the header's count are not part of the frame
+    assert _frame_body_size(memoryview(body), 3, 2, 2) == (2 * (fixed + 4) + 9, 2)
+
+
 # -- worker loop ----------------------------------------------------------------
 
 def test_run_worker_round_trip():
@@ -231,6 +247,27 @@ def test_run_worker_rejects_dim_mismatch():
     stdin = io.BytesIO(pack_frame(np.zeros((2, 3)), as_latents=True))
     with pytest.raises(MalformedResponseError, match="latent_dim"):
         run_worker(src, stdin, io.BytesIO())
+
+
+class RecordingReader(io.BytesIO):
+    """In-memory stdin that remembers every size it was asked to read."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.asked = []
+
+    def read(self, size=-1):
+        self.asked.append(size)
+        return super().read(size)
+
+
+def test_run_worker_reads_oversized_request_in_bounded_pieces():
+    src = synth(latent_dim=4, embed_dim=6)
+    head = store_format.HEADER.pack(store_format.MAGIC, store_format.VERSION, 4, 0, 2 ** 40, 0)
+    stdin = RecordingReader(head + b"abc")
+    with pytest.raises(SourceUnavailableError, match="truncated request body"):
+        run_worker(src, stdin, io.BytesIO())
+    assert max(stdin.asked) <= 1 << 20
 
 
 # -- subprocess adapter ----------------------------------------------------------
