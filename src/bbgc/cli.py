@@ -83,11 +83,18 @@ def _size_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
 
 
-def _check_unit_interval(parser: argparse.ArgumentParser, args) -> None:
-    if not 0.0 < args.theta <= 1.0:
-        parser.error(f"--theta must be in (0, 1], got {args.theta}")
-    if not 0.0 <= args.radius <= 1.0:
-        parser.error(f"--radius must be in [0, 1], got {args.radius}")
+def _theta_value(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:   # NaN fails too
+        raise argparse.ArgumentTypeError(f"theta must be in (0, 1], got {value}")
+    return value
+
+
+def _radius_value(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"radius must be in [0, 1], got {value}")
+    return value
 
 
 def _sha256_file(path: str) -> str:
@@ -106,7 +113,8 @@ def _provenance(seed: int, **paths: str) -> dict:
 
 
 def _embed_all(src, latents: np.ndarray) -> np.ndarray:
-    """Embed in bounded batches so huge collections never sit twice in RAM."""
+    """Embed in batches of ``_GEN_BATCH`` rows, which bounds the source's
+    working memory per call; the result is one array of all rows."""
     parts = []
     for lo in range(0, len(latents), _GEN_BATCH):
         emb, _ = sources.generate(src, latents[lo:lo + _GEN_BATCH])
@@ -125,20 +133,15 @@ def _out_prefix(path: str) -> str:
 def cmd_sample(args, parser) -> int:
     spec = sources.load_source_spec(args.source)
     stream = _ROLE_STREAMS[args.role]
-    src = sources.open_source(spec)
-    try:
-        with stores.StoreWriter(args.out, spec.latent_dim, spec.embed_dim,
-                                args.seed) as writer:
-            for lo in range(0, args.n, _GEN_BATCH):
-                count = min(args.n, lo + _GEN_BATCH) - lo
-                latents = sources.sample_latents(count, spec.latent_dim,
-                                                 args.seed, stream, start=lo)
-                embeddings, refs = sources.generate(src, latents)
-                writer.append(latents, embeddings, refs)
-    finally:
-        close = getattr(src, "close", None)
-        if close:
-            close()
+    with (sources.open_source(spec) as src,
+          stores.StoreWriter(args.out, spec.latent_dim, spec.embed_dim,
+                             args.seed) as writer):
+        for lo in range(0, args.n, _GEN_BATCH):
+            count = min(args.n, lo + _GEN_BATCH) - lo
+            latents = sources.sample_latents(count, spec.latent_dim,
+                                             args.seed, stream, start=lo)
+            embeddings, refs = sources.generate(src, latents)
+            writer.append(latents, embeddings, refs)
     print(f"wrote {args.n} samples to {args.out}")
     return 0
 
@@ -146,7 +149,6 @@ def cmd_sample(args, parser) -> int:
 # -- diagnose / find-modes --------------------------------------------------------
 
 def cmd_diagnose(args, parser) -> int:
-    _check_unit_interval(parser, args)
     anchors = stores.read_store(args.anchors)
     pool = stores.read_store(args.pool)
     report = diagnosis.build_report(
@@ -163,7 +165,6 @@ def cmd_diagnose(args, parser) -> int:
 
 
 def cmd_find_modes(args, parser) -> int:
-    _check_unit_interval(parser, args)
     anchors = stores.read_store(args.anchors)
     pool = stores.read_store(args.pool)
     modes = diagnosis.top_k_modes(anchors, pool, radius=args.radius, k=args.k)
@@ -212,20 +213,14 @@ def _pick_reference(pool: stores.SampleStore, radius: float, seed: int) -> int:
 
 
 def cmd_calibrate_gmm(args, parser) -> int:
-    _check_unit_interval(parser, args)
     spec = sources.load_source_spec(args.source)
     anchors = stores.read_store(args.anchors)
     dense = _dense_modes_from_report(args.report, anchors, args.modes)
     mode_embs = np.asarray([emb for emb, _ in dense])
-    src = sources.open_source(spec)
-    try:
+    with sources.open_source(spec) as src:
         model = gmm.calibrate_gmm(
             src, mode_embs, args.seed, k=args.kmeans_k, r0=args.radius,
             n_fit=args.n_fit, source_seed=spec.seed)
-    finally:
-        close = getattr(src, "close", None)
-        if close:
-            close()
     prov = _provenance(args.seed, source=args.source, anchors=args.anchors,
                        report=args.report)
     prov["modes"] = [idx for _, idx in dense]
@@ -236,7 +231,6 @@ def cmd_calibrate_gmm(args, parser) -> int:
 
 
 def cmd_calibrate_is(args, parser) -> int:
-    _check_unit_interval(parser, args)
     anchors = stores.read_store(args.anchors)
     pool = stores.read_store(args.pool)
     dense = _dense_modes_from_report(args.report, anchors, args.modes)
@@ -265,7 +259,6 @@ def _acceptance_doc(stats: importance.AcceptanceStats) -> dict:
 
 
 def cmd_evaluate(args, parser) -> int:
-    _check_unit_interval(parser, args)
     if args.anchors < 2:
         parser.error("--anchors must be >= 2 for population statistics")
     spec = sources.load_source_spec(args.source)
@@ -293,8 +286,7 @@ def cmd_evaluate(args, parser) -> int:
         acceptance = {"anchors": _acceptance_doc(stats_a),
                       "pool": _acceptance_doc(stats_c)}
 
-    src = sources.open_source(spec)
-    try:
+    with sources.open_source(spec) as src:
         before_a_lat = sources.sample_latents(args.anchors, spec.latent_dim,
                                               args.seed, STREAM_EVAL_ANCHORS)
         before_c_lat = sources.sample_latents(args.pool, spec.latent_dim,
@@ -307,10 +299,6 @@ def cmd_evaluate(args, parser) -> int:
                                      seed=seed_a)
         after_c = stores.SampleStore(after_c_lat, _embed_all(src, after_c_lat),
                                      seed=seed_c)
-    finally:
-        close = getattr(src, "close", None)
-        if close:
-            close()
 
     before = diagnosis.build_report(before_a, before_c, args.theta, args.radius,
                                     k=args.k, seed=args.seed)
@@ -405,22 +393,17 @@ def cmd_worker(args, parser) -> int:
     if args.embed_dim is not None and args.embed_dim != spec.embed_dim:
         raise InvalidConfigError(
             f"--embed-dim {args.embed_dim} but source has {spec.embed_dim}")
-    src = sources.open_source(spec)
-    try:
+    with sources.open_source(spec) as src:
         sources.run_worker(src, sys.stdin.buffer, sys.stdout.buffer)
-    finally:
-        close = getattr(src, "close", None)
-        if close:
-            close()
     return 0
 
 
 # -- parser ---------------------------------------------------------------------------
 
 def _add_stat_flags(sub: argparse.ArgumentParser, k_help: str) -> None:
-    sub.add_argument("--theta", type=float, default=0.3,
+    sub.add_argument("--theta", type=_theta_value, default=0.3,
                      help="similarity cutoff as a fraction of the max distance")
-    sub.add_argument("--radius", type=float, default=0.25,
+    sub.add_argument("--radius", type=_radius_value, default=0.25,
                      help="neighborhood radius as a fraction of the max distance")
     sub.add_argument("--k", type=_positive_int, default=24, help=k_help)
 
@@ -457,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     find = commands.add_parser("find-modes", help="list the k densest anchors")
     find.add_argument("--anchors", required=True)
     find.add_argument("--pool", required=True)
-    find.add_argument("--theta", type=float, default=0.3, help=argparse.SUPPRESS)
-    find.add_argument("--radius", type=float, default=0.25)
+    find.add_argument("--radius", type=_radius_value, default=0.25)
     find.add_argument("--k", type=_positive_int, default=24)
     find.add_argument("--out", required=True)
     find.set_defaults(func=cmd_find_modes)
@@ -475,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="how many of the densest modes to calibrate away")
     cal_gmm.add_argument("--kmeans-k", type=_positive_int, default=64)
     cal_gmm.add_argument("--n-fit", type=_positive_int, default=100_000)
-    cal_gmm.add_argument("--theta", type=float, default=0.3, help=argparse.SUPPRESS)
-    cal_gmm.add_argument("--radius", type=float, default=0.25)
+    cal_gmm.add_argument("--radius", type=_radius_value, default=0.25)
     cal_gmm.add_argument("--seed", type=_seed_value, default=0)
     cal_gmm.add_argument("--out", required=True, help="mixture model JSON path")
     cal_gmm.set_defaults(func=cmd_calibrate_gmm)
@@ -487,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal_is.add_argument("--report", required=True, help="diagnosis report JSON")
     cal_is.add_argument("--modes", type=_positive_int, default=1)
     cal_is.add_argument("--hull-size", type=_positive_int, default=100)
-    cal_is.add_argument("--theta", type=float, default=0.3, help=argparse.SUPPRESS)
-    cal_is.add_argument("--radius", type=float, default=0.25)
+    cal_is.add_argument("--radius", type=_radius_value, default=0.25)
     cal_is.add_argument("--seed", type=_seed_value, default=0)
     cal_is.add_argument("--out", required=True, help="plan JSON path")
     cal_is.set_defaults(func=cmd_calibrate_is)

@@ -32,7 +32,7 @@ from .rng import (
     STREAM_KMEANS,
     CounterStream,
 )
-from .source import sample_latents
+from .source import generate, sample_latents
 
 _VARIANCE_FLOOR = 1e-12
 
@@ -241,7 +241,7 @@ def calibrate_gmm(source, dense_modes: np.ndarray, seed: int, k: int = 64,
     if dense_modes.shape[0] == 0:
         raise EmptyModeListError("need at least one dense mode to calibrate")
     latents = sample_latents(n_fit, source.latent_dim, seed, STREAM_FIT)
-    embeddings, _ = source.embed(latents)
+    embeddings, _ = generate(source, latents)
     means, assignment = kmeans_fit(latents, k, seed, max_iters=max_iters, tol=tol)
     weights = compute_cluster_weights(assignment.labels, k, embeddings, dense_modes, r0)
     variances = estimate_covariance(latents, assignment.labels, means)

@@ -11,6 +11,9 @@ Three kinds exist:
   stdin/stdout;
 * ``remote``     — an HTTP endpoint speaking the same framing per POST.
 
+Sources are context managers.  The adapters check only the framing of
+each reply; :func:`generate` is the one check of embedding values.
+
 The synthetic model selects a planted mode when the latent falls inside
 a Euclidean ball around that mode's latent anchor; the ball radius is
 chosen so the standard-normal measure of the ball equals the configured
@@ -27,6 +30,7 @@ import os
 import selectors
 import subprocess
 import tempfile
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -205,10 +209,21 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
                           weights_cum=np.cumsum(w))
 
 
-class SyntheticSource:
-    """Deterministic planted-collapse generator."""
+class _Source:
+    """Lifecycle every source shares: ``with open_source(spec) as src: ...``."""
 
-    kind = "synthetic"
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class SyntheticSource(_Source):
+    """Deterministic planted-collapse generator."""
 
     def __init__(self, model: SyntheticModel):
         self.model = model
@@ -222,9 +237,6 @@ class SyntheticSource:
     @property
     def embed_dim(self) -> int:
         return self.model.embed_dim
-
-    def close(self) -> None:
-        pass
 
     def _noise_rows(self, hashes: np.ndarray) -> np.ndarray:
         """Per-latent standard-normal noise, a pure function of the hash."""
@@ -332,66 +344,50 @@ def _frame_body_size(payload: memoryview, latent_dim: int, embed_dim: int,
     return off, done
 
 
-def _validate_embeddings(emb: np.ndarray, embed_dim: int, n: int) -> np.ndarray:
-    if emb.shape != (n, embed_dim):
-        raise MalformedResponseError(
-            f"expected {n} embeddings of dim {embed_dim}, got shape {emb.shape}")
-    if not np.all(np.isfinite(emb)):
-        raise MalformedResponseError("embeddings contain non-finite values")
-    norms = np.linalg.norm(emb, axis=1)
-    bad = np.abs(norms - 1.0) > _UNIT_NORM_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise MalformedResponseError(f"embedding {i} has norm {norms[i]:.6f}")
-    return emb
-
-
-class _BatchedSource:
-    """Shared batching/pooling driver for the two adapters."""
+class _BatchedSource(_Source):
+    """Batching driver for the two adapters."""
 
     latent_dim: int
     embed_dim: int
     batch_size: int
-    connections: int
 
-    def _request(self, conn: int, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
+    def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         raise NotImplementedError
+
+    def _reply(self, blob: bytes, n: int, who: str) -> tuple[np.ndarray, list[bytes] | None]:
+        """Embeddings and refs of a reply frame that must hold ``n`` rows."""
+        _lat_dim, embed_dim, _lat, emb, refs = unpack_frame(blob)
+        if embed_dim != self.embed_dim or len(emb) != n:
+            raise MalformedResponseError(
+                f"{who} replied {len(emb)} rows of embed_dim {embed_dim}, "
+                f"expected {n} of {self.embed_dim}")
+        return emb, refs
 
     def embed(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         z = np.ascontiguousarray(latents, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != self.latent_dim:
             raise MalformedResponseError(
                 f"latents shape {z.shape}, expected (*, {self.latent_dim})")
-        n = z.shape[0]
-        batches = [(i, z[lo:lo + self.batch_size])
-                   for i, lo in enumerate(range(0, n, self.batch_size))]
-        results: list[tuple[np.ndarray, list[bytes] | None]] = [None] * len(batches)
-        if self.connections <= 1 or len(batches) <= 1:
-            for i, chunk in batches:
-                results[i] = self._request(0, chunk)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=self.connections) as pool:
-                futures = [pool.submit(self._request, i % self.connections, chunk)
-                           for i, chunk in batches]
-                for i, fut in enumerate(futures):
-                    results[i] = fut.result()
+        results = [self._request(z[lo:lo + self.batch_size])
+                   for lo in range(0, z.shape[0], self.batch_size)]
         embs = np.concatenate([r[0] for r in results]) if results else np.empty((0, self.embed_dim))
         refs: list[bytes] | None = None
         if any(r[1] is not None for r in results):
             refs = []
-            for (emb, rf), (_, chunk) in zip(results, batches):
-                refs.extend(rf if rf is not None else [b""] * len(chunk))
+            for emb, rf in results:
+                refs.extend(rf if rf is not None else [b""] * len(emb))
         return embs, refs
 
 
 class SubprocessSource(_BatchedSource):
-    """Child processes speaking the store framing on stdin/stdout."""
+    """One child process speaking the store framing on stdin/stdout.
 
-    kind = "subprocess"
+    The lock keeps the frames of callers on different threads apart; a
+    respawned child reuses the (truncated) stderr file.
+    """
 
     def __init__(self, argv: Sequence[str], latent_dim: int, embed_dim: int,
-                 batch_size: int = 4096, timeout: float = 60.0, connections: int = 1):
+                 batch_size: int = 4096, timeout: float = 60.0):
         if latent_dim < 1 or embed_dim < 2:
             raise InvalidConfigError(f"bad dims {latent_dim}x{embed_dim}")
         if not argv:
@@ -400,45 +396,43 @@ class SubprocessSource(_BatchedSource):
         self.embed_dim = int(embed_dim)
         self.batch_size = int(batch_size)
         self.timeout = float(timeout)
-        self.connections = max(1, int(connections))
         self._argv = [str(a) for a in argv] + [
             "--latent-dim", str(latent_dim), "--embed-dim", str(embed_dim)]
-        self._children: list[subprocess.Popen | None] = [None] * self.connections
-        self._stderr: list = [None] * self.connections
-        import threading
-        self._locks = [threading.Lock() for _ in range(self.connections)]
+        self._proc: subprocess.Popen | None = None
+        self._stderr = None
+        self._lock = threading.Lock()
 
-    def _child(self, conn: int) -> subprocess.Popen:
-        proc = self._children[conn]
-        if proc is not None and proc.poll() is None:
-            return proc
-        err = tempfile.NamedTemporaryFile(prefix="bbgc-child-", suffix=".err", delete=False)
+    def _child(self) -> subprocess.Popen:
+        if self._proc is not None and self._proc.poll() is None:
+            return self._proc
+        if self._stderr is None:
+            self._stderr = tempfile.NamedTemporaryFile(
+                prefix="bbgc-child-", suffix=".err", delete=False)
+        self._stderr.seek(0)
+        self._stderr.truncate()
         try:
-            proc = subprocess.Popen(self._argv, stdin=subprocess.PIPE,
-                                    stdout=subprocess.PIPE, stderr=err)
+            self._proc = subprocess.Popen(self._argv, stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE, stderr=self._stderr)
         except OSError as exc:
-            err.close()
             raise SourceUnavailableError(f"cannot start {self._argv[0]}: {exc}") from exc
-        self._children[conn] = proc
-        self._stderr[conn] = err
-        return proc
+        return self._proc
 
-    def _fail(self, conn: int, reason: str) -> str:
-        proc = self._children[conn]
+    def _fail(self, reason: str) -> str:
+        proc = self._proc
         tail = ""
-        if self._stderr[conn] is not None:
+        if self._stderr is not None:
             try:
-                with open(self._stderr[conn].name, "rb") as fh:
+                with open(self._stderr.name, "rb") as fh:
                     tail = fh.read()[-800:].decode("utf-8", "replace").strip()
             except OSError:
                 pass
         if proc is not None and proc.poll() is None:
             proc.kill()
             proc.wait()
-        self._children[conn] = None
+        self._proc = None
         return f"{reason}" + (f" (child stderr: {tail})" if tail else "")
 
-    def _read_exactly(self, conn: int, fd: int, deadline: float) -> bytes:
+    def _read_exactly(self, fd: int, deadline: float) -> bytes:
         """Read one full response frame from the child's stdout."""
         sel = selectors.DefaultSelector()
         sel.register(fd, selectors.EVENT_READ)
@@ -451,12 +445,12 @@ class SubprocessSource(_BatchedSource):
                     return bytes(buf[:store_format.HEADER.size + progress[0]])
                 budget = deadline - time.monotonic()
                 if budget <= 0:
-                    raise SourceTimeoutError(self._fail(conn, "child response timed out"))
+                    raise SourceTimeoutError(self._fail("child response timed out"))
                 if not sel.select(budget):
                     continue
                 chunk = os.read(fd, 1 << 20)
                 if not chunk:
-                    raise SourceUnavailableError(self._fail(conn, "child closed its stdout"))
+                    raise SourceUnavailableError(self._fail("child closed its stdout"))
                 buf.extend(chunk)
                 if header is None and len(buf) >= store_format.HEADER.size:
                     header = store_format.HEADER.unpack(buf[:store_format.HEADER.size])
@@ -467,31 +461,26 @@ class SubprocessSource(_BatchedSource):
         finally:
             sel.close()
 
-    def _request(self, conn: int, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
-        with self._locks[conn]:
-            proc = self._child(conn)
+    def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
+        with self._lock:
+            proc = self._child()
             frame = pack_frame(latents, as_latents=True)
             deadline = time.monotonic() + self.timeout
             try:
                 proc.stdin.write(frame)
                 proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
-                raise SourceUnavailableError(self._fail(conn, f"child rejected input: {exc}")) from exc
-            blob = self._read_exactly(conn, proc.stdout.fileno(), deadline)
-        try:
-            _lat_dim, embed_dim, _lat, emb, refs = unpack_frame(blob)
-        except MalformedResponseError:
-            self._fail(conn, "")
-            raise
-        if embed_dim != self.embed_dim:
-            raise MalformedResponseError(
-                f"child replied embed_dim {embed_dim}, expected {self.embed_dim}")
-        return _validate_embeddings(emb, self.embed_dim, len(latents)), refs
+                raise SourceUnavailableError(self._fail(f"child rejected input: {exc}")) from exc
+            blob = self._read_exactly(proc.stdout.fileno(), deadline)
+            try:
+                return self._reply(blob, len(latents), "child")
+            except MalformedResponseError:
+                self._fail("")
+                raise
 
     def close(self) -> None:
-        for conn, proc in enumerate(self._children):
-            if proc is None:
-                continue
+        proc, self._proc = self._proc, None
+        if proc is not None:
             try:
                 proc.stdin.close()
             except OSError:
@@ -501,30 +490,21 @@ class SubprocessSource(_BatchedSource):
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-            self._children[conn] = None
-        for err in self._stderr:
-            if err is not None:
-                err.close()
-                try:
-                    os.unlink(err.name)
-                except OSError:
-                    pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        err, self._stderr = self._stderr, None
+        if err is not None:
+            err.close()
+            try:
+                os.unlink(err.name)
+            except OSError:
+                pass
 
 
 class RemoteSource(_BatchedSource):
     """HTTP endpoint speaking the store framing per POST request."""
 
-    kind = "remote"
-
     def __init__(self, url: str, latent_dim: int, embed_dim: int,
                  batch_size: int = 256, retries: int = 3, backoff: float = 0.25,
-                 timeout: float = 30.0, connections: int = 1):
+                 timeout: float = 30.0):
         if latent_dim < 1 or embed_dim < 2:
             raise InvalidConfigError(f"bad dims {latent_dim}x{embed_dim}")
         if not url.startswith(("http://", "https://")):
@@ -536,9 +516,8 @@ class RemoteSource(_BatchedSource):
         self.retries = int(retries)
         self.backoff = float(backoff)
         self.timeout = float(timeout)
-        self.connections = max(1, int(connections))
 
-    def _request(self, conn: int, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
+    def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         frame = pack_frame(latents, as_latents=True)
         last: Exception | None = None
         timed_out = False
@@ -568,20 +547,7 @@ class RemoteSource(_BatchedSource):
                 raise SourceTimeoutError(f"endpoint timed out after {self.retries + 1} attempts") from last
             raise SourceUnavailableError(
                 f"endpoint unreachable after {self.retries + 1} attempts: {last}") from last
-        _lat_dim, embed_dim, _lat, emb, refs = unpack_frame(blob)
-        if embed_dim != self.embed_dim:
-            raise MalformedResponseError(
-                f"endpoint replied embed_dim {embed_dim}, expected {self.embed_dim}")
-        return _validate_embeddings(emb, self.embed_dim, len(latents)), refs
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        return self._reply(blob, len(latents), "endpoint")
 
 
 # -- source specs --------------------------------------------------------------
@@ -628,8 +594,7 @@ def open_source(spec: SourceSpec):
         p = spec.parameters
         return SubprocessSource(p.get("argv", ()), spec.latent_dim, spec.embed_dim,
                                 batch_size=int(p.get("batch", 4096)),
-                                timeout=float(p.get("timeout", 60.0)),
-                                connections=int(p.get("connections", 1)))
+                                timeout=float(p.get("timeout", 60.0)))
     p = spec.parameters
     if "url" not in p:
         raise InvalidConfigError("remote source needs parameters.url")
@@ -637,16 +602,21 @@ def open_source(spec: SourceSpec):
                         batch_size=int(p.get("batch", 256)),
                         retries=int(p.get("retries", 3)),
                         backoff=float(p.get("backoff", 0.25)),
-                        timeout=float(p.get("timeout", 30.0)),
-                        connections=int(p.get("connections", 1)))
+                        timeout=float(p.get("timeout", 30.0)))
 
 
 def generate(source, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
-    """Embed latents through a source; validates the unit-norm contract."""
+    """Embed latents through a source: the one check of the values it returns.
+
+    Every row must have unit norm within ``_UNIT_NORM_TOL``; a row holding
+    NaN or inf fails the same test.
+    """
     emb, refs = source.embed(latents)
     norms = np.linalg.norm(emb, axis=1)
-    if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
-        raise MalformedResponseError("source returned non-unit embeddings")
+    bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MalformedResponseError(f"source returned embedding {i} with norm {norms[i]:.6f}")
     return emb, refs
 
 

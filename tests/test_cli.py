@@ -215,6 +215,11 @@ def test_usage_errors_exit_2(pipeline, tmp_path):
         main(["sample", "--source", str(pipeline["spec"]), "--n", "5",
               "--seed", "-1", "--out", str(tmp_path / "x.bbgc")])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["find-modes", "--anchors", str(pipeline["anchors"]),
+              "--pool", str(pipeline["pool"]), "--radius", "2",
+              "--out", str(tmp_path / "x.json")])
+    assert err.value.code == 2
 
 
 def test_input_errors_exit_3(pipeline, tmp_path):
@@ -264,6 +269,38 @@ def test_source_errors_exit_5(tmp_path):
     }))
     assert main(["sample", "--source", str(spec), "--n", "5",
                  "--out", str(tmp_path / "x.bbgc")]) == 5
+
+
+@pytest.mark.parametrize("value", ["float('nan')", "0.5"])
+def test_source_bad_values_exit_5(tmp_path, capsys, value):
+    child = ("import sys\n"
+             "import numpy as np\n"
+             "from bbgc.source import run_worker\n"
+             "class BadValues:\n"
+             "    latent_dim = 2\n"
+             "    def embed(self, lat):\n"
+             "        emb = np.zeros((len(lat), 16))\n"
+             f"        emb[:, 0] = {value}\n"
+             "        return emb, None\n"
+             "run_worker(BadValues(), sys.stdin.buffer, sys.stdout.buffer)\n")
+    spec = tmp_path / "child.json"
+    spec.write_text(json.dumps({
+        "kind": "subprocess", "latent_dim": 2, "embed_dim": 16,
+        "parameters": {"argv": [sys.executable, "-c", child], "timeout": 30},
+    }))
+    assert main(["sample", "--source", str(spec), "--n", "5",
+                 "--out", str(tmp_path / "x.bbgc")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "norm" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--theta", "0.3"], ["--radius", "nan"]])
+def test_calibrate_is_rejects_bad_flags(pipeline, tmp_path, flags):
+    with pytest.raises(SystemExit) as err:
+        main(["calibrate", "is", "--anchors", str(pipeline["anchors"]),
+              "--pool", str(pipeline["pool"]), "--report", str(pipeline["report"]),
+              *flags, "--out", str(tmp_path / "p.json")])
+    assert err.value.code == 2
 
 
 def test_worker_oversized_request_exits_5(pipeline, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from bbgc.errors import (
     EmptyClusterError,
     EmptyModeListError,
     KTooLargeError,
+    MalformedResponseError,
     NonFiniteError,
 )
 from bbgc.gmm import (
@@ -197,3 +198,16 @@ def test_calibrate_gmm_downweights_dense_cluster():
     assert mix.weights[origin_cluster] < 1.0 / 8 / 4
     with pytest.raises(EmptyModeListError):
         calibrate_gmm(src, np.empty((0, 16)), seed=5, k=8, n_fit=1000)
+
+
+def test_calibrate_gmm_checks_the_unit_norm_contract():
+    class Half:
+        latent_dim = 2
+        embed_dim = 16
+
+        def embed(self, latents):
+            emb = np.zeros((len(latents), 16))
+            emb[:, 0] = 0.5
+            return emb, None
+    with pytest.raises(MalformedResponseError):
+        calibrate_gmm(Half(), np.eye(16)[:1], seed=5, k=4, n_fit=200)

@@ -4,6 +4,7 @@ import http.server
 import io
 import json
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -177,6 +178,17 @@ def test_generate_rejects_non_unit_sources():
         generate(Bad(), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generate_rejects_non_finite_rows(bad):
+    class OneBadRow:
+        def embed(self, lat):
+            emb = np.tile(np.eye(4)[0], (len(lat), 1))
+            emb[1, 2] = bad
+            return emb, None
+    with pytest.raises(MalformedResponseError, match="embedding 1"):
+        generate(OneBadRow(), np.zeros((3, 3)))
+
+
 # -- wire framing ---------------------------------------------------------------
 
 def test_frame_round_trip():
@@ -314,6 +326,65 @@ def test_subprocess_source_reports_child_stderr():
             src.embed(np.zeros((2, 4)))
 
 
+BAD_VALUE_CHILD = """
+import sys
+import numpy as np
+from bbgc.source import run_worker
+class BadValues:
+    latent_dim = 4
+    def embed(self, lat):
+        emb = np.zeros((len(lat), 6))
+        emb[:, 0] = {value}
+        return emb, None
+run_worker(BadValues(), sys.stdin.buffer, sys.stdout.buffer)
+"""
+
+
+@pytest.mark.parametrize("value", ["float('nan')", "0.5"])
+def test_subprocess_bad_values_fail_generate(value):
+    child = BAD_VALUE_CHILD.format(value=value)
+    with SubprocessSource([sys.executable, "-c", child], 4, 6, timeout=30.0) as src:
+        emb, _ = src.embed(np.zeros((3, 4)))   # framing is fine ...
+        assert emb.shape == (3, 6)
+        with pytest.raises(MalformedResponseError):   # ... the values are not
+            generate(src, np.zeros((3, 4)))
+
+
+def test_subprocess_source_keeps_one_stderr_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    child = "import sys\nsys.exit(0)\n"
+    with SubprocessSource([sys.executable, "-c", child], 4, 6, timeout=10.0) as src:
+        for _ in range(3):   # every request respawns the child
+            with pytest.raises(SourceUnavailableError):
+                src.embed(np.zeros((1, 4)))
+        assert len(list(tmp_path.glob("*.err"))) == 1
+    assert not list(tmp_path.glob("*.err"))
+
+
+def test_subprocess_source_serialises_threads():
+    direct = synth(latent_dim=4, embed_dim=6, planted=[{"mass": 0.1, "spread": 0.1}])
+    batches = [sample_latents(60, 4, seed=8, start=60 * i) for i in range(4)]
+    results = [None] * len(batches)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with SubprocessSource([sys.executable, "-c", WORKER_CHILD], 4, 6,
+                              batch_size=7) as src:
+            def run(i):
+                results[i] = src.embed(batches[i])[0]
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for lat, emb in zip(batches, results):
+        np.testing.assert_array_equal(emb, f32(direct.embed(f32(lat))[0]))
+
+
 def test_subprocess_source_missing_binary():
     with SubprocessSource(["/nonexistent-worker-binary"], 4, 6) as src:
         with pytest.raises(SourceUnavailableError):
@@ -332,7 +403,7 @@ def test_subprocess_source_validation():
 class _Endpoint(http.server.BaseHTTPRequestHandler):
     source = None          # class-level: set per test
     fail_first = 0         # respond 500 to this many requests
-    mode = "ok"            # ok | reject | garbage | wrong-dim
+    mode = "ok"            # ok | reject | garbage | wrong-dim | short
     requests = 0
 
     def log_message(self, *a):
@@ -355,6 +426,8 @@ class _Endpoint(http.server.BaseHTTPRequestHandler):
             emb, _ = cls.source.embed(lat)
             if cls.mode == "wrong-dim":
                 emb = emb[:, :-1]
+            if cls.mode == "short":
+                emb = emb[:-1]
             payload = pack_frame(emb, as_latents=False)
         self.send_response(200)
         self.send_header("Content-Length", str(len(payload)))
@@ -420,6 +493,19 @@ def test_remote_source_wrong_dim_reply(endpoint):
     src = RemoteSource(endpoint, 4, 6, retries=1, backoff=0.01)
     with pytest.raises(MalformedResponseError, match="embed_dim"):
         src.embed(sample_latents(5, 4, seed=6))
+
+
+def test_remote_source_short_reply(endpoint):
+    _Endpoint.mode = "short"
+    src = RemoteSource(endpoint, 4, 6, retries=1, backoff=0.01)
+    with pytest.raises(MalformedResponseError, match="4 rows"):
+        src.embed(sample_latents(5, 4, seed=6))
+
+
+def test_open_source_ignores_connections():
+    spec = SourceSpec("subprocess", 4, 6, 0, {"argv": ["worker"], "connections": 1})
+    with open_source(spec) as src:
+        assert isinstance(src, SubprocessSource)
 
 
 def test_remote_source_validation():
