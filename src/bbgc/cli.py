@@ -188,13 +188,15 @@ def _dense_modes_from_report(report_path: str, anchors: stores.SampleStore,
                              count: int) -> list[tuple[np.ndarray, int]]:
     """The ``count`` densest modes listed in a diagnosis report."""
     report = read_json(report_path)
-    listed = report.get("top_k")
+    listed = report.get("top_k") if isinstance(report, dict) else None
     if not isinstance(listed, list):
         raise InvalidConfigError(f"{report_path}: not a diagnosis report")
-    picked = listed[:count]
     out = []
-    for entry in picked:
-        idx = int(entry["anchor_index"])
+    for entry in listed[:count]:
+        try:
+            idx = int(entry["anchor_index"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidConfigError(f"{report_path}: bad top_k entry {entry!r}") from exc
         if not 0 <= idx < anchors.count:
             raise InvalidConfigError(
                 f"{report_path}: mode anchor {idx} outside store of {anchors.count}")
@@ -263,7 +265,7 @@ def cmd_evaluate(args, parser) -> int:
         parser.error("--anchors must be >= 2 for population statistics")
     spec = sources.load_source_spec(args.source)
     model_doc = read_json(args.model)
-    kind = model_doc.get("kind")
+    kind = model_doc.get("kind") if isinstance(model_doc, dict) else None
     if kind not in ("mixture", "importance"):
         raise InvalidConfigError(f"{args.model}: unknown model kind {kind!r}")
 
@@ -375,10 +377,13 @@ def cmd_report(args, parser) -> int:
         print(f"wrote {rows} rows to {out}")
         return 0
     doc = read_json(args.report)
-    if "top_k" not in doc and "before" not in doc:
+    if not isinstance(doc, dict) or ("top_k" not in doc and "before" not in doc):
         raise InvalidConfigError(f"{args.report}: not a diagnosis or evaluation report")
-    prefix = args.out or _out_prefix(args.report)
-    for path in _write_tables(doc, prefix):
+    try:
+        paths = _write_tables(doc, args.out or _out_prefix(args.report))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InvalidConfigError(f"{args.report}: malformed report: {exc!r}") from exc
+    for path in paths:
         print(f"wrote {path}")
     return 0
 

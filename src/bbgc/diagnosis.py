@@ -266,8 +266,7 @@ def mode_consistency_check(anchors: SampleStore, pool: SampleStore, sizes,
 
 
 def build_report(anchors: SampleStore, pool: SampleStore, theta: float, radius: float,
-                 k: int = 24, runner_ups: int = 9, curve_sizes=None,
-                 seed: int = 0) -> dict:
+                 k: int = 24, curve_sizes=None, seed: int = 0) -> dict:
     """Full diagnosis as a JSON-ready mapping with a fixed field order."""
     _check_population(anchors, pool)
     # theta and radius are validated once, by the scan

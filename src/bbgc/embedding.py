@@ -12,8 +12,7 @@ per fixed-size anchor chunk to both neighbor counts and similarity sums.
 It compares dots against precomputed cosine thresholds instead of taking
 an arccos per pair: ``arccos`` is monotone decreasing, so ``d <= r`` and
 ``dot >= cos(pi*r)`` pick the same pairs, and only the surviving pairs
-need transcendentals.  Sums run over whole rows inside each chunk, so
-results do not depend on the worker count.
+need transcendentals.  Sums run over whole rows inside each chunk.
 """
 
 from __future__ import annotations

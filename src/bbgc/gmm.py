@@ -20,6 +20,7 @@ from .errors import (
     DegenerateDataError,
     EmptyClusterError,
     EmptyModeListError,
+    InvalidConfigError,
     KTooLargeError,
     NonFiniteError,
 )
@@ -267,11 +268,14 @@ def save_mixture(path: str, model: MixtureModel, provenance: dict | None = None)
 
 def load_mixture(path: str) -> MixtureModel:
     doc = read_json(path)
-    if doc.get("kind") != "mixture":
+    if not isinstance(doc, dict) or doc.get("kind") != "mixture":
         raise ValueError(f"{path} is not a mixture model file")
-    model = MixtureModel(
-        means=np.asarray(doc["means"], dtype=np.float64),
-        variances=np.asarray(doc["variances"], dtype=np.float64),
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        source_seed=int(doc.get("source_seed", 0)))
+    try:
+        model = MixtureModel(
+            means=np.asarray(doc["means"], dtype=np.float64),
+            variances=np.asarray(doc["variances"], dtype=np.float64),
+            weights=np.asarray(doc["weights"], dtype=np.float64),
+            source_seed=int(doc.get("source_seed", 0)))
+    except (KeyError, TypeError) as exc:
+        raise InvalidConfigError(f"{path}: malformed mixture: {exc!r}") from exc
     return model.validate()

@@ -44,7 +44,12 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .embedding import check_radius, neighbor_counts
-from .errors import AcceptanceStallError, EmptyStoreError, ZeroDenseCountError
+from .errors import (
+    AcceptanceStallError,
+    EmptyStoreError,
+    InvalidConfigError,
+    ZeroDenseCountError,
+)
 from .jsonutil import decode_matrix, encode_matrix, read_json, write_json
 from .rng import STREAM_IS_ACCEPT, STREAM_IS_PROPOSAL, CounterStream
 from .store import SampleStore
@@ -502,20 +507,23 @@ def save_plan(path: str, plan: ImportanceSamplingPlan,
 
 def load_plan(path: str) -> ImportanceSamplingPlan:
     doc = read_json(path)
-    if doc.get("kind") != "importance":
+    if not isinstance(doc, dict) or doc.get("kind") != "importance":
         raise ValueError(f"{path} is not an importance-sampling plan file")
-    entries = tuple(
-        _finish_entry(float(e["p"]), decode_matrix(e["vertices"]),
-                      int(e["dense_count"]), int(e["ref_count"]),
-                      int(e.get("mode_index", -1)))
-        for e in doc["entries"])
-    for entry in entries:
-        if not 0.0 < entry.p <= 1.0:
-            raise ValueError(f"plan entry has p={entry.p} outside (0, 1]")
-    return ImportanceSamplingPlan(
-        entries=entries,
-        reference_index=int(doc["reference"]["index"]),
-        reference_latent=np.asarray(doc["reference"]["latent"], dtype=np.float64),
-        reference_embedding=np.asarray(doc["reference"]["embedding"], dtype=np.float64),
-        r0=float(doc["r0"]), hull_size=int(doc["hull_size"]),
-        tol=float(doc.get("tol", 1e-4)), max_iters=int(doc.get("max_iters", 500)))
+    try:
+        entries = tuple(
+            _finish_entry(float(e["p"]), decode_matrix(e["vertices"]),
+                          int(e["dense_count"]), int(e["ref_count"]),
+                          int(e.get("mode_index", -1)))
+            for e in doc["entries"])
+        for entry in entries:
+            if not 0.0 < entry.p <= 1.0:
+                raise ValueError(f"plan entry has p={entry.p} outside (0, 1]")
+        return ImportanceSamplingPlan(
+            entries=entries,
+            reference_index=int(doc["reference"]["index"]),
+            reference_latent=np.asarray(doc["reference"]["latent"], dtype=np.float64),
+            reference_embedding=np.asarray(doc["reference"]["embedding"], dtype=np.float64),
+            r0=float(doc["r0"]), hull_size=int(doc["hull_size"]),
+            tol=float(doc.get("tol", 1e-4)), max_iters=int(doc.get("max_iters", 500)))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InvalidConfigError(f"{path}: malformed plan: {exc!r}") from exc

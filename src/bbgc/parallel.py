@@ -1,48 +1,28 @@
 """Deterministic chunked execution.
 
 Work is split into fixed-size chunks whose boundaries depend only on
-the problem size, never on the worker count.  Results are merged in
-chunk order, so a run with ``BBGC_THREADS=8`` is byte-identical to a
-run with one thread.  Threads suffice here: the heavy kernels are BLAS
-calls and numpy ufuncs, which release the GIL.
+the problem size, and the chunks run in order on the calling thread.
+bbgc starts no threads of its own: the heavy kernels are BLAS calls,
+and BLAS is the one layer that may thread them.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
-# Chunk sizes are part of the numeric contract (summation happens per
-# chunk), so they are constants rather than a function of thread count.
+# Chunk sizes are part of the numeric contract: summation happens per
+# chunk, and BLAS may round a GEMM differently at another row count.
 ANCHOR_CHUNK = 64
 SAMPLE_CHUNK = 8192
 
 
 def worker_count() -> int:
-    """Worker count from BBGC_THREADS, else the CPU count."""
-    raw = os.environ.get("BBGC_THREADS", "").strip()
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError(f"BBGC_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
-def chunk_ranges(total: int, chunk: int) -> Iterator[tuple[int, int]]:
-    """Half-open (start, stop) ranges covering [0, total)."""
-    for start in range(0, total, chunk):
-        yield start, min(start + chunk, total)
+    """Threads bbgc itself runs chunks on: always the caller's one."""
+    return 1
 
 
 def run_chunks(fn: Callable[[int, int], T], total: int, chunk: int) -> list[T]:
     """Apply ``fn(start, stop)`` over fixed chunks, results in chunk order."""
-    ranges = list(chunk_ranges(total, chunk))
-    workers = worker_count()
-    if workers == 1 or len(ranges) <= 1:
-        return [fn(a, b) for a, b in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: fn(r[0], r[1]), ranges))
+    return [fn(a, min(a + chunk, total)) for a in range(0, total, chunk)]

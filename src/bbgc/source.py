@@ -347,9 +347,18 @@ def _frame_body_size(payload: memoryview, latent_dim: int, embed_dim: int,
 class _BatchedSource(_Source):
     """Batching driver for the two adapters."""
 
-    latent_dim: int
-    embed_dim: int
-    batch_size: int
+    def __init__(self, latent_dim: int, embed_dim: int, batch_size: int,
+                 timeout: float):
+        if latent_dim < 1 or embed_dim < 2:
+            raise InvalidConfigError(f"bad dims {latent_dim}x{embed_dim}")
+        if batch_size < 1:
+            raise InvalidConfigError(f"batch must be >= 1, got {batch_size}")
+        if not 0.0 < timeout < math.inf:
+            raise InvalidConfigError(f"timeout must be positive and finite, got {timeout}")
+        self.latent_dim = int(latent_dim)
+        self.embed_dim = int(embed_dim)
+        self.batch_size = int(batch_size)
+        self.timeout = float(timeout)
 
     def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         raise NotImplementedError
@@ -388,15 +397,12 @@ class SubprocessSource(_BatchedSource):
 
     def __init__(self, argv: Sequence[str], latent_dim: int, embed_dim: int,
                  batch_size: int = 4096, timeout: float = 60.0):
-        if latent_dim < 1 or embed_dim < 2:
-            raise InvalidConfigError(f"bad dims {latent_dim}x{embed_dim}")
-        if not argv:
-            raise InvalidConfigError("subprocess source needs a command")
-        self.latent_dim = int(latent_dim)
-        self.embed_dim = int(embed_dim)
-        self.batch_size = int(batch_size)
-        self.timeout = float(timeout)
-        self._argv = [str(a) for a in argv] + [
+        super().__init__(latent_dim, embed_dim, batch_size, timeout)
+        if (not isinstance(argv, (list, tuple)) or not argv
+                or not all(isinstance(a, str) for a in argv)):
+            raise InvalidConfigError(
+                f"subprocess argv must be a non-empty list of strings, got {argv!r}")
+        self._argv = list(argv) + [
             "--latent-dim", str(latent_dim), "--embed-dim", str(embed_dim)]
         self._proc: subprocess.Popen | None = None
         self._stderr = None
@@ -505,17 +511,16 @@ class RemoteSource(_BatchedSource):
     def __init__(self, url: str, latent_dim: int, embed_dim: int,
                  batch_size: int = 256, retries: int = 3, backoff: float = 0.25,
                  timeout: float = 30.0):
-        if latent_dim < 1 or embed_dim < 2:
-            raise InvalidConfigError(f"bad dims {latent_dim}x{embed_dim}")
-        if not url.startswith(("http://", "https://")):
+        super().__init__(latent_dim, embed_dim, batch_size, timeout)
+        if not isinstance(url, str) or not url.startswith(("http://", "https://")):
             raise InvalidConfigError(f"unsupported endpoint url {url!r}")
+        if retries < 0:
+            raise InvalidConfigError(f"retries must be >= 0, got {retries}")
+        if not 0.0 <= backoff < math.inf:
+            raise InvalidConfigError(f"backoff must be >= 0 and finite, got {backoff}")
         self.url = url
-        self.latent_dim = int(latent_dim)
-        self.embed_dim = int(embed_dim)
-        self.batch_size = int(batch_size)
         self.retries = int(retries)
         self.backoff = float(backoff)
-        self.timeout = float(timeout)
 
     def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         frame = pack_frame(latents, as_latents=True)
@@ -590,19 +595,21 @@ def open_source(spec: SourceSpec):
             background=spec.parameters.get("background", [{"weight": 1.0, "spread": 10.0}]),
             planted=spec.parameters.get("planted", ()))
         return SyntheticSource(model)
-    if spec.kind == "subprocess":
-        p = spec.parameters
-        return SubprocessSource(p.get("argv", ()), spec.latent_dim, spec.embed_dim,
-                                batch_size=int(p.get("batch", 4096)),
-                                timeout=float(p.get("timeout", 60.0)))
     p = spec.parameters
-    if "url" not in p:
-        raise InvalidConfigError("remote source needs parameters.url")
-    return RemoteSource(p["url"], spec.latent_dim, spec.embed_dim,
-                        batch_size=int(p.get("batch", 256)),
-                        retries=int(p.get("retries", 3)),
-                        backoff=float(p.get("backoff", 0.25)),
-                        timeout=float(p.get("timeout", 30.0)))
+    try:
+        if spec.kind == "subprocess":
+            return SubprocessSource(p.get("argv", ()), spec.latent_dim, spec.embed_dim,
+                                    batch_size=int(p.get("batch", 4096)),
+                                    timeout=float(p.get("timeout", 60.0)))
+        if "url" not in p:
+            raise InvalidConfigError("remote source needs parameters.url")
+        return RemoteSource(p["url"], spec.latent_dim, spec.embed_dim,
+                            batch_size=int(p.get("batch", 256)),
+                            retries=int(p.get("retries", 3)),
+                            backoff=float(p.get("backoff", 0.25)),
+                            timeout=float(p.get("timeout", 30.0)))
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"bad {spec.kind} source parameters: {exc}") from exc
 
 
 def generate(source, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:

@@ -16,6 +16,17 @@ DETECTION = dict(
     },
 )
 
+# Tight 128-dim background: most anchor x pool dots land near the theta
+# and radius cutoffs, so every chunk's GEMM feeds both counts and sums.
+NEAR_CUTOFFS = dict(
+    latent_dim=8,
+    embed_dim=128,
+    parameters={
+        "background": [{"weight": 1.0, "spread": 0.08}],
+        "planted": [{"mass": 0.01, "spread": 0.0}],
+    },
+)
+
 # Moderate 5% mode plus a tight background cap so random anchors carry
 # a nonzero score whose estimate must stabilize with pool size.
 EFFICIENCY = dict(

@@ -294,6 +294,47 @@ def test_source_bad_values_exit_5(tmp_path, capsys, value):
     assert err.startswith("error:") and "norm" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("parameters, message", [
+    ({"argv": "python3 -m bbgc worker"}, "argv"),
+    ({"argv": ["python3", "-m", "bbgc", "worker"], "batch": -5}, "batch"),
+])
+def test_bad_source_parameters_exit_3(tmp_path, capsys, parameters, message):
+    spec = tmp_path / "child.json"
+    spec.write_text(json.dumps({"kind": "subprocess", "latent_dim": 2, "embed_dim": 16,
+                                "parameters": parameters}))
+    assert main(["sample", "--source", str(spec), "--n", "5",
+                 "--out", str(tmp_path / "x.bbgc")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("calibrate", {"top_k": [5]}),
+    ("calibrate", [1, 2]),
+    ("evaluate", [1, 2]),
+    ("evaluate", {"kind": "mixture", "means": {"a": 1}, "variances": [1.0, 1.0],
+                  "weights": [1.0]}),
+    ("evaluate", {"kind": "importance", "entries": [5], "reference": {},
+                  "r0": 0.25, "hull_size": 2}),
+    ("report", {"top_k": [5]}),
+    ("report", 5),
+])
+def test_wrong_shaped_json_exits_3(pipeline, tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "calibrate": ["calibrate", "is", "--anchors", str(pipeline["anchors"]),
+                      "--pool", str(pipeline["pool"]), "--report", str(path)],
+        "evaluate": ["evaluate", "--source", str(pipeline["spec"]), "--model", str(path),
+                     "--anchors", "10", "--pool", "50"],
+        "report": ["report", "--report", str(path)],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [["--theta", "0.3"], ["--radius", "nan"]])
 def test_calibrate_is_rejects_bad_flags(pipeline, tmp_path, flags):
     with pytest.raises(SystemExit) as err:

@@ -126,14 +126,13 @@ def test_mean_similarities_against_naive():
 
 
 def test_kernels_chunk_invariant(monkeypatch):
-    # force multi-chunk execution and several workers; results must not move
+    # force multi-chunk execution; results must not move
     import bbgc.embedding as E
     a = unit_rows(150, 8, 6)
     b = unit_rows(20_000, 8, 7)
     base_counts = neighbor_counts(a, b, 0.25)
     base_sims = mean_similarities(a, b, 0.3)
     monkeypatch.setattr(E, "ANCHOR_CHUNK", 17)
-    monkeypatch.setenv("BBGC_THREADS", "8")
     np.testing.assert_array_equal(E.neighbor_counts(a, b, 0.25), base_counts)
     np.testing.assert_array_equal(E.mean_similarities(a, b, 0.3), base_sims)
 

@@ -7,6 +7,7 @@ from bbgc.errors import (
     DegenerateDataError,
     EmptyClusterError,
     EmptyModeListError,
+    InvalidConfigError,
     KTooLargeError,
     MalformedResponseError,
     NonFiniteError,
@@ -182,6 +183,12 @@ def test_mixture_file_round_trip(tmp_path):
     assert back.source_seed == 1234
     (tmp_path / "bad.json").write_text('{"kind": "other"}')
     with pytest.raises(ValueError):
+        load_mixture(str(tmp_path / "bad.json"))
+    (tmp_path / "bad.json").write_text('[1]')
+    with pytest.raises(ValueError):
+        load_mixture(str(tmp_path / "bad.json"))
+    (tmp_path / "bad.json").write_text('{"kind": "mixture", "means": {"a": 1}}')
+    with pytest.raises(InvalidConfigError):
         load_mixture(str(tmp_path / "bad.json"))
 
 

@@ -8,7 +8,12 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import bbgc.importance as importance
-from bbgc.errors import AcceptanceStallError, EmptyStoreError, ZeroDenseCountError
+from bbgc.errors import (
+    AcceptanceStallError,
+    EmptyStoreError,
+    InvalidConfigError,
+    ZeroDenseCountError,
+)
 from bbgc.importance import (
     ImportanceSamplingPlan,
     _finish_entry,
@@ -411,6 +416,12 @@ def test_load_plan_rejects_bad_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "mixture"}')
     with pytest.raises(ValueError):
+        load_plan(str(bad))
+    bad.write_text('[1]')
+    with pytest.raises(ValueError):
+        load_plan(str(bad))
+    bad.write_text('{"kind": "importance", "entries": [[1]]}')
+    with pytest.raises(InvalidConfigError):
         load_plan(str(bad))
 
     pool = eight_row_pool()

@@ -515,6 +515,22 @@ def test_remote_source_validation():
         RemoteSource("http://x", 0, 6)
 
 
+@pytest.mark.parametrize("kind, parameters", [
+    ("subprocess", {"argv": ["worker"], "batch": 0}),
+    ("subprocess", {"argv": ["worker"], "batch": -5}),
+    ("subprocess", {"argv": ["worker"], "timeout": 0}),
+    ("subprocess", {"argv": "python3 -m bbgc worker"}),
+    ("subprocess", {"argv": ["worker", 5]}),
+    ("remote", {"url": "http://x", "retries": -1}),
+    ("remote", {"url": "http://x", "backoff": -0.5}),
+    ("remote", {"url": "http://x", "timeout": -1}),
+    ("remote", {"url": "http://x", "batch": [256]}),
+])
+def test_open_source_rejects_out_of_range_parameters(kind, parameters):
+    with pytest.raises(InvalidConfigError):
+        open_source(SourceSpec(kind, 4, 6, 0, parameters))
+
+
 # -- source specs ------------------------------------------------------------------
 
 def test_load_source_spec(tmp_path):
