@@ -62,6 +62,8 @@ class MixtureModel:
     def validate(self) -> "MixtureModel":
         if self.means.ndim != 2 or self.k < 1:
             raise ValueError(f"means shape {self.means.shape}")
+        if not all(np.all(np.isfinite(a)) for a in (self.means, self.variances, self.weights)):
+            raise ValueError("means, variances and weights must be finite")
         if self.variances.shape != (self.latent_dim,) or np.any(self.variances <= 0):
             raise ValueError("variances must be positive per dimension")
         if self.weights.shape != (self.k,) or np.any(self.weights < 0):

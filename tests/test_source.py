@@ -22,6 +22,7 @@ from bbgc.source import (
     SourceSpec,
     SubprocessSource,
     SyntheticSource,
+    _ball_radius2,
     _frame_body_size,
     build_synthetic_model,
     generate,
@@ -126,6 +127,32 @@ def test_planted_ball_mass_matches_quantile():
     hits = int(np.sum(np.all(emb == center, axis=1)))
     sigma = np.sqrt(n * mass * (1 - mass))
     assert abs(hits - n * mass) <= 5 * sigma
+
+
+def test_ball_radius2_equals_scipy_stats_quantiles():
+    # the reference may import scipy.stats; bbgc.source must not (cold start)
+    from scipy.stats import chi2, ncx2
+    masses = np.concatenate([[1e-12, 1e-6, 0.05, 0.5, 0.95, 1 - 1e-9],
+                             np.linspace(0.01, 0.99, 25)])
+    for df in (1, 2, 3, 7, 8, 16, 64, 128, 512):
+        origin = np.zeros(df)
+        got = [_ball_radius2(m, df, origin) for m in masses]
+        np.testing.assert_array_equal(got, chi2.ppf(masses, df))
+        for scale in (1e-3, 0.3, 2.0, 10.0):
+            anchor = np.full(df, scale / np.sqrt(df))
+            nc = float(np.dot(anchor, anchor))   # 1e-6 ... 100
+            got = [_ball_radius2(m, df, anchor) for m in masses]
+            want = ncx2.ppf(masses, df, nc)
+            assert np.all(np.isfinite(want))
+            np.testing.assert_array_equal(got, want)
+
+
+def test_ball_radius2_mass_edges():
+    for anchor in (np.zeros(4), np.ones(4)):
+        assert _ball_radius2(0.0, 4, anchor) == 0.0
+        assert _ball_radius2(-0.5, 4, anchor) == 0.0
+        assert _ball_radius2(1.0, 4, anchor) == np.inf
+        assert _ball_radius2(1.5, 4, anchor) == np.inf
 
 
 def test_spread_zero_copies_center_exactly():
@@ -235,6 +262,35 @@ def test_frame_body_size_resumes_across_uneven_slices():
     assert progress == whole
     # records past the header's count are not part of the frame
     assert _frame_body_size(memoryview(body), 3, 2, 2) == (2 * (fixed + 4) + 9, 2)
+
+
+def _scalar_frame_body_size(body, fixed, count):
+    off, done = 0, 0
+    while done < count and off + fixed + 4 <= len(body):
+        (ref_len,) = store_format.REF_LEN.unpack(body[off + fixed:off + fixed + 4])
+        if off + fixed + 4 + ref_len > len(body):
+            break
+        off += fixed + 4 + ref_len
+        done += 1
+    return off, done
+
+
+@pytest.mark.parametrize("refs", [
+    [b""] * 12,
+    [b"", b"", b"x" * 9, b"", b"", b"", b"abc", b"", b"y" * 40, b"", b""],
+    [b"z", b"", b"", b"\x00" * 4, b""],
+])
+def test_frame_body_size_fast_path_matches_scalar_scan(refs):
+    # random record bytes, so a scan that lost the stride would read them as lengths
+    rng = np.random.default_rng(len(refs))
+    fixed = 4 * 3 + 4 * 2
+    body = b"".join(rng.bytes(fixed) + store_format.REF_LEN.pack(len(r)) + r for r in refs)
+    for count in (len(refs), 4):
+        whole = _scalar_frame_body_size(body, fixed, count)
+        for cut in range(len(body) + 1):
+            head = _frame_body_size(memoryview(body)[:cut], 3, 2, count)
+            assert head == _scalar_frame_body_size(body[:cut], fixed, count)
+            assert _frame_body_size(memoryview(body), 3, 2, count, head) == whole
 
 
 # -- worker loop ----------------------------------------------------------------
