@@ -23,7 +23,7 @@ import numpy as np
 from . import diagnosis, gmm, importance
 from . import source as sources
 from . import store as stores
-from .embedding import neighbor_counts
+from .embedding import check_radius, check_theta, neighbor_counts
 from .errors import (
     CalibrationError,
     DiagnosisError,
@@ -83,18 +83,14 @@ def _size_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
 
 
-def _theta_value(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:   # NaN fails too
-        raise argparse.ArgumentTypeError(f"theta must be in (0, 1], got {value}")
-    return value
-
-
-def _radius_value(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"radius must be in [0, 1], got {value}")
-    return value
+def _usage_check(check):
+    """An argparse ``type`` from a value check: its ValueError is a usage error."""
+    def parse(text: str):
+        try:
+            return check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 def _sha256_file(path: str) -> str:
@@ -406,9 +402,9 @@ def cmd_worker(args, parser) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 def _add_stat_flags(sub: argparse.ArgumentParser, k_help: str) -> None:
-    sub.add_argument("--theta", type=_theta_value, default=0.3,
+    sub.add_argument("--theta", type=_usage_check(check_theta), default=0.3,
                      help="similarity cutoff as a fraction of the max distance")
-    sub.add_argument("--radius", type=_radius_value, default=0.25,
+    sub.add_argument("--radius", type=_usage_check(check_radius), default=0.25,
                      help="neighborhood radius as a fraction of the max distance")
     sub.add_argument("--k", type=_positive_int, default=24, help=k_help)
 
@@ -445,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     find = commands.add_parser("find-modes", help="list the k densest anchors")
     find.add_argument("--anchors", required=True)
     find.add_argument("--pool", required=True)
-    find.add_argument("--radius", type=_radius_value, default=0.25)
+    find.add_argument("--radius", type=_usage_check(check_radius), default=0.25)
     find.add_argument("--k", type=_positive_int, default=24)
     find.add_argument("--out", required=True)
     find.set_defaults(func=cmd_find_modes)
@@ -462,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="how many of the densest modes to calibrate away")
     cal_gmm.add_argument("--kmeans-k", type=_positive_int, default=64)
     cal_gmm.add_argument("--n-fit", type=_positive_int, default=100_000)
-    cal_gmm.add_argument("--radius", type=_radius_value, default=0.25)
+    cal_gmm.add_argument("--radius", type=_usage_check(check_radius), default=0.25)
     cal_gmm.add_argument("--seed", type=_seed_value, default=0)
     cal_gmm.add_argument("--out", required=True, help="mixture model JSON path")
     cal_gmm.set_defaults(func=cmd_calibrate_gmm)
@@ -473,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal_is.add_argument("--report", required=True, help="diagnosis report JSON")
     cal_is.add_argument("--modes", type=_positive_int, default=1)
     cal_is.add_argument("--hull-size", type=_positive_int, default=100)
-    cal_is.add_argument("--radius", type=_radius_value, default=0.25)
+    cal_is.add_argument("--radius", type=_usage_check(check_radius), default=0.25)
     cal_is.add_argument("--seed", type=_seed_value, default=0)
     cal_is.add_argument("--out", required=True, help="plan JSON path")
     cal_is.set_defaults(func=cmd_calibrate_is)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import (
+    _terms,
     check_radius,
     check_theta,
     cosine_distance,
@@ -213,7 +214,7 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
         sims = np.zeros(pool.count, dtype=np.float64)
         near = dots > cos_t
         d = np.arccos(np.clip(dots[near], -1.0, 1.0)) / math.pi
-        sims[near] = np.expm1(np.maximum(theta - d, 0.0)) / math.expm1(theta)
+        sims[near] = _terms(d, theta) / math.expm1(theta)
         csum = np.cumsum(sims)
         points = tuple((s, mccs_of_mean(min(1.0, csum[s - 1] / s))) for s in sizes)
         return ConvergenceCurve(statistic_kind=kind, points=points)

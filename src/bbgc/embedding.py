@@ -80,6 +80,13 @@ def check_radius(radius: float) -> float:
     return radius
 
 
+def _terms(distances, theta: float):
+    """Similarities of ``distances`` times ``expm1(theta)``: the one copy
+    of the formula, shared by :func:`similarity`, :func:`scan` and the
+    single-anchor convergence curve."""
+    return np.expm1(np.maximum(theta - distances, 0.0))
+
+
 def similarity(distance, theta: float):
     """Truncated-exponential similarity of a distance (scalar or array).
 
@@ -90,7 +97,9 @@ def similarity(distance, theta: float):
     d = np.asarray(distance, dtype=np.float64)
     if np.any(d < 0) or np.any(d > 1) or not np.all(np.isfinite(d)):
         raise ValueError("distances must lie in [0, 1]")
-    s = np.expm1(np.maximum(theta - d, 0.0)) / np.expm1(theta)
+    # dividing by the helper's own value at distance 0, not math.expm1(theta),
+    # keeps that value exactly 1 where the two expm1s differ in the last bit
+    s = _terms(d, theta) / _terms(0.0, theta)
     return float(s) if np.isscalar(distance) or d.ndim == 0 else s
 
 
@@ -129,8 +138,7 @@ def scan(anchors: np.ndarray, pool: np.ndarray, theta: float | None,
             # survivors come out in row-major order, so each row's terms form
             # one contiguous slice, summed by np.sum as a whole-row sum would be
             near = dots > cos_t
-            d = np.arccos(np.clip(dots[near], -1.0, 1.0)) / math.pi
-            terms = np.expm1(np.maximum(theta - d, 0.0))
+            terms = _terms(np.arccos(np.clip(dots[near], -1.0, 1.0)) / math.pi, theta)
             ends = np.cumsum(np.count_nonzero(near, axis=1))
             sums = np.array([np.sum(row) for row in np.split(terms, ends)[:-1]])
         return counts, sums

@@ -11,8 +11,11 @@ Three kinds exist:
   stdin/stdout;
 * ``remote``     — an HTTP endpoint speaking the same framing per POST.
 
-Sources are context managers.  The adapters check only the framing of
-each reply; :func:`generate` is the one check of embedding values.
+A frame is a store header and store records with one dim set to 0;
+:mod:`bbgc.store` owns that format, and this module only calls its
+codec.  Sources are context managers.  The adapters check only the
+framing of each reply, its header before its body is read;
+:func:`generate` is the one check of embedding values.
 
 The synthetic model selects a planted mode when the latent falls inside
 a Euclidean ball around that mode's latent anchor; the ball radius is
@@ -51,6 +54,7 @@ from .errors import (
     MalformedResponseError,
     SourceTimeoutError,
     SourceUnavailableError,
+    StoreFormatError,
 )
 from .jsonutil import read_json
 from .rng import (
@@ -121,8 +125,13 @@ def _ball_radius2(mass: float, latent_dim: int, anchor: np.ndarray) -> float:
         return math.inf
     nc = float(np.dot(anchor, anchor))
     if nc == 0.0:
-        return float(2.0 * gammaincinv(latent_dim / 2.0, mass))
-    return float(chndtrix(mass, latent_dim, nc))
+        radius2 = float(2.0 * gammaincinv(latent_dim / 2.0, mass))
+    else:
+        radius2 = float(chndtrix(mass, latent_dim, nc))
+    if not math.isfinite(radius2):   # chndtrix gives NaN for nc beyond ~1e12
+        raise InvalidConfigError(
+            f"no finite ball radius for mass {mass} around an anchor of squared norm {nc}")
+    return radius2
 
 
 def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
@@ -305,57 +314,31 @@ class SyntheticSource(_Source):
 
 def pack_frame(vectors: np.ndarray, as_latents: bool) -> bytes:
     """One store-framed batch: latent-only frames zero embed_dim and vice versa."""
-    vectors = np.ascontiguousarray(vectors, dtype="<f4")
-    n, dim = vectors.shape
-    latent_dim, embed_dim = (dim, 0) if as_latents else (0, dim)
-    head = store_format.HEADER.pack(store_format.MAGIC, store_format.VERSION,
-                                    latent_dim, embed_dim, n, 0)
-    body = np.zeros((n, 4 * dim + 4), dtype=np.uint8)
-    body[:, :4 * dim] = vectors.view(np.uint8)
-    return head + body.tobytes()
+    vectors = np.asarray(vectors)
+    empty = np.empty((len(vectors), 0))
+    lat, emb = (vectors, empty) if as_latents else (empty, vectors)
+    return (store_format.pack_header(lat.shape[1], emb.shape[1], len(vectors))
+            + store_format.pack_records(lat, emb))
+
+
+def _frame_header(head: bytes) -> tuple[int, int, int]:
+    """(latent_dim, embed_dim, count) of a frame header.  This is the one
+    place where a store format error becomes a malformed response."""
+    try:
+        latent_dim, embed_dim, count, _seed = store_format.unpack_header(head)
+    except StoreFormatError as exc:
+        raise MalformedResponseError(f"bad frame header: {exc}") from exc
+    return latent_dim, embed_dim, count
 
 
 def unpack_frame(blob: bytes) -> tuple[int, int, np.ndarray, np.ndarray, list[bytes] | None]:
     """(latent_dim, embed_dim, latents, embeddings, refs) from one frame."""
-    if len(blob) < store_format.HEADER.size:
-        raise MalformedResponseError(f"frame of {len(blob)} bytes has no header")
-    magic, version, latent_dim, embed_dim, count, _seed = store_format.HEADER.unpack(
-        blob[:store_format.HEADER.size])
-    if magic != store_format.MAGIC or version != store_format.VERSION:
-        raise MalformedResponseError(f"bad frame magic/version {magic!r}/{version}")
+    latent_dim, embed_dim, count = _frame_header(blob)
     lat, emb, refs, parsed = store_format.parse_records(
         memoryview(blob)[store_format.HEADER.size:], latent_dim, embed_dim, count)
     if parsed < count:
         raise MalformedResponseError(f"frame truncated: {parsed} of {count} records")
     return latent_dim, embed_dim, lat, emb, refs
-
-
-def _frame_body_size(payload: memoryview, latent_dim: int, embed_dim: int,
-                     count: int, start: tuple[int, int] = (0, 0)) -> tuple[int, int]:
-    """(bytes, records) of the complete records at the head of ``payload``,
-    at most ``count``.  ``start`` is what an earlier call returned on a
-    prefix of the same payload; the scan resumes there."""
-    fixed = 4 * latent_dim + 4 * embed_dim
-    rec0 = fixed + 4
-    off, done = start
-    size = len(payload)
-    # Fast path: the complete fixed-stride slots at the head whose ref_len
-    # fields read 0 are empty-ref records (induction on record starts, as
-    # in store.parse_records); the scalar loop resumes at the first other.
-    run = min(count - done, (size - off) // rec0)
-    if run > 0:
-        grid = np.frombuffer(payload[off:off + run * rec0], dtype=np.uint8).reshape(run, rec0)
-        with_ref = np.flatnonzero(grid[:, fixed:].copy().view("<u4")[:, 0])
-        empty = int(with_ref[0]) if with_ref.size else run
-        off += empty * rec0
-        done += empty
-    while done < count and off + rec0 <= size:
-        (ref_len,) = store_format.REF_LEN.unpack(payload[off + fixed:off + rec0])
-        if off + rec0 + ref_len > size:
-            break
-        off += rec0 + ref_len
-        done += 1
-    return off, done
 
 
 class _BatchedSource(_Source):
@@ -377,13 +360,20 @@ class _BatchedSource(_Source):
     def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         raise NotImplementedError
 
+    def _check_reply_header(self, head: bytes, n: int, who: str) -> int:
+        """Check that a reply header promises ``n`` rows of this source's
+        embed_dim; returns its latent_dim."""
+        latent_dim, embed_dim, count = _frame_header(head)
+        if embed_dim != self.embed_dim or count != n:
+            raise MalformedResponseError(
+                f"{who} replied {count} rows of embed_dim {embed_dim}, "
+                f"expected {n} of {self.embed_dim}")
+        return latent_dim
+
     def _reply(self, blob: bytes, n: int, who: str) -> tuple[np.ndarray, list[bytes] | None]:
         """Embeddings and refs of a reply frame that must hold ``n`` rows."""
-        _lat_dim, embed_dim, _lat, emb, refs = unpack_frame(blob)
-        if embed_dim != self.embed_dim or len(emb) != n:
-            raise MalformedResponseError(
-                f"{who} replied {len(emb)} rows of embed_dim {embed_dim}, "
-                f"expected {n} of {self.embed_dim}")
+        self._check_reply_header(blob, n, who)
+        _lat_dim, _embed_dim, _lat, emb, refs = unpack_frame(blob)
         return emb, refs
 
     def embed(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
@@ -452,17 +442,21 @@ class SubprocessSource(_BatchedSource):
         self._proc = None
         return f"{reason}" + (f" (child stderr: {tail})" if tail else "")
 
-    def _read_exactly(self, fd: int, deadline: float) -> bytes:
-        """Read one full response frame from the child's stdout."""
+    def _read_exactly(self, fd: int, deadline: float, n: int) -> bytes:
+        """Read one full reply frame of ``n`` rows from the child's stdout.
+
+        The header is checked as soon as it is in, so a header that lies
+        about the row count cannot keep the parent reading."""
+        head_size = store_format.HEADER.size
         sel = selectors.DefaultSelector()
         sel.register(fd, selectors.EVENT_READ)
         buf = bytearray()
-        header: tuple | None = None
+        latent_dim: int | None = None
         progress = (0, 0)   # (bytes, records) of the body parsed so far
         try:
             while True:
-                if header is not None and progress[1] == header[4]:
-                    return bytes(buf[:store_format.HEADER.size + progress[0]])
+                if progress[1] == n:
+                    return bytes(buf[:head_size + progress[0]])
                 budget = deadline - time.monotonic()
                 if budget <= 0:
                     raise SourceTimeoutError(self._fail("child response timed out"))
@@ -472,12 +466,11 @@ class SubprocessSource(_BatchedSource):
                 if not chunk:
                     raise SourceUnavailableError(self._fail("child closed its stdout"))
                 buf.extend(chunk)
-                if header is None and len(buf) >= store_format.HEADER.size:
-                    header = store_format.HEADER.unpack(buf[:store_format.HEADER.size])
-                if header is not None:
-                    progress = _frame_body_size(
-                        memoryview(buf)[store_format.HEADER.size:], header[2], header[3],
-                        header[4], progress)
+                if latent_dim is None and len(buf) >= head_size:
+                    latent_dim = self._check_reply_header(buf[:head_size], n, "child")
+                if latent_dim is not None:
+                    progress = store_format.scan_records(
+                        memoryview(buf)[head_size:], latent_dim, self.embed_dim, n, progress)
         finally:
             sel.close()
 
@@ -491,8 +484,8 @@ class SubprocessSource(_BatchedSource):
                 proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
                 raise SourceUnavailableError(self._fail(f"child rejected input: {exc}")) from exc
-            blob = self._read_exactly(proc.stdout.fileno(), deadline)
             try:
+                blob = self._read_exactly(proc.stdout.fileno(), deadline, len(latents))
                 return self._reply(blob, len(latents), "child")
             except MalformedResponseError:
                 self._fail("")
@@ -666,13 +659,11 @@ def run_worker(source, stdin, stdout) -> None:
             return
         if len(head) < header_size:
             raise SourceUnavailableError("truncated request header")
-        magic, version, latent_dim, embed_dim, count, _seed = store_format.HEADER.unpack(head)
-        if magic != store_format.MAGIC or version != store_format.VERSION:
-            raise MalformedResponseError("bad request frame")
+        latent_dim, embed_dim, count = _frame_header(head)
         if latent_dim != source.latent_dim:
             raise MalformedResponseError(
                 f"request latent_dim {latent_dim}, source has {source.latent_dim}")
-        body = _read_body(stdin, count * (4 * latent_dim + 4 * embed_dim + 4))
+        body = _read_body(stdin, count * store_format.record_size(latent_dim, embed_dim))
         lat, _emb, _refs, parsed = store_format.parse_records(body, latent_dim, embed_dim, count)
         if parsed < count:
             raise MalformedResponseError("unparseable request body")

@@ -8,6 +8,10 @@ float32 on disk and promoted to float64 in memory.  Layout:
              | u32 embed_dim | u64 count | u64 seed
     record:  latent_dim * f32 | embed_dim * f32 | u32 ref_len | ref bytes
 
+The wire frames of :mod:`bbgc.source` are the same header and records
+with one dim set to 0, so this module is the one codec for both: the
+header packer and check, the record packer, and the record scan.
+
 Writers stage into ``<path>.tmp`` and rename at close, so a store path
 either holds a complete previous file or a complete new one.  Readers
 run in strict mode by default (any truncation raises); recovery mode
@@ -81,6 +85,71 @@ def _check_batch(latents: np.ndarray, embeddings: np.ndarray,
     return latents, embeddings
 
 
+def record_size(latent_dim: int, embed_dim: int) -> int:
+    """Bytes of one record whose ref is empty."""
+    return 4 * latent_dim + 4 * embed_dim + REF_LEN.size
+
+
+def pack_header(latent_dim: int, embed_dim: int, count: int, seed: int = 0) -> bytes:
+    return HEADER.pack(MAGIC, VERSION, latent_dim, embed_dim, count, seed)
+
+
+def unpack_header(head: bytes) -> tuple[int, int, int, int]:
+    """(latent_dim, embed_dim, count, seed) of a header whose length, magic
+    and version are this format's.  A dim may be 0, as in a wire frame."""
+    if len(head) < HEADER.size:
+        raise TruncatedStoreError(f"header needs {HEADER.size} bytes, got {len(head)}")
+    magic, version, latent_dim, embed_dim, count, seed = HEADER.unpack(head[:HEADER.size])
+    if magic != MAGIC:
+        raise BadMagicError(f"magic {magic!r}, expected {MAGIC!r}")
+    if version != VERSION:
+        raise VersionMismatchError(f"version {version}, expected {VERSION}")
+    return latent_dim, embed_dim, count, seed
+
+
+def pack_records(latents: np.ndarray, embeddings: np.ndarray,
+                 refs: Sequence[bytes] | None = None) -> bytes:
+    """The records of rows of (latents, embeddings, refs), vectors cast to
+    float32.  ``refs`` None means every ref is empty."""
+    lat32 = np.ascontiguousarray(latents, dtype="<f4")
+    emb32 = np.ascontiguousarray(embeddings, dtype="<f4")
+    ref_lens = np.zeros(len(lat32)) if refs is None else [len(r) for r in refs]
+    rec = np.hstack([lat32.view(np.uint8), emb32.view(np.uint8),
+                     np.asarray(ref_lens, dtype="<u4")[:, None].view(np.uint8)])
+    if refs is None:
+        return rec.tobytes()
+    return b"".join(row.tobytes() + ref for row, ref in zip(rec, refs))
+
+
+def scan_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
+                 count: int, start: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+    """(bytes, records) of the complete records at the head of ``payload``,
+    at most ``count``.  ``start`` is what an earlier call returned on a
+    prefix of the same payload; the scan resumes there.  Both figures are
+    bounded by what ``payload`` holds, whatever ``count`` claims."""
+    rec0 = record_size(latent_dim, embed_dim)
+    fixed = rec0 - REF_LEN.size
+    off, done = start
+    size = len(payload)
+    # The complete fixed-stride slots at the head whose ref_len fields read
+    # 0 are empty-ref records (induction on record starts); the scalar loop
+    # resumes at the first other.
+    run = min(count - done, (size - off) // rec0)
+    if run > 0:
+        grid = np.frombuffer(payload[off:off + run * rec0], dtype=np.uint8).reshape(run, rec0)
+        with_ref = np.flatnonzero(grid[:, fixed:].copy().view("<u4")[:, 0])
+        empty = int(with_ref[0]) if with_ref.size else run
+        off += empty * rec0
+        done += empty
+    while done < count and off + rec0 <= size:
+        (ref_len,) = REF_LEN.unpack(payload[off + fixed:off + rec0])
+        if off + rec0 + ref_len > size:
+            break
+        off += rec0 + ref_len
+        done += 1
+    return off, done
+
+
 class StoreWriter:
     """Streaming store writer with atomic replace on close."""
 
@@ -94,8 +163,7 @@ class StoreWriter:
         self.count = 0
         self._tmp = self.path + ".tmp"
         self._fh = open(self._tmp, "wb")
-        self._fh.write(HEADER.pack(MAGIC, VERSION, self.latent_dim,
-                                   self.embed_dim, 0, self.seed))
+        self._fh.write(pack_header(self.latent_dim, self.embed_dim, 0, self.seed))
 
     def append(self, latents: np.ndarray, embeddings: np.ndarray,
                refs: list[bytes] | None = None) -> None:
@@ -104,29 +172,14 @@ class StoreWriter:
         n = latents.shape[0]
         if refs is not None and len(refs) != n:
             raise DimensionMismatchError(f"{len(refs)} refs for {n} records")
-        lat32 = latents.astype("<f4")
-        emb32 = embeddings.astype("<f4")
-        if refs is None:
-            # Fixed-size records: interleave via one bytes matrix.
-            rec = np.zeros((n, 4 * self.latent_dim + 4 * self.embed_dim + 4),
-                           dtype=np.uint8)
-            rec[:, :4 * self.latent_dim] = lat32.view(np.uint8)
-            rec[:, 4 * self.latent_dim:-4] = emb32.view(np.uint8)
-            self._fh.write(rec.tobytes())
-        else:
-            for i in range(n):
-                self._fh.write(lat32[i].tobytes())
-                self._fh.write(emb32[i].tobytes())
-                self._fh.write(REF_LEN.pack(len(refs[i])))
-                self._fh.write(refs[i])
+        self._fh.write(pack_records(latents, embeddings, refs))
         self.count += n
 
     def close(self) -> None:
         if self._fh is None:
             return
         self._fh.seek(0)
-        self._fh.write(HEADER.pack(MAGIC, VERSION, self.latent_dim,
-                                   self.embed_dim, self.count, self.seed))
+        self._fh.write(pack_header(self.latent_dim, self.embed_dim, self.count, self.seed))
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
@@ -167,13 +220,7 @@ def read_header(path: str | os.PathLike) -> tuple[int, int, int, int]:
 
 
 def parse_header(head: bytes) -> tuple[int, int, int, int]:
-    if len(head) < HEADER.size:
-        raise TruncatedStoreError(f"header needs {HEADER.size} bytes, got {len(head)}")
-    magic, version, latent_dim, embed_dim, count, seed = HEADER.unpack(head[:HEADER.size])
-    if magic != MAGIC:
-        raise BadMagicError(f"magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise VersionMismatchError(f"version {version}, expected {VERSION}")
+    latent_dim, embed_dim, count, seed = unpack_header(head)
     if latent_dim < 1 or embed_dim < 1:
         raise TruncatedStoreError(f"invalid dims {latent_dim}x{embed_dim}")
     return latent_dim, embed_dim, count, seed
@@ -187,44 +234,24 @@ def parse_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
     that is fatal.  ``refs`` is None when every parsed ref is empty.
     """
     payload = memoryview(payload)
-    fixed = 4 * latent_dim + 4 * embed_dim
-    rec0 = fixed + 4
-
-    # Fast path: if the payload is exactly count zero-ref records and
-    # every ref_len field under that assumption reads 0, induction on
-    # record starts shows this is the unique valid parse.
-    if len(payload) == count * rec0 and count > 0:
-        grid = np.frombuffer(payload, dtype=np.uint8).reshape(count, rec0)
-        ref_lens = grid[:, fixed:].copy().view("<u4")[:, 0]
-        if not ref_lens.any():
-            lat = grid[:, :4 * latent_dim].copy().view("<f4")
-            emb = grid[:, 4 * latent_dim:fixed].copy().view("<f4")
-            return (lat.astype(np.float64), emb.astype(np.float64), None, count)
-
-    # no more than len(payload) // rec0 records can fit, whatever the header claims
-    cap = min(count, len(payload) // rec0)
-    lat = np.empty((cap, latent_dim), dtype=np.float64)
-    emb = np.empty((cap, embed_dim), dtype=np.float64)
-    refs: list[bytes] = []
-    off = 0
-    parsed = 0
-    size = len(payload)
-    for i in range(cap):
-        if off + rec0 > size:
-            break
-        row = np.frombuffer(payload[off:off + fixed], dtype="<f4")
-        lat[i] = row[:latent_dim]
-        emb[i] = row[latent_dim:]
-        (ref_len,) = REF_LEN.unpack(payload[off + fixed:off + rec0])
-        off += rec0
-        if off + ref_len > size:
-            break
-        refs.append(bytes(payload[off:off + ref_len]))
-        off += ref_len
-        parsed += 1
-    lat = lat[:parsed]
-    emb = emb[:parsed]
-    return lat, emb, (None if not any(refs) else refs), parsed
+    size, parsed = scan_records(payload, latent_dim, embed_dim, count)
+    rec0 = record_size(latent_dim, embed_dim)
+    fixed = rec0 - REF_LEN.size
+    refs: list[bytes] | None = None
+    if size == parsed * rec0:   # every parsed ref is empty
+        grid = np.frombuffer(payload[:size], dtype=np.uint8).reshape(parsed, rec0)
+    else:
+        rows, refs = [], []
+        off = 0
+        for _ in range(parsed):
+            (ref_len,) = REF_LEN.unpack(payload[off + fixed:off + rec0])
+            rows.append(payload[off:off + fixed])
+            refs.append(bytes(payload[off + rec0:off + rec0 + ref_len]))
+            off += rec0 + ref_len
+        grid = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(parsed, fixed)
+    lat = grid[:, :4 * latent_dim].copy().view("<f4")
+    emb = grid[:, 4 * latent_dim:fixed].copy().view("<f4")
+    return lat.astype(np.float64), emb.astype(np.float64), refs, parsed
 
 
 _TABLE_FIELDS = ("index", "latent", "embedding", "ref")
@@ -337,6 +364,4 @@ def read_store(path: str | os.PathLike, recover: bool = False) -> SampleStore:
                 f"{path}: header promises {count} records, only {parsed} complete")
         warnings.warn(f"{path}: recovered {parsed} of {count} records",
                       RuntimeWarning, stacklevel=2)
-        if refs is not None:
-            refs = refs[:parsed]
     return SampleStore(latents=lat, embeddings=emb, seed=seed, refs=refs)

@@ -12,6 +12,7 @@ import pytest
 
 import bbgc
 from bbgc.cli import main
+from bbgc.errors import SourceUnavailableError
 from bbgc.jsonutil import read_json
 from bbgc.rng import STREAM_ANCHORS, STREAM_POOL, CounterStream
 from bbgc.source import SubprocessSource, SyntheticSource, build_synthetic_model
@@ -215,6 +216,11 @@ def test_usage_errors_exit_2(pipeline, tmp_path):
               "--out", str(tmp_path / "x.json")])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
+        main(["diagnose", "--anchors", str(pipeline["anchors"]),
+              "--pool", str(pipeline["pool"]), "--theta", "nan",
+              "--out", str(tmp_path / "x.json")])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
         main(["sample", "--source", str(pipeline["spec"]), "--n", "5",
               "--seed", "-1", "--out", str(tmp_path / "x.bbgc")])
     assert err.value.code == 2
@@ -295,6 +301,39 @@ def test_source_bad_values_exit_5(tmp_path, capsys, value):
                  "--out", str(tmp_path / "x.bbgc")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error:") and "norm" in err and "Traceback" not in err
+
+
+def test_child_exiting_mid_reply_exits_5(tmp_path, capsys):
+    # the child sends a correct header and half the promised rows, then exits
+    child = ("import struct, sys\n"
+             "count = struct.unpack('<4sIIIQQ', sys.stdin.buffer.read(32))[4]\n"
+             "sys.stdout.buffer.write(b'BBGC' + struct.pack('<IIIQQ', 1, 0, 16, count, 0)\n"
+             "                        + bytes(68 * (count // 2)))\n")
+    spec = tmp_path / "child.json"
+    spec.write_text(json.dumps({
+        "kind": "subprocess", "latent_dim": 2, "embed_dim": 16,
+        "parameters": {"argv": [sys.executable, "-c", child], "timeout": 30},
+    }))
+    with SubprocessSource([sys.executable, "-c", child], 2, 16, timeout=30.0) as src:
+        with pytest.raises(SourceUnavailableError, match="closed its stdout"):
+            src.embed(np.zeros((6, 2)))
+    capsys.readouterr()
+    assert main(["sample", "--source", str(spec), "--n", "5",
+                 "--out", str(tmp_path / "x.bbgc")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "closed its stdout" in err and "Traceback" not in err
+
+
+def test_unreachable_planted_mass_exits_3(tmp_path, capsys):
+    spec = tmp_path / "far.json"
+    spec.write_text(json.dumps({**SPEC, "latent_dim": 8, "parameters": {
+        "background": [{"weight": 1.0, "spread": 10.0}],
+        "planted": [{"mass": 0.5, "latent_norm": 1e6}],
+    }}))
+    assert main(["sample", "--source", str(spec), "--n", "5",
+                 "--out", str(tmp_path / "x.bbgc")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite ball radius" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("parameters, message", [

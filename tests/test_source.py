@@ -3,9 +3,11 @@
 import http.server
 import io
 import json
+import struct
 import sys
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from bbgc.source import (
     SubprocessSource,
     SyntheticSource,
     _ball_radius2,
-    _frame_body_size,
     build_synthetic_model,
     generate,
     load_source_spec,
@@ -84,6 +85,10 @@ def test_build_validation_errors():
                               planted=[{"mass": 0.6}, {"mass": 0.6}])
     with pytest.raises(InvalidConfigError):
         build_synthetic_model(4, 8, 0, background=[{"center": [1.0, 0.0]}])
+    # chndtrix has no finite quantile this far out; the mode must not get zero mass
+    with pytest.raises(InvalidConfigError, match="finite ball radius"):
+        build_synthetic_model(8, 16, 1, background=BG,
+                              planted=[{"mass": 0.5, "latent_norm": 1e6}])
 
 
 def test_build_rejects_overlapping_balls():
@@ -232,6 +237,15 @@ def test_frame_round_trip():
     np.testing.assert_array_equal(got_emb, f32(emb))
 
 
+def test_pack_frame_matches_hand_assembled_bytes():
+    vectors = np.array([[1.5, -2.0], [0.25, 3.0]])
+    rows = struct.pack("<2fI2fI", 1.5, -2.0, 0, 0.25, 3.0, 0)
+    assert pack_frame(vectors, as_latents=True) == (
+        b"BBGC" + struct.pack("<IIIQQ", 1, 2, 0, 2, 0) + rows)
+    assert pack_frame(vectors, as_latents=False) == (
+        b"BBGC" + struct.pack("<IIIQQ", 1, 0, 2, 2, 0) + rows)
+
+
 def test_unpack_frame_rejects_garbage():
     with pytest.raises(MalformedResponseError):
         unpack_frame(b"short")
@@ -247,50 +261,6 @@ def test_unpack_frame_rejects_oversized_count():
     head = store_format.HEADER.pack(store_format.MAGIC, store_format.VERSION, 2, 0, 2 ** 40, 0)
     with pytest.raises(MalformedResponseError, match="truncated: 3 of 1099511627776"):
         unpack_frame(head + good[store_format.HEADER.size:])
-
-
-def test_frame_body_size_resumes_across_uneven_slices():
-    fixed = 4 * 3 + 4 * 2
-    refs = [b"", b"x" * 9, b"", b"abc", b"y" * 40, b"z"]
-    body = b"".join(bytes(fixed) + store_format.REF_LEN.pack(len(r)) + r for r in refs)
-    whole = _frame_body_size(memoryview(body), 3, 2, len(refs))
-    assert whole == (len(body), len(refs))
-    progress = (0, 0)
-    for end in (0, 5, fixed + 2, fixed + 4, 40, 41, 77, 150, len(body) - 1, len(body)):
-        progress = _frame_body_size(memoryview(body)[:end], 3, 2, len(refs), progress)
-        assert progress == _frame_body_size(memoryview(body)[:end], 3, 2, len(refs))
-    assert progress == whole
-    # records past the header's count are not part of the frame
-    assert _frame_body_size(memoryview(body), 3, 2, 2) == (2 * (fixed + 4) + 9, 2)
-
-
-def _scalar_frame_body_size(body, fixed, count):
-    off, done = 0, 0
-    while done < count and off + fixed + 4 <= len(body):
-        (ref_len,) = store_format.REF_LEN.unpack(body[off + fixed:off + fixed + 4])
-        if off + fixed + 4 + ref_len > len(body):
-            break
-        off += fixed + 4 + ref_len
-        done += 1
-    return off, done
-
-
-@pytest.mark.parametrize("refs", [
-    [b""] * 12,
-    [b"", b"", b"x" * 9, b"", b"", b"", b"abc", b"", b"y" * 40, b"", b""],
-    [b"z", b"", b"", b"\x00" * 4, b""],
-])
-def test_frame_body_size_fast_path_matches_scalar_scan(refs):
-    # random record bytes, so a scan that lost the stride would read them as lengths
-    rng = np.random.default_rng(len(refs))
-    fixed = 4 * 3 + 4 * 2
-    body = b"".join(rng.bytes(fixed) + store_format.REF_LEN.pack(len(r)) + r for r in refs)
-    for count in (len(refs), 4):
-        whole = _scalar_frame_body_size(body, fixed, count)
-        for cut in range(len(body) + 1):
-            head = _frame_body_size(memoryview(body)[:cut], 3, 2, count)
-            assert head == _scalar_frame_body_size(body[:cut], fixed, count)
-            assert _frame_body_size(memoryview(body), 3, 2, count, head) == whole
 
 
 # -- worker loop ----------------------------------------------------------------
@@ -439,6 +409,57 @@ def test_subprocess_source_serialises_threads():
         sys.setswitchinterval(interval)
     for lat, emb in zip(batches, results):
         np.testing.assert_array_equal(emb, f32(direct.embed(f32(lat))[0]))
+
+
+LYING_HEADER_CHILD = """
+import struct, sys, time
+sys.stdin.buffer.read(32)
+out = sys.stdout.buffer
+out.write(b"BBGC" + struct.pack("<IIIQQ", 1, 0, 6, 2 ** 40, 0))
+for _ in range(16):
+    out.write(bytes(1 << 20))
+    out.flush()
+time.sleep(60)
+"""
+
+
+def test_subprocess_source_rejects_lying_reply_header():
+    # the header promises 2**40 rows: the parent must stop at it, not read
+    # the stream until the deadline
+    with SubprocessSource([sys.executable, "-c", LYING_HEADER_CHILD], 4, 6,
+                          timeout=20.0) as src:
+        child = src._child()
+        start = time.monotonic()
+        with pytest.raises(MalformedResponseError, match="1099511627776 rows"):
+            src.embed(np.zeros((2, 4)))
+        assert time.monotonic() - start < 10.0
+        assert child.poll() is not None
+
+
+FLAKY_CHILD = """
+import os, sys, time
+if not os.path.exists({marker!r}):
+    open({marker!r}, "w").close()
+    sys.stdin.buffer.read(32)
+    sys.stdout.buffer.write(b"JUNK" * 8)
+    sys.stdout.buffer.flush()
+    time.sleep(60)
+"""
+
+
+def test_subprocess_source_respawns_after_malformed_reply(tmp_path):
+    # the first child answers garbage and then hangs; only a fresh child
+    # can serve the second call
+    direct = synth(latent_dim=4, embed_dim=6, planted=[{"mass": 0.1, "spread": 0.1}])
+    lat = sample_latents(9, 4, seed=8)
+    child = FLAKY_CHILD.format(marker=str(tmp_path / "replied")) + WORKER_CHILD
+    with SubprocessSource([sys.executable, "-c", child], 4, 6, timeout=20.0) as src:
+        first = src._child()
+        with pytest.raises(MalformedResponseError, match="magic"):
+            src.embed(lat)
+        assert first.poll() is not None
+        emb, _ = src.embed(lat)
+    np.testing.assert_array_equal(emb, f32(direct.embed(f32(lat))[0]))
 
 
 def test_subprocess_source_missing_binary():

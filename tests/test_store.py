@@ -19,6 +19,7 @@ from bbgc.jsonutil import decode_matrix, dumps, encode_matrix, format_float
 from bbgc.store import (
     HEADER,
     MAGIC,
+    REF_LEN,
     VERSION,
     SampleStore,
     StoreWriter,
@@ -26,6 +27,7 @@ from bbgc.store import (
     latents_disjoint,
     read_header,
     read_store,
+    scan_records,
     write_store,
 )
 
@@ -197,6 +199,66 @@ def test_recover_with_refs(tmp_path):
         st = read_store(cut, recover=True)
     assert st.count == 3
     assert [st.ref(i) for i in range(3)] == [b"aa", b"bb", b"cc"]
+
+
+def test_store_bytes_match_hand_assembled_layout(tmp_path):
+    lat = np.array([[1.5, -2.0], [0.25, 3.0]])
+    emb = np.array([[0.5, 0.5, -1.0], [1.0, 0.0, 2.0]])
+    head = MAGIC + struct.pack("<IIIQQ", 1, 2, 3, 2, 0x0102030405060708)
+    row0 = struct.pack("<5f", 1.5, -2.0, 0.5, 0.5, -1.0)
+    row1 = struct.pack("<5f", 0.25, 3.0, 1.0, 0.0, 2.0)
+    for refs, want in (
+            ([b"ab", b""], head + row0 + struct.pack("<I", 2) + b"ab" + row1 + bytes(4)),
+            (None, head + row0 + bytes(4) + row1 + bytes(4))):
+        path = tmp_path / "pinned.bbgc"
+        write_store(path, lat, emb, seed=0x0102030405060708, refs=refs)
+        assert path.read_bytes() == want
+
+
+# -- record scan ------------------------------------------------------------------
+
+def test_scan_records_resumes_across_uneven_slices():
+    fixed = 4 * 3 + 4 * 2
+    refs = [b"", b"x" * 9, b"", b"abc", b"y" * 40, b"z"]
+    body = b"".join(bytes(fixed) + REF_LEN.pack(len(r)) + r for r in refs)
+    whole = scan_records(memoryview(body), 3, 2, len(refs))
+    assert whole == (len(body), len(refs))
+    progress = (0, 0)
+    for end in (0, 5, fixed + 2, fixed + 4, 40, 41, 77, 150, len(body) - 1, len(body)):
+        progress = scan_records(memoryview(body)[:end], 3, 2, len(refs), progress)
+        assert progress == scan_records(memoryview(body)[:end], 3, 2, len(refs))
+    assert progress == whole
+    # records past the header's count are not part of the frame
+    assert scan_records(memoryview(body), 3, 2, 2) == (2 * (fixed + 4) + 9, 2)
+
+
+def _scalar_scan(body, fixed, count):
+    off, done = 0, 0
+    while done < count and off + fixed + 4 <= len(body):
+        (ref_len,) = REF_LEN.unpack(body[off + fixed:off + fixed + 4])
+        if off + fixed + 4 + ref_len > len(body):
+            break
+        off += fixed + 4 + ref_len
+        done += 1
+    return off, done
+
+
+@pytest.mark.parametrize("refs", [
+    [b""] * 12,
+    [b"", b"", b"x" * 9, b"", b"", b"", b"abc", b"", b"y" * 40, b"", b""],
+    [b"z", b"", b"", b"\x00" * 4, b""],
+])
+def test_scan_records_fast_path_matches_scalar_scan(refs):
+    # random record bytes, so a scan that lost the stride would read them as lengths
+    rng = np.random.default_rng(len(refs))
+    fixed = 4 * 3 + 4 * 2
+    body = b"".join(rng.bytes(fixed) + REF_LEN.pack(len(r)) + r for r in refs)
+    for count in (len(refs), 4):
+        whole = _scalar_scan(body, fixed, count)
+        for cut in range(len(body) + 1):
+            head = scan_records(memoryview(body)[:cut], 3, 2, count)
+            assert head == _scalar_scan(body[:cut], fixed, count)
+            assert scan_records(memoryview(body), 3, 2, count, head) == whole
 
 
 def test_latents_disjoint():
