@@ -24,16 +24,7 @@ from . import diagnosis, gmm, importance
 from . import source as sources
 from . import store as stores
 from .embedding import check_radius, check_theta, neighbor_counts
-from .errors import (
-    CalibrationError,
-    DiagnosisError,
-    DimensionMismatchError,
-    InvalidConfigError,
-    NonFiniteError,
-    SourceError,
-    StoreFormatError,
-    ZeroVectorError,
-)
+from .errors import BbgcError, CalibrationError, InvalidConfigError, SourceError
 from .jsonutil import format_float, read_json, write_json
 from .rng import (
     STREAM_ANCHORS,
@@ -515,17 +506,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (StoreFormatError, DiagnosisError, DimensionMismatchError,
-            NonFiniteError, ZeroVectorError, InvalidConfigError,
-            OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except SourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOURCE
+    except (BbgcError, OSError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -13,6 +13,11 @@ class BbgcError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidConfigError(BbgcError):
+    """A spec, model, plan or report file, or a synthetic-model
+    configuration, is malformed or violates its own contract."""
+
+
 # embedding geometry ---------------------------------------------------------
 
 class ZeroVectorError(BbgcError):
@@ -43,10 +48,6 @@ class MalformedResponseError(SourceError):
 
 class SourceTimeoutError(SourceError):
     """The generator did not answer within the configured deadline."""
-
-
-class InvalidConfigError(SourceError):
-    """A synthetic-model configuration violates its own contract."""
 
 
 # sample store ----------------------------------------------------------------

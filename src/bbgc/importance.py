@@ -21,21 +21,18 @@ taking the still-unmatched rows through three stages:
    the facet its ray from the centroid leaves through.
 3. Every other row goes to :func:`hull_membership`.
 
-Hull membership solves a simplex-constrained least-squares projection
-with Frank-Wolfe iterations using away steps.  Away steps matter: the
-plain method stalls at O(1/t) when the projection lies on a hull face,
-too slow for the configured tolerance inside the iteration budget,
-while away steps restore linear convergence with the same two
-primitives (cheapest-vertex oracle, exact line search).  An exact
-active-set solve runs every few iterations and replaces the iterate
-whenever its minimizer is simplex-feasible and no worse, which finishes
-interior queries in one linear solve.  Membership is claimed only when
-the achieved residual is inside tolerance, so an unconverged solve can
-never produce a false positive.
+Hull membership is one nonnegative least-squares solve (Lawson and
+Hanson, Solving Least Squares Problems, 1974, ch. 23): the b >= 0
+minimizing ||[(V - z)^T; 1^T] b - [0; 1]|| is the projection's simplex
+weights a scaled by 1/(1 + d^2), for the distance d from z to the hull,
+so a = b / sum(b).  Membership is claimed only when the residual
+||V^T a - z|| is inside tolerance, so an unconverged solve can never
+produce a false positive.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -74,8 +71,9 @@ _ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 @dataclass(frozen=True)
 class HullMembership:
     """Projection result.  For queries rejected by the bounding-sphere
-    precheck the residual is the nearest-vertex distance (an upper
-    bound), not the exact hull distance; the verdict is still exact."""
+    precheck, or whose solve hit its iteration cap, the residual is the
+    nearest-vertex distance (an upper bound), not the exact hull
+    distance."""
 
     is_member: bool
     residual: float
@@ -168,82 +166,18 @@ def _finish_entry(p: float, vertices: np.ndarray, dense_count: int, ref_count: i
                      screen=_facet_screen(vertices, center))
 
 
-# Frank-Wolfe steps mix the iterate with one vertex at a time, which
-# crawls when the optimum lies strictly inside an ill-conditioned hull.
-# Periodically jumping to the exact minimizer over the current active
-# set's affine hull (when it is simplex-feasible and no worse) turns
-# those cases into a single linear solve.
-_POLISH_EVERY = 16
-
-
-def _affine_face_minimizer(vs: np.ndarray, z: np.ndarray) -> np.ndarray | None:
-    """Coefficients minimizing ||vs^T a - z|| subject to sum(a) = 1.
-
-    Solved through the KKT system; lstsq rather than solve because the
-    Gram matrix is singular whenever the face is affinely dependent
-    (more vertices than dimension plus one), and the system is still
-    consistent there."""
-    r = vs.shape[0]
-    kkt = np.zeros((r + 1, r + 1))
-    kkt[:r, :r] = vs @ vs.T
-    kkt[:r, r] = 1.0
-    kkt[r, :r] = 1.0
-    rhs = np.empty(r + 1)
-    rhs[:r] = vs @ z
-    rhs[r] = 1.0
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    a = sol[:r]
-    total = a.sum()
-    if not np.all(np.isfinite(a)) or abs(total - 1.0) > 1e-6:
-        return None
-    return a / total
-
-
-def _active_set_polish(v: np.ndarray, z: np.ndarray, alpha: np.ndarray,
-                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Exact minimizer over a face of the active set, if no worse.
-
-    Wolfe's minor cycle: solve over the active set's affine hull; while
-    the minimizer has negative coefficients, move toward it until the
-    first coefficient reaches zero, drop that vertex, and re-solve.
-    Each pass removes a vertex, so it terminates, and the objective
-    never increases along the way."""
-    active = np.flatnonzero(alpha > 0)
-    a_cur = alpha[active] / alpha[active].sum()
-    for _ in range(len(active)):
-        a_new = _affine_face_minimizer(v[active], z)
-        if a_new is None:
-            return None
-        if np.all(a_new >= -1e-12):
-            a_cur = np.maximum(a_new, 0.0)
-            a_cur /= a_cur.sum()
-            break
-        neg = a_new < 0.0
-        steps = a_cur[neg] / (a_cur[neg] - a_new[neg])
-        t = float(np.min(steps))
-        a_cur = (1.0 - t) * a_cur + t * a_new
-        keep = a_cur > 1e-12
-        if not np.any(keep):
-            return None
-        active = active[keep]
-        a_cur = a_cur[keep] / a_cur[keep].sum()
-    x_new = v[active].T @ a_cur
-    if float(np.linalg.norm(x_new - z)) > float(np.linalg.norm(x - z)):
-        return None
-    out = np.zeros(len(alpha))
-    out[active] = a_cur
-    return out, x_new
-
-
 def hull_membership(z: np.ndarray, vertices: np.ndarray, tol: float = 1e-4,
                     max_iters: int = 500) -> HullMembership:
     """Is z a convex combination of the vertices, within tol·(1+|z|)?
 
     Solves min ||V^T a - z|| over the simplex.  The bounding sphere of
     the vertices rejects points that provably cannot be members before
-    any iteration runs: every hull point lies within the sphere, so a
-    query further than tol away from it is further than tol from the
-    hull.
+    any solve runs: every hull point lies within the sphere, so a query
+    further than tol away from it is further than tol from the hull.  A
+    query with no finite norm is rejected there too.  Every other query
+    is one nonnegative least-squares solve capped at ``max_iters``
+    iterations (0 takes scipy's default of three per vertex); a solve
+    that reaches the cap reports the nearest vertex, as the sphere does.
     """
     v = np.ascontiguousarray(vertices, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -252,67 +186,24 @@ def hull_membership(z: np.ndarray, vertices: np.ndarray, tol: float = 1e-4,
     k = v.shape[0]
     tau = tol * (1.0 + float(np.linalg.norm(z)))
 
-    start = int(np.argmin(np.linalg.norm(v - z, axis=1)))
     center = v.mean(axis=0)
     bound = float(np.max(np.linalg.norm(v - center, axis=1)))
-    if float(np.linalg.norm(z - center)) > bound + tau:
-        alpha = np.zeros(k)
-        alpha[start] = 1.0
-        return HullMembership(is_member=False,
-                              residual=float(np.linalg.norm(v[start] - z)),
-                              coefficients=alpha)
-
+    if math.isfinite(tau) and float(np.linalg.norm(z - center)) <= bound + tau:
+        from scipy.optimize import nnls   # only `is` plans get here; see the cold-start test
+        try:
+            b = nnls(np.vstack([(v - z).T, np.ones(k)]), np.append(np.zeros(len(z)), 1.0),
+                     maxiter=max_iters)[0]
+        except RuntimeError:   # iteration cap
+            pass
+        else:
+            alpha = b / b.sum()
+            residual = float(np.linalg.norm(v.T @ alpha - z))
+            return HullMembership(is_member=bool(residual <= tau), residual=residual,
+                                  coefficients=alpha)
+    nearest = int(np.argmin(np.linalg.norm(v - z, axis=1)))
     alpha = np.zeros(k)
-    alpha[start] = 1.0
-    x = v[start].copy()
-    # Converge far below the decision threshold: the residual then sits
-    # within ~1e-3*tau of the true distance, so only queries that close
-    # to the boundary could ever be misclassified.
-    gap_tol = 0.5 * (1e-3 * tau) ** 2
-    for it in range(max_iters):
-        if it % _POLISH_EVERY == _POLISH_EVERY - 1:
-            polished = _active_set_polish(v, z, alpha, x)
-            if polished is not None:
-                alpha, x = polished
-        g = v @ (x - z)
-        s = int(np.argmin(g))
-        gap = float(alpha @ g - g[s])
-        if gap <= gap_tol:
-            break
-        active = np.flatnonzero(alpha > 0)
-        a = int(active[np.argmax(g[active])])
-        d_fw = v[s] - x
-        d_aw = x - v[a]
-        if float(g[a] - alpha @ g) >= float(alpha @ g - g[s]):
-            d, is_away = d_aw, True
-            aa = float(alpha[a])
-            gamma_max = aa / (1.0 - aa) if aa < 1.0 else 0.0
-        else:
-            d, is_away, gamma_max = d_fw, False, 1.0
-        dd = float(d @ d)
-        if dd <= 0.0 or gamma_max <= 0.0:
-            break
-        gamma = min(gamma_max, max(0.0, float((z - x) @ d) / dd))
-        if gamma <= 0.0:
-            break
-        if is_away:
-            alpha *= 1.0 + gamma
-            alpha[a] -= gamma
-        else:
-            alpha *= 1.0 - gamma
-            alpha[s] += gamma
-        np.maximum(alpha, 0.0, out=alpha)
-        alpha /= alpha.sum()
-        if (it + 1) % 64 == 0:
-            x = v.T @ alpha
-        else:
-            x = x + gamma * d
-    polished = _active_set_polish(v, z, alpha, v.T @ alpha)
-    if polished is not None:
-        alpha, x = polished
-    x = v.T @ alpha
-    residual = float(np.linalg.norm(x - z))
-    return HullMembership(is_member=bool(residual <= tau), residual=residual,
+    alpha[nearest] = 1.0
+    return HullMembership(is_member=False, residual=float(np.linalg.norm(v[nearest] - z)),
                           coefficients=alpha)
 
 

@@ -362,19 +362,18 @@ class _BatchedSource(_Source):
 
     def _check_reply_header(self, head: bytes, n: int, who: str) -> int:
         """Check that a reply header promises ``n`` rows of this source's
-        embed_dim; returns its latent_dim."""
+        embed_dim, with no latents or this source's latent_dim; returns
+        its latent_dim.  Callers run it before reading the body, so a
+        header that lies about the body's size fails at once."""
         latent_dim, embed_dim, count = _frame_header(head)
         if embed_dim != self.embed_dim or count != n:
             raise MalformedResponseError(
                 f"{who} replied {count} rows of embed_dim {embed_dim}, "
                 f"expected {n} of {self.embed_dim}")
+        if latent_dim not in (0, self.latent_dim):
+            raise MalformedResponseError(
+                f"{who} replied latent_dim {latent_dim}, expected 0 or {self.latent_dim}")
         return latent_dim
-
-    def _reply(self, blob: bytes, n: int, who: str) -> tuple[np.ndarray, list[bytes] | None]:
-        """Embeddings and refs of a reply frame that must hold ``n`` rows."""
-        self._check_reply_header(blob, n, who)
-        _lat_dim, _embed_dim, _lat, emb, refs = unpack_frame(blob)
-        return emb, refs
 
     def embed(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         z = np.ascontiguousarray(latents, dtype=np.float64)
@@ -486,7 +485,8 @@ class SubprocessSource(_BatchedSource):
                 raise SourceUnavailableError(self._fail(f"child rejected input: {exc}")) from exc
             try:
                 blob = self._read_exactly(proc.stdout.fileno(), deadline, len(latents))
-                return self._reply(blob, len(latents), "child")
+                _lat_dim, _embed_dim, _lat, emb, refs = unpack_frame(blob)
+                return emb, refs
             except MalformedResponseError:
                 self._fail("")
                 raise
@@ -540,7 +540,9 @@ class RemoteSource(_BatchedSource):
                 "Content-Type": "application/octet-stream"})
             try:
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    blob = resp.read()
+                    head = resp.read(store_format.HEADER.size)
+                    self._check_reply_header(head, len(latents), "endpoint")
+                    blob = head + resp.read()
                 break
             except urllib.error.HTTPError as exc:
                 if 400 <= exc.code < 500:
@@ -559,7 +561,8 @@ class RemoteSource(_BatchedSource):
                 raise SourceTimeoutError(f"endpoint timed out after {self.retries + 1} attempts") from last
             raise SourceUnavailableError(
                 f"endpoint unreachable after {self.retries + 1} attempts: {last}") from last
-        return self._reply(blob, len(latents), "endpoint")
+        _lat_dim, _embed_dim, _lat, emb, refs = unpack_frame(blob)
+        return emb, refs
 
 
 # -- source specs --------------------------------------------------------------

@@ -395,14 +395,16 @@ def test_non_finite_mixture_exits_3(pipeline, tmp_path, capsys, field, value):
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs more import time than the rest of bbgc together
+    # scipy.stats costs more import time than the rest of bbgc together;
+    # scipy.optimize is imported by hull_membership alone, on first use
     src_root = os.path.dirname(os.path.dirname(bbgc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src_root, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, bbgc.cli; print('scipy.stats' in sys.modules)"
+    probe = ("import sys, bbgc.cli; "
+             "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("flags", [["--theta", "0.3"], ["--radius", "nan"]])

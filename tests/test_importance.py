@@ -59,28 +59,31 @@ def test_far_points_are_rejected():
     for _ in range(10):
         z = rng.normal(size=4) * 50.0
         assert not hull_membership(z, v, tol=TOL).is_member
+    for bad in (np.inf, -np.inf, np.nan):
+        assert not hull_membership(np.array([bad, 0.0, 0.0, 0.0]), v, tol=TOL).is_member
 
 
 def test_verdicts_and_residuals_match_enumeration_oracle():
-    rng = np.random.default_rng(3)
-    center_hits = 0
-    for trial in range(25):
-        v = random_hull(rng, k=5, dim=4)
-        if trial % 2:
-            z = v.T @ rng.dirichlet(np.ones(5) * 0.4)       # member or face point
-        else:
-            z = rng.normal(size=4) * 1.5                     # usually outside
-        res = hull_membership(z, v, tol=TOL)
-        truth = hull_distance(z, v)
-        tau = TOL * (1 + np.linalg.norm(z))
-        assert res.is_member == (truth <= tau)
-        center = v.mean(axis=0)
-        in_sphere = np.linalg.norm(z - center) <= np.max(
-            np.linalg.norm(v - center, axis=1)) + tau
-        if in_sphere:
-            center_hits += 1
-            assert abs(res.residual - truth) <= 1e-9 * (1 + truth)
-    assert center_hits >= 10   # the exact-residual branch actually ran
+    for dim in (4, 16):   # a full-dimensional hull and a flat one
+        rng = np.random.default_rng(3)
+        center_hits = 0
+        for trial in range(25):
+            v = random_hull(rng, k=5, dim=dim)
+            if trial % 2:
+                z = v.T @ rng.dirichlet(np.ones(5) * 0.4)    # member or face point
+            else:
+                z = rng.normal(size=dim) * 1.5                # usually outside
+            res = hull_membership(z, v, tol=TOL)
+            truth = hull_distance(z, v)
+            tau = TOL * (1 + np.linalg.norm(z))
+            assert res.is_member == (truth <= tau)
+            center = v.mean(axis=0)
+            in_sphere = np.linalg.norm(z - center) <= np.max(
+                np.linalg.norm(v - center, axis=1)) + tau
+            if in_sphere:
+                center_hits += 1
+                assert abs(res.residual - truth) <= 1e-9 * (1 + truth)
+        assert center_hits >= 10   # the exact-residual branch actually ran
 
 
 def test_sphere_precheck_reports_nearest_vertex():
@@ -90,6 +93,17 @@ def test_sphere_precheck_reports_nearest_vertex():
     assert not res.is_member
     assert res.residual == 9.0                       # distance to (1, 0)
     np.testing.assert_array_equal(res.coefficients, [0.0, 1.0, 0.0])
+
+
+def test_solve_stopped_at_its_iteration_cap_is_not_a_member():
+    rng = np.random.default_rng(4)
+    v = random_hull(rng, k=10, dim=3)
+    z = v.mean(axis=0)
+    assert hull_membership(z, v, tol=TOL).is_member
+    res = hull_membership(z, v, tol=TOL, max_iters=1)
+    assert not res.is_member
+    nearest = np.min(np.linalg.norm(v - z, axis=1))
+    assert res.residual == nearest
 
 
 def test_single_vertex_hull():

@@ -415,7 +415,7 @@ LYING_HEADER_CHILD = """
 import struct, sys, time
 sys.stdin.buffer.read(32)
 out = sys.stdout.buffer
-out.write(b"BBGC" + struct.pack("<IIIQQ", 1, 0, 6, 2 ** 40, 0))
+out.write(b"BBGC" + struct.pack("<IIIQQ", 1, {latent_dim}, 6, {count}, 0))
 for _ in range(16):
     out.write(bytes(1 << 20))
     out.flush()
@@ -426,11 +426,26 @@ time.sleep(60)
 def test_subprocess_source_rejects_lying_reply_header():
     # the header promises 2**40 rows: the parent must stop at it, not read
     # the stream until the deadline
-    with SubprocessSource([sys.executable, "-c", LYING_HEADER_CHILD], 4, 6,
+    child_code = LYING_HEADER_CHILD.format(latent_dim=0, count=2 ** 40)
+    with SubprocessSource([sys.executable, "-c", child_code], 4, 6,
                           timeout=20.0) as src:
         child = src._child()
         start = time.monotonic()
         with pytest.raises(MalformedResponseError, match="1099511627776 rows"):
+            src.embed(np.zeros((2, 4)))
+        assert time.monotonic() - start < 10.0
+        assert child.poll() is not None
+
+
+def test_subprocess_source_rejects_reply_latent_dim():
+    # right count and embed_dim, but one record of latent_dim 2**28 would
+    # be 1 GiB: the parent must stop at the header
+    child_code = LYING_HEADER_CHILD.format(latent_dim=2 ** 28, count=2)
+    with SubprocessSource([sys.executable, "-c", child_code], 4, 6,
+                          timeout=20.0) as src:
+        child = src._child()
+        start = time.monotonic()
+        with pytest.raises(MalformedResponseError, match="latent_dim 268435456"):
             src.embed(np.zeros((2, 4)))
         assert time.monotonic() - start < 10.0
         assert child.poll() is not None
@@ -480,8 +495,9 @@ def test_subprocess_source_validation():
 class _Endpoint(http.server.BaseHTTPRequestHandler):
     source = None          # class-level: set per test
     fail_first = 0         # respond 500 to this many requests
-    mode = "ok"            # ok | reject | garbage | wrong-dim | short
+    mode = "ok"            # ok | reject | garbage | wrong-dim | short | stall
     requests = 0
+    release = None         # set at teardown to end a stalled reply
 
     def log_message(self, *a):
         pass
@@ -496,6 +512,15 @@ class _Endpoint(http.server.BaseHTTPRequestHandler):
             self.send_error(503)
             return
         body = self.rfile.read(int(self.headers["Content-Length"]))
+        if cls.mode == "stall":
+            # a header claiming 2**40 rows, then nothing; no Content-Length,
+            # so the client reads until the connection closes
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(store_format.pack_header(0, 6, 2 ** 40))
+            self.wfile.flush()
+            cls.release.wait(60)
+            return
         if cls.mode == "garbage":
             payload = b"not a frame"
         else:
@@ -518,10 +543,12 @@ def endpoint():
     _Endpoint.fail_first = 0
     _Endpoint.mode = "ok"
     _Endpoint.requests = 0
+    _Endpoint.release = threading.Event()
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Endpoint)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/embed"
+    _Endpoint.release.set()
     server.shutdown()
     thread.join()
 
@@ -577,6 +604,18 @@ def test_remote_source_short_reply(endpoint):
     src = RemoteSource(endpoint, 4, 6, retries=1, backoff=0.01)
     with pytest.raises(MalformedResponseError, match="4 rows"):
         src.embed(sample_latents(5, 4, seed=6))
+
+
+def test_remote_source_rejects_lying_reply_header(endpoint):
+    # the header promises 2**40 rows: the source must stop at it, not wait
+    # for a body that never comes
+    _Endpoint.mode = "stall"
+    src = RemoteSource(endpoint, 4, 6, retries=2, backoff=0.01, timeout=10.0)
+    start = time.monotonic()
+    with pytest.raises(MalformedResponseError, match="1099511627776 rows"):
+        src.embed(sample_latents(5, 4, seed=6))
+    assert time.monotonic() - start < 5.0
+    assert _Endpoint.requests == 1
 
 
 def test_open_source_ignores_connections():
