@@ -400,6 +400,11 @@ def load_plan(path: str) -> ImportanceSamplingPlan:
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "importance":
         raise ValueError(f"{path} is not an importance-sampling plan file")
+    max_iters, tol = doc.get("max_iters", 500), doc.get("tol", 1e-4)
+    if type(max_iters) is not int or max_iters < 1:
+        raise InvalidConfigError(f"{path}: max_iters must be an integer >= 1, got {max_iters!r}")
+    if type(tol) not in (int, float) or not 0.0 < tol < math.inf:
+        raise InvalidConfigError(f"{path}: tol must be finite and > 0, got {tol!r}")
     try:
         entries = tuple(
             _finish_entry(float(e["p"]), decode_matrix(e["vertices"]),
@@ -415,6 +420,6 @@ def load_plan(path: str) -> ImportanceSamplingPlan:
             reference_latent=np.asarray(doc["reference"]["latent"], dtype=np.float64),
             reference_embedding=np.asarray(doc["reference"]["embedding"], dtype=np.float64),
             r0=float(doc["r0"]), hull_size=int(doc["hull_size"]),
-            tol=float(doc.get("tol", 1e-4)), max_iters=int(doc.get("max_iters", 500)))
+            tol=float(tol), max_iters=max_iters)
     except (AttributeError, KeyError, TypeError) as exc:
         raise InvalidConfigError(f"{path}: malformed plan: {exc!r}") from exc

@@ -13,9 +13,11 @@ Three kinds exist:
 
 A frame is a store header and store records with one dim set to 0;
 :mod:`bbgc.store` owns that format, and this module only calls its
-codec.  Sources are context managers.  The adapters check only the
-framing of each reply, its header before its body is read;
-:func:`generate` is the one check of embedding values.
+codec.  The worker's requests, both adapters' replies and
+:func:`unpack_frame` all go through one reader, :func:`read_frame`,
+which checks the header before the body and stops at the frame's end.
+Sources are context managers.  The adapters check only the framing of
+each reply; :func:`generate` is the one check of embedding values.
 
 The synthetic model selects a planted mode when the latent falls inside
 a Euclidean ball around that mode's latent anchor; the ball radius is
@@ -32,9 +34,10 @@ matter how work is batched or parallelized.
 
 from __future__ import annotations
 
+import io
 import math
 import os
-import selectors
+import select
 import subprocess
 import tempfile
 import threading
@@ -321,24 +324,60 @@ def pack_frame(vectors: np.ndarray, as_latents: bool) -> bytes:
             + store_format.pack_records(lat, emb))
 
 
-def _frame_header(head: bytes) -> tuple[int, int, int]:
-    """(latent_dim, embed_dim, count) of a frame header.  This is the one
-    place where a store format error becomes a malformed response."""
-    try:
-        latent_dim, embed_dim, count, _seed = store_format.unpack_header(head)
-    except StoreFormatError as exc:
-        raise MalformedResponseError(f"bad frame header: {exc}") from exc
-    return latent_dim, embed_dim, count
+_READ_PIECE = 1 << 20
+
+
+def read_frame(read, check, truncated):
+    """(latent_dim, embed_dim, latents, embeddings, refs) of the next frame
+    that ``read(n)`` yields, or None if the stream ends before it starts.
+
+    ``check(latent_dim, embed_dim, count)`` sees the header before any
+    body byte is read.  Each read asks for at most ``_READ_PIECE`` bytes
+    that the count and the refs seen so far prove the frame still holds,
+    so the reader stops at the frame's end and a lying header sets no
+    allocation.  A stream that ends inside the frame raises
+    ``truncated(got)``, ``got`` being None in the header, else (records, count).
+    """
+    head_size = store_format.HEADER.size
+    buf = bytearray()
+    need, count, done = head_size, None, (0, 0)   # done: (bytes, records) scanned
+    while count is None or done[1] < count:
+        piece = read(min(need - len(buf), _READ_PIECE))
+        if not piece:
+            if not buf:
+                return None
+            raise truncated(None if count is None else (done[1], count))
+        buf += piece
+        if count is None and len(buf) == head_size:
+            try:   # the one place where a store format error becomes a malformed response
+                latent_dim, embed_dim, count, _seed = store_format.unpack_header(buf)
+            except StoreFormatError as exc:
+                raise MalformedResponseError(f"bad frame header: {exc}") from exc
+            check(latent_dim, embed_dim, count)
+            rec0 = store_format.record_size(latent_dim, embed_dim)
+        if count is not None:
+            done = store_format.scan_records(
+                memoryview(buf)[head_size:], latent_dim, embed_dim, count, done)
+            off = head_size + done[0]   # the first record not yet complete
+            need = off + (count - done[1]) * rec0
+            if len(buf) >= off + rec0:   # its ref_len (last 4 fixed bytes) is in
+                need += store_format.REF_LEN.unpack_from(buf, off + rec0 - 4)[0]
+    lat, emb, refs, _ = store_format.parse_records(
+        memoryview(buf)[head_size:], latent_dim, embed_dim, count)
+    return latent_dim, embed_dim, lat, emb, refs
+
+
+def _frame_truncated(got: tuple[int, int] | None) -> MalformedResponseError:
+    return MalformedResponseError(
+        "frame truncated: " + ("header" if got is None else "%d of %d records" % got))
 
 
 def unpack_frame(blob: bytes) -> tuple[int, int, np.ndarray, np.ndarray, list[bytes] | None]:
     """(latent_dim, embed_dim, latents, embeddings, refs) from one frame."""
-    latent_dim, embed_dim, count = _frame_header(blob)
-    lat, emb, refs, parsed = store_format.parse_records(
-        memoryview(blob)[store_format.HEADER.size:], latent_dim, embed_dim, count)
-    if parsed < count:
-        raise MalformedResponseError(f"frame truncated: {parsed} of {count} records")
-    return latent_dim, embed_dim, lat, emb, refs
+    frame = read_frame(io.BytesIO(blob).read, lambda *dims: None, _frame_truncated)
+    if frame is None:
+        raise _frame_truncated(None)
+    return frame
 
 
 class _BatchedSource(_Source):
@@ -360,20 +399,24 @@ class _BatchedSource(_Source):
     def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         raise NotImplementedError
 
-    def _check_reply_header(self, head: bytes, n: int, who: str) -> int:
-        """Check that a reply header promises ``n`` rows of this source's
-        embed_dim, with no latents or this source's latent_dim; returns
-        its latent_dim.  Callers run it before reading the body, so a
-        header that lies about the body's size fails at once."""
-        latent_dim, embed_dim, count = _frame_header(head)
-        if embed_dim != self.embed_dim or count != n:
-            raise MalformedResponseError(
-                f"{who} replied {count} rows of embed_dim {embed_dim}, "
-                f"expected {n} of {self.embed_dim}")
-        if latent_dim not in (0, self.latent_dim):
-            raise MalformedResponseError(
-                f"{who} replied latent_dim {latent_dim}, expected 0 or {self.latent_dim}")
-        return latent_dim
+    def _read_reply(self, read, n: int, who: str,
+                    closed) -> tuple[np.ndarray, list[bytes] | None]:
+        """(embeddings, refs) of a reply whose header promises ``n`` rows
+        of this source's embed_dim, with no latents or this source's
+        latent_dim.  A reply that ends early or never starts raises ``closed``."""
+        def check(latent_dim: int, embed_dim: int, count: int) -> None:
+            if embed_dim != self.embed_dim or count != n:
+                raise MalformedResponseError(
+                    f"{who} replied {count} rows of embed_dim {embed_dim}, "
+                    f"expected {n} of {self.embed_dim}")
+            if latent_dim not in (0, self.latent_dim):
+                raise MalformedResponseError(
+                    f"{who} replied latent_dim {latent_dim}, expected 0 or {self.latent_dim}")
+
+        frame = read_frame(read, check, closed)
+        if frame is None:
+            raise closed(None)
+        return frame[3], frame[4]
 
     def embed(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         z = np.ascontiguousarray(latents, dtype=np.float64)
@@ -441,38 +484,6 @@ class SubprocessSource(_BatchedSource):
         self._proc = None
         return f"{reason}" + (f" (child stderr: {tail})" if tail else "")
 
-    def _read_exactly(self, fd: int, deadline: float, n: int) -> bytes:
-        """Read one full reply frame of ``n`` rows from the child's stdout.
-
-        The header is checked as soon as it is in, so a header that lies
-        about the row count cannot keep the parent reading."""
-        head_size = store_format.HEADER.size
-        sel = selectors.DefaultSelector()
-        sel.register(fd, selectors.EVENT_READ)
-        buf = bytearray()
-        latent_dim: int | None = None
-        progress = (0, 0)   # (bytes, records) of the body parsed so far
-        try:
-            while True:
-                if progress[1] == n:
-                    return bytes(buf[:head_size + progress[0]])
-                budget = deadline - time.monotonic()
-                if budget <= 0:
-                    raise SourceTimeoutError(self._fail("child response timed out"))
-                if not sel.select(budget):
-                    continue
-                chunk = os.read(fd, 1 << 20)
-                if not chunk:
-                    raise SourceUnavailableError(self._fail("child closed its stdout"))
-                buf.extend(chunk)
-                if latent_dim is None and len(buf) >= head_size:
-                    latent_dim = self._check_reply_header(buf[:head_size], n, "child")
-                if latent_dim is not None:
-                    progress = store_format.scan_records(
-                        memoryview(buf)[head_size:], latent_dim, self.embed_dim, n, progress)
-        finally:
-            sel.close()
-
     def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         with self._lock:
             proc = self._child()
@@ -483,10 +494,20 @@ class SubprocessSource(_BatchedSource):
                 proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
                 raise SourceUnavailableError(self._fail(f"child rejected input: {exc}")) from exc
+            poller = select.poll()   # unlike select.select, takes any fd number
+            poller.register(proc.stdout, select.POLLIN)
+
+            def read(n: int) -> bytes:
+                budget = deadline - time.monotonic()
+                if budget <= 0 or not poller.poll(budget * 1000):
+                    raise SourceTimeoutError(self._fail("child response timed out"))
+                return os.read(proc.stdout.fileno(), n)
+
+            def closed(_got) -> SourceUnavailableError:
+                return SourceUnavailableError(self._fail("child closed its stdout"))
+
             try:
-                blob = self._read_exactly(proc.stdout.fileno(), deadline, len(latents))
-                _lat_dim, _embed_dim, _lat, emb, refs = unpack_frame(blob)
-                return emb, refs
+                return self._read_reply(read, len(latents), "child", closed)
             except MalformedResponseError:
                 self._fail("")
                 raise
@@ -540,10 +561,8 @@ class RemoteSource(_BatchedSource):
                 "Content-Type": "application/octet-stream"})
             try:
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    head = resp.read(store_format.HEADER.size)
-                    self._check_reply_header(head, len(latents), "endpoint")
-                    blob = head + resp.read()
-                break
+                    return self._read_reply(resp.read, len(latents), "endpoint",
+                                            _frame_truncated)
             except urllib.error.HTTPError as exc:
                 if 400 <= exc.code < 500:
                     raise SourceUnavailableError(
@@ -556,13 +575,10 @@ class RemoteSource(_BatchedSource):
                 last = exc
             except OSError as exc:
                 last = exc
-        else:
-            if timed_out:
-                raise SourceTimeoutError(f"endpoint timed out after {self.retries + 1} attempts") from last
-            raise SourceUnavailableError(
-                f"endpoint unreachable after {self.retries + 1} attempts: {last}") from last
-        _lat_dim, _embed_dim, _lat, emb, refs = unpack_frame(blob)
-        return emb, refs
+        if timed_out:
+            raise SourceTimeoutError(f"endpoint timed out after {self.retries + 1} attempts") from last
+        raise SourceUnavailableError(
+            f"endpoint unreachable after {self.retries + 1} attempts: {last}") from last
 
 
 # -- source specs --------------------------------------------------------------
@@ -637,39 +653,18 @@ def generate(source, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | Non
     return emb, refs
 
 
-_READ_PIECE = 1 << 20
-
-
-def _read_body(stdin, size: int) -> bytes:
-    """``size`` bytes of a request, read in bounded pieces: the size comes
-    from the request header, so a lying header must not set an allocation."""
-    pieces = []
-    while size > 0:
-        piece = stdin.read(min(size, _READ_PIECE))
-        if not piece:
-            raise SourceUnavailableError("truncated request body")
-        pieces.append(piece)
-        size -= len(piece)
-    return b"".join(pieces)
-
-
 def run_worker(source, stdin, stdout) -> None:
-    """Child side of the subprocess protocol: frames in, frames out, flush."""
-    header_size = store_format.HEADER.size
-    while True:
-        head = stdin.read(header_size)
-        if not head:
-            return
-        if len(head) < header_size:
-            raise SourceUnavailableError("truncated request header")
-        latent_dim, embed_dim, count = _frame_header(head)
+    """Child side of the subprocess protocol: frames in, frames out, flush.
+    A stream that ends between frames is a clean exit."""
+    def check(latent_dim: int, _embed_dim: int, _count: int) -> None:
         if latent_dim != source.latent_dim:
             raise MalformedResponseError(
                 f"request latent_dim {latent_dim}, source has {source.latent_dim}")
-        body = _read_body(stdin, count * store_format.record_size(latent_dim, embed_dim))
-        lat, _emb, _refs, parsed = store_format.parse_records(body, latent_dim, embed_dim, count)
-        if parsed < count:
-            raise MalformedResponseError("unparseable request body")
-        emb, _ = source.embed(lat)
+
+    def truncated(got) -> SourceUnavailableError:
+        return SourceUnavailableError("truncated request " + ("header" if got is None else "body"))
+
+    while (frame := read_frame(stdin.read, check, truncated)) is not None:
+        emb, _ = source.embed(frame[2])
         stdout.write(pack_frame(emb, as_latents=False))
         stdout.flush()

@@ -350,6 +350,22 @@ def test_bad_source_parameters_exit_3(tmp_path, capsys, parameters, message):
     assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [("max_iters", -1), ("tol", float("nan"))])
+def test_plan_with_bad_solver_settings_exits_3(pipeline, tmp_path, capsys, field, value):
+    plan = tmp_path / "plan.json"
+    assert main(["calibrate", "is", "--anchors", str(pipeline["anchors"]),
+                 "--pool", str(pipeline["pool"]), "--report", str(pipeline["report"]),
+                 "--hull-size", "40", "--seed", "5", "--out", str(plan)]) == 0
+    doc = read_json(str(plan))
+    doc[field] = value
+    plan.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--source", str(pipeline["spec"]), "--model", str(plan),
+                 "--anchors", "10", "--pool", "50", "--out", str(tmp_path / "e.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, doc", [
     ("calibrate", {"top_k": [5]}),
     ("calibrate", [1, 2]),

@@ -1,6 +1,7 @@
 """Hull projection, plan construction, and gated rejection sampling."""
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -445,4 +446,22 @@ def test_load_plan_rejects_bad_files(tmp_path):
     text = path.read_text().replace('"p": 0.2', '"p": 0.0')
     path.write_text(text)
     with pytest.raises(ValueError, match="outside"):
+        load_plan(str(path))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", -1), ("max_iters", 0), ("max_iters", 2.5), ("max_iters", "500"),
+    ("max_iters", True), ("tol", -1e-4), ("tol", 0.0), ("tol", float("nan")),
+    ("tol", float("inf")), ("tol", "1e-4"),
+])
+def test_load_plan_rejects_bad_iteration_cap_and_tolerance(tmp_path, field, value):
+    plan = build_plan(eight_row_pool(), [(unit(0), 0)], [5], r0=0.25, hull_size=3)
+    path = tmp_path / "plan.json"
+    save_plan(str(path), plan)
+    back = load_plan(str(path))   # what save_plan writes still loads
+    assert (back.max_iters, back.tol) == (500, 1e-4)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))   # nan and inf travel as NaN and Infinity
+    with pytest.raises(InvalidConfigError, match=field):
         load_plan(str(path))

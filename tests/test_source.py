@@ -2,6 +2,7 @@
 
 import http.server
 import io
+import itertools
 import json
 import struct
 import sys
@@ -20,6 +21,7 @@ from bbgc.errors import (
     SourceUnavailableError,
 )
 from bbgc.source import (
+    _READ_PIECE,
     RemoteSource,
     SourceSpec,
     SubprocessSource,
@@ -30,6 +32,7 @@ from bbgc.source import (
     load_source_spec,
     open_source,
     pack_frame,
+    read_frame,
     run_worker,
     sample_latents,
     unpack_frame,
@@ -308,6 +311,104 @@ def test_run_worker_reads_oversized_request_in_bounded_pieces():
     assert max(stdin.asked) <= 1 << 20
 
 
+def test_run_worker_answers_requests_with_refs():
+    src = synth(latent_dim=4, embed_dim=6)
+    lat = sample_latents(5, 4, seed=3)
+    refs = [b"", b"x" * 40, b"", b"y", b""]   # 40 bytes outgrow a record's fixed part
+    request = (store_format.pack_header(4, 0, 5)
+               + store_format.pack_records(lat, np.empty((5, 0)), refs))
+    stdout = io.BytesIO()
+    run_worker(src, io.BytesIO(request + request), stdout)
+    reply = pack_frame(src.embed(f32(lat))[0], as_latents=False)
+    assert stdout.getvalue() == reply + reply
+
+
+# -- frame reader -------------------------------------------------------------------
+
+class PieceReader:
+    """A stream that hands out at most the next of ``sizes`` bytes per read
+    and remembers every size it was asked for."""
+
+    def __init__(self, data, sizes):
+        self.data, self.pos, self.asked = data, 0, []
+        self.sizes = itertools.cycle(sizes)
+
+    def read(self, n):
+        self.asked.append(n)
+        piece = self.data[self.pos:self.pos + min(n, next(self.sizes))]
+        self.pos += len(piece)
+        return piece
+
+
+def ref_frame(seed, n, latent_dim, embed_dim, refs):
+    rng = np.random.default_rng(seed)
+    return (store_format.pack_header(latent_dim, embed_dim, n)
+            + store_format.pack_records(rng.normal(size=(n, latent_dim)),
+                                        rng.normal(size=(n, embed_dim)), refs))
+
+
+def assert_same_frame(got, want):
+    assert got[:2] == want[:2]
+    np.testing.assert_array_equal(got[2], want[2])
+    np.testing.assert_array_equal(got[3], want[3])
+    assert got[4] == want[4]
+
+
+def not_truncated(got):
+    return AssertionError(f"stream reported truncated at {got}")
+
+
+@pytest.mark.parametrize("sizes", [[1], [1, 7, 3, 50, 2, 33]])
+def test_read_frame_stops_at_the_frame_end(sizes):
+    # records of 3 + 5 floats have a 32-byte fixed part; one ref outgrows it
+    frames = [ref_frame(0, 5, 3, 5, [b"", b"a", b"", b"z" * 100, b""]),
+              ref_frame(1, 4, 3, 5, [b"", b"", b"bc", b""])]
+    reader = PieceReader(b"".join(frames), sizes)
+    seen = []
+    end = 0
+    for blob in frames:
+        got = read_frame(reader.read, lambda *dims: seen.append((dims, reader.pos)),
+                         not_truncated)
+        assert_same_frame(got, unpack_frame(blob))
+        end += len(blob)
+        assert reader.pos == end   # the next frame's bytes are left unread
+    # each header is checked before any byte of its body is read
+    assert seen == [((3, 5, 5), store_format.HEADER.size),
+                    ((3, 5, 4), len(frames[0]) + store_format.HEADER.size)]
+    assert read_frame(reader.read, lambda *dims: None, not_truncated) is None
+    assert max(reader.asked) <= _READ_PIECE
+
+
+def test_read_frame_reads_a_large_frame_in_bounded_pieces():
+    blob = ref_frame(2, 3000, 2, 128, None)   # 1.5 MiB
+    reader = PieceReader(blob + b"trailing", [1 << 30])
+    assert_same_frame(read_frame(reader.read, lambda *dims: None, not_truncated),
+                      unpack_frame(blob))
+    assert reader.pos == len(blob)
+    assert len(reader.asked) > 1 and max(reader.asked) <= _READ_PIECE
+
+
+def test_read_frame_reports_where_a_stream_ends():
+    blob = ref_frame(0, 5, 3, 5, [b"", b"a", b"", b"z" * 100, b""])
+    cut = {}
+
+    def truncated(got):
+        cut["got"] = got
+        return SourceUnavailableError("cut")
+
+    for data, got in [(blob[:20], None), (blob[:-60], (3, 5)), (blob[:-1], (4, 5))]:
+        with pytest.raises(SourceUnavailableError, match="cut"):
+            read_frame(PieceReader(data, [7]).read, lambda *dims: None, truncated)
+        assert cut.pop("got") == got
+    assert read_frame(PieceReader(b"", [7]).read, lambda *dims: None, truncated) is None
+    assert not cut
+
+
+def test_run_worker_reports_a_truncated_header():
+    with pytest.raises(SourceUnavailableError, match="truncated request header"):
+        run_worker(synth(latent_dim=4, embed_dim=6), io.BytesIO(b"BBGC"), io.BytesIO())
+
+
 # -- subprocess adapter ----------------------------------------------------------
 
 WORKER_CHILD = """
@@ -477,6 +578,42 @@ def test_subprocess_source_respawns_after_malformed_reply(tmp_path):
     np.testing.assert_array_equal(emb, f32(direct.embed(f32(lat))[0]))
 
 
+REFS_CHILD = """
+import itertools, struct, sys, time
+import numpy as np
+from bbgc import store
+from bbgc.source import SyntheticSource, build_synthetic_model, unpack_frame
+src = SyntheticSource(build_synthetic_model(
+    4, 6, 5, background=[{"weight": 1.0, "spread": 10.0}],
+    planted=[{"mass": 0.1, "spread": 0.1}]))
+inp, out = sys.stdin.buffer, sys.stdout.buffer
+for request in itertools.count():
+    head = inp.read(32)
+    if not head:
+        break
+    count = struct.unpack_from("<Q", head, 16)[0]
+    _, _, lat, _, _ = unpack_frame(head + inp.read(count * 20))
+    emb, _ = src.embed(lat)
+    refs = [b"r" * (i * 9) for i in range(count)] if request % 2 == 0 else None
+    reply = store.pack_header(0, 6, count) + store.pack_records(np.empty((count, 0)), emb, refs)
+    for lo in range(0, len(reply), 7):   # small pieces, short pauses
+        out.write(reply[lo:lo + 7])
+        out.flush()
+        time.sleep(0.001)
+"""
+
+
+def test_subprocess_source_returns_refs_sent_in_pieces():
+    direct = synth(latent_dim=4, embed_dim=6, planted=[{"mass": 0.1, "spread": 0.1}])
+    lat = sample_latents(12, 4, seed=8)
+    with SubprocessSource([sys.executable, "-c", REFS_CHILD], 4, 6,
+                          batch_size=5, timeout=20.0) as src:
+        emb, refs = src.embed(lat)
+    np.testing.assert_array_equal(emb, f32(direct.embed(f32(lat))[0]))
+    # the second batch's reply has no refs: its rows read as empty
+    assert refs == [b"r" * (i * 9) for i in range(5)] + [b""] * 5 + [b"", b"r" * 9]
+
+
 def test_subprocess_source_missing_binary():
     with SubprocessSource(["/nonexistent-worker-binary"], 4, 6) as src:
         with pytest.raises(SourceUnavailableError):
@@ -495,7 +632,8 @@ def test_subprocess_source_validation():
 class _Endpoint(http.server.BaseHTTPRequestHandler):
     source = None          # class-level: set per test
     fail_first = 0         # respond 500 to this many requests
-    mode = "ok"            # ok | reject | garbage | wrong-dim | short | stall
+    mode = "ok"            # ok | reject | garbage | wrong-dim | short | stall | refs
+                           # | huge-length | trailing
     requests = 0
     release = None         # set at teardown to end a stalled reply
 
@@ -531,8 +669,26 @@ class _Endpoint(http.server.BaseHTTPRequestHandler):
             if cls.mode == "short":
                 emb = emb[:-1]
             payload = pack_frame(emb, as_latents=False)
+            if cls.mode == "refs":   # refs on the first reply only
+                refs = [b"r" * (i * 9) for i in range(len(emb))] if cls.requests == 1 else None
+                payload = (store_format.pack_header(0, 6, len(emb))
+                           + store_format.pack_records(np.empty((len(emb), 0)), emb, refs))
         self.send_response(200)
-        self.send_header("Content-Length", str(len(payload)))
+        if cls.mode == "trailing":
+            # a valid frame, then junk until the stream stops by itself
+            self.end_headers()
+            self.wfile.write(payload)
+            stop = time.monotonic() + 3.5
+            try:
+                while time.monotonic() < stop:
+                    self.wfile.write(bytes(1 << 16))
+                    self.wfile.flush()
+                    time.sleep(0.05)
+            except OSError:   # the client has hung up
+                pass
+            return
+        length = 2 ** 40 if cls.mode == "huge-length" else len(payload)
+        self.send_header("Content-Length", str(length))
         self.end_headers()
         self.wfile.write(payload)
 
@@ -616,6 +772,31 @@ def test_remote_source_rejects_lying_reply_header(endpoint):
         src.embed(sample_latents(5, 4, seed=6))
     assert time.monotonic() - start < 5.0
     assert _Endpoint.requests == 1
+
+
+@pytest.mark.parametrize("mode", ["huge-length", "trailing"])
+def test_remote_source_reads_only_the_reply_frame(endpoint, mode):
+    # a Content-Length of 2**40, or junk after the frame: either way the
+    # source reads the frame and stops
+    _Endpoint.mode = mode
+    lat = sample_latents(8, 4, seed=6)
+    src = RemoteSource(endpoint, 4, 6, retries=0, timeout=10.0)
+    start = time.monotonic()
+    emb, refs = src.embed(lat)
+    assert time.monotonic() - start < 1.0
+    np.testing.assert_array_equal(emb, f32(_Endpoint.source.embed(f32(lat))[0]))
+    assert refs is None
+
+
+def test_remote_source_returns_refs(endpoint):
+    _Endpoint.mode = "refs"
+    lat = sample_latents(7, 4, seed=6)
+    src = RemoteSource(endpoint, 4, 6, batch_size=4)
+    emb, refs = src.embed(lat)
+    np.testing.assert_array_equal(emb, f32(_Endpoint.source.embed(f32(lat))[0]))
+    # the second reply has no refs: its rows read as empty
+    assert refs == [b"r" * (i * 9) for i in range(4)] + [b""] * 3
+    assert _Endpoint.requests == 2
 
 
 def test_open_source_ignores_connections():
