@@ -208,8 +208,11 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
         if anchor_embedding is None:
             raise ValueError("mccs_single needs anchor_embedding")
         sizes = _check_sizes(sizes, pool.count, "pool")
-        shuffled_pool = pool.embeddings[_shuffled(pool.count, seed)]
-        dots = shuffled_pool @ np.asarray(anchor_embedding, dtype=np.float64)
+        shuffled_pool = np.ascontiguousarray(pool.embeddings[_shuffled(pool.count, seed)],
+                                             dtype=np.float64)
+        # the scan's per-pair float64 kernel, so no BLAS rounds these dots
+        dots = np.einsum("ij,j->i", shuffled_pool,
+                         np.ascontiguousarray(anchor_embedding, dtype=np.float64))
         cos_t = math.cos(math.pi * theta)
         sims = np.zeros(pool.count, dtype=np.float64)
         near = dots > cos_t

@@ -7,12 +7,17 @@ exactly zero.  The collapse score (MCCS) compresses the mean similarity
 of an anchor against a comparison pool into [0, 1], with 0.5 hit when
 the mean similarity is 1/e.
 
-One batch kernel, :func:`scan`, reduces a single anchor x pool dot block
-per fixed-size anchor chunk to both neighbor counts and similarity sums.
-It compares dots against precomputed cosine thresholds instead of taking
-an arccos per pair: ``arccos`` is monotone decreasing, so ``d <= r`` and
-``dot >= cos(pi*r)`` pick the same pairs, and only the surviving pairs
-need transcendentals.  Sums run over whole rows inside each chunk.
+One batch kernel, :func:`scan`, reduces the anchor x pool pairs to both
+neighbor counts and similarity sums.  It compares dots against cosine
+thresholds instead of taking an arccos per pair: ``arccos`` is monotone
+decreasing, so ``d <= r`` and ``dot >= cos(pi*r)`` pick the same pairs,
+and only the surviving pairs need transcendentals.  A float32 GEMM over
+fixed tiles screens the pairs first, keeping every pair within a proven
+rounding margin of a threshold; each kept pair is then decided on its
+float64 dot, one einsum over the pair's two rows.  Counts and sums
+therefore depend neither on how BLAS rounds, threads or blocks a GEMM
+nor on the tile sizes.  Each row's terms are summed in column order by
+one ``np.sum``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, ZeroVectorError
-from .parallel import ANCHOR_CHUNK, run_chunks
+from .parallel import run_chunks
 
 _NORM_EPS = 1e-12
 
@@ -113,38 +118,108 @@ def mccs(mean_similarity: float) -> float:
     return 1.0 / (1.0 - math.log(s))
 
 
+# The scan's float32 screen runs over tiles of TILE_ROWS anchors x TILE_COLS
+# pool rows (more anchor rows when the pool is narrower): an 8 MB block.
+TILE_ROWS = 256
+TILE_COLS = 8192
+_U32 = 2.0 ** -24   # float32 unit roundoff
+# Pairs per float64 einsum: the gathered rows of a batch stay in cache.
+_PAIR_BATCH = 256
+
+
+def _screen_limit(cos_min: float, d: int, amax: float, pmax: float) -> np.float32:
+    """A float32 threshold that every float32 dot of casts keeps when the
+    float64 dot of the rows themselves is >= ``cos_min``; rows have dim ``d``
+    and norms at most ``amax`` and ``pmax``.
+
+    The float32 dot of the casts is within (gamma_d + 3u) * amax * pmax of
+    the exact dot (Higham, *Accuracy and Stability*, section 3.1: gamma_d
+    for the dot, 2u + u**2 for the casts, (1 + u)**2 on the cast norms),
+    plus d * 2**-149 * (amax + pmax + 1) where a float32 value underflows.
+    A fourth u covers the float64 dot, the norms and this arithmetic, each
+    off by far less than u for d <= 2**20.  Outside that range, or where a
+    float32 value could overflow (norms of 2**60 and up, or NaN), nothing
+    is screened out.
+    """
+    if d > 1 << 20 or not (amax < 2.0 ** 60 and pmax < 2.0 ** 60):
+        return np.float32(-np.inf)
+    gamma = d * _U32 / (1.0 - d * _U32)
+    g = (gamma + 4 * _U32) * amax * pmax + d * 2.0 ** -149 * (amax + pmax + 1.0)
+    # one float32 step below the nearest float32 is below cos_min - g itself
+    return np.nextafter(np.float32(cos_min - g), np.float32(-np.inf))
+
+
+def _pair_dots(anchors: np.ndarray, pool: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """Float64 dots of anchors[rows[k]] and pool[cols[k]], one einsum per
+    ``_PAIR_BATCH`` gathered pairs.
+
+    einsum sums each pair of contiguous rows in a fixed order, so every
+    dot's bits depend on the pair's two rows alone: not on BLAS, the tiles
+    or which other pairs share the call.
+    """
+    out = np.empty(rows.size)
+    for k in range(0, rows.size, _PAIR_BATCH):
+        part = slice(k, k + _PAIR_BATCH)
+        out[part] = np.einsum("ij,ij->i", anchors[rows[part]], pool[cols[part]])
+    return out
+
+
 def scan(anchors: np.ndarray, pool: np.ndarray, theta: float | None,
          radius: float | None) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-anchor (neighbor counts, mean similarities) from one pass.
 
     Counts include pairs exactly at ``radius``; pairs at distance >= theta
     add exactly 0 to the mean.  A ``None`` threshold skips that half and
-    returns ``None`` for it.
+    returns ``None`` for it.  A float32 GEMM screens out pairs that a
+    proven margin puts below both thresholds; every other pair is decided
+    on its float64 dot from :func:`_pair_dots`.
     """
     cos_r = None if radius is None else math.cos(math.pi * check_radius(radius))
     theta = None if theta is None else check_theta(theta)
     cos_t = None if theta is None else math.cos(math.pi * theta)
-    anchors = np.asarray(anchors, dtype=np.float64)
-    pool = np.asarray(pool, dtype=np.float64)
+    anchors = np.ascontiguousarray(anchors, dtype=np.float64)
+    pool = np.ascontiguousarray(pool, dtype=np.float64)
     if anchors.ndim != 2 or pool.ndim != 2 or anchors.shape[1] != pool.shape[1]:
         raise DimensionMismatchError(f"shapes {anchors.shape} and {pool.shape}")
+    n, d = pool.shape
+    cos_min = min(c for c in (cos_r, cos_t, math.inf) if c is not None)
+    anchors32, pool32 = anchors.astype(np.float32), pool.astype(np.float32)
+    anchor_sq = np.einsum("ij,ij->i", anchors, anchors)
+    pmax = math.sqrt(np.max(np.einsum("ij,ij->i", pool, pool), initial=0.0))
+    chunk = max(TILE_ROWS, TILE_ROWS * TILE_COLS // max(n, 1))
+    # every tile's float32 block reuses one buffer of at most 8 MB
+    block_buf = np.empty(min(chunk, anchors.shape[0]) * min(n, TILE_COLS), dtype=np.float32)
 
     def scan_chunk(lo: int, hi: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        dots = anchors[lo:hi] @ pool.T
-        counts = sums = None
-        if cos_r is not None:
-            counts = np.count_nonzero(dots >= cos_r, axis=1).astype(np.int64)
-        if cos_t is not None:
-            # survivors come out in row-major order, so each row's terms form
-            # one contiguous slice, summed by np.sum as a whole-row sum would be
-            near = dots > cos_t
-            terms = _terms(np.arccos(np.clip(dots[near], -1.0, 1.0)) / math.pi, theta)
-            ends = np.cumsum(np.count_nonzero(near, axis=1))
-            sums = np.array([np.sum(row) for row in np.split(terms, ends)[:-1]])
-        return counts, sums
+        limit = _screen_limit(cos_min, d, math.sqrt(np.max(anchor_sq[lo:hi], initial=0.0)),
+                              pmax)
+        counts = None if cos_r is None else np.zeros(hi - lo, dtype=np.int64)
+        tile_terms, tile_ends = [], []
+        # an empty pool still yields one (empty) tile
+        for c0 in range(0, max(n, 1), TILE_COLS):
+            tile = pool32[c0:c0 + TILE_COLS]
+            block = np.matmul(anchors32[lo:hi], tile.T,
+                              out=block_buf[:(hi - lo) * len(tile)].reshape(hi - lo, len(tile)))
+            # "not below" keeps a NaN dot, which the float64 dot then decides
+            rows, cols = np.divmod(np.flatnonzero(~(block < limit)), block.shape[1])
+            dots = _pair_dots(anchors[lo:hi], pool, rows, cols + c0)
+            if cos_r is not None:
+                counts += np.bincount(rows[dots >= cos_r], minlength=hi - lo)
+            if cos_t is not None:
+                near = dots > cos_t
+                tile_terms.append(_terms(np.arccos(np.clip(dots[near], -1.0, 1.0)) / math.pi,
+                                         theta))
+                tile_ends.append(np.cumsum(np.bincount(rows[near], minlength=hi - lo)))
+        if cos_t is None:
+            return counts, None
+        # each tile is row-major and tiles come in column order, so joining a
+        # row's piece of every tile lists its terms in column order
+        pieces = zip(*(np.split(t, e)[:-1] for t, e in zip(tile_terms, tile_ends)))
+        return counts, np.array([np.sum(np.concatenate(row)) for row in pieces])
 
     # an empty anchor set still yields one (empty) part of each dtype
-    parts = run_chunks(scan_chunk, anchors.shape[0], ANCHOR_CHUNK) or [scan_chunk(0, 0)]
+    parts = run_chunks(scan_chunk, anchors.shape[0], chunk) or [scan_chunk(0, 0)]
     counts, sums = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
     if theta is None:
         return counts, None

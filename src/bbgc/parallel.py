@@ -12,9 +12,9 @@ from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
-# Chunk sizes are part of the numeric contract: summation happens per
-# chunk, and BLAS may round a GEMM differently at another row count.
-ANCHOR_CHUNK = 64
+# k-means assignment chunks its GEMM by SAMPLE_CHUNK rows, and BLAS may
+# round a GEMM differently at another row count.  The anchor x pool scan
+# decides every pair on a per-pair dot, so its tile sizes set no bits.
 SAMPLE_CHUNK = 8192
 
 

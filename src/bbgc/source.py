@@ -362,8 +362,8 @@ def read_frame(read, check, truncated):
             need = off + (count - done[1]) * rec0
             if len(buf) >= off + rec0:   # its ref_len (last 4 fixed bytes) is in
                 need += store_format.REF_LEN.unpack_from(buf, off + rec0 - 4)[0]
-    lat, emb, refs, _ = store_format.parse_records(
-        memoryview(buf)[head_size:], latent_dim, embed_dim, count)
+    lat, emb, refs = store_format.parse_records(
+        memoryview(buf)[head_size:], latent_dim, embed_dim, done)
     return latent_dim, embed_dim, lat, emb, refs
 
 

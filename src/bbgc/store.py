@@ -227,14 +227,14 @@ def parse_header(head: bytes) -> tuple[int, int, int, int]:
 
 
 def parse_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
-                  count: int) -> tuple[np.ndarray, np.ndarray, list[bytes] | None, int]:
-    """Parse up to ``count`` records; returns (latents, embeddings, refs, parsed).
+                  scanned: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, list[bytes] | None]:
+    """(latents, embeddings, refs) of the records at the head of ``payload``
+    that :func:`scan_records` found; ``scanned`` is its (bytes, records).
 
-    ``parsed`` < ``count`` signals truncation; callers decide whether
-    that is fatal.  ``refs`` is None when every parsed ref is empty.
+    ``refs`` is None when every parsed ref is empty.
     """
     payload = memoryview(payload)
-    size, parsed = scan_records(payload, latent_dim, embed_dim, count)
+    size, parsed = scanned
     rec0 = record_size(latent_dim, embed_dim)
     fixed = rec0 - REF_LEN.size
     refs: list[bytes] | None = None
@@ -251,7 +251,7 @@ def parse_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
         grid = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(parsed, fixed)
     lat = grid[:, :4 * latent_dim].copy().view("<f4")
     emb = grid[:, 4 * latent_dim:fixed].copy().view("<f4")
-    return lat.astype(np.float64), emb.astype(np.float64), refs, parsed
+    return lat.astype(np.float64), emb.astype(np.float64), refs
 
 
 _TABLE_FIELDS = ("index", "latent", "embedding", "ref")
@@ -356,8 +356,10 @@ def read_store(path: str | os.PathLike, recover: bool = False) -> SampleStore:
     with open(path, "rb") as fh:
         blob = fh.read()
     latent_dim, embed_dim, count, seed = parse_header(blob)
-    lat, emb, refs, parsed = parse_records(memoryview(blob)[HEADER.size:],
-                                           latent_dim, embed_dim, count)
+    payload = memoryview(blob)[HEADER.size:]
+    scanned = scan_records(payload, latent_dim, embed_dim, count)
+    lat, emb, refs = parse_records(payload, latent_dim, embed_dim, scanned)
+    parsed = scanned[1]
     if parsed < count:
         if not recover:
             raise TruncatedStoreError(

@@ -132,39 +132,104 @@ def test_kernels_chunk_invariant(monkeypatch):
     b = unit_rows(20_000, 8, 7)
     base_counts = neighbor_counts(a, b, 0.25)
     base_sims = mean_similarities(a, b, 0.3)
-    monkeypatch.setattr(E, "ANCHOR_CHUNK", 17)
+    monkeypatch.setattr(E, "TILE_ROWS", 17)
     np.testing.assert_array_equal(E.neighbor_counts(a, b, 0.25), base_counts)
     np.testing.assert_array_equal(E.mean_similarities(a, b, 0.3), base_sims)
 
 
+def pair_dots(x, b):
+    """Reference float64 dots of one anchor with every pool row: one einsum
+    over the pairs gathered as (anchor row, pool row)."""
+    return np.einsum("ij,ij->i", np.repeat(x[None], b.shape[0], axis=0), b)
+
+
 def row_by_row_mean_similarities(a, b, theta):
-    """Reference: each row's surviving terms summed on their own."""
-    dots = a @ b.T
+    """Reference: each row's surviving terms, from per-pair float64 einsum
+    dots, summed on their own in column order."""
     out = np.empty(a.shape[0])
-    for i, row in enumerate(dots):
+    for i, x in enumerate(a):
+        row = pair_dots(x, b)
         near = row[row > math.cos(math.pi * theta)]
         d = np.arccos(np.clip(near, -1.0, 1.0)) / math.pi
         out[i] = np.sum(np.expm1(np.maximum(theta - d, 0.0)))
     return out / (math.expm1(theta) * b.shape[0])
 
 
-def test_scan_matches_both_views_bit_for_bit(monkeypatch):
-    # one pass yields exactly what the single-purpose views and a row-by-row
-    # reference return, also with chunk boundaries that fall mid-block and
-    # rows with more survivors than one pairwise-sum block
-    import bbgc.embedding as E
+def dense_rows():
+    # rows with more survivors than one pairwise-sum block, and than one tile
     a = unit_rows(150, 8, 8)
     b = unit_rows(3_000, 8, 9)
     b[:400] = a[:40].repeat(10, axis=0)
+    return a, b
+
+
+def test_scan_matches_both_views_bit_for_bit():
+    # one pass yields exactly what the single-purpose views and a per-pair
+    # reference return
+    a, b = dense_rows()
     base_counts = neighbor_counts(a, b, 0.25)
     base_sims = mean_similarities(a, b, 0.3)
+    want_counts = [int(np.sum(pair_dots(x, b) >= math.cos(math.pi * 0.25))) for x in a]
+    assert base_counts.tolist() == want_counts
     assert base_sims.tobytes() == row_by_row_mean_similarities(a, b, 0.3).tobytes()
-    monkeypatch.setattr(E, "ANCHOR_CHUNK", 17)
     counts, sims = scan(a, b, 0.3, 0.25)
     assert counts.tobytes() == base_counts.tobytes()
     assert sims.tobytes() == base_sims.tobytes()
     assert counts.dtype == np.int64 and sims.dtype == np.float64
     assert scan(a, b, None, 0.25)[1] is None and scan(a, b, 0.3, None)[0] is None
+
+
+@pytest.mark.parametrize("rows,cols", [(17, 1000), (5, 33), (1, 4096)])
+def test_scan_bits_do_not_depend_on_tile_sizes(monkeypatch, rows, cols):
+    # tiles change which pairs share a GEMM and a float64 einsum, never the bits
+    import bbgc.embedding as E
+    a, b = dense_rows()
+    base = [scan(a, b, theta, 0.25) for theta in (0.3, 0.05)]
+    monkeypatch.setattr(E, "TILE_ROWS", rows)
+    monkeypatch.setattr(E, "TILE_COLS", cols)
+    for theta, (counts, sims) in zip((0.3, 0.05), base):
+        got_counts, got_sims = scan(a, b, theta, 0.25)
+        assert got_counts.tobytes() == counts.tobytes()
+        assert got_sims.tobytes() == sims.tobytes()
+
+
+def test_scan_keeps_pairs_whose_float32_dot_misses_the_cutoff():
+    # Each pair's float64 dot lies just above its cutoff, while the float32
+    # dot of the casts falls more than one float32 step below it: every
+    # component casts down by almost half an ulp, and the float32 products
+    # and sums are exact in any order, so no BLAS can round them back up.
+    u = 2.0 ** -24
+    up = 1 + 0.4999 * 2.0 ** -23   # casts to float32 1.0
+    a, b = np.zeros((2, 46)), np.zeros((3, 46))
+    a[0, :31], b[0, :31] = up, 2.0 ** -5 * up   # float32 dot 31/32
+    a[1, 31:], b[1, 31:] = up, 2.0 ** -4 * up   # float32 dot 15/16
+    b[2, :31] = 2.0 ** -5 * (1 - 2.0 ** -20)    # float64 dot just below 31/32
+    radius = math.acos(31 / 32 + 1.7 * u) / math.pi
+    theta = math.acos(15 / 16 + 1.7 * u) / math.pi
+    cos_r, cos_t = math.cos(math.pi * radius), math.cos(math.pi * theta)
+    for q, cutoff in ((31 / 32, cos_r), (15 / 16, cos_t)):
+        assert np.float32(q) < np.nextafter(np.float32(cutoff), np.float32(-np.inf))
+    assert pair_dots(a[0], b)[0] >= cos_r and pair_dots(a[1], b)[1] > cos_t
+    counts, sims = scan(a, b, theta, radius)
+    assert counts.tolist() == [int(np.sum(pair_dots(x, b) >= cos_r)) for x in a] == [1, 0]
+    assert sims.tobytes() == row_by_row_mean_similarities(a, b, theta).tobytes()
+    assert sims[1] > 0.0
+
+
+def test_scan_memory_stays_bounded():
+    # the scan holds float32 casts, one fixed tile and the surviving terms,
+    # never an anchor-chunk x pool float64 block
+    import tracemalloc
+    a = unit_rows(64, 8, 11)
+    for n in (100_000, 400_000):
+        b = unit_rows(n, 8, 12)
+        tracemalloc.start()
+        try:
+            scan(a, b, 0.3, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b.nbytes / 2 + 32 * 2 ** 20, (n, peak)
 
 
 def test_scan_empty_anchor_set():

@@ -29,8 +29,8 @@ def test_run_chunks_in_order_on_calling_thread():
 
 
 def test_diagnose_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # each 64-row chunk GEMM (64 x 128 x 2e4) is far above the size at
-    # which OpenBLAS splits a call across its threads
+    # each float32 screen GEMM of the scan (256 x 128 x 8192) is far above
+    # the size at which OpenBLAS splits a call across its threads
     spec = tmp_path / "source.json"
     spec.write_text(json.dumps(spec_dict(NEAR_CUTOFFS, 3)))
     anchors, pool = tmp_path / "a.bbgc", tmp_path / "c.bbgc"

@@ -25,6 +25,8 @@ from bbgc.store import (
     StoreWriter,
     export_table,
     latents_disjoint,
+    pack_records,
+    parse_records,
     read_header,
     read_store,
     scan_records,
@@ -259,6 +261,26 @@ def test_scan_records_fast_path_matches_scalar_scan(refs):
             head = scan_records(memoryview(body)[:cut], 3, 2, count)
             assert head == _scalar_scan(body[:cut], fixed, count)
             assert scan_records(memoryview(body), 3, 2, count, head) == whole
+
+
+def test_parse_records_cuts_what_the_caller_scanned(monkeypatch):
+    # the caller's (bytes, records) is the one scan: parse_records cuts out
+    # those records, refs included, without scanning again
+    import bbgc.store as store
+    lat, emb = make_data(5, 3, 2, seed=4)
+    refs = [b"", b"x" * 9, b"", b"abc", b""]
+    body = pack_records(lat, emb, refs) + b"tail"
+    scanned = scan_records(memoryview(body), 3, 2, 4)
+
+    def rescan(*args):
+        raise AssertionError("records scanned twice")
+
+    monkeypatch.setattr(store, "scan_records", rescan)
+    got_lat, got_emb, got_refs = parse_records(body, 3, 2, scanned)
+    np.testing.assert_array_equal(got_lat, lat[:4].astype(np.float32))
+    np.testing.assert_array_equal(got_emb, emb[:4].astype(np.float32))
+    assert got_refs == refs[:4]
+    assert parse_records(body, 3, 2, (0, 0))[2] is None
 
 
 def test_latents_disjoint():
