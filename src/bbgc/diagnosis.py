@@ -208,11 +208,11 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
         if anchor_embedding is None:
             raise ValueError("mccs_single needs anchor_embedding")
         sizes = _check_sizes(sizes, pool.count, "pool")
-        shuffled_pool = np.ascontiguousarray(pool.embeddings[_shuffled(pool.count, seed)],
-                                             dtype=np.float64)
-        # the scan's per-pair float64 kernel, so no BLAS rounds these dots
-        dots = np.einsum("ij,j->i", shuffled_pool,
+        # the scan's per-pair float64 kernel, so no BLAS rounds these dots; a row's
+        # dot does not depend on where the row sits, so shuffle the dots, not the pool
+        dots = np.einsum("ij,j->i", np.ascontiguousarray(pool.embeddings, dtype=np.float64),
                          np.ascontiguousarray(anchor_embedding, dtype=np.float64))
+        dots = dots[_shuffled(pool.count, seed)]
         cos_t = math.cos(math.pi * theta)
         sims = np.zeros(pool.count, dtype=np.float64)
         near = dots > cos_t

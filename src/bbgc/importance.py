@@ -183,6 +183,8 @@ def hull_membership(z: np.ndarray, vertices: np.ndarray, tol: float = 1e-4,
     z = np.asarray(z, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 1 or z.shape != (v.shape[1],):
         raise ValueError(f"vertices {v.shape} vs query {z.shape}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     k = v.shape[0]
     tau = tol * (1.0 + float(np.linalg.norm(z)))
 

@@ -354,14 +354,14 @@ def read_frame(read, check, truncated):
             except StoreFormatError as exc:
                 raise MalformedResponseError(f"bad frame header: {exc}") from exc
             check(latent_dim, embed_dim, count)
-            rec0 = store_format.record_size(latent_dim, embed_dim)
+            rec = store_format.record_dtype(latent_dim, embed_dim)
         if count is not None:
             done = store_format.scan_records(
                 memoryview(buf)[head_size:], latent_dim, embed_dim, count, done)
             off = head_size + done[0]   # the first record not yet complete
-            need = off + (count - done[1]) * rec0
-            if len(buf) >= off + rec0:   # its ref_len (last 4 fixed bytes) is in
-                need += store_format.REF_LEN.unpack_from(buf, off + rec0 - 4)[0]
+            need = off + (count - done[1]) * rec.itemsize
+            if len(buf) >= off + rec.itemsize:   # its ref_len is in
+                need += int(np.frombuffer(buf, rec, 1, off)["ref_len"][0])
     lat, emb, refs = store_format.parse_records(
         memoryview(buf)[head_size:], latent_dim, embed_dim, done)
     return latent_dim, embed_dim, lat, emb, refs
@@ -656,10 +656,12 @@ def generate(source, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | Non
 def run_worker(source, stdin, stdout) -> None:
     """Child side of the subprocess protocol: frames in, frames out, flush.
     A stream that ends between frames is a clean exit."""
-    def check(latent_dim: int, _embed_dim: int, _count: int) -> None:
+    def check(latent_dim: int, embed_dim: int, _count: int) -> None:
         if latent_dim != source.latent_dim:
             raise MalformedResponseError(
                 f"request latent_dim {latent_dim}, source has {source.latent_dim}")
+        if embed_dim != 0:   # requests carry latents only
+            raise MalformedResponseError(f"request embed_dim {embed_dim}, expected 0")
 
     def truncated(got) -> SourceUnavailableError:
         return SourceUnavailableError("truncated request " + ("header" if got is None else "body"))

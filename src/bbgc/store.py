@@ -6,7 +6,9 @@ float32 on disk and promoted to float64 in memory.  Layout:
 
     header:  magic "BBGC" | u32 version | u32 latent_dim
              | u32 embed_dim | u64 count | u64 seed
-    record:  latent_dim * f32 | embed_dim * f32 | u32 ref_len | ref bytes
+    record:  record_dtype(latent_dim, embed_dim), the packed numpy structure
+             latent <f4[latent_dim] | embedding <f4[embed_dim] | ref_len <u4,
+             then ref_len ref bytes
 
 The wire frames of :mod:`bbgc.source` are the same header and records
 with one dim set to 0, so this module is the one codec for both: the
@@ -32,6 +34,7 @@ from .errors import (
     BadMagicError,
     DimensionMismatchError,
     NonFiniteError,
+    StoreFormatError,
     TruncatedStoreError,
     VersionMismatchError,
 )
@@ -85,9 +88,10 @@ def _check_batch(latents: np.ndarray, embeddings: np.ndarray,
     return latents, embeddings
 
 
-def record_size(latent_dim: int, embed_dim: int) -> int:
-    """Bytes of one record whose ref is empty."""
-    return 4 * latent_dim + 4 * embed_dim + REF_LEN.size
+def record_dtype(latent_dim: int, embed_dim: int) -> np.dtype:
+    """The fixed part of one record, with no padding; its ref bytes follow."""
+    return np.dtype([("latent", "<f4", (latent_dim,)), ("embedding", "<f4", (embed_dim,)),
+                     ("ref_len", "<u4")])
 
 
 def pack_header(latent_dim: int, embed_dim: int, count: int, seed: int = 0) -> bytes:
@@ -95,8 +99,8 @@ def pack_header(latent_dim: int, embed_dim: int, count: int, seed: int = 0) -> b
 
 
 def unpack_header(head: bytes) -> tuple[int, int, int, int]:
-    """(latent_dim, embed_dim, count, seed) of a header whose length, magic
-    and version are this format's.  A dim may be 0, as in a wire frame."""
+    """(latent_dim, embed_dim, count, seed) of a header whose length, magic,
+    version and record size are this format's.  A dim may be 0, as in a wire frame."""
     if len(head) < HEADER.size:
         raise TruncatedStoreError(f"header needs {HEADER.size} bytes, got {len(head)}")
     magic, version, latent_dim, embed_dim, count, seed = HEADER.unpack(head[:HEADER.size])
@@ -104,6 +108,8 @@ def unpack_header(head: bytes) -> tuple[int, int, int, int]:
         raise BadMagicError(f"magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise VersionMismatchError(f"version {version}, expected {VERSION}")
+    if 4 * (latent_dim + embed_dim + 1) >= 2 ** 31:   # numpy caps a dtype there and wraps past
+        raise StoreFormatError(f"a {latent_dim}x{embed_dim} record exceeds 2**31 - 1 bytes")
     return latent_dim, embed_dim, count, seed
 
 
@@ -111,13 +117,11 @@ def pack_records(latents: np.ndarray, embeddings: np.ndarray,
                  refs: Sequence[bytes] | None = None) -> bytes:
     """The records of rows of (latents, embeddings, refs), vectors cast to
     float32.  ``refs`` None means every ref is empty."""
-    lat32 = np.ascontiguousarray(latents, dtype="<f4")
-    emb32 = np.ascontiguousarray(embeddings, dtype="<f4")
-    ref_lens = np.zeros(len(lat32)) if refs is None else [len(r) for r in refs]
-    rec = np.hstack([lat32.view(np.uint8), emb32.view(np.uint8),
-                     np.asarray(ref_lens, dtype="<u4")[:, None].view(np.uint8)])
+    rec = np.zeros(len(latents), record_dtype(np.shape(latents)[1], np.shape(embeddings)[1]))
+    rec["latent"], rec["embedding"] = latents, embeddings
     if refs is None:
         return rec.tobytes()
+    rec["ref_len"] = [len(r) for r in refs]
     return b"".join(row.tobytes() + ref for row, ref in zip(rec, refs))
 
 
@@ -127,25 +131,24 @@ def scan_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
     at most ``count``.  ``start`` is what an earlier call returned on a
     prefix of the same payload; the scan resumes there.  Both figures are
     bounded by what ``payload`` holds, whatever ``count`` claims."""
-    rec0 = record_size(latent_dim, embed_dim)
-    fixed = rec0 - REF_LEN.size
+    rec = record_dtype(latent_dim, embed_dim)
+    ref_at = rec.fields["ref_len"][1]
     off, done = start
     size = len(payload)
     # The complete fixed-stride slots at the head whose ref_len fields read
     # 0 are empty-ref records (induction on record starts); the scalar loop
     # resumes at the first other.
-    run = min(count - done, (size - off) // rec0)
+    run = min(count - done, (size - off) // rec.itemsize)
     if run > 0:
-        grid = np.frombuffer(payload[off:off + run * rec0], dtype=np.uint8).reshape(run, rec0)
-        with_ref = np.flatnonzero(grid[:, fixed:].copy().view("<u4")[:, 0])
+        with_ref = np.flatnonzero(np.frombuffer(payload, rec, run, off)["ref_len"])
         empty = int(with_ref[0]) if with_ref.size else run
-        off += empty * rec0
+        off += empty * rec.itemsize
         done += empty
-    while done < count and off + rec0 <= size:
-        (ref_len,) = REF_LEN.unpack(payload[off + fixed:off + rec0])
-        if off + rec0 + ref_len > size:
+    while done < count and off + rec.itemsize <= size:
+        end = off + rec.itemsize + REF_LEN.unpack_from(payload, off + ref_at)[0]
+        if end > size:
             break
-        off += rec0 + ref_len
+        off = end
         done += 1
     return off, done
 
@@ -235,23 +238,21 @@ def parse_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
     """
     payload = memoryview(payload)
     size, parsed = scanned
-    rec0 = record_size(latent_dim, embed_dim)
-    fixed = rec0 - REF_LEN.size
+    rec = record_dtype(latent_dim, embed_dim)
+    ref_at = rec.fields["ref_len"][1]
     refs: list[bytes] | None = None
-    if size == parsed * rec0:   # every parsed ref is empty
-        grid = np.frombuffer(payload[:size], dtype=np.uint8).reshape(parsed, rec0)
-    else:
+    fixed = payload[:size]
+    if size != parsed * rec.itemsize:   # some parsed ref is not empty
         rows, refs = [], []
         off = 0
         for _ in range(parsed):
-            (ref_len,) = REF_LEN.unpack(payload[off + fixed:off + rec0])
-            rows.append(payload[off:off + fixed])
-            refs.append(bytes(payload[off + rec0:off + rec0 + ref_len]))
-            off += rec0 + ref_len
-        grid = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(parsed, fixed)
-    lat = grid[:, :4 * latent_dim].copy().view("<f4")
-    emb = grid[:, 4 * latent_dim:fixed].copy().view("<f4")
-    return lat.astype(np.float64), emb.astype(np.float64), refs
+            end = off + rec.itemsize
+            rows.append(payload[off:end])
+            off = end + REF_LEN.unpack_from(payload, off + ref_at)[0]
+            refs.append(bytes(payload[end:off]))
+        fixed = b"".join(rows)
+    records = np.frombuffer(fixed, rec, parsed)
+    return records["latent"].astype(np.float64), records["embedding"].astype(np.float64), refs
 
 
 _TABLE_FIELDS = ("index", "latent", "embedding", "ref")

@@ -262,6 +262,16 @@ def test_oversized_store_count_exits_3(pipeline, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_oversized_store_record_exits_3(tmp_path, capsys, count):
+    bad = tmp_path / "wide.bbgc"
+    bad.write_bytes(HEADER.pack(MAGIC, VERSION, 2 ** 31, 1, count, 0) + bytes(64))
+    capsys.readouterr()
+    assert main(["report", "--store", str(bad), "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "exceeds" in err and "Traceback" not in err
+
+
 def test_calibration_errors_exit_4(pipeline, tmp_path):
     assert main(["calibrate", "gmm", "--source", str(pipeline["spec"]),
                  "--anchors", str(pipeline["anchors"]), "--report", str(pipeline["report"]),
@@ -438,6 +448,14 @@ def test_worker_oversized_request_exits_5(pipeline, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", stdin)
     assert main(["worker", "--source", str(pipeline["spec"])]) == 5
     assert "truncated request body" in capsys.readouterr().err
+
+
+def test_worker_request_with_embeddings_exits_5(pipeline, monkeypatch, capsys):
+    head = HEADER.pack(MAGIC, VERSION, 2, 2 ** 28, 1, 0)
+    stdin = io.TextIOWrapper(io.BufferedReader(io.BytesIO(head + bytes(64))))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["worker", "--source", str(pipeline["spec"])]) == 5
+    assert "request embed_dim 268435456" in capsys.readouterr().err
 
 
 def test_worker_dim_mismatch_exit_3(pipeline):

@@ -161,6 +161,21 @@ def test_mccs_single_curve_matches_direct_recompute():
         assert abs(v - direct) <= 1e-12
 
 
+def test_mccs_single_curve_holds_no_copy_of_the_pool():
+    # the curve takes one dot per pool row and shuffles those, not the rows
+    import tracemalloc
+    pool = make_store(100_000, 32, 23)
+    anchor = make_store(1, 32, 24).embeddings[0]
+    tracemalloc.start()
+    try:
+        convergence_curve("mccs_single", pool, [100, 100_000], 0.3, seed=25,
+                          anchor_embedding=anchor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pool.embeddings.nbytes, peak
+
+
 def test_population_curves_match_direct_recompute():
     pool = make_store(300, 8, 19)
     anchors = make_store(60, 8, 20)

@@ -117,6 +117,14 @@ def test_single_vertex_hull():
     np.testing.assert_allclose(res.residual, np.sqrt(3.0), atol=1e-12)
 
 
+def test_hull_membership_rejects_a_negative_iteration_cap():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    z = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="max_iters"):
+        hull_membership(z, square, max_iters=-1)
+    assert hull_membership(z, square, max_iters=0).is_member   # 0 is scipy's default cap
+
+
 def test_hull_membership_validation():
     v = np.zeros((3, 2))
     with pytest.raises(ValueError):

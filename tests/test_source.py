@@ -266,6 +266,13 @@ def test_unpack_frame_rejects_oversized_count():
         unpack_frame(head + good[store_format.HEADER.size:])
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_unpack_frame_rejects_an_oversized_record(count):
+    head = store_format.HEADER.pack(store_format.MAGIC, store_format.VERSION, 2 ** 31, 0, count, 0)
+    with pytest.raises(MalformedResponseError, match="exceeds"):
+        unpack_frame(head + bytes(64))
+
+
 # -- worker loop ----------------------------------------------------------------
 
 def test_run_worker_round_trip():
@@ -309,6 +316,17 @@ def test_run_worker_reads_oversized_request_in_bounded_pieces():
     with pytest.raises(SourceUnavailableError, match="truncated request body"):
         run_worker(src, stdin, io.BytesIO())
     assert max(stdin.asked) <= 1 << 20
+
+
+def test_run_worker_rejects_embeddings_before_reading_them():
+    # requests carry latents only; a header that promises embeddings is refused
+    # before its body is read
+    src = synth(latent_dim=4, embed_dim=6)
+    head = store_format.HEADER.pack(store_format.MAGIC, store_format.VERSION, 4, 2 ** 28, 1, 0)
+    stdin = RecordingReader(head + bytes(1 << 20))
+    with pytest.raises(MalformedResponseError, match="embed_dim"):
+        run_worker(src, stdin, io.BytesIO())
+    assert stdin.tell() == store_format.HEADER.size
 
 
 def test_run_worker_answers_requests_with_refs():

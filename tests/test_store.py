@@ -12,6 +12,7 @@ from bbgc.errors import (
     BadMagicError,
     DimensionMismatchError,
     NonFiniteError,
+    StoreFormatError,
     TruncatedStoreError,
     VersionMismatchError,
 )
@@ -25,6 +26,7 @@ from bbgc.store import (
     StoreWriter,
     export_table,
     latents_disjoint,
+    pack_header,
     pack_records,
     parse_records,
     read_header,
@@ -204,17 +206,63 @@ def test_recover_with_refs(tmp_path):
 
 
 def test_store_bytes_match_hand_assembled_layout(tmp_path):
-    lat = np.array([[1.5, -2.0], [0.25, 3.0]])
-    emb = np.array([[0.5, 0.5, -1.0], [1.0, 0.0, 2.0]])
-    head = MAGIC + struct.pack("<IIIQQ", 1, 2, 3, 2, 0x0102030405060708)
-    row0 = struct.pack("<5f", 1.5, -2.0, 0.5, 0.5, -1.0)
-    row1 = struct.pack("<5f", 0.25, 3.0, 1.0, 0.0, 2.0)
-    for refs, want in (
-            ([b"ab", b""], head + row0 + struct.pack("<I", 2) + b"ab" + row1 + bytes(4)),
-            (None, head + row0 + bytes(4) + row1 + bytes(4))):
-        path = tmp_path / "pinned.bbgc"
-        write_store(path, lat, emb, seed=0x0102030405060708, refs=refs)
-        assert path.read_bytes() == want
+    seed = 0x0102030405060708
+    full_lat = np.array([[1.5, -2.0], [0.25, 3.0]])
+    full_emb = np.array([[0.5, 0.5, -1.0], [1.0, 0.0, 2.0]])
+    # a 0 dim is a wire frame, which has no store file
+    for latent_dim, embed_dim in ((2, 3), (1, 1), (0, 1), (1, 0), (0, 3), (2, 0)):
+        lat, emb = full_lat[:, :latent_dim], full_emb[:, :embed_dim]
+        for refs in (None, [b"ab", b""], [b"", b"xyz"]):
+            head = MAGIC + struct.pack("<IIIQQ", 1, latent_dim, embed_dim, 2, seed)
+            body = b"".join(
+                struct.pack(f"<{latent_dim + embed_dim}fI", *lat[i], *emb[i], len(ref)) + ref
+                for i, ref in enumerate(refs or [b"", b""]))
+            assert pack_header(latent_dim, embed_dim, 2, seed) + pack_records(lat, emb, refs) \
+                == head + body, (latent_dim, embed_dim, refs)
+            got_lat, got_emb, got_refs = parse_records(body, latent_dim, embed_dim, (len(body), 2))
+            np.testing.assert_array_equal(got_lat, lat)
+            np.testing.assert_array_equal(got_emb, emb)
+            assert got_lat.shape == (2, latent_dim) and got_emb.shape == (2, embed_dim)
+            assert got_refs == (None if refs is None or not any(refs) else refs)
+            if latent_dim and embed_dim:
+                path = tmp_path / "pinned.bbgc"
+                write_store(path, lat, emb, seed=seed, refs=refs)
+                assert path.read_bytes() == head + body
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_header_promising_an_oversized_record_is_a_format_error(tmp_path, count):
+    # u32 dims allow a record of ~32 GiB; numpy cannot describe one past 2**31 - 1 bytes
+    blob = HEADER.pack(MAGIC, VERSION, 2 ** 31, 1, count, 0) + bytes(64)
+    path = tmp_path / "wide.bbgc"
+    path.write_bytes(blob)
+    for recover in (False, True):
+        with pytest.raises(StoreFormatError, match="exceeds"):
+            read_store(path, recover=recover)
+    # the largest dims that still fit are read as usual
+    top = (2 ** 31 - 1) // 4 - 2
+    path.write_bytes(HEADER.pack(MAGIC, VERSION, top, 1, 0, 0))
+    assert read_store(path).latent_dim == top
+    path.write_bytes(HEADER.pack(MAGIC, VERSION, top + 1, 1, 0, 0))
+    with pytest.raises(StoreFormatError, match="exceeds"):
+        read_store(path)
+
+
+def test_read_store_holds_the_file_and_its_float64_arrays(tmp_path):
+    # parsing goes from the file bytes straight to float64, with no float32 copy between
+    import tracemalloc
+    path = tmp_path / "big.bbgc"
+    lat, emb = make_data(100_000, 8, 32, seed=3)
+    write_store(path, lat, emb, seed=0)
+    del lat, emb
+    tracemalloc.start()
+    try:
+        st = read_store(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = st.latents.nbytes + st.embeddings.nbytes
+    assert peak < path.stat().st_size + arrays + 2 ** 20, peak
 
 
 # -- record scan ------------------------------------------------------------------
