@@ -94,79 +94,3 @@ from .store import (
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AcceptanceStallError",
-    "AcceptanceStats",
-    "BadMagicError",
-    "BbgcError",
-    "CalibrationError",
-    "ConsistencyResult",
-    "ConvergenceCurve",
-    "DegenerateDataError",
-    "DenseModeResult",
-    "DiagnosisError",
-    "DimensionMismatchError",
-    "EmptyClusterError",
-    "EmptyCollectionError",
-    "EmptyModeListError",
-    "EmptyStoreError",
-    "HullMembership",
-    "ImportanceSamplingPlan",
-    "InvalidConfigError",
-    "KTooLargeError",
-    "MalformedResponseError",
-    "MccsValue",
-    "MixtureModel",
-    "NonFiniteError",
-    "OverlappingCollectionsError",
-    "PlanEntry",
-    "PopulationStats",
-    "RemoteSource",
-    "SampleStore",
-    "SizesOutOfRangeError",
-    "SourceError",
-    "SourceSpec",
-    "SourceTimeoutError",
-    "SourceUnavailableError",
-    "StoreFormatError",
-    "StoreWriter",
-    "SubprocessSource",
-    "SyntheticSource",
-    "TooFewAnchorsError",
-    "TruncatedStoreError",
-    "VersionMismatchError",
-    "ZeroDenseCountError",
-    "ZeroVectorError",
-    "build_plan",
-    "build_report",
-    "build_synthetic_model",
-    "calibrate_gmm",
-    "convergence_curve",
-    "cosine_distance",
-    "export_table",
-    "find_worst_mode",
-    "generate",
-    "hull_membership",
-    "kmeans_fit",
-    "latents_disjoint",
-    "load_mixture",
-    "load_plan",
-    "load_source_spec",
-    "mccs",
-    "mccs_of_mean",
-    "mode_consistency_check",
-    "open_source",
-    "population_stats",
-    "read_header",
-    "read_store",
-    "run_worker",
-    "sample_calibrated",
-    "sample_calibrated_is",
-    "sample_latents",
-    "save_mixture",
-    "save_plan",
-    "similarity",
-    "top_k_modes",
-    "write_store",
-]

@@ -49,7 +49,7 @@ _ROLE_STREAMS = {"anchors": STREAM_ANCHORS, "pool": STREAM_POOL}
 _AFTER_ANCHORS_SALT = 0xA11C40125
 _AFTER_POOL_SALT = 0xC011EC7104
 
-_GEN_BATCH = 65536
+_GEN_BATCH = 65536   # rows per batch that `sample` streams into its store
 _REFERENCE_PROBES = 256
 
 
@@ -97,18 +97,6 @@ def _provenance(seed: int, **paths: str) -> dict:
     for name, path in paths.items():
         inputs[name] = {"path": os.fspath(path), "sha256": _sha256_file(path)}
     return {"seed": int(seed), "inputs": inputs}
-
-
-def _embed_all(src, latents: np.ndarray) -> np.ndarray:
-    """Embed in batches of ``_GEN_BATCH`` rows, which bounds the source's
-    working memory per call; the result is one array of all rows."""
-    parts = []
-    for lo in range(0, len(latents), _GEN_BATCH):
-        emb, _ = sources.generate(src, latents[lo:lo + _GEN_BATCH])
-        parts.append(emb)
-    if not parts:
-        return np.empty((0, src.embed_dim), dtype=np.float64)
-    return np.concatenate(parts, axis=0)
 
 
 def _out_prefix(path: str) -> str:
@@ -280,14 +268,14 @@ def cmd_evaluate(args, parser) -> int:
                                               args.seed, STREAM_EVAL_ANCHORS)
         before_c_lat = sources.sample_latents(args.pool, spec.latent_dim,
                                               args.seed, STREAM_EVAL_POOL)
-        before_a = stores.SampleStore(before_a_lat, _embed_all(src, before_a_lat),
-                                      seed=args.seed)
-        before_c = stores.SampleStore(before_c_lat, _embed_all(src, before_c_lat),
-                                      seed=args.seed)
-        after_a = stores.SampleStore(after_a_lat, _embed_all(src, after_a_lat),
-                                     seed=seed_a)
-        after_c = stores.SampleStore(after_c_lat, _embed_all(src, after_c_lat),
-                                     seed=seed_c)
+        before_a = stores.SampleStore(
+            before_a_lat, sources.generate(src, before_a_lat)[0], seed=args.seed)
+        before_c = stores.SampleStore(
+            before_c_lat, sources.generate(src, before_c_lat)[0], seed=args.seed)
+        after_a = stores.SampleStore(
+            after_a_lat, sources.generate(src, after_a_lat)[0], seed=seed_a)
+        after_c = stores.SampleStore(
+            after_c_lat, sources.generate(src, after_c_lat)[0], seed=seed_c)
 
     before = diagnosis.build_report(before_a, before_c, args.theta, args.radius,
                                     k=args.k, seed=args.seed)

@@ -65,7 +65,7 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NonFiniteError("distance operands must be finite")
     dot = float(np.dot(a, b))
     return math.acos(min(1.0, max(-1.0, dot))) / math.pi
@@ -100,12 +100,12 @@ def similarity(distance, theta: float):
     """
     theta = check_theta(theta)
     d = np.asarray(distance, dtype=np.float64)
-    if np.any(d < 0) or np.any(d > 1) or not np.all(np.isfinite(d)):
+    if not np.all((d >= 0.0) & (d <= 1.0)):   # NaN fails both comparisons
         raise ValueError("distances must lie in [0, 1]")
-    # dividing by the helper's own value at distance 0, not math.expm1(theta),
-    # keeps that value exactly 1 where the two expm1s differ in the last bit
-    s = _terms(d, theta) / _terms(0.0, theta)
-    return float(s) if np.isscalar(distance) or d.ndim == 0 else s
+    # np.expm1(theta) is _terms(0.0, theta) bit for bit, so distance 0 maps to
+    # exactly 1; math.expm1(theta) can differ from it in the last bit
+    s = _terms(d, theta) / np.expm1(theta)
+    return float(s) if d.ndim == 0 else s
 
 
 def mccs(mean_similarity: float) -> float:

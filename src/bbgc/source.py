@@ -29,7 +29,9 @@ behind ``scipy.stats``' ``chi2.ppf`` and ``ncx2.ppf``, so the radii are
 the same bits without that module's import cost.  Everything else about a
 latent (background component choice, angular noise) comes from hashing
 the latent's bits, so generation is order-independent and identical no
-matter how work is batched or parallelized.
+matter how work is batched or parallelized.  The synthetic embed works
+through fixed blocks of ``_EMBED_ROWS`` rows, which bound its working
+memory; each row is computed alone, so its result does not depend on them.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ _NOISE_SALT = 0x4E4F49534553414C54 % (1 << 64)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 _UNIT_NORM_TOL = 1e-4   # 32-bit wire format tolerance
+
+_EMBED_ROWS = 4096   # rows per block of the synthetic embed
 
 
 def sample_latents(n: int, latent_dim: int, seed: int,
@@ -253,22 +257,40 @@ class SyntheticSource(_Source):
     def embed_dim(self) -> int:
         return self.model.embed_dim
 
-    def _noise_rows(self, hashes: np.ndarray) -> np.ndarray:
-        """Per-latent standard-normal noise, a pure function of the hash."""
-        d = self.model.embed_dim
-        cols = (np.arange(1, d + 1, dtype=np.uint64)) * _GOLDEN
+    @staticmethod
+    def _perturb(center: np.ndarray, spread: float, hashes: np.ndarray) -> np.ndarray:
+        """``center`` moved along per-latent tangent noise of scale ``spread``;
+        the noise is a pure function of each latent's hash."""
+        if spread == 0.0:
+            return np.broadcast_to(center, (len(hashes), len(center)))
+        cols = np.arange(1, len(center) + 1, dtype=np.uint64) * _GOLDEN
         with np.errstate(over="ignore"):
             grid = hashes[:, None] + cols[None, :]
-        return ndtri(hash_to_unit(splitmix64(grid)))
-
-    def _perturb(self, center: np.ndarray, spread: float, noise: np.ndarray) -> np.ndarray:
-        if spread == 0.0:
-            return np.broadcast_to(center, noise.shape).copy()
+        noise = ndtri(hash_to_unit(splitmix64(grid)))
         # reduce per row rather than via BLAS: gemv kernels round differently
         # depending on row count, which would make results batch-dependent
         coef = np.add.reduce(noise * center, axis=1)
         tangent = noise - np.outer(coef, center)
         return normalize_rows(center[None, :] + spread * tangent)
+
+    def _components(self, z: np.ndarray) -> np.ndarray:
+        """Each row's component: the first planted mode whose ball holds it,
+        else ``len(planted)`` plus the background component its hash selects."""
+        m = self.model
+        label = np.full(len(z), -1, dtype=np.int64)
+        for j, mode in enumerate(m.planted):
+            if mode.ball_radius2 == 0.0:
+                continue
+            hit = label < 0
+            if not math.isinf(mode.ball_radius2):
+                hit &= np.sum((z - mode.latent_anchor) ** 2, axis=1) <= mode.ball_radius2
+            label[hit] = j
+        rest = label < 0
+        if rest.any():
+            u = hash_to_unit(hash_latents(self._select_seed, z[rest]))
+            idx = np.searchsorted(m.weights_cum, u, side="right")
+            label[rest] = len(m.planted) + np.minimum(idx, len(m.background) - 1)
+        return label
 
     def embed(self, latents: np.ndarray) -> tuple[np.ndarray, None]:
         m = self.model
@@ -276,40 +298,18 @@ class SyntheticSource(_Source):
         if z.ndim != 2 or z.shape[1] != m.latent_dim:
             raise MalformedResponseError(
                 f"latents shape {z.shape}, expected (*, {m.latent_dim})")
-        n = z.shape[0]
-        out = np.empty((n, m.embed_dim), dtype=np.float64)
-
-        chosen = np.full(n, -1, dtype=np.int64)   # planted mode index or -1
-        for j, mode in enumerate(m.planted):
-            if mode.ball_radius2 == 0.0:
-                continue
-            if math.isinf(mode.ball_radius2):
-                hit = chosen < 0
-            else:
-                d2 = np.sum((z - mode.latent_anchor) ** 2, axis=1)
-                hit = (d2 <= mode.ball_radius2) & (chosen < 0)
-            chosen[hit] = j
-
-        background_rows = chosen < 0
-        comp = np.empty(n, dtype=np.int64)
-        if background_rows.any():
-            u = hash_to_unit(hash_latents(self._select_seed, z[background_rows]))
-            idx = np.searchsorted(m.weights_cum, u, side="right")
-            comp[background_rows] = np.minimum(idx, len(m.background) - 1)
-
-        noise_h = hash_latents(self._noise_seed, z)
-        for j, mode in enumerate(m.planted):
-            rows = chosen == j
-            if not rows.any():
-                continue
-            noise = self._noise_rows(noise_h[rows]) if mode.spread else np.empty((int(rows.sum()), m.embed_dim))
-            out[rows] = self._perturb(mode.center, mode.spread, noise)
-        for b, component in enumerate(m.background):
-            rows = background_rows & (comp == b)
-            if not rows.any():
-                continue
-            noise = self._noise_rows(noise_h[rows]) if component.spread else np.empty((int(rows.sum()), m.embed_dim))
-            out[rows] = self._perturb(component.center, component.spread, noise)
+        out = np.empty((len(z), m.embed_dim), dtype=np.float64)
+        components = m.planted + m.background
+        for lo in range(0, len(z), _EMBED_ROWS):
+            block = z[lo:lo + _EMBED_ROWS]
+            label = self._components(block)
+            hashes = hash_latents(self._noise_seed, block)
+            out_block = out[lo:lo + _EMBED_ROWS]
+            for c, component in enumerate(components):
+                rows = label == c
+                if rows.any():
+                    out_block[rows] = self._perturb(component.center, component.spread,
+                                                    hashes[rows])
         return out, None
 
 

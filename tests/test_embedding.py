@@ -17,7 +17,7 @@ from bbgc.embedding import (
     scan,
     similarity,
 )
-from bbgc.errors import NonFiniteError, ZeroVectorError
+from bbgc.errors import DimensionMismatchError, NonFiniteError, ZeroVectorError
 
 from oracles import mp_distance, mp_similarity, naive_distance, naive_similarity
 
@@ -90,6 +90,31 @@ def test_normalize_rejects_degenerate_input():
         normalize(np.array([1.0, np.nan]))
     with pytest.raises(NonFiniteError):
         normalize_rows(np.array([[1.0, 0.0], [np.inf, 1.0]]))
+
+
+OUT_OF_RANGE = (math.nan, math.inf, -math.inf, -0.1, 1.1)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+E4 = np.eye(4)
+
+
+def poisoned(bad):
+    v = E4[0].copy()
+    v[2] = bad
+    return v
+
+
+@pytest.mark.parametrize("fn, args, error", [
+    *[(similarity, (bad, 0.5), ValueError) for bad in OUT_OF_RANGE],
+    *[(similarity, (np.array([0.0, 0.5, bad, 1.0]), 0.5), ValueError) for bad in OUT_OF_RANGE],
+    *[(cosine_distance, (poisoned(bad), E4[1]), NonFiniteError) for bad in NON_FINITE],
+    *[(cosine_distance, (E4[1], poisoned(bad)), NonFiniteError) for bad in NON_FINITE],
+    (cosine_distance, (E4[0], np.eye(5)[0]), DimensionMismatchError),
+    (cosine_distance, (E4[:2], E4[:2]), DimensionMismatchError),
+    (cosine_distance, (E4[0], E4[:1]), DimensionMismatchError),
+])
+def test_distance_and_similarity_reject_invalid_input(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
 
 
 def test_neighbor_counts_against_naive():

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bbgc.errors import (
     SourceUnavailableError,
 )
 from bbgc.source import (
+    _EMBED_ROWS,
     _READ_PIECE,
     RemoteSource,
     SourceSpec,
@@ -186,6 +188,40 @@ def test_embed_is_pure_and_batch_invariant():
     perm = np.random.default_rng(0).permutation(300)
     shuffled, _ = src.embed(lat[perm])
     np.testing.assert_array_equal(shuffled, whole[perm])
+
+    # rows across block boundaries split off any block multiple; planted and
+    # background components with and without spread; an infinite ball
+    mixed = synth(latent_dim=4,
+                  background=[{"weight": 1.0, "spread": 0.0}, {"weight": 2.0, "spread": 0.7}],
+                  planted=[{"mass": 0.05, "spread": 0.2, "latent_norm": 5.0},
+                           {"mass": 0.1, "spread": 0.0, "latent_norm": 0.0}])
+    everywhere = synth(planted=[{"mass": 1.0, "spread": 0.3}])
+    n = 2 * _EMBED_ROWS + 5
+    for source, cut, labels in [(src, _EMBED_ROWS + 1234, {0, 1}),
+                                (mixed, 1234, {0, 1, 2, 3}),
+                                (everywhere, 113, {0})]:
+        lat = sample_latents(n, source.latent_dim, seed=9)
+        assert set(np.unique(source._components(lat))) == labels
+        whole, _ = source.embed(lat)
+        parts = np.vstack([source.embed(lat[:cut])[0], source.embed(lat[cut:])[0]])
+        np.testing.assert_array_equal(whole, parts)
+        for i in (0, _EMBED_ROWS - 1, _EMBED_ROWS, n - 1):
+            np.testing.assert_array_equal(source.embed(lat[i:i + 1])[0][0], whole[i])
+        perm = np.random.default_rng(1).permutation(n)
+        np.testing.assert_array_equal(source.embed(lat[perm])[0], whole[perm])
+
+
+def test_embed_working_memory_is_bounded():
+    # blocks of _EMBED_ROWS rows: no full-size temporaries beside the output
+    src = synth(embed_dim=128, planted=[{"mass": 0.01, "spread": 0.0}])
+    lat = sample_latents(100_000, 8, seed=1)
+    tracemalloc.start()
+    try:
+        emb, _ = src.embed(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < emb.nbytes + 32 * 2 ** 20, peak
 
 
 def test_background_mixture_frequencies():
