@@ -49,7 +49,7 @@ _ROLE_STREAMS = {"anchors": STREAM_ANCHORS, "pool": STREAM_POOL}
 _AFTER_ANCHORS_SALT = 0xA11C40125
 _AFTER_POOL_SALT = 0xC011EC7104
 
-_GEN_BATCH = 65536   # rows per batch that `sample` streams into its store
+_GEN_BATCH = 8192   # rows per batch that `sample` streams into its store
 _REFERENCE_PROBES = 256
 
 

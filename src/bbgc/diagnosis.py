@@ -24,6 +24,7 @@ from .embedding import (
     mccs as mccs_of_mean,
     mean_similarities,
     neighbor_counts,
+    row_dots,
     scan,
 )
 from .errors import (
@@ -97,7 +98,7 @@ def check_disjoint(anchors: SampleStore, pool: SampleStore) -> None:
 def expected_similarity(anchor_embedding: np.ndarray, pool_embeddings: np.ndarray,
                         theta: float) -> float:
     """Mean truncated-exponential similarity of one anchor over a pool."""
-    pool_embeddings = np.asarray(pool_embeddings, dtype=np.float64)
+    pool_embeddings = np.asarray(pool_embeddings)   # float32 stays float32 for the scan
     if pool_embeddings.ndim != 2 or pool_embeddings.shape[0] == 0:
         raise EmptyCollectionError("pool must be a non-empty matrix")
     anchor = np.asarray(anchor_embedding, dtype=np.float64)
@@ -210,8 +211,7 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
         sizes = _check_sizes(sizes, pool.count, "pool")
         # the scan's per-pair float64 kernel, so no BLAS rounds these dots; a row's
         # dot does not depend on where the row sits, so shuffle the dots, not the pool
-        dots = np.einsum("ij,j->i", np.ascontiguousarray(pool.embeddings, dtype=np.float64),
-                         np.ascontiguousarray(anchor_embedding, dtype=np.float64))
+        dots = row_dots(pool.embeddings, np.ascontiguousarray(anchor_embedding, dtype=np.float64))
         dots = dots[_shuffled(pool.count, seed)]
         cos_t = math.cos(math.pi * theta)
         sims = np.zeros(pool.count, dtype=np.float64)

@@ -14,10 +14,13 @@ decreasing, so ``d <= r`` and ``dot >= cos(pi*r)`` pick the same pairs,
 and only the surviving pairs need transcendentals.  A float32 GEMM over
 fixed tiles screens the pairs first, keeping every pair within a proven
 rounding margin of a threshold; each kept pair is then decided on its
-float64 dot, one einsum over the pair's two rows.  Counts and sums
-therefore depend neither on how BLAS rounds, threads or blocks a GEMM
-nor on the tile sizes.  Each row's terms are summed in column order by
-one ``np.sum``.
+float64 dot, one einsum over the pair's two rows.  A float32 operand,
+such as the strided embedding view of a store, is the screen operand
+itself; only the rows a float64 kernel reads are upcast, which is exact.
+Counts and sums therefore depend neither on how BLAS rounds, threads or
+blocks a GEMM, nor on the tile sizes, nor on whether the embeddings come
+as float32 or as their float64 upcast.  Each row's terms are summed in
+column order by one ``np.sum``.
 """
 
 from __future__ import annotations
@@ -125,6 +128,8 @@ TILE_COLS = 8192
 _U32 = 2.0 ** -24   # float32 unit roundoff
 # Pairs per float64 einsum: the gathered rows of a batch stay in cache.
 _PAIR_BATCH = 256
+# Rows per float64 copy in row_dots: 8 MB at embed 128.
+_ROW_BLOCK = 8192
 
 
 def _screen_limit(cos_min: float, d: int, amax: float, pmax: float) -> np.float32:
@@ -152,7 +157,7 @@ def _screen_limit(cos_min: float, d: int, amax: float, pmax: float) -> np.float3
 def _pair_dots(anchors: np.ndarray, pool: np.ndarray, rows: np.ndarray,
                cols: np.ndarray) -> np.ndarray:
     """Float64 dots of anchors[rows[k]] and pool[cols[k]], one einsum per
-    ``_PAIR_BATCH`` gathered pairs.
+    ``_PAIR_BATCH`` gathered pairs, upcast after the gather.
 
     einsum sums each pair of contiguous rows in a fixed order, so every
     dot's bits depend on the pair's two rows alone: not on BLAS, the tiles
@@ -161,7 +166,25 @@ def _pair_dots(anchors: np.ndarray, pool: np.ndarray, rows: np.ndarray,
     out = np.empty(rows.size)
     for k in range(0, rows.size, _PAIR_BATCH):
         part = slice(k, k + _PAIR_BATCH)
-        out[part] = np.einsum("ij,ij->i", anchors[rows[part]], pool[cols[part]])
+        out[part] = np.einsum("ij,ij->i", np.asarray(anchors[rows[part]], dtype=np.float64),
+                              np.asarray(pool[cols[part]], dtype=np.float64))
+    return out
+
+
+def row_dots(m: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """Float64 dot of each row of ``m`` with ``v``, or with itself when
+    ``v`` is None: the per-pair kernel of :func:`_pair_dots`, taken over
+    contiguous float64 copies of ``_ROW_BLOCK`` rows at a time.
+
+    Each row's bits depend on that row alone, and a float32 ``m`` gets
+    the bits of its (exact) float64 upcast without a full-size copy.
+    """
+    out = np.empty(len(m))
+    for lo in range(0, len(m), _ROW_BLOCK):
+        block = np.ascontiguousarray(m[lo:lo + _ROW_BLOCK], dtype=np.float64)
+        out[lo:lo + _ROW_BLOCK] = np.einsum("ij,ij->i", block, block) if v is None \
+            else np.einsum("ij,j->i", block, v)
+        del block   # else it lives on while the next one is made
     return out
 
 
@@ -178,15 +201,16 @@ def scan(anchors: np.ndarray, pool: np.ndarray, theta: float | None,
     cos_r = None if radius is None else math.cos(math.pi * check_radius(radius))
     theta = None if theta is None else check_theta(theta)
     cos_t = None if theta is None else math.cos(math.pi * theta)
-    anchors = np.ascontiguousarray(anchors, dtype=np.float64)
-    pool = np.ascontiguousarray(pool, dtype=np.float64)
+    # a float32 operand, strided view included, is its own screen operand
+    anchors, pool = (x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+                     for x in (np.asarray(anchors), np.asarray(pool)))
     if anchors.ndim != 2 or pool.ndim != 2 or anchors.shape[1] != pool.shape[1]:
         raise DimensionMismatchError(f"shapes {anchors.shape} and {pool.shape}")
     n, d = pool.shape
     cos_min = min(c for c in (cos_r, cos_t, math.inf) if c is not None)
-    anchors32, pool32 = anchors.astype(np.float32), pool.astype(np.float32)
-    anchor_sq = np.einsum("ij,ij->i", anchors, anchors)
-    pmax = math.sqrt(np.max(np.einsum("ij,ij->i", pool, pool), initial=0.0))
+    anchors32, pool32 = (x.astype(np.float32, copy=False) for x in (anchors, pool))
+    anchor_sq = row_dots(anchors)
+    pmax = math.sqrt(np.max(row_dots(pool), initial=0.0))
     chunk = max(TILE_ROWS, TILE_ROWS * TILE_COLS // max(n, 1))
     # every tile's float32 block reuses one buffer of at most 8 MB
     block_buf = np.empty(min(chunk, anchors.shape[0]) * min(n, TILE_COLS), dtype=np.float32)

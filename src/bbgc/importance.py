@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .embedding import check_radius, neighbor_counts
+from .embedding import check_radius, neighbor_counts, row_dots
 from .errors import (
     AcceptanceStallError,
     EmptyStoreError,
@@ -250,7 +250,8 @@ def build_plan(pool: SampleStore, dense_modes: Sequence[tuple[np.ndarray, int]],
         if dc == 0:
             raise ZeroDenseCountError(
                 f"mode at anchor {mode_idx[j]} has no neighbors within {r0}")
-        dots = np.clip(pool.embeddings @ mode_embs[j], -1.0, 1.0)
+        # the scan's per-pair float64 kernel: no BLAS rounding picks a vertex
+        dots = np.clip(row_dots(pool.embeddings, mode_embs[j]), -1.0, 1.0)
         nearest = np.argsort(np.arccos(dots), kind="stable")[:size]
         p = min(1.0, ref_count / dc)
         entries.append(_finish_entry(p, pool.latents[np.sort(nearest)], dc,
@@ -263,7 +264,7 @@ def build_plan(pool: SampleStore, dense_modes: Sequence[tuple[np.ndarray, int]],
     return ImportanceSamplingPlan(
         entries=tuple(entries), reference_index=refs[0],
         reference_latent=pool.latents[refs[0]].copy(),
-        reference_embedding=pool.embeddings[refs[0]].copy(),
+        reference_embedding=pool.embeddings[refs[0]].astype(np.float64),
         r0=float(r0), hull_size=int(hull_size))
 
 

@@ -79,7 +79,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 _UNIT_NORM_TOL = 1e-4   # 32-bit wire format tolerance
 
-_EMBED_ROWS = 4096   # rows per block of the synthetic embed
+_EMBED_ROWS = 4096   # rows per block of the synthetic embed and of the norm check
 
 
 def sample_latents(n: int, latent_dim: int, seed: int,
@@ -425,7 +425,8 @@ class _BatchedSource(_Source):
                 f"latents shape {z.shape}, expected (*, {self.latent_dim})")
         results = [self._request(z[lo:lo + self.batch_size])
                    for lo in range(0, z.shape[0], self.batch_size)]
-        embs = np.concatenate([r[0] for r in results]) if results else np.empty((0, self.embed_dim))
+        embs = (np.concatenate([r[0] for r in results]) if results
+                else np.empty((0, self.embed_dim), dtype=np.float32))
         refs: list[bytes] | None = None
         if any(r[1] is not None for r in results):
             refs = []
@@ -642,14 +643,18 @@ def generate(source, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | Non
     """Embed latents through a source: the one check of the values it returns.
 
     Every row must have unit norm within ``_UNIT_NORM_TOL``; a row holding
-    NaN or inf fails the same test.
+    NaN or inf fails the same test.  Norms are taken in float64 over blocks
+    of ``_EMBED_ROWS`` rows, so a float32 reply gets the verdict of its
+    upcast and the check holds no full-size temporary.
     """
     emb, refs = source.embed(latents)
-    norms = np.linalg.norm(emb, axis=1)
-    bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise MalformedResponseError(f"source returned embedding {i} with norm {norms[i]:.6f}")
+    for lo in range(0, len(emb), _EMBED_ROWS):
+        norms = np.linalg.norm(np.asarray(emb[lo:lo + _EMBED_ROWS], dtype=np.float64), axis=1)
+        bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise MalformedResponseError(
+                f"source returned embedding {lo + i} with norm {norms[i]:.6f}")
     return emb, refs
 
 

@@ -2,7 +2,9 @@
 
 A store is one file holding (latent, embedding, ref) records plus a
 fixed 32-byte header.  All scalars are little-endian; vectors are
-float32 on disk and promoted to float64 in memory.  Layout:
+float32 on disk.  A reader returns latents as float64 and embeddings as
+a read-only float32 view of the file or frame bytes, with no copy.
+Layout:
 
     header:  magic "BBGC" | u32 version | u32 latent_dim
              | u32 embed_dim | u64 count | u64 seed
@@ -50,7 +52,7 @@ class SampleStore:
     """In-memory view of a store file."""
 
     latents: np.ndarray      # (count, latent_dim) float64
-    embeddings: np.ndarray   # (count, embed_dim) float64
+    embeddings: np.ndarray   # (count, embed_dim) float32 as read; float32 or float64 if built
     seed: int
     refs: list[bytes] | None = None   # None means every ref is empty
 
@@ -73,7 +75,7 @@ class SampleStore:
 def _check_batch(latents: np.ndarray, embeddings: np.ndarray,
                  latent_dim: int, embed_dim: int) -> tuple[np.ndarray, np.ndarray]:
     latents = np.asarray(latents, dtype=np.float64)
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    embeddings = _float_rows(embeddings)
     if latents.ndim != 2 or latents.shape[1] != latent_dim:
         raise DimensionMismatchError(
             f"latents shape {latents.shape}, expected (*, {latent_dim})")
@@ -86,6 +88,13 @@ def _check_batch(latents: np.ndarray, embeddings: np.ndarray,
     if not np.all(np.isfinite(latents)) or not np.all(np.isfinite(embeddings)):
         raise NonFiniteError("store records must be finite")
     return latents, embeddings
+
+
+def _float_rows(embeddings) -> np.ndarray:
+    """Embeddings as given when float32, else as float64: either packs to
+    the same float32 bytes."""
+    embeddings = np.asarray(embeddings)
+    return embeddings if embeddings.dtype == np.float32 else embeddings.astype(np.float64, copy=False)
 
 
 def record_dtype(latent_dim: int, embed_dim: int) -> np.dtype:
@@ -125,6 +134,40 @@ def pack_records(latents: np.ndarray, embeddings: np.ndarray,
     return b"".join(row.tobytes() + ref for row, ref in zip(rec, refs))
 
 
+_RUN_PROBE = 16   # empty-ref records in a row before the scan probes ahead with numpy
+
+
+def _segments(payload: bytes | memoryview, rec: np.dtype, count: int, off: int = 0):
+    """(offset, records, ref bytes) of the complete records from ``payload[off:]``
+    on, at most ``count``, in order: runs of empty-ref records (ref bytes 0)
+    and single records that carry a ref.
+
+    The complete fixed-stride slots at a run's start whose ref_len fields
+    read 0 are empty-ref records (induction on record starts), so a run is
+    read from the dtype in probes that double while they find no ref.  A
+    record with a ref, and the next ``_RUN_PROBE`` after it, take the scalar
+    path, so records dense with refs cost no numpy call each.
+    """
+    ref_at = rec.fields["ref_len"][1]
+    size = len(payload)
+    empties = probe = _RUN_PROBE   # the head is probed at once
+    while count > 0 and off + rec.itemsize <= size:
+        if empties >= _RUN_PROBE:
+            run = min(count, (size - off) // rec.itemsize, probe)
+            with_ref = np.flatnonzero(np.frombuffer(payload, rec, run, off)["ref_len"])
+            n, ref_len = (int(with_ref[0]) if with_ref.size else run), 0
+            empties, probe = (0, _RUN_PROBE) if with_ref.size else (empties, 2 * probe)
+        else:
+            n, ref_len = 1, REF_LEN.unpack_from(payload, off + ref_at)[0]
+            if off + rec.itemsize + ref_len > size:
+                return
+            empties = 0 if ref_len else empties + 1
+        if n:
+            yield off, n, ref_len
+        off += n * rec.itemsize + ref_len
+        count -= n
+
+
 def scan_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
                  count: int, start: tuple[int, int] = (0, 0)) -> tuple[int, int]:
     """(bytes, records) of the complete records at the head of ``payload``,
@@ -132,24 +175,9 @@ def scan_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
     prefix of the same payload; the scan resumes there.  Both figures are
     bounded by what ``payload`` holds, whatever ``count`` claims."""
     rec = record_dtype(latent_dim, embed_dim)
-    ref_at = rec.fields["ref_len"][1]
     off, done = start
-    size = len(payload)
-    # The complete fixed-stride slots at the head whose ref_len fields read
-    # 0 are empty-ref records (induction on record starts); the scalar loop
-    # resumes at the first other.
-    run = min(count - done, (size - off) // rec.itemsize)
-    if run > 0:
-        with_ref = np.flatnonzero(np.frombuffer(payload, rec, run, off)["ref_len"])
-        empty = int(with_ref[0]) if with_ref.size else run
-        off += empty * rec.itemsize
-        done += empty
-    while done < count and off + rec.itemsize <= size:
-        end = off + rec.itemsize + REF_LEN.unpack_from(payload, off + ref_at)[0]
-        if end > size:
-            break
-        off = end
-        done += 1
+    for at, n, ref_len in _segments(payload, rec, count - done, off):
+        off, done = at + n * rec.itemsize + ref_len, done + n
     return off, done
 
 
@@ -208,7 +236,7 @@ class StoreWriter:
 def write_store(path: str | os.PathLike, latents: np.ndarray, embeddings: np.ndarray,
                 seed: int, refs: list[bytes] | None = None) -> None:
     latents = np.asarray(latents, dtype=np.float64)
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    embeddings = _float_rows(embeddings)
     if latents.ndim != 2 or embeddings.ndim != 2:
         raise DimensionMismatchError("latents and embeddings must be 2-D")
     with StoreWriter(path, latents.shape[1], embeddings.shape[1], seed) as w:
@@ -234,28 +262,32 @@ def parse_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
     """(latents, embeddings, refs) of the records at the head of ``payload``
     that :func:`scan_records` found; ``scanned`` is its (bytes, records).
 
-    ``refs`` is None when every parsed ref is empty.
+    Latents are float64.  Embeddings are the read-only float32 ``embedding``
+    field of the records: a strided view of the payload, with no copy.
+    Where refs sit between records, the fixed parts are first moved
+    together over the ref bytes: in place in a writable payload, else in
+    one copy of it.  ``refs`` is None when every parsed ref is empty.
     """
-    payload = memoryview(payload)
     size, parsed = scanned
     rec = record_dtype(latent_dim, embed_dim)
-    ref_at = rec.fields["ref_len"][1]
     refs: list[bytes] | None = None
-    fixed = payload[:size]
+    fixed = memoryview(payload)[:size]
     if size != parsed * rec.itemsize:   # some parsed ref is not empty
-        rows, refs = [], []
-        off = 0
-        for _ in range(parsed):
-            end = off + rec.itemsize
-            rows.append(payload[off:end])
-            off = end + REF_LEN.unpack_from(payload, off + ref_at)[0]
-            refs.append(bytes(payload[end:off]))
-        fixed = b"".join(rows)
-    records = np.frombuffer(fixed, rec, parsed)
-    return records["latent"].astype(np.float64), records["embedding"].astype(np.float64), refs
+        if fixed.readonly:
+            fixed = memoryview(bytearray(fixed))
+        refs, at = [], 0
+        # each move goes left, onto bytes the segments have passed
+        for off, n, ref_len in _segments(fixed, rec, parsed):
+            end = off + n * rec.itemsize
+            refs.extend([bytes(fixed[end:end + ref_len])] if ref_len else [b""] * n)
+            fixed[at:at + end - off] = fixed[off:end]
+            at += end - off
+    records = np.frombuffer(fixed.toreadonly(), rec, parsed)
+    return records["latent"].astype(np.float64), records["embedding"], refs
 
 
 _TABLE_FIELDS = ("index", "latent", "embedding", "ref")
+_HEADER_PIECE = 4096   # CSV column names per write
 
 
 def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
@@ -293,6 +325,14 @@ def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
                 out[f] = base64.b64encode(st.ref(i)).decode("ascii")
         return out
 
+    def header_pieces():
+        for f in fields:
+            dim = {"latent": st.latent_dim, "embedding": st.embed_dim}.get(f)
+            if dim is None:
+                yield f
+            for lo in range(0, dim or 0, _HEADER_PIECE):
+                yield ",".join(f"{f}_{d}" for d in range(lo, min(dim, lo + _HEADER_PIECE)))
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "jsonl":
             for i in range(st.count):
@@ -309,15 +349,11 @@ def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
                 fh.write("{" + ", ".join(parts) + "}\n")
         else:
             writer = csv.writer(fh)
-            header: list[str] = []
-            for f in fields:
-                if f == "latent":
-                    header.extend(f"latent_{d}" for d in range(st.latent_dim))
-                elif f == "embedding":
-                    header.extend(f"embedding_{d}" for d in range(st.embed_dim))
-                else:
-                    header.append(f)
-            writer.writerow(header)
+            # column names need no quoting, so the header goes out in bounded
+            # pieces, ended as the csv writer ends a row
+            for i, piece in enumerate(header_pieces()):
+                fh.write(("," if i else "") + piece)
+            fh.write(writer.dialect.lineterminator)
             for i in range(st.count):
                 vals = row_values(i)
                 row: list = []
@@ -355,7 +391,10 @@ def latents_disjoint(a: np.ndarray, b: np.ndarray) -> bool:
 def read_store(path: str | os.PathLike, recover: bool = False) -> SampleStore:
     """Load a store; strict on truncation unless ``recover`` is set."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        # writable, so that parse_records moves records over refs in place
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        got = fh.readinto(blob)
+        blob[got:] = fh.read()   # what a changing file or a pipe held past that
     latent_dim, embed_dim, count, seed = parse_header(blob)
     payload = memoryview(blob)[HEADER.size:]
     scanned = scan_records(payload, latent_dim, embed_dim, count)

@@ -433,6 +433,54 @@ def test_cli_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False False"
 
 
+# Run in a fresh interpreter: sample, diagnose and find-modes at embed 128,
+# printing the growth of ru_maxrss (KiB on Linux) over the import.
+_MEMORY_PROBE = """
+import contextlib, io, resource, sys
+import bbgc.cli
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+base = peak()
+spec, root, pool = sys.argv[1], sys.argv[2], sys.argv[3]
+for argv in (["sample", "--source", spec, "--n", "200", "--role", "anchors", "--out", root + "/a"],
+             ["sample", "--source", spec, "--n", pool, "--out", root + "/p"],
+             ["diagnose", "--anchors", root + "/a", "--pool", root + "/p",
+              "--curve-sizes", "100," + pool, "--out", root + "/r.json"],
+             ["find-modes", "--anchors", root + "/a", "--pool", root + "/p",
+              "--out", root + "/m.json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bbgc.cli.main(argv) == 0, argv
+print(peak() - base)
+"""
+
+
+def test_pipeline_memory_grows_by_a_few_float32_pools(tmp_path):
+    # Stores and wire frames hold float32 embeddings, and the scan screens
+    # with them as they are, so the commands after the import need the
+    # pool's float32 bytes and fixed-size blocks.  Embedding through a worker
+    # child keeps the synthetic embed's own working memory out of this process.
+    from configs import DETECTION, spec_dict
+    pool = 20_000
+    synthetic = tmp_path / "synthetic.json"
+    synthetic.write_text(json.dumps(spec_dict(DETECTION, 7)))
+    spec = tmp_path / "source.json"
+    spec.write_text(json.dumps({
+        "kind": "subprocess", "latent_dim": DETECTION["latent_dim"],
+        "embed_dim": DETECTION["embed_dim"],
+        "parameters": {"argv": [sys.executable, "-m", "bbgc", "worker",
+                                "--source", str(synthetic)]}}))
+    src_root = os.path.dirname(os.path.dirname(bbgc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", _MEMORY_PROBE, str(spec),
+                          str(tmp_path), str(pool)],
+                         env=env, check=True, capture_output=True, text=True, timeout=300)
+    growth = int(out.stdout.split()[-1])
+    pool_float32 = pool * DETECTION["embed_dim"] * 4
+    # measured 1.75 to 1.83 pools; with float64 embeddings in memory, 3.0 to 3.6
+    assert growth < 2.25 * pool_float32, growth / pool_float32
+
+
 @pytest.mark.parametrize("flags", [["--theta", "0.3"], ["--radius", "nan"]])
 def test_calibrate_is_rejects_bad_flags(pipeline, tmp_path, flags):
     with pytest.raises(SystemExit) as err:

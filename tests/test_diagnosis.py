@@ -337,3 +337,21 @@ def test_build_report_scans_once_and_checks_disjointness_once(monkeypatch):
     # one full anchors x pool scan, then one prefix scan per population size
     assert shapes == [(30, 400), (5, 5), (20, 20)]
     assert len(disjoint_calls) == 1
+
+
+def test_report_of_float32_stores_equals_report_of_their_upcast(tmp_path):
+    # stores read from disk hold float32 embedding views; every statistic,
+    # the curves' row dots included, is that of the exact float64 upcast
+    from bbgc.store import read_store, write_store
+    center = normalize_rows(np.random.default_rng(40).normal(size=(1, 16)))[0]
+    stores = {"a": planted_store(60, 16, 41, center, 0.2),
+              "p": planted_store(3000, 16, 42, center, 0.05)}
+    for name, st in stores.items():
+        write_store(tmp_path / name, st.latents, st.embeddings, seed=0)
+    a32, p32 = (read_store(tmp_path / name) for name in "ap")
+    assert a32.embeddings.dtype == p32.embeddings.dtype == np.float32
+    a64, p64 = (SampleStore(st.latents, st.embeddings.astype(np.float64), st.seed)
+                for st in (a32, p32))
+    sizes = [2, 10, 60, 500, 3000]
+    assert dumps(build_report(a32, p32, 0.3, 0.25, k=5, curve_sizes=sizes, seed=4)) \
+        == dumps(build_report(a64, p64, 0.3, 0.25, k=5, curve_sizes=sizes, seed=4))

@@ -261,3 +261,37 @@ def test_scan_empty_anchor_set():
     counts, sims = scan(np.empty((0, 4)), unit_rows(5, 4, 10), 0.3, 0.25)
     assert counts.shape == sims.shape == (0,)
     assert counts.dtype == np.int64 and sims.dtype == np.float64
+
+
+def float32_pools(tmp_path):
+    """(float32 anchors, float32 pool) pairs over the dense rows: contiguous
+    casts, the strided views read_store returns, and the views of a pool
+    store whose refs sit between its records."""
+    from bbgc.store import read_store, write_store
+    a, b = dense_rows()
+    out = [(a.astype(np.float32), b.astype(np.float32))]
+    for name, refs in (("plain", None), ("refs", [b"r" * (i % 3) for i in range(len(b))])):
+        write_store(tmp_path / f"a-{name}", np.zeros((len(a), 2)), a, seed=0)
+        write_store(tmp_path / f"b-{name}", np.zeros((len(b), 2)), b, seed=0, refs=refs)
+        anchors, pool = (read_store(tmp_path / f"{k}-{name}").embeddings for k in "ab")
+        assert pool.dtype == np.float32 and not pool.flags.writeable
+        assert not pool.flags.c_contiguous   # the embedding field of each record
+        out.append((anchors, pool))
+    return out
+
+
+@pytest.mark.parametrize("rows,cols", [(256, 8192), (17, 1000), (5, 700)])
+def test_scan_of_float32_rows_equals_scan_of_their_upcast(tmp_path, monkeypatch, rows, cols):
+    import bbgc.embedding as E
+    monkeypatch.setattr(E, "TILE_ROWS", rows)
+    monkeypatch.setattr(E, "TILE_COLS", cols)
+    pools = float32_pools(tmp_path)
+    # every pair holds the same values, so one float64 upcast gives the reference
+    a64, b64 = (x.astype(np.float64) for x in pools[0])
+    for theta, radius in ((0.3, 0.25), (0.05, 0.02), (None, 0.5), (0.5, None)):
+        want = scan(a64, b64, theta, radius)
+        for a32, b32 in pools:
+            for anchors in (a32, a64):
+                got = scan(anchors, b32, theta, radius)
+                for w, g in zip(want, got):
+                    assert (w is None and g is None) or w.tobytes() == g.tobytes()

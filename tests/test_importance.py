@@ -473,3 +473,26 @@ def test_load_plan_rejects_bad_iteration_cap_and_tolerance(tmp_path, field, valu
     path.write_text(json.dumps(doc))   # nan and inf travel as NaN and Infinity
     with pytest.raises(InvalidConfigError, match=field):
         load_plan(str(path))
+
+
+def test_build_plan_picks_vertices_on_per_row_float64_dots(tmp_path):
+    # the vertex dots are the scan's per-pair kernel, so a float32 pool read
+    # from a store gives the plan of its float64 upcast, whatever BLAS does
+    from bbgc.store import read_store, write_store
+    rng = np.random.default_rng(50)
+    emb = rng.normal(size=(4000, 24))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    emb[:300] = emb[0] + 0.05 * rng.normal(size=(300, 24))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    write_store(tmp_path / "p", rng.normal(size=(4000, 3)), emb, seed=0)
+    pool = read_store(tmp_path / "p")
+    upcast = SampleStore(pool.latents, pool.embeddings.astype(np.float64), seed=0)
+    modes = [(upcast.embeddings[0], 0), (upcast.embeddings[1], 1)]
+    plans = [build_plan(st, modes, [3000], r0=0.25, hull_size=40) for st in (pool, upcast)]
+    for got, want in zip(*(p.entries for p in plans)):
+        assert got.vertices.tobytes() == want.vertices.tobytes() and got.p == want.p
+    for entry in plans[0].entries:
+        mode = upcast.embeddings[entry.mode_index]
+        dots = np.einsum("ij,j->i", upcast.embeddings, mode)   # one row's sum per row
+        nearest = np.argsort(np.arccos(np.clip(dots, -1.0, 1.0)), kind="stable")[:40]
+        assert entry.vertices.tobytes() == upcast.latents[np.sort(nearest)].tobytes()

@@ -260,6 +260,49 @@ def test_generate_rejects_non_finite_rows(bad):
         generate(OneBadRow(), np.zeros((3, 3)))
 
 
+def test_generate_verdicts_of_float32_rows_are_those_of_their_upcast():
+    # rows placed at 1 +- the tolerance: a float32 reply, as the adapters
+    # return, passes or fails exactly where its float64 upcast does, wherever
+    # the row sits in the norm check's blocks
+    from bbgc.source import _UNIT_NORM_TOL
+
+    class Rows:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def embed(self, lat):
+            return self.rows, None
+
+    def verdict(rows):
+        try:
+            generate(Rows(rows), None)
+        except MalformedResponseError as exc:
+            return str(exc)
+        return "ok"
+
+    rng = np.random.default_rng(13)
+    verdicts, float32_norm_differs = [], 0
+    for k in range(1500):
+        row = rng.normal(size=int(rng.integers(2, 200)))
+        row *= (1 + rng.choice([-1, 1]) * _UNIT_NORM_TOL
+                * (1 + rng.normal() * 10.0 ** -rng.integers(3, 9))) / np.linalg.norm(row)
+        row32 = row.astype(np.float32)
+        got = verdict(row32[None, :])
+        assert got == verdict(row32[None, :].astype(np.float64)), k
+        verdicts.append(got == "ok")
+        float32_norm_differs += (abs(np.linalg.norm(row32) - 1.0) <= _UNIT_NORM_TOL) != (got == "ok")
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert float32_norm_differs > 0   # a float32 norm would change some verdicts
+    good = rng.normal(size=(2 * _EMBED_ROWS + 10, 16))
+    good /= np.linalg.norm(good, axis=1, keepdims=True)
+    for at in (0, _EMBED_ROWS - 1, _EMBED_ROWS, 2 * _EMBED_ROWS + 9):
+        rows = good.copy()
+        rows[at] *= 1 + 2 * _UNIT_NORM_TOL
+        assert verdict(rows.astype(np.float32)) == verdict(rows) \
+            == f"source returned embedding {at} with norm 1.000200"
+    assert verdict(good.astype(np.float32)) == verdict(good) == "ok"
+
+
 # -- wire framing ---------------------------------------------------------------
 
 def test_frame_round_trip():

@@ -2,7 +2,9 @@
 
 import base64
 import csv
+import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -249,7 +251,8 @@ def test_header_promising_an_oversized_record_is_a_format_error(tmp_path, count)
 
 
 def test_read_store_holds_the_file_and_its_float64_arrays(tmp_path):
-    # parsing goes from the file bytes straight to float64, with no float32 copy between
+    # latents go from the file bytes straight to float64; embeddings are a
+    # view of the file bytes, with no copy at all
     import tracemalloc
     path = tmp_path / "big.bbgc"
     lat, emb = make_data(100_000, 8, 32, seed=3)
@@ -261,8 +264,40 @@ def test_read_store_holds_the_file_and_its_float64_arrays(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = st.latents.nbytes + st.embeddings.nbytes
-    assert peak < path.stat().st_size + arrays + 2 ** 20, peak
+    assert st.latents.dtype == np.float64 and st.embeddings.dtype == np.float32
+    assert peak < path.stat().st_size + st.latents.nbytes + 2 ** 20, peak
+
+
+@pytest.mark.parametrize("ref_every", [0, 1000])
+def test_read_store_and_scan_hold_no_copy_of_the_embeddings(tmp_path, ref_every):
+    # the scan's float32 screen reads the store's embedding view itself, and
+    # a store with refs moves its records together in the file buffer
+    import tracemalloc
+
+    from bbgc.embedding import scan
+    n, embed_dim = 100_000, 64
+    rng = np.random.default_rng(5)
+    pool = rng.normal(size=(n, embed_dim))
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    pool[:2000] = pool[:20].repeat(100, axis=0)   # pairs that pass the screen
+    refs = [b"r" if ref_every and i % ref_every == 0 else b"" for i in range(n)]
+    write_store(tmp_path / "a", rng.normal(size=(64, 4)), pool[:64], seed=0)
+    write_store(tmp_path / "p", rng.normal(size=(n, 4)), pool, seed=0, refs=refs)
+    want = scan(pool[:64].astype(np.float32).astype(np.float64),
+                pool.astype(np.float32).astype(np.float64), 0.3, 0.25)
+    files = sum((tmp_path / k).stat().st_size for k in "ap")
+    del pool
+    tracemalloc.start()
+    try:
+        anchors, st = read_store(tmp_path / "a"), read_store(tmp_path / "p")
+        got = scan(anchors.embeddings, st.embeddings, 0.3, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(w.tobytes() == g.tobytes() for w, g in zip(want, got))
+    margin = 8 * 2 ** 20   # the scan's 2 MB block, an 8192-row float64 block and the rest
+    assert margin < st.embeddings.nbytes / 2   # so no embedding copy fits under the bound
+    assert peak < files + anchors.latents.nbytes + st.latents.nbytes + margin, peak
 
 
 # -- record scan ------------------------------------------------------------------
@@ -309,6 +344,75 @@ def test_scan_records_fast_path_matches_scalar_scan(refs):
             head = scan_records(memoryview(body)[:cut], 3, 2, count)
             assert head == _scalar_scan(body[:cut], fixed, count)
             assert scan_records(memoryview(body), 3, 2, count, head) == whole
+
+
+def _scalar_parse(body, latent_dim, embed_dim, count):
+    """Reference (latents, embeddings, refs): each record cut out on its own."""
+    width = latent_dim + embed_dim
+    rows, refs, off = [], [], 0
+    for _ in range(count):
+        rows.append(struct.unpack_from(f"<{width}f", body, off))
+        (ref_len,) = REF_LEN.unpack_from(body, off + 4 * width)
+        off += 4 * width + 4
+        refs.append(bytes(body[off:off + ref_len]))
+        off += ref_len
+    grid = np.array(rows, dtype=np.float64).reshape(count, width)
+    return grid[:, :latent_dim], grid[:, latent_dim:], refs if any(refs) else None
+
+
+def _ref_pattern(kind, n, rng):
+    if kind == "none":
+        return None
+    if kind == "all":
+        return [rng.bytes(int(rng.integers(1, 6))) for _ in range(n)]
+    if kind == "some":
+        return [rng.bytes(3) if rng.random() < 0.05 else b"" for _ in range(n)]
+    # runs of empty refs around _RUN_PROBE long, and longer, between refs
+    with_ref = set(np.cumsum(rng.choice([0, 1, 15, 16, 17, 40, 200], size=n) + 1).tolist())
+    return [b"r" * (i % 4 + 1) if i in with_ref else b"" for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["none", "some", "all", "runs"])
+def test_scan_and_parse_match_a_per_record_reference(kind):
+    # random record bytes, so a scan that lost the stride would read them as lengths
+    rng = np.random.default_rng(["none", "some", "all", "runs"].index(kind))
+    n, latent_dim, embed_dim = 700, 2, 3
+    lat, emb = rng.normal(size=(n, latent_dim)), rng.normal(size=(n, embed_dim))
+    refs = _ref_pattern(kind, n, rng)
+    body = pack_records(lat, emb, refs)
+    fixed = 4 * (latent_dim + embed_dim)
+    for count in (n, n - 37, n + 5):
+        whole = _scalar_scan(body, fixed, count)
+        for cut in [len(body), len(body) - 1, *rng.integers(0, len(body), 12)]:
+            want = _scalar_scan(body[:cut], fixed, count)
+            got = scan_records(memoryview(body)[:cut], latent_dim, embed_dim, count)
+            assert got == want, (count, cut)
+            assert scan_records(memoryview(body), latent_dim, embed_dim, count, got) == whole
+            want_lat, want_emb, want_refs = _scalar_parse(body, latent_dim, embed_dim, want[1])
+            # a writable payload is compacted in place, a read-only one in a copy
+            for payload in (body[:cut], bytearray(body[:cut])):
+                got_lat, got_emb, got_refs = parse_records(payload, latent_dim, embed_dim, got)
+                assert got_lat.tobytes() == want_lat.tobytes()
+                assert got_emb.dtype == np.float32 and not got_emb.flags.writeable
+                assert got_emb.astype(np.float64).tobytes() == want_emb.tobytes()
+                assert got_refs == want_refs
+
+
+def test_read_store_with_one_ref_takes_at_most_twice_the_time(tmp_path):
+    # after a record with a ref the scan goes back to the record dtype, and the
+    # records move together in the file buffer, not into a second one
+    import time
+    lat, emb = make_data(100_000, 8, 32, seed=6)
+    paths = {"none": tmp_path / "none.bbgc", "one": tmp_path / "one.bbgc"}
+    write_store(paths["none"], lat, emb, seed=0)
+    write_store(paths["one"], lat, emb, seed=0, refs=[b"x"] + [b""] * 99_999)
+    best = {}
+    for _ in range(9):
+        for name, path in paths.items():
+            start = time.perf_counter()
+            read_store(path)
+            best[name] = min(best.get(name, math.inf), time.perf_counter() - start)
+    assert best["one"] <= 2 * best["none"], best
 
 
 def test_parse_records_cuts_what_the_caller_scanned(monkeypatch):
@@ -364,6 +468,63 @@ def test_export_table_jsonl(tmp_path):
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc == {"index": 0, "latent": [0.1, 0.2], "embedding": [1.0, 0.0]}
+
+
+def _csv_reference(st, fields):
+    """The table as one csv.writer row per line, the header included."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    header = []
+    for f in fields:
+        dim = {"latent": st.latent_dim, "embedding": st.embed_dim}.get(f)
+        header.extend([f] if dim is None else [f"{f}_{d}" for d in range(dim)])
+    writer.writerow(header)
+    for i in range(st.count):
+        row = []
+        for f in fields:
+            if f == "index":
+                row.append(i)
+            elif f == "ref":
+                row.append(base64.b64encode(st.ref(i)).decode("ascii"))
+            else:
+                row.extend(format_float(x) for x in getattr(st, f + "s")[i])
+        writer.writerow(row)
+    return out.getvalue().encode("utf-8")
+
+
+def test_export_table_csv_matches_the_csv_writer(tmp_path, monkeypatch):
+    # the header goes out in pieces; the bytes are those of one csv.writer row
+    import bbgc.store as store
+    lat, emb = make_data(30, 5, 7, seed=8)
+    write_store(tmp_path / "s", lat, emb, seed=0, refs=[b"r" * (i % 3) for i in range(30)])
+    st = read_store(tmp_path / "s")
+    assert st.embeddings.dtype == np.float32
+    for piece in (4096, 3, 1):
+        monkeypatch.setattr(store, "_HEADER_PIECE", piece)
+        for fields in (("latent", "embedding"), ("index", "latent", "ref"),
+                       ("embedding", "index", "latent"), ("ref",)):
+            export_table(st, tmp_path / "t.csv", fmt="csv", fields=fields)
+            assert (tmp_path / "t.csv").read_bytes() == _csv_reference(st, fields), (piece, fields)
+
+
+def test_export_table_header_of_a_wide_empty_store_is_bounded(tmp_path):
+    # a count-0 header may claim any width the record check allows; the CSV
+    # header is written without a list of one name per column
+    import tracemalloc
+    width = 2 ** 20
+    path = tmp_path / "wide.bbgc"
+    path.write_bytes(pack_header(width, 1, 0))
+    st = read_store(path)
+    tracemalloc.start()
+    try:
+        assert export_table(st, tmp_path / "t.csv", fmt="csv") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    names = (tmp_path / "t.csv").read_text().rstrip("\r\n").split(",")
+    assert len(names) == width + 1
+    assert names[:2] == ["latent_0", "latent_1"] and names[-2:] == [f"latent_{width - 1}", "embedding_0"]
 
 
 def test_export_table_validation(tmp_path):
