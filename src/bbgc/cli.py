@@ -168,10 +168,9 @@ def _dense_modes_from_report(report_path: str, anchors: stores.SampleStore,
         raise InvalidConfigError(f"{report_path}: not a diagnosis report")
     out = []
     for entry in listed[:count]:
-        try:
-            idx = int(entry["anchor_index"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidConfigError(f"{report_path}: bad top_k entry {entry!r}") from exc
+        idx = entry.get("anchor_index") if isinstance(entry, dict) else None
+        if type(idx) is not int:   # not a float or a bool that int() would truncate
+            raise InvalidConfigError(f"{report_path}: bad top_k entry {entry!r}")
         if not 0 <= idx < anchors.count:
             raise InvalidConfigError(
                 f"{report_path}: mode anchor {idx} outside store of {anchors.count}")

@@ -72,8 +72,7 @@ class CounterStream:
 
     def uniforms(self, offset: int, count: int) -> np.ndarray:
         """Uniforms on the open interval (0, 1), one word each."""
-        raw = self.raw64(offset, count)
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _U64_TO_UNIT
+        return hash_to_unit(self.raw64(offset, count))
 
     def normals(self, offset: int, count: int) -> np.ndarray:
         """Standard normals, one word each, via the inverse CDF."""

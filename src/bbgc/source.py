@@ -36,6 +36,7 @@ memory; each row is computed alone, so its result does not depend on them.
 
 from __future__ import annotations
 
+import http.client
 import io
 import math
 import os
@@ -66,6 +67,7 @@ from .rng import (
     STREAM_MODEL,
     STREAM_MODEL_LATENT,
     STREAM_POOL,
+    _SPLITMIX_GAMMA,
     CounterStream,
     derive_seed,
     hash_latents,
@@ -75,7 +77,6 @@ from .rng import (
 
 _SELECT_SALT = 0x53454C4543544F52   # distinct hash domains per purpose
 _NOISE_SALT = 0x4E4F49534553414C54 % (1 << 64)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 _UNIT_NORM_TOL = 1e-4   # 32-bit wire format tolerance
 
@@ -160,21 +161,25 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
     center_rows = CounterStream(seed, STREAM_MODEL)
     anchor_rows = CounterStream(seed, STREAM_MODEL_LATENT)
 
-    def derived_center(row: int) -> np.ndarray:
-        return normalize(center_rows.normal_rows(row, 1, embed_dim)[0])
+    def spread_and_center(name: str, item: dict, row: int) -> tuple[float, np.ndarray]:
+        """A component's checked spread and unit center; a null center is
+        derived from row ``row`` of the seed's center stream."""
+        spread = float(item.get("spread", 0.0))
+        if spread < 0 or not math.isfinite(spread):
+            raise InvalidConfigError(f"{name} spread {spread}")
+        raw = item.get("center")
+        center = normalize(center_rows.normal_rows(row, 1, embed_dim)[0] if raw is None
+                           else np.asarray(raw, dtype=np.float64))
+        if center.shape != (embed_dim,):
+            raise InvalidConfigError(f"{name} center has dim {center.shape}")
+        return spread, center
 
     bg: list[BackgroundComponent] = []
     for i, item in enumerate(background):
         weight = float(item.get("weight", 1.0))
-        spread = float(item.get("spread", 0.0))
         if weight < 0 or not math.isfinite(weight):
             raise InvalidConfigError(f"background[{i}] weight {weight}")
-        if spread < 0 or not math.isfinite(spread):
-            raise InvalidConfigError(f"background[{i}] spread {spread}")
-        raw = item.get("center")
-        center = derived_center(i) if raw is None else normalize(np.asarray(raw, dtype=np.float64))
-        if center.shape != (embed_dim,):
-            raise InvalidConfigError(f"background[{i}] center has dim {center.shape}")
+        spread, center = spread_and_center(f"background[{i}]", item, i)
         bg.append(BackgroundComponent(weight=weight, spread=spread, center=center))
     total_w = sum(c.weight for c in bg)
     if total_w <= 0:
@@ -184,17 +189,10 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
     mass_sum = 0.0
     for j, item in enumerate(planted):
         mass = float(item.get("mass", 0.0))
-        spread = float(item.get("spread", 0.0))
         if not 0.0 <= mass <= 1.0:
             raise InvalidConfigError(f"planted[{j}] mass {mass} outside [0, 1]")
-        if spread < 0 or not math.isfinite(spread):
-            raise InvalidConfigError(f"planted[{j}] spread {spread}")
         mass_sum += mass
-        raw = item.get("center")
-        center = (derived_center(len(bg) + j) if raw is None
-                  else normalize(np.asarray(raw, dtype=np.float64)))
-        if center.shape != (embed_dim,):
-            raise InvalidConfigError(f"planted[{j}] center has dim {center.shape}")
+        spread, center = spread_and_center(f"planted[{j}]", item, len(bg) + j)
         raw_anchor = item.get("latent_anchor")
         if raw_anchor is None:
             direction = normalize(anchor_rows.normal_rows(j, 1, latent_dim)[0])
@@ -231,6 +229,14 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
 class _Source:
     """Lifecycle every source shares: ``with open_source(spec) as src: ...``."""
 
+    def _latents(self, latents: np.ndarray) -> np.ndarray:
+        """``latents`` as contiguous float64 rows of this source's latent_dim."""
+        z = np.ascontiguousarray(latents, dtype=np.float64)
+        if z.ndim != 2 or z.shape[1] != self.latent_dim:
+            raise MalformedResponseError(
+                f"latents shape {z.shape}, expected (*, {self.latent_dim})")
+        return z
+
     def close(self) -> None:
         pass
 
@@ -263,7 +269,7 @@ class SyntheticSource(_Source):
         the noise is a pure function of each latent's hash."""
         if spread == 0.0:
             return np.broadcast_to(center, (len(hashes), len(center)))
-        cols = np.arange(1, len(center) + 1, dtype=np.uint64) * _GOLDEN
+        cols = np.arange(1, len(center) + 1, dtype=np.uint64) * _SPLITMIX_GAMMA
         with np.errstate(over="ignore"):
             grid = hashes[:, None] + cols[None, :]
         noise = ndtri(hash_to_unit(splitmix64(grid)))
@@ -294,10 +300,7 @@ class SyntheticSource(_Source):
 
     def embed(self, latents: np.ndarray) -> tuple[np.ndarray, None]:
         m = self.model
-        z = np.ascontiguousarray(latents, dtype=np.float64)
-        if z.ndim != 2 or z.shape[1] != m.latent_dim:
-            raise MalformedResponseError(
-                f"latents shape {z.shape}, expected (*, {m.latent_dim})")
+        z = self._latents(latents)
         out = np.empty((len(z), m.embed_dim), dtype=np.float64)
         components = m.planted + m.background
         for lo in range(0, len(z), _EMBED_ROWS):
@@ -419,20 +422,17 @@ class _BatchedSource(_Source):
         return frame[3], frame[4]
 
     def embed(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
-        z = np.ascontiguousarray(latents, dtype=np.float64)
-        if z.ndim != 2 or z.shape[1] != self.latent_dim:
-            raise MalformedResponseError(
-                f"latents shape {z.shape}, expected (*, {self.latent_dim})")
-        results = [self._request(z[lo:lo + self.batch_size])
-                   for lo in range(0, z.shape[0], self.batch_size)]
-        embs = (np.concatenate([r[0] for r in results]) if results
-                else np.empty((0, self.embed_dim), dtype=np.float32))
+        """Each batch's reply is copied into one float32 output as it
+        arrives, so a call holds the output and one reply frame."""
+        z = self._latents(latents)
+        out = np.empty((len(z), self.embed_dim), dtype=np.float32)
         refs: list[bytes] | None = None
-        if any(r[1] is not None for r in results):
-            refs = []
-            for emb, rf in results:
-                refs.extend(rf if rf is not None else [b""] * len(emb))
-        return embs, refs
+        for lo in range(0, len(z), self.batch_size):
+            out[lo:lo + self.batch_size], rf = self._request(z[lo:lo + self.batch_size])
+            if rf is not None:
+                refs = refs or [b""] * len(z)
+                refs[lo:lo + len(rf)] = rf
+        return out, refs
 
 
 class SubprocessSource(_BatchedSource):
@@ -554,7 +554,6 @@ class RemoteSource(_BatchedSource):
     def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         frame = pack_frame(latents, as_latents=True)
         last: Exception | None = None
-        timed_out = False
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
@@ -564,19 +563,15 @@ class RemoteSource(_BatchedSource):
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                     return self._read_reply(resp.read, len(latents), "endpoint",
                                             _frame_truncated)
-            except urllib.error.HTTPError as exc:
-                if 400 <= exc.code < 500:
+            except (OSError, http.client.HTTPException) as exc:
+                # HTTPError, URLError and TimeoutError are OSErrors; a reply
+                # that is not HTTP raises BadStatusLine, an HTTPException
+                if isinstance(exc, urllib.error.HTTPError) and 400 <= exc.code < 500:
                     raise SourceUnavailableError(
                         f"endpoint rejected request: HTTP {exc.code}") from exc
                 last = exc
-            except TimeoutError as exc:
-                last, timed_out = exc, True
-            except urllib.error.URLError as exc:
-                timed_out = isinstance(exc.reason, TimeoutError)
-                last = exc
-            except OSError as exc:
-                last = exc
-        if timed_out:
+        # the last failure decides; URLError wraps a connect timeout in .reason
+        if isinstance(getattr(last, "reason", last), TimeoutError):
             raise SourceTimeoutError(f"endpoint timed out after {self.retries + 1} attempts") from last
         raise SourceUnavailableError(
             f"endpoint unreachable after {self.retries + 1} attempts: {last}") from last
@@ -597,12 +592,14 @@ def load_source_spec(path: str) -> SourceSpec:
     raw = read_json(path)
     try:
         kind = raw["kind"]
-        latent_dim = int(raw["latent_dim"])
-        embed_dim = int(raw["embed_dim"])
-        seed = int(raw.get("seed", 0))
+        latent_dim, embed_dim = raw["latent_dim"], raw["embed_dim"]
+        seed = raw.get("seed", 0)
         parameters = dict(raw.get("parameters", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"{path}: {exc!r}") from exc
+    for name, value in (("latent_dim", latent_dim), ("embed_dim", embed_dim), ("seed", seed)):
+        if type(value) is not int:   # not a float, a bool or a string that int() would take
+            raise InvalidConfigError(f"{path}: {name} must be an integer, got {value!r}")
     if kind not in ("synthetic", "subprocess", "remote"):
         raise InvalidConfigError(f"{path}: unknown source kind {kind!r}")
     if latent_dim < 1:
@@ -616,14 +613,15 @@ def load_source_spec(path: str) -> SourceSpec:
 
 
 def open_source(spec: SourceSpec):
-    if spec.kind == "synthetic":
-        model = build_synthetic_model(
-            spec.latent_dim, spec.embed_dim, spec.seed,
-            background=spec.parameters.get("background", [{"weight": 1.0, "spread": 10.0}]),
-            planted=spec.parameters.get("planted", ()))
-        return SyntheticSource(model)
+    """The source a spec names; parameters of the wrong type or value raise
+    ``InvalidConfigError``.  Keys a kind does not use are ignored."""
     p = spec.parameters
     try:
+        if spec.kind == "synthetic":
+            return SyntheticSource(build_synthetic_model(
+                spec.latent_dim, spec.embed_dim, spec.seed,
+                background=p.get("background", [{"weight": 1.0, "spread": 10.0}]),
+                planted=p.get("planted", ())))
         if spec.kind == "subprocess":
             return SubprocessSource(p.get("argv", ()), spec.latent_dim, spec.embed_dim,
                                     batch_size=int(p.get("batch", 4096)),
@@ -635,7 +633,7 @@ def open_source(spec: SourceSpec):
                             retries=int(p.get("retries", 3)),
                             backoff=float(p.get("backoff", 0.25)),
                             timeout=float(p.get("timeout", 30.0)))
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfigError(f"bad {spec.kind} source parameters: {exc}") from exc
 
 

@@ -349,10 +349,21 @@ def test_unreachable_planted_mass_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("parameters, message", [
     ({"argv": "python3 -m bbgc worker"}, "argv"),
     ({"argv": ["python3", "-m", "bbgc", "worker"], "batch": -5}, "batch"),
+    ({"argv": ["python3", "-m", "bbgc", "worker"], "timeout": 10 ** 400},
+     "bad subprocess source parameters"),
+    # a synthetic model's parameters of the wrong type or value
+    ({"background": [1]}, "bad synthetic source parameters"),
+    ({"background": 5}, "bad synthetic source parameters"),
+    ({"planted": 3}, "bad synthetic source parameters"),
+    ({"background": [{"weight": [1]}]}, "bad synthetic source parameters"),
+    ({"planted": [{"mass": "x"}]}, "bad synthetic source parameters"),
+    ({"background": [{"center": "abc"}]}, "bad synthetic source parameters"),
+    ({"planted": [{"mass": 10 ** 400}]}, "bad synthetic source parameters"),
 ])
 def test_bad_source_parameters_exit_3(tmp_path, capsys, parameters, message):
+    kind = "subprocess" if "argv" in parameters else "synthetic"
     spec = tmp_path / "child.json"
-    spec.write_text(json.dumps({"kind": "subprocess", "latent_dim": 2, "embed_dim": 16,
+    spec.write_text(json.dumps({"kind": kind, "latent_dim": 2, "embed_dim": 16,
                                 "parameters": parameters}))
     assert main(["sample", "--source", str(spec), "--n", "5",
                  "--out", str(tmp_path / "x.bbgc")]) == 3
@@ -386,6 +397,9 @@ def test_plan_with_bad_solver_settings_exits_3(pipeline, tmp_path, capsys, field
                   "r0": 0.25, "hull_size": 2}),
     ("report", {"top_k": [5]}),
     ("report", 5),
+    # int() would truncate these to anchor 1
+    ("calibrate", {"top_k": [{"anchor_index": 1.5}]}),
+    ("calibrate", {"top_k": [{"anchor_index": True}]}),
 ])
 def test_wrong_shaped_json_exits_3(pipeline, tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"

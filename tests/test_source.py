@@ -236,9 +236,12 @@ def test_background_mixture_frequencies():
 
 
 def test_embed_rejects_wrong_latent_dim():
-    src = synth()
-    with pytest.raises(MalformedResponseError):
-        src.embed(np.zeros((3, 5)))
+    # the check runs before any child is started or request is sent
+    for src in (synth(), SubprocessSource(["/nonexistent-worker-binary"], 8, 16),
+                RemoteSource("http://127.0.0.1:9/embed", 8, 16, retries=0)):
+        for shape in [(3, 5), (8,), (2, 3, 8)]:
+            with pytest.raises(MalformedResponseError, match="latents shape"):
+                src.embed(np.zeros(shape))
 
 
 def test_generate_rejects_non_unit_sources():
@@ -574,6 +577,33 @@ def test_subprocess_bad_values_fail_generate(value):
             generate(src, np.zeros((3, 4)))
 
 
+AXIS_CHILD = """
+import sys
+import numpy as np
+from bbgc.source import run_worker
+class Axis:
+    latent_dim = 4
+    def embed(self, lat):
+        return np.tile(np.eye(128)[0], (len(lat), 1)), None
+run_worker(Axis(), sys.stdin.buffer, sys.stdout.buffer)
+"""
+
+
+def test_adapter_embed_holds_the_output_and_one_frame():
+    lat = np.zeros((40_000, 4))
+    with SubprocessSource([sys.executable, "-c", AXIS_CHILD], 4, 128,
+                          batch_size=4096, timeout=60.0) as src:
+        tracemalloc.start()
+        try:
+            emb, _ = src.embed(lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    frame = len(pack_frame(np.zeros((4096, 128), dtype=np.float32), as_latents=False))
+    assert emb.dtype == np.float32 and emb.shape == (40_000, 128)
+    assert peak < emb.nbytes + frame + 2 ** 20, (peak, emb.nbytes, frame)
+
+
 def test_subprocess_source_keeps_one_stderr_file(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     child = "import sys\nsys.exit(0)\n"
@@ -728,8 +758,9 @@ def test_subprocess_source_validation():
 
 class _Endpoint(http.server.BaseHTTPRequestHandler):
     source = None          # class-level: set per test
-    fail_first = 0         # respond 500 to this many requests
-    mode = "ok"            # ok | reject | garbage | wrong-dim | short | stall | refs
+    failures = ()          # per request before the replies: an HTTP error code,
+                           # "hang" to answer nothing until teardown, or "not-http"
+    mode = "ok"            # ok | garbage | wrong-dim | short | stall | refs
                            # | huge-length | trailing
     requests = 0
     release = None         # set at teardown to end a stalled reply
@@ -740,11 +771,14 @@ class _Endpoint(http.server.BaseHTTPRequestHandler):
     def do_POST(self):
         cls = type(self)
         cls.requests += 1
-        if cls.mode == "reject":
-            self.send_error(404)
-            return
-        if cls.requests <= cls.fail_first:
-            self.send_error(503)
+        if cls.requests <= len(cls.failures):
+            failure = cls.failures[cls.requests - 1]
+            if failure == "hang":
+                cls.release.wait(60)
+            elif failure == "not-http":
+                self.wfile.write(b"garbage\r\n\r\n")
+            else:
+                self.send_error(failure)
             return
         body = self.rfile.read(int(self.headers["Content-Length"]))
         if cls.mode == "stall":
@@ -793,7 +827,7 @@ class _Endpoint(http.server.BaseHTTPRequestHandler):
 @pytest.fixture
 def endpoint():
     _Endpoint.source = synth(latent_dim=4, embed_dim=6, planted=[{"mass": 0.1, "spread": 0.1}])
-    _Endpoint.fail_first = 0
+    _Endpoint.failures = ()
     _Endpoint.mode = "ok"
     _Endpoint.requests = 0
     _Endpoint.release = threading.Event()
@@ -815,7 +849,7 @@ def test_remote_source_round_trip(endpoint):
 
 
 def test_remote_source_retries_transient_errors(endpoint):
-    _Endpoint.fail_first = 2
+    _Endpoint.failures = (503, 503)
     src = RemoteSource(endpoint, 4, 6, retries=3, backoff=0.01)
     emb, _ = src.embed(sample_latents(5, 4, seed=6))
     assert emb.shape == (5, 6)
@@ -823,15 +857,30 @@ def test_remote_source_retries_transient_errors(endpoint):
 
 
 def test_remote_source_gives_up_after_retries(endpoint):
-    _Endpoint.fail_first = 99
+    _Endpoint.failures = (503,) * 99
     src = RemoteSource(endpoint, 4, 6, retries=2, backoff=0.01)
     with pytest.raises(SourceUnavailableError, match="after 3 attempts"):
         src.embed(sample_latents(5, 4, seed=6))
     assert _Endpoint.requests == 3
 
 
+@pytest.mark.parametrize("failures, error", [
+    (("hang", 503), SourceUnavailableError),
+    ((503, "hang"), SourceTimeoutError),
+    (("not-http", "not-http"), SourceUnavailableError),
+])
+def test_remote_source_last_failure_decides(endpoint, failures, error):
+    _Endpoint.failures = failures
+    src = RemoteSource(endpoint, 4, 6, retries=1, backoff=0.01, timeout=0.2)
+    start = time.monotonic()
+    with pytest.raises(error, match="after 2 attempts"):
+        src.embed(sample_latents(5, 4, seed=6))
+    assert time.monotonic() - start < 1.0
+    assert _Endpoint.requests == 2
+
+
 def test_remote_source_client_errors_do_not_retry(endpoint):
-    _Endpoint.mode = "reject"
+    _Endpoint.failures = (404,)
     src = RemoteSource(endpoint, 4, 6, retries=3, backoff=0.01)
     with pytest.raises(SourceUnavailableError, match="HTTP 404"):
         src.embed(sample_latents(5, 4, seed=6))
@@ -947,6 +996,12 @@ def test_load_source_spec_errors(tmp_path):
         {"kind": "synthetic", "latent_dim": 0, "embed_dim": 16},
         {"kind": "synthetic", "latent_dim": 8, "embed_dim": 1},
         {"kind": "synthetic", "latent_dim": 8, "embed_dim": 16, "seed": -1},
+        # int() would truncate or convert these
+        {"kind": "synthetic", "latent_dim": 2.7, "embed_dim": 16},
+        {"kind": "synthetic", "latent_dim": 8, "embed_dim": 16.0},
+        {"kind": "synthetic", "latent_dim": 8, "embed_dim": 16, "seed": 1.5},
+        {"kind": "synthetic", "latent_dim": True, "embed_dim": 16},
+        {"kind": "synthetic", "latent_dim": "8", "embed_dim": 16},
     ]
     for i, doc in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
