@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteError,
 )
 from .jsonutil import read_json, write_json
-from .parallel import SAMPLE_CHUNK, run_chunks
+from .parallel import run_chunks
 from .rng import (
     STREAM_FIT,
     STREAM_GMM_COMPONENT,
@@ -36,6 +36,11 @@ from .rng import (
 from .source import generate, sample_latents
 
 _VARIANCE_FLOOR = 1e-12
+
+# k-means assignment chunks its GEMM by SAMPLE_CHUNK rows, and BLAS may
+# round a GEMM differently at another row count.  The anchor x pool scan
+# decides every pair on a per-pair dot, so its tile sizes set no bits.
+SAMPLE_CHUNK = 8192
 
 
 @dataclass(frozen=True)

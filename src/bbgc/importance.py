@@ -389,7 +389,7 @@ def save_plan(path: str, plan: ImportanceSamplingPlan,
                 "dense_count": entry.dense_count,
                 "ref_count": entry.ref_count,
                 "mode_index": entry.mode_index,
-                "vertices": encode_matrix(entry.vertices, "f4"),
+                "vertices": encode_matrix(entry.vertices),
             }
             for entry in plan.entries
         ],

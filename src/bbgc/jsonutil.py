@@ -17,6 +17,8 @@ from typing import Any
 
 import numpy as np
 
+from .errors import InvalidConfigError
+
 
 def format_float(f: float, style: str = "report") -> str:
     """Fixed rendering: 9 significant digits for reports, shortest
@@ -71,34 +73,32 @@ def write_json(path: str, obj: Any, float_style: str = "report") -> None:
 
 
 def read_json(path: str) -> Any:
+    """The document at ``path``; one nested too deeply for the parser to
+    recurse through raises ``InvalidConfigError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise InvalidConfigError(f"{path}: JSON nested too deeply") from exc
 
 
-_MATRIX_DTYPES = {"f4": "<f4", "f8": "<f8"}
-
-
-def encode_matrix(m: np.ndarray, dtype: str = "f4") -> dict[str, Any]:
-    """Base64 payload for a float matrix, little-endian row-major."""
-    if dtype not in _MATRIX_DTYPES:
-        raise ValueError(f"unsupported matrix dtype {dtype!r}")
-    m = np.ascontiguousarray(m, dtype=_MATRIX_DTYPES[dtype])
+def encode_matrix(m: np.ndarray) -> dict[str, Any]:
+    """Base64 payload for a float matrix: little-endian float32, row-major."""
+    m = np.ascontiguousarray(m, dtype="<f4")
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "dtype": dtype,
+        "dtype": "f4",
         "data": base64.b64encode(m.tobytes()).decode("ascii"),
     }
 
 
 def decode_matrix(payload: dict[str, Any]) -> np.ndarray:
-    dtype = payload.get("dtype")
-    if dtype not in _MATRIX_DTYPES:
-        raise ValueError(f"unsupported matrix dtype {dtype!r}")
+    """The float64 matrix of an :func:`encode_matrix` payload."""
+    if payload.get("dtype") != "f4":
+        raise ValueError(f"unsupported matrix dtype {payload.get('dtype')!r}")
     rows, cols = int(payload["rows"]), int(payload["cols"])
     raw = base64.b64decode(payload["data"])
-    itemsize = np.dtype(_MATRIX_DTYPES[dtype]).itemsize
-    if len(raw) != rows * cols * itemsize:
+    if len(raw) != rows * cols * 4:
         raise ValueError("matrix payload length does not match its shape")
-    return (np.frombuffer(raw, dtype=_MATRIX_DTYPES[dtype])
-            .reshape(rows, cols).astype(np.float64))
+    return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float64)

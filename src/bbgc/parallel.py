@@ -12,11 +12,6 @@ from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
-# k-means assignment chunks its GEMM by SAMPLE_CHUNK rows, and BLAS may
-# round a GEMM differently at another row count.  The anchor x pool scan
-# decides every pair on a per-pair dot, so its tile sizes set no bits.
-SAMPLE_CHUNK = 8192
-
 
 def worker_count() -> int:
     """Threads bbgc itself runs chunks on: always the caller's one."""

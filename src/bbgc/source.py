@@ -82,6 +82,9 @@ _UNIT_NORM_TOL = 1e-4   # 32-bit wire format tolerance
 
 _EMBED_ROWS = 4096   # rows per block of the synthetic embed and of the norm check
 
+_MAX_WAIT_S = 86400.0   # one day: the longest a spec may make a source wait
+_MAX_DOUBLINGS = 1023   # of the retry backoff: 2.0 ** 1023 is the largest float power of 2
+
 
 def sample_latents(n: int, latent_dim: int, seed: int,
                    stream: int = STREAM_POOL, start: int = 0) -> np.ndarray:
@@ -125,6 +128,16 @@ class SyntheticModel:
     weights_cum: np.ndarray = field(repr=False, default=None)
 
 
+def _param(params: dict, key: str, default, integer: bool = False):
+    """``params[key]``, else ``default``: a JSON integer as an int, or a JSON
+    number as a float.  A bool, or a string that int() or float() would
+    take, raises TypeError."""
+    value = params.get(key, default)
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise TypeError(f"{key} must be a JSON {'integer' if integer else 'number'}, got {value!r}")
+    return value if integer else float(value)
+
+
 def _ball_radius2(mass: float, latent_dim: int, anchor: np.ndarray) -> float:
     """Squared radius giving the ball around ``anchor`` N(0,I)-mass ``mass``."""
     if mass <= 0.0:
@@ -164,7 +177,7 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
     def spread_and_center(name: str, item: dict, row: int) -> tuple[float, np.ndarray]:
         """A component's checked spread and unit center; a null center is
         derived from row ``row`` of the seed's center stream."""
-        spread = float(item.get("spread", 0.0))
+        spread = _param(item, "spread", 0.0)
         if spread < 0 or not math.isfinite(spread):
             raise InvalidConfigError(f"{name} spread {spread}")
         raw = item.get("center")
@@ -176,7 +189,7 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
 
     bg: list[BackgroundComponent] = []
     for i, item in enumerate(background):
-        weight = float(item.get("weight", 1.0))
+        weight = _param(item, "weight", 1.0)
         if weight < 0 or not math.isfinite(weight):
             raise InvalidConfigError(f"background[{i}] weight {weight}")
         spread, center = spread_and_center(f"background[{i}]", item, i)
@@ -188,7 +201,7 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
     modes: list[PlantedMode] = []
     mass_sum = 0.0
     for j, item in enumerate(planted):
-        mass = float(item.get("mass", 0.0))
+        mass = _param(item, "mass", 0.0)
         if not 0.0 <= mass <= 1.0:
             raise InvalidConfigError(f"planted[{j}] mass {mass} outside [0, 1]")
         mass_sum += mass
@@ -196,7 +209,7 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
         raw_anchor = item.get("latent_anchor")
         if raw_anchor is None:
             direction = normalize(anchor_rows.normal_rows(j, 1, latent_dim)[0])
-            norm = float(item.get("latent_norm", math.sqrt(latent_dim)))
+            norm = _param(item, "latent_norm", math.sqrt(latent_dim))
             anchor = direction * norm
         else:
             anchor = np.asarray(raw_anchor, dtype=np.float64)
@@ -392,8 +405,8 @@ class _BatchedSource(_Source):
             raise InvalidConfigError(f"bad dims {latent_dim}x{embed_dim}")
         if batch_size < 1:
             raise InvalidConfigError(f"batch must be >= 1, got {batch_size}")
-        if not 0.0 < timeout < math.inf:
-            raise InvalidConfigError(f"timeout must be positive and finite, got {timeout}")
+        if not 0.0 < timeout <= _MAX_WAIT_S:
+            raise InvalidConfigError(f"timeout must be in (0, {_MAX_WAIT_S:g}] s, got {timeout}")
         self.latent_dim = int(latent_dim)
         self.embed_dim = int(embed_dim)
         self.batch_size = int(batch_size)
@@ -547,6 +560,11 @@ class RemoteSource(_BatchedSource):
             raise InvalidConfigError(f"retries must be >= 0, got {retries}")
         if not 0.0 <= backoff < math.inf:
             raise InvalidConfigError(f"backoff must be >= 0 and finite, got {backoff}")
+        # the sleeps before the retries, summed in floats
+        total = backoff * (2.0 ** min(retries, _MAX_DOUBLINGS) - 1.0)
+        if total > _MAX_WAIT_S:
+            raise InvalidConfigError(f"retries {retries} at backoff {backoff} sleep {total:g} s "
+                                     f"in all, over {_MAX_WAIT_S:g} s")
         self.url = url
         self.retries = int(retries)
         self.backoff = float(backoff)
@@ -556,7 +574,7 @@ class RemoteSource(_BatchedSource):
         last: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(self.backoff * 2.0 ** min(attempt - 1, _MAX_DOUBLINGS))
             req = urllib.request.Request(self.url, data=frame, method="POST", headers={
                 "Content-Type": "application/octet-stream"})
             try:
@@ -606,6 +624,10 @@ def load_source_spec(path: str) -> SourceSpec:
         raise InvalidConfigError(f"{path}: latent_dim must be >= 1")
     if embed_dim < 2:
         raise InvalidConfigError(f"{path}: embed_dim must be >= 2")
+    try:   # the store a sample of this source would write must read back
+        store_format.check_record_size(latent_dim, embed_dim)
+    except StoreFormatError as exc:
+        raise InvalidConfigError(f"{path}: {exc}") from exc
     if not 0 <= seed < 2 ** 64:
         raise InvalidConfigError(f"{path}: seed out of u64 range")
     return SourceSpec(kind=kind, latent_dim=latent_dim, embed_dim=embed_dim,
@@ -624,15 +646,15 @@ def open_source(spec: SourceSpec):
                 planted=p.get("planted", ())))
         if spec.kind == "subprocess":
             return SubprocessSource(p.get("argv", ()), spec.latent_dim, spec.embed_dim,
-                                    batch_size=int(p.get("batch", 4096)),
-                                    timeout=float(p.get("timeout", 60.0)))
+                                    batch_size=_param(p, "batch", 4096, integer=True),
+                                    timeout=_param(p, "timeout", 60.0))
         if "url" not in p:
             raise InvalidConfigError("remote source needs parameters.url")
         return RemoteSource(p["url"], spec.latent_dim, spec.embed_dim,
-                            batch_size=int(p.get("batch", 256)),
-                            retries=int(p.get("retries", 3)),
-                            backoff=float(p.get("backoff", 0.25)),
-                            timeout=float(p.get("timeout", 30.0)))
+                            batch_size=_param(p, "batch", 256, integer=True),
+                            retries=_param(p, "retries", 3, integer=True),
+                            backoff=_param(p, "backoff", 0.25),
+                            timeout=_param(p, "timeout", 30.0))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfigError(f"bad {spec.kind} source parameters: {exc}") from exc
 

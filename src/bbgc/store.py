@@ -103,6 +103,13 @@ def record_dtype(latent_dim: int, embed_dim: int) -> np.dtype:
                      ("ref_len", "<u4")])
 
 
+def check_record_size(latent_dim: int, embed_dim: int) -> None:
+    """Refuse dims whose record's fixed part, ``4·(latent_dim + embed_dim + 1)``
+    bytes, reaches 2**31: numpy caps a dtype there and wraps past."""
+    if 4 * (latent_dim + embed_dim + 1) >= 2 ** 31:
+        raise StoreFormatError(f"a {latent_dim}x{embed_dim} record exceeds 2**31 - 1 bytes")
+
+
 def pack_header(latent_dim: int, embed_dim: int, count: int, seed: int = 0) -> bytes:
     return HEADER.pack(MAGIC, VERSION, latent_dim, embed_dim, count, seed)
 
@@ -117,8 +124,7 @@ def unpack_header(head: bytes) -> tuple[int, int, int, int]:
         raise BadMagicError(f"magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise VersionMismatchError(f"version {version}, expected {VERSION}")
-    if 4 * (latent_dim + embed_dim + 1) >= 2 ** 31:   # numpy caps a dtype there and wraps past
-        raise StoreFormatError(f"a {latent_dim}x{embed_dim} record exceeds 2**31 - 1 bytes")
+    check_record_size(latent_dim, embed_dim)
     return latent_dim, embed_dim, count, seed
 
 
@@ -187,6 +193,7 @@ class StoreWriter:
     def __init__(self, path: str | os.PathLike, latent_dim: int, embed_dim: int, seed: int):
         if latent_dim < 1 or embed_dim < 1:
             raise ValueError(f"dims must be >= 1, got {latent_dim}, {embed_dim}")
+        check_record_size(latent_dim, embed_dim)
         self.path = os.fspath(path)
         self.latent_dim = int(latent_dim)
         self.embed_dim = int(embed_dim)

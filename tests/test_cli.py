@@ -359,9 +359,26 @@ def test_unreachable_planted_mass_exits_3(tmp_path, capsys):
     ({"planted": [{"mass": "x"}]}, "bad synthetic source parameters"),
     ({"background": [{"center": "abc"}]}, "bad synthetic source parameters"),
     ({"planted": [{"mass": 10 ** 400}]}, "bad synthetic source parameters"),
+    # a wait that the spec sets past one day: a poll or a sleep would overflow;
+    # each source is refused before it starts a child or makes a request
+    ({"argv": ["worker"], "timeout": 1e300}, "timeout"),
+    ({"url": "http://127.0.0.1:9", "retries": 30}, "retries 30"),
+    ({"url": "http://127.0.0.1:9", "retries": 10 ** 9}, "retries 1000000000"),
+    # int() or float() would take these
+    ({"argv": ["worker"], "batch": 2.5}, "batch must be a JSON integer"),
+    ({"argv": ["worker"], "batch": True}, "batch must be a JSON integer"),
+    ({"url": "http://127.0.0.1:9", "retries": 2.9}, "retries must be a JSON integer"),
+    ({"argv": ["worker"], "timeout": "5"}, "timeout must be a JSON number"),
+    ({"argv": ["worker"], "timeout": True}, "timeout must be a JSON number"),
+    ({"url": "http://127.0.0.1:9", "backoff": "0.5"}, "backoff must be a JSON number"),
+    ({"background": [{"weight": "2"}]}, "weight must be a JSON number"),
+    ({"background": [{"spread": True}]}, "spread must be a JSON number"),
+    ({"planted": [{"mass": "0.1"}]}, "mass must be a JSON number"),
+    ({"planted": [{"mass": 0.1, "latent_norm": True}]}, "latent_norm must be a JSON number"),
 ])
 def test_bad_source_parameters_exit_3(tmp_path, capsys, parameters, message):
-    kind = "subprocess" if "argv" in parameters else "synthetic"
+    kind = ("remote" if "url" in parameters else
+            "subprocess" if "argv" in parameters else "synthetic")
     spec = tmp_path / "child.json"
     spec.write_text(json.dumps({"kind": kind, "latent_dim": 2, "embed_dim": 16,
                                 "parameters": parameters}))
@@ -387,6 +404,9 @@ def test_plan_with_bad_solver_settings_exits_3(pipeline, tmp_path, capsys, field
     assert err.startswith("error:") and field in err and "Traceback" not in err
 
 
+NESTED = "[" * 200_000 + "]" * 200_000   # JSON text that json.dumps cannot make
+
+
 @pytest.mark.parametrize("command, doc", [
     ("calibrate", {"top_k": [5]}),
     ("calibrate", [1, 2]),
@@ -400,11 +420,18 @@ def test_plan_with_bad_solver_settings_exits_3(pipeline, tmp_path, capsys, field
     # int() would truncate these to anchor 1
     ("calibrate", {"top_k": [{"anchor_index": 1.5}]}),
     ("calibrate", {"top_k": [{"anchor_index": True}]}),
+    # a store of these dims could not be read back
+    ("sample", {"kind": "synthetic", "latent_dim": 1, "embed_dim": 2 ** 29 - 2}),
+    # deeper than the JSON parser recurses: a spec, a report and a model file
+    pytest.param("sample", NESTED, id="sample-nested"),
+    pytest.param("report", NESTED, id="report-nested"),
+    pytest.param("evaluate", NESTED, id="evaluate-nested"),
 ])
 def test_wrong_shaped_json_exits_3(pipeline, tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = {
+        "sample": ["sample", "--source", str(path), "--n", "5"],
         "calibrate": ["calibrate", "is", "--anchors", str(pipeline["anchors"]),
                       "--pool", str(pipeline["pool"]), "--report", str(path)],
         "evaluate": ["evaluate", "--source", str(pipeline["spec"]), "--model", str(path),
@@ -445,6 +472,19 @@ def test_cli_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False False"
+
+
+def test_store_import_loads_no_analysis_modules():
+    # the package binds read_store alone, so reading a store loads no scan,
+    # no calibration and no hull code
+    src_root = os.path.dirname(os.path.dirname(bbgc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    heavy = ["bbgc.cli", "bbgc.diagnosis", "bbgc.gmm", "bbgc.importance", "scipy.spatial"]
+    probe = f"import sys, bbgc.store; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 # Run in a fresh interpreter: sample, diagnose and find-modes at embed 128,

@@ -956,6 +956,9 @@ def test_remote_source_validation():
         RemoteSource("ftp://x", 4, 6)
     with pytest.raises(InvalidConfigError):
         RemoteSource("http://x", 0, 6)
+    # the defaults, a one-day timeout and retry sleeps summing to under a day
+    RemoteSource("http://x", 4, 6)
+    RemoteSource("http://x", 4, 6, timeout=86400.0, retries=16, backoff=1.0)
 
 
 @pytest.mark.parametrize("kind, parameters", [
@@ -968,6 +971,11 @@ def test_remote_source_validation():
     ("remote", {"url": "http://x", "backoff": -0.5}),
     ("remote", {"url": "http://x", "timeout": -1}),
     ("remote", {"url": "http://x", "batch": [256]}),
+    # a wait past one day: the timeout, or the retry sleeps backoff * (2**retries - 1)
+    ("subprocess", {"argv": ["worker"], "timeout": 1e300}),
+    ("remote", {"url": "http://x", "timeout": 86400.5}),
+    ("remote", {"url": "http://x", "retries": 17, "backoff": 1.0}),
+    ("remote", {"url": "http://x", "retries": 10 ** 9}),
 ])
 def test_open_source_rejects_out_of_range_parameters(kind, parameters):
     with pytest.raises(InvalidConfigError):
@@ -1008,6 +1016,18 @@ def test_load_source_spec_errors(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidConfigError):
             load_source_spec(str(path))
+
+
+def test_load_source_spec_takes_dims_up_to_the_record_bound(tmp_path):
+    # the store a sample would write must read back: a 4 * (latent_dim +
+    # embed_dim + 1) byte record stays below 2**31.  Loading a spec opens no source.
+    top = (2 ** 31 - 1) // 4 - 2
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"kind": "synthetic", "latent_dim": 1, "embed_dim": top}))
+    assert load_source_spec(str(path)).embed_dim == top
+    path.write_text(json.dumps({"kind": "synthetic", "latent_dim": 1, "embed_dim": top + 1}))
+    with pytest.raises(InvalidConfigError, match="exceeds"):
+        load_source_spec(str(path))
 
 
 def test_open_source_remote_needs_url():

@@ -123,6 +123,12 @@ def test_writer_validation(tmp_path):
     path = tmp_path / "v.bbgc"
     with pytest.raises(ValueError):
         StoreWriter(path, 0, 4, seed=0)
+    # the record bound read_store applies; each writer stages a header, no record
+    top = (2 ** 31 - 1) // 4 - 2
+    with pytest.raises(StoreFormatError, match="exceeds"):
+        StoreWriter(path, 1, top + 1, seed=0)
+    StoreWriter(path, 1, top, seed=0).close()
+    assert read_header(path) == (1, top, 0, 0)
     lat, emb = make_data(4, 3, 5)
     with StoreWriter(path, 3, 5, seed=0) as w:
         with pytest.raises(DimensionMismatchError):
@@ -470,6 +476,16 @@ def test_export_table_jsonl(tmp_path):
     assert doc == {"index": 0, "latent": [0.1, 0.2], "embedding": [1.0, 0.0]}
 
 
+def test_export_table_jsonl_refs_are_base64(tmp_path):
+    refs = [b"hi", b"", bytes(range(256))]
+    st = SampleStore(latents=np.zeros((3, 2)), embeddings=np.eye(3), seed=0, refs=refs)
+    out = tmp_path / "t.jsonl"
+    assert export_table(st, out, fmt="jsonl", fields=("index", "ref")) == 3
+    docs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [d["index"] for d in docs] == [0, 1, 2]
+    assert [base64.b64decode(d["ref"], validate=True) for d in docs] == refs
+
+
 def _csv_reference(st, fields):
     """The table as one csv.writer row per line, the header included."""
     out = io.StringIO(newline="")
@@ -567,13 +583,15 @@ def test_dumps_numpy_scalars_and_arrays():
 
 def test_matrix_codec_round_trip():
     m = np.random.default_rng(0).normal(size=(7, 5))
-    for dtype in ("f4", "f8"):
-        payload = encode_matrix(m, dtype=dtype)
-        back = decode_matrix(payload)
-        expect = m.astype(payload["dtype"].replace("f4", "<f4").replace("f8", "<f8"))
-        np.testing.assert_array_equal(back, expect.astype(np.float64))
-    with pytest.raises(ValueError):
-        encode_matrix(m, dtype="i8")
+    payload = encode_matrix(m)
+    assert payload["dtype"] == "f4"
+    np.testing.assert_array_equal(decode_matrix(payload),
+                                  m.astype("<f4").astype(np.float64))
+    # float32 is the one payload kind: no writer produces another
+    wide = dict(payload, dtype="f8",
+                data=base64.b64encode(m.astype("<f8").tobytes()).decode("ascii"))
+    with pytest.raises(ValueError, match="dtype"):
+        decode_matrix(wide)
     bad = encode_matrix(m)
     bad["rows"] = 3
     with pytest.raises(ValueError):
