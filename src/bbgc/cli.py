@@ -24,7 +24,13 @@ from . import diagnosis, gmm, importance
 from . import source as sources
 from . import store as stores
 from .embedding import check_radius, check_theta, neighbor_counts
-from .errors import BbgcError, CalibrationError, InvalidConfigError, SourceError
+from .errors import (
+    BbgcError,
+    CalibrationError,
+    InvalidConfigError,
+    NonUnitEmbeddingError,
+    SourceError,
+)
 from .jsonutil import format_float, read_json, write_json
 from .rng import (
     STREAM_ANCHORS,
@@ -103,6 +109,16 @@ def _out_prefix(path: str) -> str:
     return path[:-5] if path.endswith(".json") else path
 
 
+def _read_unit_store(path: str) -> stores.SampleStore:
+    """A store for analysis: the scan would score a row of any other norm."""
+    st = stores.read_store(path)
+    bad = sources.non_unit_row(st.embeddings)
+    if bad is not None:
+        row, norm = bad
+        raise NonUnitEmbeddingError(f"{path}: embedding {row} has norm {norm:.6f}, not 1")
+    return st
+
+
 # -- sample ---------------------------------------------------------------------
 
 def cmd_sample(args, parser) -> int:
@@ -124,8 +140,8 @@ def cmd_sample(args, parser) -> int:
 # -- diagnose / find-modes --------------------------------------------------------
 
 def cmd_diagnose(args, parser) -> int:
-    anchors = stores.read_store(args.anchors)
-    pool = stores.read_store(args.pool)
+    anchors = _read_unit_store(args.anchors)
+    pool = _read_unit_store(args.pool)
     report = diagnosis.build_report(
         anchors, pool, args.theta, args.radius, k=args.k,
         curve_sizes=args.curve_sizes, seed=args.seed)
@@ -140,8 +156,8 @@ def cmd_diagnose(args, parser) -> int:
 
 
 def cmd_find_modes(args, parser) -> int:
-    anchors = stores.read_store(args.anchors)
-    pool = stores.read_store(args.pool)
+    anchors = _read_unit_store(args.anchors)
+    pool = _read_unit_store(args.pool)
     modes = diagnosis.top_k_modes(anchors, pool, radius=args.radius, k=args.k)
     doc = {
         "schema": 1,
@@ -190,7 +206,7 @@ def _pick_reference(pool: stores.SampleStore, radius: float, seed: int) -> int:
 
 def cmd_calibrate_gmm(args, parser) -> int:
     spec = sources.load_source_spec(args.source)
-    anchors = stores.read_store(args.anchors)
+    anchors = _read_unit_store(args.anchors)
     dense = _dense_modes_from_report(args.report, anchors, args.modes)
     mode_embs = np.asarray([emb for emb, _ in dense])
     with sources.open_source(spec) as src:
@@ -207,8 +223,8 @@ def cmd_calibrate_gmm(args, parser) -> int:
 
 
 def cmd_calibrate_is(args, parser) -> int:
-    anchors = stores.read_store(args.anchors)
-    pool = stores.read_store(args.pool)
+    anchors = _read_unit_store(args.anchors)
+    pool = _read_unit_store(args.pool)
     dense = _dense_modes_from_report(args.report, anchors, args.modes)
     reference = _pick_reference(pool, args.radius, args.seed)
     plan = importance.build_plan(pool, dense, [reference], args.radius,

@@ -238,9 +238,10 @@ def scan(anchors: np.ndarray, pool: np.ndarray, theta: float | None,
         if cos_t is None:
             return counts, None
         # each tile is row-major and tiles come in column order, so joining a
-        # row's piece of every tile lists its terms in column order
-        pieces = zip(*(np.split(t, e)[:-1] for t, e in zip(tile_terms, tile_ends)))
-        return counts, np.array([np.sum(np.concatenate(row)) for row in pieces])
+        # row's slice of every tile lists its terms in column order
+        tiles = [(t, [0, *e.tolist()]) for t, e in zip(tile_terms, tile_ends)]
+        return counts, np.array([np.sum(np.concatenate([t[b[r]:b[r + 1]] for t, b in tiles]))
+                                 for r in range(hi - lo)])
 
     # an empty anchor set still yields one (empty) part of each dtype
     parts = run_chunks(scan_chunk, anchors.shape[0], chunk) or [scan_chunk(0, 0)]

@@ -32,6 +32,10 @@ class DimensionMismatchError(BbgcError):
     """Operands have incompatible shapes."""
 
 
+class NonUnitEmbeddingError(BbgcError):
+    """A stored embedding row does not have unit norm within tolerance."""
+
+
 # black-box sources -----------------------------------------------------------
 
 class SourceError(BbgcError):

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .embedding import check_radius, neighbor_counts, row_dots
 from .errors import (
@@ -133,6 +132,7 @@ def _facet_screen(vertices: np.ndarray, center: np.ndarray) -> _FacetScreen | No
     k, dim = vertices.shape
     if not 2 <= dim <= _FACET_MAX_DIM or k <= dim:
         return None
+    from scipy.spatial import ConvexHull, QhullError   # on first use, as nnls below
     try:
         hull = ConvexHull(vertices)
     except QhullError:

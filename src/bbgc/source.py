@@ -17,7 +17,9 @@ codec.  The worker's requests, both adapters' replies and
 :func:`unpack_frame` all go through one reader, :func:`read_frame`,
 which checks the header before the body and stops at the frame's end.
 Sources are context managers.  The adapters check only the framing of
-each reply; :func:`generate` is the one check of embedding values.
+each reply; :func:`non_unit_row` is the one rule on embedding values,
+which :func:`generate` applies to every reply and the CLI to every store
+that it analyses.
 
 The synthetic model selects a planted mode when the latent falls inside
 a Euclidean ball around that mode's latent anchor; the ball radius is
@@ -36,7 +38,6 @@ memory; each row is computed alone, so its result does not depend on them.
 
 from __future__ import annotations
 
-import http.client
 import io
 import math
 import os
@@ -45,8 +46,6 @@ import subprocess
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,7 +53,7 @@ import numpy as np
 from scipy.special import chndtrix, gammaincinv, ndtri
 
 from . import store as store_format
-from .embedding import normalize, normalize_rows
+from .embedding import normalize, normalize_rows, row_dots
 from .errors import (
     InvalidConfigError,
     MalformedResponseError,
@@ -80,7 +79,12 @@ _NOISE_SALT = 0x4E4F49534553414C54 % (1 << 64)
 
 _UNIT_NORM_TOL = 1e-4   # 32-bit wire format tolerance
 
-_EMBED_ROWS = 4096   # rows per block of the synthetic embed and of the norm check
+_EMBED_ROWS = 4096   # rows per block of the synthetic embed
+
+# The widest synthetic embedding: each derived center is drawn whole, and an
+# embed block holds a few _EMBED_ROWS x embed_dim float64 arrays (128 MiB each
+# at this width).
+_MAX_SYNTHETIC_EMBED_DIM = 1 << 12
 
 _MAX_WAIT_S = 86400.0   # one day: the longest a spec may make a source wait
 _MAX_DOUBLINGS = 1023   # of the retry backoff: 2.0 ** 1023 is the largest float power of 2
@@ -166,8 +170,9 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
     """
     if latent_dim < 1:
         raise InvalidConfigError(f"latent_dim must be >= 1, got {latent_dim}")
-    if embed_dim < 2:
-        raise InvalidConfigError(f"embed_dim must be >= 2, got {embed_dim}")
+    if not 2 <= embed_dim <= _MAX_SYNTHETIC_EMBED_DIM:
+        raise InvalidConfigError(
+            f"embed_dim must be in [2, {_MAX_SYNTHETIC_EMBED_DIM}], got {embed_dim}")
     if not background:
         raise InvalidConfigError("need at least one background component")
 
@@ -560,16 +565,24 @@ class RemoteSource(_BatchedSource):
             raise InvalidConfigError(f"retries must be >= 0, got {retries}")
         if not 0.0 <= backoff < math.inf:
             raise InvalidConfigError(f"backoff must be >= 0 and finite, got {backoff}")
-        # the sleeps before the retries, summed in floats
-        total = backoff * (2.0 ** min(retries, _MAX_DOUBLINGS) - 1.0)
-        if total > _MAX_WAIT_S:
-            raise InvalidConfigError(f"retries {retries} at backoff {backoff} sleep {total:g} s "
-                                     f"in all, over {_MAX_WAIT_S:g} s")
+        # every attempt's timeout plus the sleeps before the retries, summed in
+        # floats once the exact int comparison has bounded the attempt count
+        attempts = retries + 1
+        if (attempts > _MAX_WAIT_S / self.timeout or attempts * self.timeout
+                + backoff * (2.0 ** min(retries, _MAX_DOUBLINGS) - 1.0) > _MAX_WAIT_S):
+            raise InvalidConfigError(
+                f"retries {retries} at timeout {self.timeout:g} s and backoff {backoff:g} s "
+                f"can wait over {_MAX_WAIT_S:g} s in all")
         self.url = url
         self.retries = int(retries)
         self.backoff = float(backoff)
 
     def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
+        # only remote sources use these; the worker and the other commands
+        # start faster without them (see the cold-start test)
+        import http.client
+        import urllib.error
+        import urllib.request
         frame = pack_frame(latents, as_latents=True)
         last: Exception | None = None
         for attempt in range(self.retries + 1):
@@ -659,22 +672,27 @@ def open_source(spec: SourceSpec):
         raise InvalidConfigError(f"bad {spec.kind} source parameters: {exc}") from exc
 
 
-def generate(source, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
-    """Embed latents through a source: the one check of the values it returns.
+def non_unit_row(embeddings: np.ndarray) -> tuple[int, float] | None:
+    """(row, norm) of the first row without unit norm, else None: the one
+    rule on embedding values, for a source's replies and for stores.
 
-    Every row must have unit norm within ``_UNIT_NORM_TOL``; a row holding
-    NaN or inf fails the same test.  Norms are taken in float64 over blocks
-    of ``_EMBED_ROWS`` rows, so a float32 reply gets the verdict of its
-    upcast and the check holds no full-size temporary.
+    A row passes when its norm is within ``_UNIT_NORM_TOL`` of 1, so one
+    holding NaN or inf fails.  Norms come from float64 :func:`row_dots`,
+    so a float32 row gets the verdict of its upcast and the check holds
+    no full-size temporary.
     """
+    norms = np.sqrt(row_dots(embeddings))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
+    return None if bad.size == 0 else (int(bad[0]), float(norms[bad[0]]))
+
+
+def generate(source, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
+    """Embed latents through a source, whose every row must pass
+    :func:`non_unit_row`."""
     emb, refs = source.embed(latents)
-    for lo in range(0, len(emb), _EMBED_ROWS):
-        norms = np.linalg.norm(np.asarray(emb[lo:lo + _EMBED_ROWS], dtype=np.float64), axis=1)
-        bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise MalformedResponseError(
-                f"source returned embedding {lo + i} with norm {norms[i]:.6f}")
+    bad = non_unit_row(emb)
+    if bad is not None:
+        raise MalformedResponseError("source returned embedding %d with norm %.6f" % bad)
     return emb, refs
 
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -15,8 +16,14 @@ from bbgc.cli import main
 from bbgc.errors import SourceUnavailableError
 from bbgc.jsonutil import read_json
 from bbgc.rng import STREAM_ANCHORS, STREAM_POOL, CounterStream
-from bbgc.source import SubprocessSource, SyntheticSource, build_synthetic_model
-from bbgc.store import HEADER, MAGIC, VERSION, latents_disjoint, read_store
+from bbgc.source import (
+    SubprocessSource,
+    SyntheticSource,
+    build_synthetic_model,
+    pack_frame,
+    unpack_frame,
+)
+from bbgc.store import HEADER, MAGIC, VERSION, latents_disjoint, read_store, record_dtype
 
 SPEC = {
     "kind": "synthetic",
@@ -375,8 +382,12 @@ def test_unreachable_planted_mass_exits_3(tmp_path, capsys):
     ({"background": [{"spread": True}]}, "spread must be a JSON number"),
     ({"planted": [{"mass": "0.1"}]}, "mass must be a JSON number"),
     ({"planted": [{"mass": 0.1, "latent_norm": True}]}, "latent_norm must be a JSON number"),
+    # with no backoff the wait is the attempts' timeouts: 10**9 + 1 of 30 s
+    ({"url": "http://127.0.0.1:9", "retries": 10 ** 9, "backoff": 0.0}, "retries 1000000000"),
 ])
-def test_bad_source_parameters_exit_3(tmp_path, capsys, parameters, message):
+def test_bad_source_parameters_exit_3(tmp_path, capsys, monkeypatch, parameters, message):
+    monkeypatch.setattr("urllib.request.urlopen",
+                        lambda *args, **kwargs: pytest.fail("the source made a request"))
     kind = ("remote" if "url" in parameters else
             "subprocess" if "argv" in parameters else "synthetic")
     spec = tmp_path / "child.json"
@@ -444,6 +455,30 @@ def test_wrong_shaped_json_exits_3(pipeline, tmp_path, capsys, command, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's bbgc."""
+    src_root = os.path.dirname(os.path.dirname(bbgc.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+
+
+def test_synthetic_spec_at_the_record_bound_exits_3(tmp_path):
+    # the widest spec a store can hold passes load_source_spec; its synthetic
+    # model must be refused before it draws a 4 GiB center, so the command
+    # runs in a child whose address space could not hold one
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"kind": "synthetic", "latent_dim": 1,
+                                "embed_dim": 2 ** 29 - 3}))
+    env = _child_env()
+    limit = 1 << 30
+    out = subprocess.run(
+        [sys.executable, "-m", "bbgc", "sample", "--source", str(spec), "--n", "5",
+         "--out", str(tmp_path / "x.bbgc")], env=env, capture_output=True, text=True,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert out.returncode == 3, out.stderr[-400:]
+    assert out.stderr.startswith("error: embed_dim must be in [2, ")
+
+
 @pytest.mark.parametrize("field, value", [
     ("means", [[None, 0.0], [1.0, 1.0]]),
     ("variances", [None, 1.0]),
@@ -461,25 +496,80 @@ def test_non_finite_mixture_exits_3(pipeline, tmp_path, capsys, field, value):
     assert err.startswith("error:") and "finite" in err and "Traceback" not in err
 
 
-def test_cli_import_does_not_load_scipy_stats():
+def _with_float(path, row: int, value: float, out):
+    """A copy of the store at ``path`` with ``value`` in place of the
+    largest-magnitude float of embedding ``row``, so that 0.0 moves its norm most."""
+    st = read_store(path)
+    rec = record_dtype(st.latent_dim, st.embed_dim)
+    col = int(np.argmax(np.abs(st.embeddings[row])))
+    blob = bytearray(path.read_bytes())
+    at = HEADER.size + row * rec.itemsize + rec.fields["embedding"][1] + 4 * col
+    blob[at:at + 4] = np.float32(value).tobytes()
+    out.write_bytes(bytes(blob))
+    return out
+
+
+def _analysis_argv(command: str, pipeline, anchors, pool) -> list[str]:
+    return {
+        "diagnose": ["diagnose", "--anchors", str(anchors), "--pool", str(pool)],
+        "find-modes": ["find-modes", "--anchors", str(anchors), "--pool", str(pool)],
+        "calibrate gmm": ["calibrate", "gmm", "--source", str(pipeline["spec"]),
+                          "--anchors", str(anchors), "--report", str(pipeline["report"]),
+                          "--n-fit", "2000", "--kmeans-k", "8"],
+        "calibrate is": ["calibrate", "is", "--anchors", str(anchors), "--pool", str(pool),
+                         "--report", str(pipeline["report"])],
+    }[command]
+
+
+@pytest.mark.parametrize("value", [np.inf, 50.0, np.nan, 0.0])
+@pytest.mark.parametrize("command", ["diagnose", "find-modes", "calibrate gmm", "calibrate is"])
+def test_anchor_without_unit_norm_exits_3(pipeline, tmp_path, capsys, command, value):
+    # read_store takes any store, but no command scores a non-unit row: inf or
+    # 50.0 would make anchor 3 the worst mode, and NaN or 0.0 would hide it
+    anchors = _with_float(pipeline["anchors"], 3, value, tmp_path / "anchors.bbgc")
+    capsys.readouterr()
+    argv = _analysis_argv(command, pipeline, anchors, pipeline["pool"])
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {anchors}: embedding 3 has norm") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "find-modes", "calibrate is"])
+def test_pool_without_unit_norm_exits_3(pipeline, tmp_path, capsys, command):
+    pool = _with_float(pipeline["pool"], 2499, np.nan, tmp_path / "pool.bbgc")
+    capsys.readouterr()
+    argv = _analysis_argv(command, pipeline, pipeline["anchors"], pool)
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {pool}: embedding 2499 has norm nan")
+
+
+def test_cli_import_does_not_load_scipy_stats(pipeline):
     # scipy.stats costs more import time than the rest of bbgc together;
-    # scipy.optimize is imported by hull_membership alone, on first use
-    src_root = os.path.dirname(os.path.dirname(bbgc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, bbgc.cli; "
-             "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
+    # Qhull, nnls and the HTTP client are imported by the code that uses them,
+    # on first use, so neither bbgc.cli nor the worker child loads them
+    env = _child_env()
+    cold = {"scipy.spatial", "scipy.optimize", "scipy.stats", "http.client",
+            "urllib.request", "ssl"}
+    probe = f"import sys, bbgc.cli; print(sorted(m for m in {sorted(cold)!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[]"
+    # -X importtime lists on stderr every module that the child imports
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bbgc", "worker",
+         "--source", str(pipeline["spec"])],
+        input=pack_frame(np.zeros((1, 2)), as_latents=True), env=env, check=True,
+        capture_output=True, timeout=120)
+    assert unpack_frame(child.stdout)[3].shape == (1, 16)
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in child.stderr.decode().splitlines()
+              if line.startswith("import time:")}
+    assert "bbgc.source" in loaded and not loaded & cold, sorted(loaded & cold)
 
 
 def test_store_import_loads_no_analysis_modules():
     # the package binds read_store alone, so reading a store loads no scan,
     # no calibration and no hull code
-    src_root = os.path.dirname(os.path.dirname(bbgc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     heavy = ["bbgc.cli", "bbgc.diagnosis", "bbgc.gmm", "bbgc.importance", "scipy.spatial"]
     probe = f"import sys, bbgc.store; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
@@ -523,9 +613,7 @@ def test_pipeline_memory_grows_by_a_few_float32_pools(tmp_path):
         "embed_dim": DETECTION["embed_dim"],
         "parameters": {"argv": [sys.executable, "-m", "bbgc", "worker",
                                 "--source", str(synthetic)]}}))
-    src_root = os.path.dirname(os.path.dirname(bbgc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     out = subprocess.run([sys.executable, "-W", "ignore", "-c", _MEMORY_PROBE, str(spec),
                           str(tmp_path), str(pool)],
                          env=env, check=True, capture_output=True, text=True, timeout=300)

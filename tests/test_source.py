@@ -75,6 +75,9 @@ def test_build_validation_errors():
         build_synthetic_model(0, 8, 0, background=BG)
     with pytest.raises(InvalidConfigError):
         build_synthetic_model(4, 1, 0, background=BG)
+    # a derived center is drawn whole: at the record bound's embed_dim, 4 GiB
+    with pytest.raises(InvalidConfigError, match=r"embed_dim must be in \[2, 4096\]"):
+        build_synthetic_model(1, 4097, 0, background=BG)
     with pytest.raises(InvalidConfigError):
         build_synthetic_model(4, 8, 0, background=[])
     with pytest.raises(InvalidConfigError):
@@ -956,9 +959,11 @@ def test_remote_source_validation():
         RemoteSource("ftp://x", 4, 6)
     with pytest.raises(InvalidConfigError):
         RemoteSource("http://x", 0, 6)
-    # the defaults, a one-day timeout and retry sleeps summing to under a day
+    # the defaults, and attempt timeouts plus retry sleeps summing to under a day
     RemoteSource("http://x", 4, 6)
-    RemoteSource("http://x", 4, 6, timeout=86400.0, retries=16, backoff=1.0)
+    RemoteSource("http://x", 4, 6, timeout=86400.0, retries=0)
+    RemoteSource("http://x", 4, 6, timeout=1200.0, retries=16, backoff=1.0)
+    RemoteSource("http://x", 4, 6, timeout=1e-3, retries=86_000_000, backoff=0.0)
 
 
 @pytest.mark.parametrize("kind, parameters", [
@@ -971,11 +976,16 @@ def test_remote_source_validation():
     ("remote", {"url": "http://x", "backoff": -0.5}),
     ("remote", {"url": "http://x", "timeout": -1}),
     ("remote", {"url": "http://x", "batch": [256]}),
-    # a wait past one day: the timeout, or the retry sleeps backoff * (2**retries - 1)
+    # a wait past one day: the timeout, or the attempts' timeouts plus the retry
+    # sleeps, (retries + 1) * timeout + backoff * (2**retries - 1)
     ("subprocess", {"argv": ["worker"], "timeout": 1e300}),
     ("remote", {"url": "http://x", "timeout": 86400.5}),
     ("remote", {"url": "http://x", "retries": 17, "backoff": 1.0}),
     ("remote", {"url": "http://x", "retries": 10 ** 9}),
+    ("remote", {"url": "http://x", "timeout": 86400.0, "retries": 16, "backoff": 1.0}),
+    ("remote", {"url": "http://x", "timeout": 1e-3, "retries": 86_400_000, "backoff": 0.0}),
+    ("remote", {"url": "http://x", "retries": 10 ** 9, "backoff": 0.0}),
+    ("remote", {"url": "http://x", "retries": 10 ** 400, "backoff": 0.0}),
 ])
 def test_open_source_rejects_out_of_range_parameters(kind, parameters):
     with pytest.raises(InvalidConfigError):
