@@ -6,8 +6,8 @@ function of its flags: re-running produces byte-identical outputs, and
 all randomness is addressed by the ``--seed`` value through per-purpose
 streams.
 
-Exit codes: 0 success, 2 usage, 3 input-contract violation,
-4 calibration precondition, 5 source failure.
+Exit codes: 0 success, 1 a bug (any exception but a ``BbgcError`` or ``OSError``),
+2 usage, 3 input-contract violation, 4 calibration precondition, 5 source failure.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from .errors import (
     BbgcError,
     CalibrationError,
     InvalidConfigError,
+    NonFiniteError,
     NonUnitEmbeddingError,
     SourceError,
 )
-from .jsonutil import format_float, read_json, write_json
+from .jsonutil import CONTENT_ERRORS, format_float, json_field, read_json, write_json
 from .rng import (
     STREAM_ANCHORS,
     STREAM_EVAL_ANCHORS,
@@ -74,10 +75,7 @@ def _seed_value(text: str) -> int:
 
 
 def _size_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
 def _usage_check(check):
@@ -110,12 +108,14 @@ def _out_prefix(path: str) -> str:
 
 
 def _read_unit_store(path: str) -> stores.SampleStore:
-    """A store for analysis: the scan would score a row of any other norm."""
+    """A store for analysis: unit-norm embeddings, as the scan assumes, and finite latents."""
     st = stores.read_store(path)
     bad = sources.non_unit_row(st.embeddings)
     if bad is not None:
         row, norm = bad
         raise NonUnitEmbeddingError(f"{path}: embedding {row} has norm {norm:.6f}, not 1")
+    if not np.all(np.isfinite(st.latents)):
+        raise NonFiniteError(f"{path}: latents must be finite")
     return st
 
 
@@ -178,15 +178,11 @@ def cmd_find_modes(args, parser) -> int:
 def _dense_modes_from_report(report_path: str, anchors: stores.SampleStore,
                              count: int) -> list[tuple[np.ndarray, int]]:
     """The ``count`` densest modes listed in a diagnosis report."""
-    report = read_json(report_path)
-    listed = report.get("top_k") if isinstance(report, dict) else None
-    if not isinstance(listed, list):
+    report = _read_report(report_path)
+    if "top_k" not in report:
         raise InvalidConfigError(f"{report_path}: not a diagnosis report")
     out = []
-    for entry in listed[:count]:
-        idx = entry.get("anchor_index") if isinstance(entry, dict) else None
-        if type(idx) is not int:   # not a float or a bool that int() would truncate
-            raise InvalidConfigError(f"{report_path}: bad top_k entry {entry!r}")
+    for idx in (mode["anchor_index"] for mode in report["top_k"][:count]):
         if not 0 <= idx < anchors.count:
             raise InvalidConfigError(
                 f"{report_path}: mode anchor {idx} outside store of {anchors.count}")
@@ -254,27 +250,26 @@ def cmd_evaluate(args, parser) -> int:
     if args.anchors < 2:
         parser.error("--anchors must be >= 2 for population statistics")
     spec = sources.load_source_spec(args.source)
-    model_doc = read_json(args.model)
-    kind = model_doc.get("kind") if isinstance(model_doc, dict) else None
-    if kind not in ("mixture", "importance"):
-        raise InvalidConfigError(f"{args.model}: unknown model kind {kind!r}")
+    try:
+        kind = read_json(args.model)["kind"]
+        load = {"mixture": gmm.load_mixture, "importance": importance.load_plan}[kind]
+    except CONTENT_ERRORS as exc:
+        raise InvalidConfigError(f"{args.model}: unknown model kind: {exc!r}") from exc
+    model = load(args.model)
+    if model.latent_dim != spec.latent_dim:
+        raise InvalidConfigError(f"model latent_dim {model.latent_dim}, source {spec.latent_dim}")
 
     seed_a = derive_seed(args.seed, _AFTER_ANCHORS_SALT)
     seed_c = derive_seed(args.seed, _AFTER_POOL_SALT)
     acceptance = None
     if kind == "mixture":
-        model = gmm.load_mixture(args.model)
-        if model.latent_dim != spec.latent_dim:
-            raise InvalidConfigError(
-                f"model latent_dim {model.latent_dim}, source has {spec.latent_dim}")
         after_a_lat = gmm.sample_calibrated(model, args.anchors, seed_a)
         after_c_lat = gmm.sample_calibrated(model, args.pool, seed_c)
     else:
-        plan = importance.load_plan(args.model)
         after_a_lat, stats_a = importance.sample_calibrated_is(
-            plan, spec.latent_dim, args.anchors, seed_a)
+            model, spec.latent_dim, args.anchors, seed_a)
         after_c_lat, stats_c = importance.sample_calibrated_is(
-            plan, spec.latent_dim, args.pool, seed_c)
+            model, spec.latent_dim, args.pool, seed_c)
         acceptance = {"anchors": _acceptance_doc(stats_a),
                       "pool": _acceptance_doc(stats_c)}
 
@@ -323,9 +318,27 @@ def cmd_evaluate(args, parser) -> int:
 # -- report / tables ----------------------------------------------------------------
 
 def _phases(doc: dict) -> list[tuple[str, dict]]:
-    if "before" in doc:
-        return [("before", doc["before"]), ("after", doc["after"])]
-    return [("all", doc)]
+    if "top_k" in doc:
+        return [("all", doc)]
+    return [("before", doc["before"]), ("after", doc["after"])]
+
+
+def _read_report(path: str) -> dict:
+    """A diagnosis or evaluation report whose phases list modes, all fields typed."""
+    doc = read_json(path)
+    try:
+        for _, rep in _phases(doc):
+            if not rep["top_k"]:
+                raise InvalidConfigError(f"{path}: top_k lists no mode")
+            for mode in rep["top_k"]:
+                json_field(mode, "anchor_index", integer=True), json_field(mode, "mccs")
+            for curve in rep.get("curves", ()):
+                for point in curve["points"]:
+                    point = dict(zip(("size", "value"), point, strict=True))
+                    json_field(point, "size", integer=True), json_field(point, "value")
+    except CONTENT_ERRORS as exc:
+        raise InvalidConfigError(f"{path}: not a diagnosis or evaluation report: {exc!r}") from exc
+    return doc
 
 
 def _write_tables(doc: dict, prefix: str) -> list[str]:
@@ -338,16 +351,14 @@ def _write_tables(doc: dict, prefix: str) -> list[str]:
         for phase, rep in _phases(doc):
             for rank, mode in enumerate(rep["top_k"]):
                 writer.writerow([phase, rank, mode["anchor_index"],
-                                 mode["neighbor_count"],
-                                 format_float(float(mode["mccs"]))])
+                                 mode["neighbor_count"], format_float(mode["mccs"])])
     paths.append(modes_path)
 
     curve_rows = []
     for phase, rep in _phases(doc):
         for curve in rep.get("curves", ()):
             for size, value in curve["points"]:
-                curve_rows.append([phase, curve["kind"], int(size),
-                                   format_float(float(value))])
+                curve_rows.append([phase, curve["kind"], size, format_float(value)])
     if curve_rows:
         curves_path = prefix + ".curves.csv"
         with open(curves_path, "w", encoding="utf-8", newline="") as fh:
@@ -362,18 +373,10 @@ def cmd_report(args, parser) -> int:
     if args.store is not None:
         out = args.out or (_out_prefix(args.store) + "." + args.format)
         st = stores.read_store(args.store)
-        rows = stores.export_table(st, out, fmt=args.format,
-                                   fields=args.fields.split(","))
+        rows = stores.export_table(st, out, fmt=args.format, fields=args.fields)
         print(f"wrote {rows} rows to {out}")
         return 0
-    doc = read_json(args.report)
-    if not isinstance(doc, dict) or ("top_k" not in doc and "before" not in doc):
-        raise InvalidConfigError(f"{args.report}: not a diagnosis or evaluation report")
-    try:
-        paths = _write_tables(doc, args.out or _out_prefix(args.report))
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise InvalidConfigError(f"{args.report}: malformed report: {exc!r}") from exc
-    for path in paths:
+    for path in _write_tables(_read_report(args.report), args.out or _out_prefix(args.report)):
         print(f"wrote {path}")
     return 0
 
@@ -425,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--anchors", required=True, help="anchor store")
     diagnose.add_argument("--pool", required=True, help="comparison pool store")
     _add_stat_flags(diagnose, "dense modes listed in the report")
-    diagnose.add_argument("--curve-sizes", type=_size_list, default=None,
+    diagnose.add_argument("--curve-sizes", type=_usage_check(_size_list), default=None,
                           help="comma-separated sizes for convergence curves")
     diagnose.add_argument("--seed", type=_seed_value, default=0,
                           help="shuffle seed for the curves")
@@ -489,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                         help="store export format")
     report.add_argument("--fields", default="latent,embedding",
+                        type=_usage_check(lambda text: stores.check_fields(text.split(","))),
                         help="comma-separated store columns")
     report.add_argument("--out", default=None,
                         help="output path (store) or prefix (report)")
@@ -509,15 +513,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except CalibrationError as exc:
+    except (BbgcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except SourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOURCE
-    except (BbgcError, OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return (EXIT_PRECONDITION if isinstance(exc, CalibrationError)
+                else EXIT_SOURCE if isinstance(exc, SourceError) else EXIT_INPUT)
 
 
 if __name__ == "__main__":

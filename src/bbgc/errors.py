@@ -1,9 +1,11 @@
 """Exception types raised across the toolkit.
 
 Every error that callers are expected to catch derives from
-:class:`BbgcError`.  I/O failures from the operating system are left
-as ``OSError``; only format and contract violations get their own
-types here.
+:class:`BbgcError`; I/O failures from the operating system are left as
+``OSError``.  Malformed content (a file, a reply, a spec's values) raises
+a ``BbgcError``, each loader reporting any error in its content as one
+``InvalidConfigError``; a bad argument to a library call is a programming
+error and raises ``ValueError``, which the CLI treats as a bug.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from .errors import (
     KTooLargeError,
     NonFiniteError,
 )
-from .jsonutil import read_json, write_json
+from .jsonutil import CONTENT_ERRORS, json_field, read_json, write_json
 from .parallel import run_chunks
 from .rng import (
     STREAM_FIT,
@@ -65,7 +65,7 @@ class MixtureModel:
         return self.means.shape[1]
 
     def validate(self) -> "MixtureModel":
-        if self.means.ndim != 2 or self.k < 1:
+        if self.means.ndim != 2 or 0 in self.means.shape:
             raise ValueError(f"means shape {self.means.shape}")
         if not all(np.all(np.isfinite(a)) for a in (self.means, self.variances, self.weights)):
             raise ValueError("means, variances and weights must be finite")
@@ -190,7 +190,7 @@ def compute_cluster_weights(labels: np.ndarray, k: int, embeddings: np.ndarray,
     of cluster-j samples whose embedding lies within r0 of that mode.
     """
     dense_modes = np.atleast_2d(np.asarray(dense_modes, dtype=np.float64))
-    if dense_modes.shape[0] == 0:
+    if dense_modes.size == 0:   # atleast_2d makes no modes one of width 0
         raise EmptyModeListError("need at least one dense mode to reweight")
     labels = np.asarray(labels)
     occupancy = np.bincount(labels, minlength=k)
@@ -246,7 +246,7 @@ def calibrate_gmm(source, dense_modes: np.ndarray, seed: int, k: int = 64,
     the mixture with down-weighted dense clusters.
     """
     dense_modes = np.atleast_2d(np.asarray(dense_modes, dtype=np.float64))
-    if dense_modes.shape[0] == 0:
+    if dense_modes.size == 0:   # atleast_2d makes no modes one of width 0
         raise EmptyModeListError("need at least one dense mode to calibrate")
     latents = sample_latents(n_fit, source.latent_dim, seed, STREAM_FIT)
     embeddings, _ = generate(source, latents)
@@ -275,14 +275,17 @@ def save_mixture(path: str, model: MixtureModel, provenance: dict | None = None)
 
 def load_mixture(path: str) -> MixtureModel:
     doc = read_json(path)
-    if not isinstance(doc, dict) or doc.get("kind") != "mixture":
-        raise ValueError(f"{path} is not a mixture model file")
     try:
+        if doc["kind"] != "mixture":
+            raise InvalidConfigError(f"{path} is not a mixture model file")
         model = MixtureModel(
-            means=np.asarray(doc["means"], dtype=np.float64),
-            variances=np.asarray(doc["variances"], dtype=np.float64),
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            source_seed=int(doc.get("source_seed", 0)))
-    except (KeyError, TypeError) as exc:
+            means=json_field(doc, "means", ndim=2),
+            variances=json_field(doc, "variances", ndim=1),
+            weights=json_field(doc, "weights", ndim=1),
+            source_seed=json_field(doc, "source_seed", 0, integer=True)).validate()
+        if (json_field(doc, "k", model.k, integer=True),
+                json_field(doc, "latent_dim", model.latent_dim, integer=True)) != model.means.shape:
+            raise InvalidConfigError(f"{path}: k, latent_dim differ from means {model.means.shape}")
+    except CONTENT_ERRORS as exc:
         raise InvalidConfigError(f"{path}: malformed mixture: {exc!r}") from exc
-    return model.validate()
+    return model

@@ -46,7 +46,8 @@ from .errors import (
     InvalidConfigError,
     ZeroDenseCountError,
 )
-from .jsonutil import decode_matrix, encode_matrix, read_json, write_json
+from .jsonutil import (CONTENT_ERRORS, decode_matrix, encode_matrix, json_field, read_json,
+                       write_json)
 from .rng import STREAM_IS_ACCEPT, STREAM_IS_PROPOSAL, CounterStream
 from .store import SampleStore
 
@@ -115,6 +116,10 @@ class ImportanceSamplingPlan:
     tol: float = 1e-4
     max_iters: int = 500
 
+    @property
+    def latent_dim(self) -> int:
+        return self.reference_latent.shape[0]
+
 
 @dataclass(frozen=True)
 class AcceptanceStats:
@@ -158,6 +163,8 @@ def _finish_entry(p: float, vertices: np.ndarray, dense_count: int, ref_count: i
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     if not np.all(np.isfinite(vertices)):
         raise ValueError("plan vertices must be finite")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"plan entry has p={p} outside (0, 1]")
     center = vertices.mean(axis=0)
     radius = float(np.max(np.linalg.norm(vertices - center, axis=1)))
     return PlanEntry(p=float(p), vertices=vertices, dense_count=int(dense_count),
@@ -373,7 +380,7 @@ def save_plan(path: str, plan: ImportanceSamplingPlan,
     doc = {
         "schema": 1,
         "kind": "importance",
-        "latent_dim": int(plan.reference_latent.shape[0]),
+        "latent_dim": plan.latent_dim,
         "r0": plan.r0,
         "hull_size": plan.hull_size,
         "tol": plan.tol,
@@ -401,28 +408,29 @@ def save_plan(path: str, plan: ImportanceSamplingPlan,
 
 def load_plan(path: str) -> ImportanceSamplingPlan:
     doc = read_json(path)
-    if not isinstance(doc, dict) or doc.get("kind") != "importance":
-        raise ValueError(f"{path} is not an importance-sampling plan file")
-    max_iters, tol = doc.get("max_iters", 500), doc.get("tol", 1e-4)
-    if type(max_iters) is not int or max_iters < 1:
-        raise InvalidConfigError(f"{path}: max_iters must be an integer >= 1, got {max_iters!r}")
-    if type(tol) not in (int, float) or not 0.0 < tol < math.inf:
-        raise InvalidConfigError(f"{path}: tol must be finite and > 0, got {tol!r}")
     try:
+        if doc["kind"] != "importance":
+            raise InvalidConfigError(f"{path} is not an importance-sampling plan file")
+        dim = json_field(doc, "latent_dim", integer=True)
+        max_iters = json_field(doc, "max_iters", 500, integer=True)
+        tol = json_field(doc, "tol", 1e-4)
+        if max_iters < 1 or tol <= 0.0:
+            raise InvalidConfigError(f"{path}: need max_iters >= 1, tol > 0: {max_iters}, {tol}")
         entries = tuple(
-            _finish_entry(float(e["p"]), decode_matrix(e["vertices"]),
-                          int(e["dense_count"]), int(e["ref_count"]),
-                          int(e.get("mode_index", -1)))
+            _finish_entry(json_field(e, "p"), decode_matrix(e["vertices"]),
+                          json_field(e, "dense_count", integer=True),
+                          json_field(e, "ref_count", integer=True),
+                          json_field(e, "mode_index", -1, integer=True))
             for e in doc["entries"])
-        for entry in entries:
-            if not 0.0 < entry.p <= 1.0:
-                raise ValueError(f"plan entry has p={entry.p} outside (0, 1]")
-        return ImportanceSamplingPlan(
-            entries=entries,
-            reference_index=int(doc["reference"]["index"]),
-            reference_latent=np.asarray(doc["reference"]["latent"], dtype=np.float64),
-            reference_embedding=np.asarray(doc["reference"]["embedding"], dtype=np.float64),
-            r0=float(doc["r0"]), hull_size=int(doc["hull_size"]),
-            tol=float(tol), max_iters=max_iters)
-    except (AttributeError, KeyError, TypeError) as exc:
+        ref = doc["reference"]
+        plan = ImportanceSamplingPlan(
+            entries=entries, reference_index=json_field(ref, "index", integer=True),
+            reference_latent=json_field(ref, "latent", ndim=1),
+            reference_embedding=json_field(ref, "embedding", ndim=1),
+            r0=json_field(doc, "r0"), hull_size=json_field(doc, "hull_size", integer=True),
+            tol=tol, max_iters=max_iters)
+        if not entries or {plan.latent_dim, *(e.vertices.shape[1] for e in entries)} != {dim}:
+            raise InvalidConfigError(f"{path}: need entries, vertices and reference of dim {dim}")
+    except CONTENT_ERRORS as exc:
         raise InvalidConfigError(f"{path}: malformed plan: {exc!r}") from exc
+    return plan

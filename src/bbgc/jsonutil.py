@@ -73,13 +73,33 @@ def write_json(path: str, obj: Any, float_style: str = "report") -> None:
 
 
 def read_json(path: str) -> Any:
-    """The document at ``path``; one nested too deeply for the parser to
-    recurse through raises ``InvalidConfigError``."""
+    """The document at ``path``; bytes that are not UTF-8 JSON, or nest too
+    deeply for the parser to recurse through, raise ``InvalidConfigError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except RecursionError as exc:
-            raise InvalidConfigError(f"{path}: JSON nested too deeply") from exc
+        except (RecursionError, ValueError) as exc:   # JSONDecodeError, UnicodeDecodeError
+            raise InvalidConfigError(f"{path}: not a JSON document: {exc}") from exc
+
+
+# What a loader's one ``try`` reports as ``InvalidConfigError``: bad content's errors.
+CONTENT_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
+
+
+def json_field(doc: Any, key: str, default: Any = ..., integer: bool = False,
+               ndim: int = 0) -> Any:
+    """``doc[key]``, else ``default`` if given: a JSON integer as an int, a finite
+    JSON number as a float, or with ``ndim`` lists of them nested that deep as a
+    float64 array.  Anything else (a bool, a numeric string, NaN, a ragged list)
+    raises TypeError, and a number past the float range OverflowError."""
+    value = doc[key] if default is ... else doc.get(key, default)
+    items = np.array(value, dtype=object)
+    kinds = (int,) if integer else (int, float)
+    if items.ndim != ndim or not all(type(x) in kinds and abs(x) < np.inf for x in items.flat):
+        what = ("a JSON integer" if integer else "a JSON number" if not ndim
+                else f"{ndim}-d lists of finite JSON numbers")
+        raise TypeError(f"{key} must be {what}" + ("" if ndim else f", got {value!r}"))
+    return value if integer else items.astype(np.float64) if ndim else float(value)
 
 
 def encode_matrix(m: np.ndarray) -> dict[str, Any]:
@@ -94,11 +114,11 @@ def encode_matrix(m: np.ndarray) -> dict[str, Any]:
 
 
 def decode_matrix(payload: dict[str, Any]) -> np.ndarray:
-    """The float64 matrix of an :func:`encode_matrix` payload."""
+    """The float64 matrix of an :func:`encode_matrix` payload, else ``InvalidConfigError``."""
     if payload.get("dtype") != "f4":
-        raise ValueError(f"unsupported matrix dtype {payload.get('dtype')!r}")
-    rows, cols = int(payload["rows"]), int(payload["cols"])
+        raise InvalidConfigError(f"unsupported matrix dtype {payload.get('dtype')!r}")
+    rows, cols = (json_field(payload, key, integer=True) for key in ("rows", "cols"))
     raw = base64.b64decode(payload["data"])
-    if len(raw) != rows * cols * 4:
-        raise ValueError("matrix payload length does not match its shape")
+    if min(rows, cols) < 1 or len(raw) != rows * cols * 4:
+        raise InvalidConfigError(f"matrix payload of {len(raw)} bytes does not fill {rows}x{cols}")
     return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float64)

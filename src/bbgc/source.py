@@ -61,7 +61,7 @@ from .errors import (
     SourceUnavailableError,
     StoreFormatError,
 )
-from .jsonutil import read_json
+from .jsonutil import CONTENT_ERRORS, json_field, read_json
 from .rng import (
     STREAM_MODEL,
     STREAM_MODEL_LATENT,
@@ -86,6 +86,7 @@ _EMBED_ROWS = 4096   # rows per block of the synthetic embed
 # at this width).
 _MAX_SYNTHETIC_EMBED_DIM = 1 << 12
 
+_MAX_LATENT_DIM = 1 << 16   # sample draws latents whole: 5 rows of 2**29 took 20 GiB
 _MAX_WAIT_S = 86400.0   # one day: the longest a spec may make a source wait
 _MAX_DOUBLINGS = 1023   # of the retry backoff: 2.0 ** 1023 is the largest float power of 2
 
@@ -132,16 +133,6 @@ class SyntheticModel:
     weights_cum: np.ndarray = field(repr=False, default=None)
 
 
-def _param(params: dict, key: str, default, integer: bool = False):
-    """``params[key]``, else ``default``: a JSON integer as an int, or a JSON
-    number as a float.  A bool, or a string that int() or float() would
-    take, raises TypeError."""
-    value = params.get(key, default)
-    if type(value) not in ((int,) if integer else (int, float)):
-        raise TypeError(f"{key} must be a JSON {'integer' if integer else 'number'}, got {value!r}")
-    return value if integer else float(value)
-
-
 def _ball_radius2(mass: float, latent_dim: int, anchor: np.ndarray) -> float:
     """Squared radius giving the ball around ``anchor`` N(0,I)-mass ``mass``."""
     if mass <= 0.0:
@@ -182,20 +173,19 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
     def spread_and_center(name: str, item: dict, row: int) -> tuple[float, np.ndarray]:
         """A component's checked spread and unit center; a null center is
         derived from row ``row`` of the seed's center stream."""
-        spread = _param(item, "spread", 0.0)
-        if spread < 0 or not math.isfinite(spread):
+        spread = json_field(item, "spread", 0.0)
+        if spread < 0:
             raise InvalidConfigError(f"{name} spread {spread}")
-        raw = item.get("center")
-        center = normalize(center_rows.normal_rows(row, 1, embed_dim)[0] if raw is None
-                           else np.asarray(raw, dtype=np.float64))
+        center = normalize(center_rows.normal_rows(row, 1, embed_dim)[0]
+                           if item.get("center") is None else json_field(item, "center", ndim=1))
         if center.shape != (embed_dim,):
             raise InvalidConfigError(f"{name} center has dim {center.shape}")
         return spread, center
 
     bg: list[BackgroundComponent] = []
     for i, item in enumerate(background):
-        weight = _param(item, "weight", 1.0)
-        if weight < 0 or not math.isfinite(weight):
+        weight = json_field(item, "weight", 1.0)
+        if weight < 0:
             raise InvalidConfigError(f"background[{i}] weight {weight}")
         spread, center = spread_and_center(f"background[{i}]", item, i)
         bg.append(BackgroundComponent(weight=weight, spread=spread, center=center))
@@ -206,18 +196,16 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
     modes: list[PlantedMode] = []
     mass_sum = 0.0
     for j, item in enumerate(planted):
-        mass = _param(item, "mass", 0.0)
+        mass = json_field(item, "mass", 0.0)
         if not 0.0 <= mass <= 1.0:
             raise InvalidConfigError(f"planted[{j}] mass {mass} outside [0, 1]")
         mass_sum += mass
         spread, center = spread_and_center(f"planted[{j}]", item, len(bg) + j)
-        raw_anchor = item.get("latent_anchor")
-        if raw_anchor is None:
+        if item.get("latent_anchor") is None:
             direction = normalize(anchor_rows.normal_rows(j, 1, latent_dim)[0])
-            norm = _param(item, "latent_norm", math.sqrt(latent_dim))
-            anchor = direction * norm
+            anchor = direction * json_field(item, "latent_norm", math.sqrt(latent_dim))
         else:
-            anchor = np.asarray(raw_anchor, dtype=np.float64)
+            anchor = json_field(item, "latent_anchor", ndim=1)
         if anchor.shape != (latent_dim,) or not np.all(np.isfinite(anchor)):
             raise InvalidConfigError(f"planted[{j}] latent anchor invalid")
         modes.append(PlantedMode(mass=mass, spread=spread, center=center,
@@ -623,26 +611,21 @@ def load_source_spec(path: str) -> SourceSpec:
     raw = read_json(path)
     try:
         kind = raw["kind"]
-        latent_dim, embed_dim = raw["latent_dim"], raw["embed_dim"]
-        seed = raw.get("seed", 0)
+        latent_dim = json_field(raw, "latent_dim", integer=True)
+        embed_dim = json_field(raw, "embed_dim", integer=True)
+        seed = json_field(raw, "seed", 0, integer=True)
         parameters = dict(raw.get("parameters", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+        if kind not in ("synthetic", "subprocess", "remote"):
+            raise InvalidConfigError(f"{path}: unknown source kind {kind!r}")
+        if not 1 <= latent_dim <= _MAX_LATENT_DIM:
+            raise InvalidConfigError(f"{path}: latent_dim must be in [1, {_MAX_LATENT_DIM}]")
+        if embed_dim < 2:
+            raise InvalidConfigError(f"{path}: embed_dim must be >= 2")
+        if not 0 <= seed < 2 ** 64:
+            raise InvalidConfigError(f"{path}: seed out of u64 range")
+        store_format.check_record_size(latent_dim, embed_dim)   # its stores must read back
+    except (*CONTENT_ERRORS, StoreFormatError) as exc:
         raise InvalidConfigError(f"{path}: {exc!r}") from exc
-    for name, value in (("latent_dim", latent_dim), ("embed_dim", embed_dim), ("seed", seed)):
-        if type(value) is not int:   # not a float, a bool or a string that int() would take
-            raise InvalidConfigError(f"{path}: {name} must be an integer, got {value!r}")
-    if kind not in ("synthetic", "subprocess", "remote"):
-        raise InvalidConfigError(f"{path}: unknown source kind {kind!r}")
-    if latent_dim < 1:
-        raise InvalidConfigError(f"{path}: latent_dim must be >= 1")
-    if embed_dim < 2:
-        raise InvalidConfigError(f"{path}: embed_dim must be >= 2")
-    try:   # the store a sample of this source would write must read back
-        store_format.check_record_size(latent_dim, embed_dim)
-    except StoreFormatError as exc:
-        raise InvalidConfigError(f"{path}: {exc}") from exc
-    if not 0 <= seed < 2 ** 64:
-        raise InvalidConfigError(f"{path}: seed out of u64 range")
     return SourceSpec(kind=kind, latent_dim=latent_dim, embed_dim=embed_dim,
                       seed=seed, parameters=parameters)
 
@@ -659,16 +642,16 @@ def open_source(spec: SourceSpec):
                 planted=p.get("planted", ())))
         if spec.kind == "subprocess":
             return SubprocessSource(p.get("argv", ()), spec.latent_dim, spec.embed_dim,
-                                    batch_size=_param(p, "batch", 4096, integer=True),
-                                    timeout=_param(p, "timeout", 60.0))
+                                    batch_size=json_field(p, "batch", 4096, integer=True),
+                                    timeout=json_field(p, "timeout", 60.0))
         if "url" not in p:
             raise InvalidConfigError("remote source needs parameters.url")
         return RemoteSource(p["url"], spec.latent_dim, spec.embed_dim,
-                            batch_size=_param(p, "batch", 256, integer=True),
-                            retries=_param(p, "retries", 3, integer=True),
-                            backoff=_param(p, "backoff", 0.25),
-                            timeout=_param(p, "timeout", 30.0))
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+                            batch_size=json_field(p, "batch", 256, integer=True),
+                            retries=json_field(p, "retries", 3, integer=True),
+                            backoff=json_field(p, "backoff", 0.25),
+                            timeout=json_field(p, "timeout", 30.0))
+    except CONTENT_ERRORS as exc:
         raise InvalidConfigError(f"bad {spec.kind} source parameters: {exc}") from exc
 
 

@@ -297,6 +297,16 @@ _TABLE_FIELDS = ("index", "latent", "embedding", "ref")
 _HEADER_PIECE = 4096   # CSV column names per write
 
 
+def check_fields(fields: Sequence[str]) -> list[str]:
+    """``fields`` as a list: at least one column, each of ``_TABLE_FIELDS``."""
+    for f in fields:
+        if f not in _TABLE_FIELDS:
+            raise ValueError(f"unknown field {f!r}; choose from {_TABLE_FIELDS}")
+    if not fields:
+        raise ValueError("need at least one field")
+    return list(fields)
+
+
 def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
                  fields: Sequence[str] = ("latent", "embedding")) -> int:
     """Flatten a store into a plot-ready CSV or JSON Lines table.
@@ -310,12 +320,7 @@ def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
 
     from .jsonutil import format_float
 
-    fields = list(fields)
-    for f in fields:
-        if f not in _TABLE_FIELDS:
-            raise ValueError(f"unknown field {f!r}; choose from {_TABLE_FIELDS}")
-    if not fields:
-        raise ValueError("need at least one field")
+    fields = check_fields(fields)
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}; choose csv or jsonl")
 

@@ -212,6 +212,16 @@ def test_worker_serves_source(pipeline):
 
 # -- exit codes -------------------------------------------------------------------
 
+def test_unknown_store_field_exits_2(pipeline, tmp_path, capsys):
+    for fields in ("foo", "latent,foo", ""):
+        with pytest.raises(SystemExit) as err:
+            main(["report", "--store", str(pipeline["pool"]), "--fields", fields,
+                  "--out", str(tmp_path / "x.csv")])
+        assert err.value.code == 2
+        assert "--fields" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_usage_errors_exit_2(pipeline, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["sample", "--source", str(pipeline["spec"]), "--n", "0",
@@ -455,6 +465,68 @@ def test_wrong_shaped_json_exits_3(pipeline, tmp_path, capsys, command, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["gmm", "is"])
+def test_empty_mode_list_exits_3_before_a_source_opens(pipeline, tmp_path, capsys,
+                                                       monkeypatch, method):
+    # an empty top_k once made `calibrate gmm` embed all --n-fit rows first
+    monkeypatch.setattr("bbgc.source.open_source",
+                        lambda spec: pytest.fail("a source was opened"))
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(dict(read_json(str(pipeline["report"])), top_k=[])))
+    argv = {"gmm": ["gmm", "--source", str(pipeline["spec"])],
+            "is": ["is", "--pool", str(pipeline["pool"])]}[method]
+    capsys.readouterr()
+    assert main(["calibrate", *argv, "--anchors", str(pipeline["anchors"]),
+                 "--report", str(report), "--out", str(tmp_path / "m.json")]) == 3
+    assert capsys.readouterr().err == f"error: {report}: top_k lists no mode\n"
+    assert main(["report", "--report", str(report), "--out", str(tmp_path / "t")]) == 3
+
+
+@pytest.mark.parametrize("kind, field, value, message", [
+    # int() overflowed on these: an OverflowError traceback, exit 1
+    ("importance", "dense_count", float("inf"), "dense_count must be a JSON integer"),
+    ("mixture", "source_seed", float("inf"), "source_seed must be a JSON integer"),
+    # these were accepted, and evaluate exited 0
+    ("importance", "dense_count", "7", "dense_count must be a JSON integer"),
+    ("importance", "hull_size", 2.9, "hull_size must be a JSON integer"),
+    ("importance", "latent_dim", 7, "of dim 7"),
+    ("importance", "entries", [], "need entries"),
+    ("mixture", "k", 3, "k, latent_dim differ from means (4, 2)"),
+    ("mixture", "latent_dim", 3, "k, latent_dim differ from means (4, 2)"),
+])
+def test_model_file_stating_a_bad_field_exits_3(pipeline, tmp_path, capsys, kind, field,
+                                                 value, message):
+    model = tmp_path / "model.json"
+    if kind == "mixture":
+        argv = ["gmm", "--source", str(pipeline["spec"]), "--kmeans-k", "4", "--n-fit", "400"]
+    else:
+        argv = ["is", "--pool", str(pipeline["pool"]), "--hull-size", "40"]
+    assert main(["calibrate", *argv, "--anchors", str(pipeline["anchors"]),
+                 "--report", str(pipeline["report"]), "--out", str(model)]) == 0
+    doc = read_json(str(model))
+    (doc["entries"][0] if field == "dense_count" else doc)[field] = value
+    model.write_text(json.dumps(doc))   # inf travels as Infinity
+    capsys.readouterr()
+    assert main(["evaluate", "--source", str(pipeline["spec"]), "--model", str(model),
+                 "--anchors", "10", "--pool", "50", "--out", str(tmp_path / "e.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ") and message in err, err
+    assert err.count("\n") == 1
+
+
+def test_plan_for_another_latent_dim_exits_3(pipeline, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    assert main(["calibrate", "is", "--anchors", str(pipeline["anchors"]),
+                 "--pool", str(pipeline["pool"]), "--report", str(pipeline["report"]),
+                 "--hull-size", "40", "--out", str(plan)]) == 0
+    spec = tmp_path / "spec3.json"
+    spec.write_text(json.dumps(dict(SPEC, latent_dim=3)))
+    capsys.readouterr()
+    assert main(["evaluate", "--source", str(spec), "--model", str(plan),
+                 "--anchors", "10", "--pool", "50", "--out", str(tmp_path / "e.json")]) == 3
+    assert capsys.readouterr().err == "error: model latent_dim 2, source 3\n"
+
+
 def _child_env() -> dict:
     """The environment of a child interpreter that imports this checkout's bbgc."""
     src_root = os.path.dirname(os.path.dirname(bbgc.__file__))
@@ -463,20 +535,24 @@ def _child_env() -> dict:
 
 
 def test_synthetic_spec_at_the_record_bound_exits_3(tmp_path):
-    # the widest spec a store can hold passes load_source_spec; its synthetic
-    # model must be refused before it draws a 4 GiB center, so the command
-    # runs in a child whose address space could not hold one
+    # the widest specs a store can hold, on either side of the record: a
+    # synthetic model must be refused before it draws a 4 GiB center, and a
+    # latent this wide before `sample` draws 5 rows of it (20 GiB), so each
+    # command runs in a child whose address space could hold neither
     spec = tmp_path / "wide.json"
-    spec.write_text(json.dumps({"kind": "synthetic", "latent_dim": 1,
-                                "embed_dim": 2 ** 29 - 3}))
     env = _child_env()
     limit = 1 << 30
-    out = subprocess.run(
-        [sys.executable, "-m", "bbgc", "sample", "--source", str(spec), "--n", "5",
-         "--out", str(tmp_path / "x.bbgc")], env=env, capture_output=True, text=True,
-        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    assert out.returncode == 3, out.stderr[-400:]
-    assert out.stderr.startswith("error: embed_dim must be in [2, ")
+    for dims, message in [((1, 2 ** 29 - 3), "error: embed_dim must be in [2, "),
+                          ((2 ** 29 - 4, 2), f"error: {spec}: latent_dim must be in [1, ")]:
+        spec.write_text(json.dumps({"kind": "synthetic", "latent_dim": dims[0],
+                                    "embed_dim": dims[1]}))
+        out = subprocess.run(
+            [sys.executable, "-m", "bbgc", "sample", "--source", str(spec), "--n", "5",
+             "--out", str(tmp_path / "x.bbgc")], env=env, capture_output=True, text=True,
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert out.returncode == 3, out.stderr[-400:]
+        assert out.stderr.startswith(message), out.stderr[-400:]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -541,6 +617,22 @@ def test_pool_without_unit_norm_exits_3(pipeline, tmp_path, capsys, command):
     argv = _analysis_argv(command, pipeline, pipeline["anchors"], pool)
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 3
     assert capsys.readouterr().err.startswith(f"error: {pool}: embedding 2499 has norm nan")
+
+
+@pytest.mark.parametrize("command", ["diagnose", "find-modes", "calibrate is"])
+def test_pool_with_a_non_finite_latent_exits_3(pipeline, tmp_path, capsys, command):
+    # `calibrate is` takes pool latents as hull vertices: a NaN latent once
+    # ended in a ValueError from the plan builder
+    st = read_store(pipeline["pool"])
+    blob = bytearray(pipeline["pool"].read_bytes())
+    at = HEADER.size + record_dtype(st.latent_dim, st.embed_dim).itemsize * 7
+    blob[at:at + 4] = np.float32(np.nan).tobytes()   # the first latent float of row 7
+    pool = tmp_path / "pool.bbgc"
+    pool.write_bytes(bytes(blob))
+    capsys.readouterr()
+    argv = _analysis_argv(command, pipeline, pipeline["anchors"], pool)
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr().err == f"error: {pool}: latents must be finite\n"
 
 
 def test_cli_import_does_not_load_scipy_stats(pipeline):

@@ -1,5 +1,7 @@
 """Mixture reweighting: clustering, weights, covariance, sampling, files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -182,14 +184,26 @@ def test_mixture_file_round_trip(tmp_path):
     np.testing.assert_array_equal(back.weights, model.weights)
     assert back.source_seed == 1234
     (tmp_path / "bad.json").write_text('{"kind": "other"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         load_mixture(str(tmp_path / "bad.json"))
     (tmp_path / "bad.json").write_text('[1]')
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         load_mixture(str(tmp_path / "bad.json"))
     (tmp_path / "bad.json").write_text('{"kind": "mixture", "means": {"a": 1}}')
     with pytest.raises(InvalidConfigError):
         load_mixture(str(tmp_path / "bad.json"))
+    # k and latent_dim, where the file states them, must be the shape of its means
+    doc = json.loads(path.read_text())
+    for field, value in (("k", 3), ("latent_dim", 4), ("k", 4.0), ("latent_dim", True)):
+        (tmp_path / "bad.json").write_text(json.dumps(dict(doc, **{field: value})))
+        with pytest.raises(InvalidConfigError, match=field):
+            load_mixture(str(tmp_path / "bad.json"))
+    # numbers of another type are refused, not coerced
+    for field, value in (("means", [["1.0", 0.0]] * 4), ("weights", [True, 0.2, 0.3, 0.4]),
+                         ("variances", [1.0, None, 1.0]), ("source_seed", "1234")):
+        (tmp_path / "bad.json").write_text(json.dumps(dict(doc, **{field: value})))
+        with pytest.raises(InvalidConfigError, match=field):
+            load_mixture(str(tmp_path / "bad.json"))
 
 
 def test_calibrate_gmm_downweights_dense_cluster():
@@ -205,6 +219,21 @@ def test_calibrate_gmm_downweights_dense_cluster():
     assert mix.weights[origin_cluster] < 1.0 / 8 / 4
     with pytest.raises(EmptyModeListError):
         calibrate_gmm(src, np.empty((0, 16)), seed=5, k=8, n_fit=1000)
+
+
+def test_empty_mode_list_raises_before_sampling():
+    # np.atleast_2d([]) has shape (1, 0): one mode of width 0, not none
+    class Unsampled:
+        latent_dim = 2
+        embed_dim = 16
+
+        def embed(self, latents):
+            pytest.fail("the source was sampled")
+    for modes in ([], np.asarray([]), np.empty((0, 16))):
+        with pytest.raises(EmptyModeListError):
+            calibrate_gmm(Unsampled(), modes, seed=5, k=4, n_fit=200)
+        with pytest.raises(EmptyModeListError):
+            compute_cluster_weights(np.array([0, 1]), 2, np.eye(2), modes, 0.25)
 
 
 def test_calibrate_gmm_checks_the_unit_norm_contract():

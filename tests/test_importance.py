@@ -26,6 +26,7 @@ from bbgc.importance import (
     save_plan,
 )
 from bbgc.embedding import normalize_rows
+from bbgc.jsonutil import encode_matrix
 from bbgc.rng import STREAM_IS_PROPOSAL, CounterStream
 from bbgc.store import SampleStore
 
@@ -438,10 +439,10 @@ def test_plan_file_round_trip_keeps_the_accepted_sequence(tmp_path):
 def test_load_plan_rejects_bad_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "mixture"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         load_plan(str(bad))
     bad.write_text('[1]')
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         load_plan(str(bad))
     bad.write_text('{"kind": "importance", "entries": [[1]]}')
     with pytest.raises(InvalidConfigError):
@@ -453,8 +454,25 @@ def test_load_plan_rejects_bad_files(tmp_path):
     save_plan(str(path), plan)
     text = path.read_text().replace('"p": 0.2', '"p": 0.0')
     path.write_text(text)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(InvalidConfigError, match="outside"):
         load_plan(str(path))
+
+
+def test_load_plan_checks_the_shape_it_states(tmp_path):
+    plan = build_plan(eight_row_pool(), [(unit(0), 0)], [5], r0=0.25, hull_size=3)
+    path = tmp_path / "plan.json"
+    save_plan(str(path), plan)
+    doc = json.loads(path.read_text())
+    bad = [dict(doc, latent_dim=3), dict(doc, entries=[]),
+           dict(doc, reference=dict(doc["reference"], latent=[0.0, 0.0, 0.0])),
+           dict(doc, entries=[dict(doc["entries"][0], vertices=encode_matrix(np.zeros((3, 3))))]),
+           dict(doc, entries=[dict(doc["entries"][0], dense_count="7")]),
+           dict(doc, entries=[dict(doc["entries"][0], ref_count=2.0)]),
+           dict(doc, hull_size=2.9), dict(doc, r0="0.25")]
+    for edited in bad:
+        path.write_text(json.dumps(edited))
+        with pytest.raises(InvalidConfigError):
+            load_plan(str(path))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -13,6 +13,7 @@ import pytest
 from bbgc.errors import (
     BadMagicError,
     DimensionMismatchError,
+    InvalidConfigError,
     NonFiniteError,
     StoreFormatError,
     TruncatedStoreError,
@@ -590,9 +591,9 @@ def test_matrix_codec_round_trip():
     # float32 is the one payload kind: no writer produces another
     wide = dict(payload, dtype="f8",
                 data=base64.b64encode(m.astype("<f8").tobytes()).decode("ascii"))
-    with pytest.raises(ValueError, match="dtype"):
+    with pytest.raises(InvalidConfigError, match="dtype"):
         decode_matrix(wide)
     bad = encode_matrix(m)
     bad["rows"] = 3
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         decode_matrix(bad)
