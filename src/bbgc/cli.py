@@ -43,7 +43,6 @@ from .rng import (
     derive_seed,
 )
 
-EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_PRECONDITION = 4
 EXIT_SOURCE = 5
@@ -56,7 +55,7 @@ _ROLE_STREAMS = {"anchors": STREAM_ANCHORS, "pool": STREAM_POOL}
 _AFTER_ANCHORS_SALT = 0xA11C40125
 _AFTER_POOL_SALT = 0xC011EC7104
 
-_GEN_BATCH = 8192   # rows per batch that `sample` streams into its store
+_GEN_BATCH = 8192   # rows per batch that `sample` streams into its store, at most
 _REFERENCE_PROBES = 256
 
 
@@ -124,11 +123,12 @@ def _read_unit_store(path: str) -> stores.SampleStore:
 def cmd_sample(args, parser) -> int:
     spec = sources.load_source_spec(args.source)
     stream = _ROLE_STREAMS[args.role]
+    batch = sources.block_rows(_GEN_BATCH, spec.latent_dim + spec.embed_dim)
     with (sources.open_source(spec) as src,
           stores.StoreWriter(args.out, spec.latent_dim, spec.embed_dim,
                              args.seed) as writer):
-        for lo in range(0, args.n, _GEN_BATCH):
-            count = min(args.n, lo + _GEN_BATCH) - lo
+        for lo in range(0, args.n, batch):
+            count = min(args.n, lo + batch) - lo
             latents = sources.sample_latents(count, spec.latent_dim,
                                              args.seed, stream, start=lo)
             embeddings, refs = sources.generate(src, latents)
@@ -331,8 +331,12 @@ def _read_report(path: str) -> dict:
             if not rep["top_k"]:
                 raise InvalidConfigError(f"{path}: top_k lists no mode")
             for mode in rep["top_k"]:
-                json_field(mode, "anchor_index", integer=True), json_field(mode, "mccs")
+                for key in ("anchor_index", "neighbor_count"):
+                    json_field(mode, key, integer=True)
+                json_field(mode, "mccs")
             for curve in rep.get("curves", ()):
+                if curve["kind"] not in diagnosis.CURVE_KINDS:
+                    raise InvalidConfigError(f"{path}: unknown curve kind {curve['kind']!r}")
                 for point in curve["points"]:
                     point = dict(zip(("size", "value"), point, strict=True))
                     json_field(point, "size", integer=True), json_field(point, "value")
@@ -385,12 +389,6 @@ def cmd_report(args, parser) -> int:
 
 def cmd_worker(args, parser) -> int:
     spec = sources.load_source_spec(args.source)
-    if args.latent_dim is not None and args.latent_dim != spec.latent_dim:
-        raise InvalidConfigError(
-            f"--latent-dim {args.latent_dim} but source has {spec.latent_dim}")
-    if args.embed_dim is not None and args.embed_dim != spec.embed_dim:
-        raise InvalidConfigError(
-            f"--embed-dim {args.embed_dim} but source has {spec.embed_dim}")
     with sources.open_source(spec) as src:
         sources.run_worker(src, sys.stdin.buffer, sys.stdout.buffer)
     return 0
@@ -501,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker = commands.add_parser(
         "worker", help="serve a source over stdin/stdout frames (child side)")
     worker.add_argument("--source", required=True, help="source spec JSON")
-    worker.add_argument("--latent-dim", type=_positive_int, default=None)
-    worker.add_argument("--embed-dim", type=_positive_int, default=None)
     worker.set_defaults(func=cmd_worker)
 
     return parser

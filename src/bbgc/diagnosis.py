@@ -60,18 +60,12 @@ class PopulationStats:
     mean_similarities: np.ndarray = field(repr=False)  # (m,)
     n_samples: int = 0
 
-    def anchor(self, i: int) -> MccsValue:
-        return MccsValue(value=float(self.values[i]), anchor_index=i,
-                         mean_similarity=float(self.mean_similarities[i]),
-                         n_samples=self.n_samples)
-
 
 @dataclass(frozen=True)
 class DenseModeResult:
     anchor_index: int
     neighbor_count: int
     radius: float
-    runner_ups: tuple[tuple[int, int], ...] = ()
     no_dense_mode: bool = False
 
 
@@ -148,17 +142,13 @@ def _rank(counts: np.ndarray) -> np.ndarray:
     return order
 
 
-def find_worst_mode(anchors: SampleStore, pool: SampleStore, radius: float,
-                    runner_ups: int = 9) -> DenseModeResult:
+def find_worst_mode(anchors: SampleStore, pool: SampleStore, radius: float) -> DenseModeResult:
     """The anchor with the most pool neighbors within ``radius``."""
     check_disjoint(anchors, pool)
     counts = neighbor_counts(anchors.embeddings, pool.embeddings, radius)
-    order = _rank(counts)
-    winner = int(order[0])
-    ups = tuple((int(i), int(counts[i])) for i in order[1:max(1, runner_ups + 1)][:runner_ups])
+    winner = int(_rank(counts)[0])
     return DenseModeResult(anchor_index=winner, neighbor_count=int(counts[winner]),
-                           radius=float(radius), runner_ups=ups,
-                           no_dense_mode=bool(counts[winner] == 0))
+                           radius=float(radius), no_dense_mode=bool(counts[winner] == 0))
 
 
 def top_k_modes(anchors: SampleStore, pool: SampleStore, radius: float = 0.25,

@@ -42,6 +42,9 @@ _VARIANCE_FLOOR = 1e-12
 # decides every pair on a per-pair dot, so its tile sizes set no bits.
 SAMPLE_CHUNK = 8192
 
+_MAX_ITERS = 100   # Lloyd iterations of a k-means fit, at most
+_TOL = 1e-6        # relative inertia improvement that ends a fit
+
 
 @dataclass(frozen=True)
 class ClusterAssignment:
@@ -143,11 +146,10 @@ def _reseed_empty(latents: np.ndarray, means: np.ndarray, labels: np.ndarray,
         best_d2[far] = 0.0
 
 
-def kmeans_fit(latents: np.ndarray, k: int, seed: int, max_iters: int = 100,
-               tol: float = 1e-6) -> tuple[np.ndarray, ClusterAssignment]:
+def kmeans_fit(latents: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, ClusterAssignment]:
     """Lloyd iterations from k-means++ init.
 
-    Stops when the relative inertia improvement falls below ``tol``.
+    Stops when the relative inertia improvement falls below ``_TOL``.
     Empty clusters are re-seeded from the points farthest from their
     assigned means, so every returned cluster is non-empty.
     """
@@ -165,7 +167,7 @@ def kmeans_fit(latents: np.ndarray, k: int, seed: int, max_iters: int = 100,
     means = _kmeans_pp_init(latents, k, seed)
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         labels, best_d2 = _assign(latents, means)
         _reseed_empty(latents, means, labels, best_d2, k)
         inertia = float(np.sum(best_d2))
@@ -173,7 +175,7 @@ def kmeans_fit(latents: np.ndarray, k: int, seed: int, max_iters: int = 100,
         np.add.at(sums, labels, latents)
         counts = np.bincount(labels, minlength=k).astype(np.float64)
         means = sums / counts[:, None]
-        if prev_inertia - inertia <= tol * max(prev_inertia, 1e-300):
+        if prev_inertia - inertia <= _TOL * max(prev_inertia, 1e-300):
             break
         prev_inertia = inertia
     labels, best_d2 = _assign(latents, means)
@@ -237,8 +239,7 @@ def sample_calibrated(model: MixtureModel, n: int, seed: int, start: int = 0) ->
 
 
 def calibrate_gmm(source, dense_modes: np.ndarray, seed: int, k: int = 64,
-                  r0: float = 0.25, n_fit: int = 100_000, max_iters: int = 100,
-                  tol: float = 1e-6, source_seed: int = 0) -> MixtureModel:
+                  r0: float = 0.25, n_fit: int = 100_000, source_seed: int = 0) -> MixtureModel:
     """Fit the reweighted mixture against a source's dense modes.
 
     Draws ``n_fit`` fresh prior latents, embeds them through the source
@@ -250,7 +251,7 @@ def calibrate_gmm(source, dense_modes: np.ndarray, seed: int, k: int = 64,
         raise EmptyModeListError("need at least one dense mode to calibrate")
     latents = sample_latents(n_fit, source.latent_dim, seed, STREAM_FIT)
     embeddings, _ = generate(source, latents)
-    means, assignment = kmeans_fit(latents, k, seed, max_iters=max_iters, tol=tol)
+    means, assignment = kmeans_fit(latents, k, seed)
     weights = compute_cluster_weights(assignment.labels, k, embeddings, dense_modes, r0)
     variances = estimate_covariance(latents, assignment.labels, means)
     return MixtureModel(means=means, variances=variances, weights=weights,

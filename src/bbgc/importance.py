@@ -53,6 +53,7 @@ from .store import SampleStore
 
 _PROPOSAL_BATCH = 8192   # fixed: batch boundaries are part of no contract,
                          # but stats are counted per full batch
+_MAX_PROPOSALS_PER_DRAW = 1000   # proposals per requested draw before a stall
 
 # Qhull facet counts grow steeply with dimension: for 100 vertices about
 # 166 facets at 4-d, 2479 at 6-d and 48 496 at 8-d, where one batch's
@@ -327,8 +328,7 @@ def _match_entries(plan: ImportanceSamplingPlan, z: np.ndarray) -> np.ndarray:
 
 
 def sample_calibrated_is(plan: ImportanceSamplingPlan, latent_dim: int, n: int,
-                         seed: int, max_factor: int = 1000
-                         ) -> tuple[np.ndarray, AcceptanceStats]:
+                         seed: int) -> tuple[np.ndarray, AcceptanceStats]:
     """n accepted prior draws under the plan's hull-gated acceptance.
 
     Proposal i and its acceptance variate are both addressed by i, so
@@ -348,7 +348,7 @@ def sample_calibrated_is(plan: ImportanceSamplingPlan, latent_dim: int, n: int,
     kept: list[np.ndarray] = []
     total = accepted = in_hull = in_hull_accepted = 0
     offset = 0
-    limit = max_factor * n
+    limit = _MAX_PROPOSALS_PER_DRAW * n
     while accepted < n:
         if total >= limit:
             raise AcceptanceStallError(

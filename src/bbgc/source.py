@@ -32,8 +32,8 @@ the same bits without that module's import cost.  Everything else about a
 latent (background component choice, angular noise) comes from hashing
 the latent's bits, so generation is order-independent and identical no
 matter how work is batched or parallelized.  The synthetic embed works
-through fixed blocks of ``_EMBED_ROWS`` rows, which bound its working
-memory; each row is computed alone, so its result does not depend on them.
+through blocks of :func:`block_rows` rows, which bound its working memory;
+each row is computed alone, so its result does not depend on them.
 """
 
 from __future__ import annotations
@@ -79,16 +79,21 @@ _NOISE_SALT = 0x4E4F49534553414C54 % (1 << 64)
 
 _UNIT_NORM_TOL = 1e-4   # 32-bit wire format tolerance
 
-_EMBED_ROWS = 4096   # rows per block of the synthetic embed
+_EMBED_ROWS = 4096   # rows per block of the synthetic embed, at most
+_BLOCK_BYTES = 1 << 25   # of one float64 array of a block's rows
 
-# The widest synthetic embedding: each derived center is drawn whole, and an
-# embed block holds a few _EMBED_ROWS x embed_dim float64 arrays (128 MiB each
-# at this width).
+# The widest synthetic embedding: each derived center is drawn whole.
 _MAX_SYNTHETIC_EMBED_DIM = 1 << 12
 
 _MAX_LATENT_DIM = 1 << 16   # sample draws latents whole: 5 rows of 2**29 took 20 GiB
 _MAX_WAIT_S = 86400.0   # one day: the longest a spec may make a source wait
 _MAX_DOUBLINGS = 1023   # of the retry backoff: 2.0 ** 1023 is the largest float power of 2
+
+
+def block_rows(rows: int, width: int) -> int:
+    """At most ``rows`` rows, and no more than fit ``_BLOCK_BYTES`` as float64
+    rows of ``width`` columns; at least one."""
+    return max(1, min(rows, _BLOCK_BYTES // (8 * width)))
 
 
 def sample_latents(n: int, latent_dim: int, seed: int,
@@ -309,11 +314,12 @@ class SyntheticSource(_Source):
         z = self._latents(latents)
         out = np.empty((len(z), m.embed_dim), dtype=np.float64)
         components = m.planted + m.background
-        for lo in range(0, len(z), _EMBED_ROWS):
-            block = z[lo:lo + _EMBED_ROWS]
+        step = block_rows(_EMBED_ROWS, max(m.latent_dim, m.embed_dim))
+        for lo in range(0, len(z), step):
+            block = z[lo:lo + step]
             label = self._components(block)
             hashes = hash_latents(self._noise_seed, block)
-            out_block = out[lo:lo + _EMBED_ROWS]
+            out_block = out[lo:lo + step]
             for c, component in enumerate(components):
                 rows = label == c
                 if rows.any():
@@ -455,8 +461,7 @@ class SubprocessSource(_BatchedSource):
                 or not all(isinstance(a, str) for a in argv)):
             raise InvalidConfigError(
                 f"subprocess argv must be a non-empty list of strings, got {argv!r}")
-        self._argv = list(argv) + [
-            "--latent-dim", str(latent_dim), "--embed-dim", str(embed_dim)]
+        self._argv = list(argv)
         self._proc: subprocess.Popen | None = None
         self._stderr = None
         self._lock = threading.Lock()
@@ -630,6 +635,14 @@ def load_source_spec(path: str) -> SourceSpec:
                       seed=seed, parameters=parameters)
 
 
+def _stated(parameters: dict, **integer: bool) -> dict:
+    """The adapter keyword arguments that ``parameters`` states, each key read
+    as a JSON integer or a JSON number; a key left out keeps the constructor's
+    default.  The spec's ``batch`` is the constructors' ``batch_size``."""
+    return {"batch_size" if key == "batch" else key: json_field(parameters, key, integer=wants)
+            for key, wants in integer.items() if key in parameters}
+
+
 def open_source(spec: SourceSpec):
     """The source a spec names; parameters of the wrong type or value raise
     ``InvalidConfigError``.  Keys a kind does not use are ignored."""
@@ -642,15 +655,12 @@ def open_source(spec: SourceSpec):
                 planted=p.get("planted", ())))
         if spec.kind == "subprocess":
             return SubprocessSource(p.get("argv", ()), spec.latent_dim, spec.embed_dim,
-                                    batch_size=json_field(p, "batch", 4096, integer=True),
-                                    timeout=json_field(p, "timeout", 60.0))
+                                    **_stated(p, batch=True, timeout=False))
         if "url" not in p:
             raise InvalidConfigError("remote source needs parameters.url")
         return RemoteSource(p["url"], spec.latent_dim, spec.embed_dim,
-                            batch_size=json_field(p, "batch", 256, integer=True),
-                            retries=json_field(p, "retries", 3, integer=True),
-                            backoff=json_field(p, "backoff", 0.25),
-                            timeout=json_field(p, "timeout", 30.0))
+                            **_stated(p, batch=True, retries=True, backoff=False,
+                                      timeout=False))
     except CONTENT_ERRORS as exc:
         raise InvalidConfigError(f"bad {spec.kind} source parameters: {exc}") from exc
 

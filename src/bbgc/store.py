@@ -17,16 +17,15 @@ with one dim set to 0, so this module is the one codec for both: the
 header packer and check, the record packer, and the record scan.
 
 Writers stage into ``<path>.tmp`` and rename at close, so a store path
-either holds a complete previous file or a complete new one.  Readers
-run in strict mode by default (any truncation raises); recovery mode
-salvages the records that parse completely.
+either holds a complete previous file or a complete new one.  A store
+that ends before its header's count of records is damaged, and reading
+it raises ``TruncatedStoreError``.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -250,20 +249,6 @@ def write_store(path: str | os.PathLike, latents: np.ndarray, embeddings: np.nda
         w.append(latents, embeddings, refs)
 
 
-def read_header(path: str | os.PathLike) -> tuple[int, int, int, int]:
-    """(latent_dim, embed_dim, count, seed) from a store header."""
-    with open(path, "rb") as fh:
-        head = fh.read(HEADER.size)
-    return parse_header(head)
-
-
-def parse_header(head: bytes) -> tuple[int, int, int, int]:
-    latent_dim, embed_dim, count, seed = unpack_header(head)
-    if latent_dim < 1 or embed_dim < 1:
-        raise TruncatedStoreError(f"invalid dims {latent_dim}x{embed_dim}")
-    return latent_dim, embed_dim, count, seed
-
-
 def parse_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
                   scanned: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, list[bytes] | None]:
     """(latents, embeddings, refs) of the records at the head of ``payload``
@@ -312,8 +297,9 @@ def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
     """Flatten a store into a plot-ready CSV or JSON Lines table.
 
     Floats are rendered with 9 significant digits.  Vector fields expand
-    to one column per dimension in CSV; refs are base64 strings.
-    Returns the number of data rows written.
+    to one column per dimension in CSV; refs are base64 strings.  A
+    non-finite value in an exported vector field raises ``NonFiniteError``
+    before the output is opened.  Returns the number of data rows written.
     """
     import base64
     import csv
@@ -323,6 +309,10 @@ def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
     fields = check_fields(fields)
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}; choose csv or jsonl")
+    for f, vectors in (("latent", st.latents), ("embedding", st.embeddings)):
+        if f in fields and not np.all(np.isfinite(vectors)):
+            row = int(np.argmin(np.isfinite(vectors).all(axis=1)))
+            raise NonFiniteError(f"row {row} has a non-finite {f}; a table holds finite values")
 
     def row_values(i: int) -> dict:
         out = {}
@@ -400,22 +390,20 @@ def latents_disjoint(a: np.ndarray, b: np.ndarray) -> bool:
     return not any(r.tobytes() in seen for r in rows_a)
 
 
-def read_store(path: str | os.PathLike, recover: bool = False) -> SampleStore:
-    """Load a store; strict on truncation unless ``recover`` is set."""
+def read_store(path: str | os.PathLike) -> SampleStore:
+    """Load a store: every record its header counts, or ``TruncatedStoreError``."""
     with open(path, "rb") as fh:
         # writable, so that parse_records moves records over refs in place
         blob = bytearray(os.fstat(fh.fileno()).st_size)
         got = fh.readinto(blob)
         blob[got:] = fh.read()   # what a changing file or a pipe held past that
-    latent_dim, embed_dim, count, seed = parse_header(blob)
+    latent_dim, embed_dim, count, seed = unpack_header(blob)
+    if latent_dim < 1 or embed_dim < 1:   # a wire frame's dims, not a store's
+        raise StoreFormatError(f"{path}: store dims {latent_dim}x{embed_dim}, each must be >= 1")
     payload = memoryview(blob)[HEADER.size:]
     scanned = scan_records(payload, latent_dim, embed_dim, count)
+    if scanned[1] < count:
+        raise TruncatedStoreError(
+            f"{path}: header promises {count} records, only {scanned[1]} complete")
     lat, emb, refs = parse_records(payload, latent_dim, embed_dim, scanned)
-    parsed = scanned[1]
-    if parsed < count:
-        if not recover:
-            raise TruncatedStoreError(
-                f"{path}: header promises {count} records, only {parsed} complete")
-        warnings.warn(f"{path}: recovered {parsed} of {count} records",
-                      RuntimeWarning, stacklevel=2)
     return SampleStore(latents=lat, embeddings=emb, seed=seed, refs=refs)

@@ -740,6 +740,117 @@ def test_worker_request_with_embeddings_exits_5(pipeline, monkeypatch, capsys):
     assert "request embed_dim 268435456" in capsys.readouterr().err
 
 
-def test_worker_dim_mismatch_exit_3(pipeline):
-    assert main(["worker", "--source", str(pipeline["spec"]),
-                 "--latent-dim", "7"]) == 3
+def test_worker_dim_mismatch_exit_5(pipeline, tmp_path, monkeypatch, capsys):
+    # the parent's spec says latent_dim 3 and the child's source has 2: the
+    # child refuses the first request's header, and the parent names why
+    monkeypatch.setenv("PYTHONPATH", _child_env()["PYTHONPATH"])
+    spec = tmp_path / "child.json"
+    spec.write_text(json.dumps({
+        "kind": "subprocess", "latent_dim": 3, "embed_dim": SPEC["embed_dim"],
+        "parameters": {"argv": [sys.executable, "-m", "bbgc", "worker",
+                                "--source", str(pipeline["spec"])], "timeout": 60}}))
+    out = tmp_path / "x.bbgc"
+    capsys.readouterr()
+    assert main(["sample", "--source", str(spec), "--n", "5", "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: child closed its stdout") and "Traceback" not in err, err
+    assert "request latent_dim 3, source has 2" in err, err
+    assert not out.exists() and not (tmp_path / "x.bbgc.tmp").exists()
+
+
+def _report_edit(report: dict, edit: str) -> dict:
+    doc = json.loads(json.dumps(report))
+    if edit == "no neighbor_count":
+        del doc["top_k"][3]["neighbor_count"]
+    elif edit == "text neighbor_count":
+        doc["top_k"][3]["neighbor_count"] = "x,y"
+    elif edit == "no curve kind":
+        del doc["curves"][1]["kind"]
+    elif edit == "unknown curve kind":
+        doc["curves"][1]["kind"] = "mean"
+    elif edit == "evaluation":
+        doc = {"before": doc, "after": doc}
+    else:   # a mode anchor past the 80 anchors of the store
+        doc["top_k"][0]["anchor_index"] = 80
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    # _write_tables read these two unchecked: a KeyError traceback, or "x,y"
+    # copied into modes.csv
+    ("no neighbor_count", "'neighbor_count'"),
+    ("text neighbor_count", "neighbor_count must be a JSON integer"),
+    ("no curve kind", "'kind'"),
+    ("unknown curve kind", "unknown curve kind 'mean'"),
+])
+def test_report_with_a_bad_table_field_exits_3(pipeline, tmp_path, capsys, edit, message):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(_report_edit(read_json(str(pipeline["report"])), edit)))
+    capsys.readouterr()
+    assert main(["report", "--report", str(report), "--out", str(tmp_path / "t")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}: ") and message in err, err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("t.*"))
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("evaluation", "not a diagnosis report"),
+    ("anchor outside", "mode anchor 80 outside store of 80"),
+])
+def test_calibrate_refuses_a_report_it_cannot_use(pipeline, tmp_path, capsys, edit, message):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(_report_edit(read_json(str(pipeline["report"])), edit)))
+    capsys.readouterr()
+    assert main(["calibrate", "is", "--anchors", str(pipeline["anchors"]),
+                 "--pool", str(pipeline["pool"]), "--report", str(report),
+                 "--out", str(tmp_path / "plan.json")]) == 3
+    assert capsys.readouterr().err == f"error: {report}: {message}\n"
+    assert not (tmp_path / "plan.json").exists()
+
+
+def test_evaluate_needs_two_anchors(pipeline, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["evaluate", "--source", str(pipeline["spec"]), "--model", "unread.json",
+              "--anchors", "1", "--pool", "50", "--out", str(tmp_path / "e.json")])
+    assert err.value.code == 2
+    assert "--anchors must be >= 2" in capsys.readouterr().err
+
+
+def test_store_with_a_zero_dim_exits_3(pipeline, tmp_path, capsys):
+    frame = tmp_path / "frame.bbgc"
+    frame.write_bytes(pack_frame(np.eye(3, 16), as_latents=False))
+    capsys.readouterr()
+    assert main(["diagnose", "--anchors", str(frame), "--pool", str(pipeline["pool"]),
+                 "--out", str(tmp_path / "d.json")]) == 3
+    assert capsys.readouterr().err == f"error: {frame}: store dims 0x16, each must be >= 1\n"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_report_store_with_a_non_finite_value_exits_3(pipeline, tmp_path, capsys, value):
+    # this was a ValueError traceback (exit 1) after the CSV header was written
+    bad = _with_float(pipeline["pool"], 7, value, tmp_path / "bad.bbgc")
+    out = tmp_path / "bad.csv"
+    capsys.readouterr()
+    assert main(["report", "--store", str(bad), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "error: row 7 has a non-finite embedding; a table holds finite values\n"
+    assert not out.exists()
+
+
+def test_sample_batches_wide_latents_within_a_byte_budget(tmp_path):
+    # 8192 rows of a 4096-wide latent are 256 MiB of float64: `sample` took
+    # them in one batch and the synthetic embed in 4096-row blocks, whatever
+    # the width, and ran out of this child's address space (as did 1024 rows
+    # at the widest accepted latent_dim, 65536, which runs 10x longer here)
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"kind": "synthetic", "latent_dim": 4096, "embed_dim": 16}))
+    out = tmp_path / "wide.bbgc"
+    limit = 1 << 30
+    run = subprocess.run(
+        [sys.executable, "-m", "bbgc", "sample", "--source", str(spec), "--n", "8192",
+         "--out", str(out)], env=_child_env(), capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert run.returncode == 0, run.stderr[-400:]
+    st = read_store(out)
+    assert (st.count, st.latent_dim, st.embed_dim) == (8192, 4096, 16)

@@ -95,8 +95,6 @@ def test_population_stats_matches_naive():
     assert abs(stats.sigma - sigma) <= 1e-12
     np.testing.assert_allclose(stats.values, values, atol=1e-12)
     assert stats.m == 12 and stats.n_samples == 300
-    one = stats.anchor(3)
-    assert one.value == stats.values[3] and one.anchor_index == 3
 
 
 def test_population_stats_needs_two_anchors():
@@ -115,10 +113,6 @@ def test_find_worst_mode_matches_naive():
     assert res.radius == 0.25 and not res.no_dense_mode
     # anchors 0..3 all sit on the center: tie resolves to index 0
     assert res.anchor_index == 0
-    counts = naive_counts(a.embeddings, b.embeddings, 0.25)
-    expect_ups = sorted(range(20), key=lambda i: (-counts[i], i))[1:10]
-    assert [i for i, _ in res.runner_ups] == expect_ups
-    assert all(c == counts[i] for i, c in res.runner_ups)
 
 
 def test_find_worst_mode_isolated_warns():

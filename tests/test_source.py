@@ -1,6 +1,7 @@
 """Generator sources: synthetic testbed, wire framing, child and HTTP adapters."""
 
 import http.server
+import inspect
 import io
 import itertools
 import json
@@ -515,14 +516,9 @@ def test_run_worker_reports_a_truncated_header():
 # -- subprocess adapter ----------------------------------------------------------
 
 WORKER_CHILD = """
-import argparse, sys
+import sys
 from bbgc.source import SyntheticSource, build_synthetic_model, run_worker
-p = argparse.ArgumentParser()
-p.add_argument("--latent-dim", type=int, required=True)
-p.add_argument("--embed-dim", type=int, required=True)
-a = p.parse_args()
-model = build_synthetic_model(a.latent_dim, a.embed_dim, 5,
-                              background=[{"weight": 1.0, "spread": 10.0}],
+model = build_synthetic_model(4, 6, 5, background=[{"weight": 1.0, "spread": 10.0}],
                               planted=[{"mass": 0.1, "spread": 0.1}])
 run_worker(SyntheticSource(model), sys.stdin.buffer, sys.stdout.buffer)
 """
@@ -537,6 +533,18 @@ def test_subprocess_source_round_trip():
     assert refs is None
     # the child sees f32 latents and its reply is f32 on the wire
     np.testing.assert_array_equal(emb, f32(direct.embed(f32(lat))[0]))
+
+
+def test_subprocess_child_runs_exactly_the_spec_argv(tmp_path):
+    # the parent adds no flag of its own: a child whose command line does
+    # not parse extra arguments serves as it is
+    seen = tmp_path / "argv.json"
+    child = f"import json, sys\njson.dump(sys.argv, open({str(seen)!r}, 'w'))\n" + WORKER_CHILD
+    argv = [sys.executable, "-c", child, "one", "--two"]
+    with open_source(SourceSpec("subprocess", 4, 6, 0, {"argv": argv})) as src:
+        emb, _ = src.embed(sample_latents(3, 4, seed=8))
+    assert emb.shape == (3, 6)
+    assert json.loads(seen.read_text()) == ["-c", "one", "--two"]
 
 
 def test_subprocess_source_timeout():
@@ -946,6 +954,25 @@ def test_remote_source_returns_refs(endpoint):
     # the second reply has no refs: its rows read as empty
     assert refs == [b"r" * (i * 9) for i in range(4)] + [b""] * 3
     assert _Endpoint.requests == 2
+
+
+@pytest.mark.parametrize("kind, parameters", [
+    ("subprocess", {"argv": ["worker"]}),
+    ("remote", {"url": "http://x"}),
+])
+def test_open_source_keeps_the_constructor_defaults(kind, parameters):
+    # a spec that states no adapter key gets the constructor's defaults; each
+    # stated key reaches the source
+    cls = {"subprocess": SubprocessSource, "remote": RemoteSource}[kind]
+    defaults = {name: p.default for name, p in inspect.signature(cls).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+    with open_source(SourceSpec(kind, 4, 6, 0, parameters)) as src:
+        assert {name: getattr(src, name) for name in defaults} == defaults
+    stated = {"batch": 7, "timeout": 2.5, "retries": 1, "backoff": 0.5}
+    keys = ["batch", "timeout"] + (["retries", "backoff"] if kind == "remote" else [])
+    with open_source(SourceSpec(kind, 4, 6, 0, dict(parameters, **stated))) as src:
+        assert [getattr(src, "batch_size" if k == "batch" else k) for k in keys] == \
+            [stated[k] for k in keys]
 
 
 def test_open_source_ignores_connections():

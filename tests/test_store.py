@@ -1,4 +1,4 @@
-"""Store file round trips, recovery, tables, and the JSON emitter."""
+"""Store file round trips, truncation, tables, and the JSON emitter."""
 
 import base64
 import csv
@@ -32,7 +32,6 @@ from bbgc.store import (
     pack_header,
     pack_records,
     parse_records,
-    read_header,
     read_store,
     scan_records,
     write_store,
@@ -129,7 +128,8 @@ def test_writer_validation(tmp_path):
     with pytest.raises(StoreFormatError, match="exceeds"):
         StoreWriter(path, 1, top + 1, seed=0)
     StoreWriter(path, 1, top, seed=0).close()
-    assert read_header(path) == (1, top, 0, 0)
+    st = read_store(path)
+    assert (st.latent_dim, st.embed_dim, st.count, st.seed) == (1, top, 0, 0)
     lat, emb = make_data(4, 3, 5)
     with StoreWriter(path, 3, 5, seed=0) as w:
         with pytest.raises(DimensionMismatchError):
@@ -167,10 +167,19 @@ def test_bad_magic_and_version(tmp_path):
 
     corrupt.write_bytes(b"BB")
     with pytest.raises(TruncatedStoreError):
-        read_header(corrupt)
+        read_store(corrupt)
 
 
-def test_truncation_strict_and_recover(tmp_path):
+@pytest.mark.parametrize("dims", [(0, 3), (3, 0), (0, 0)])
+def test_header_with_a_zero_dim_is_a_format_error(tmp_path, dims):
+    # a 0 dim is a wire frame's; a store's records carry both vectors
+    path = tmp_path / "frame.bbgc"
+    path.write_bytes(pack_header(*dims, 0))
+    with pytest.raises(StoreFormatError, match=f"store dims {dims[0]}x{dims[1]}"):
+        read_store(path)
+
+
+def test_truncation_is_strict(tmp_path):
     path = tmp_path / "t.bbgc"
     lat, emb = make_data(10, 3, 3, seed=8)
     write_store(path, lat, emb, seed=0)
@@ -179,12 +188,8 @@ def test_truncation_strict_and_recover(tmp_path):
     cut = tmp_path / "cut.bbgc"
     # drop the last record and a half
     cut.write_bytes(blob[:HEADER.size + record * 8 + record // 2])
-    with pytest.raises(TruncatedStoreError):
+    with pytest.raises(TruncatedStoreError, match="promises 10 records, only 8 complete"):
         read_store(cut)
-    with pytest.warns(RuntimeWarning, match="recovered 8 of 10"):
-        st = read_store(cut, recover=True)
-    assert st.count == 8
-    np.testing.assert_array_equal(st.latents, lat[:8].astype(np.float32))
 
 
 def test_oversized_count_is_truncation_not_allocation(tmp_path):
@@ -197,21 +202,17 @@ def test_oversized_count_is_truncation_not_allocation(tmp_path):
     path.write_bytes(HEADER.pack(MAGIC, VERSION, 2, 2, 2 ** 40, 0) + blob[HEADER.size:])
     with pytest.raises(TruncatedStoreError, match="promises 1099511627776 records, only 3"):
         read_store(path)
-    with pytest.warns(RuntimeWarning, match="recovered 3 of"):
-        assert read_store(path, recover=True).count == 3
 
 
-def test_recover_with_refs(tmp_path):
+def test_truncation_inside_a_ref_is_strict(tmp_path):
     path = tmp_path / "tr.bbgc"
     lat, emb = make_data(4, 2, 2, seed=9)
     write_store(path, lat, emb, seed=0, refs=[b"aa", b"bb", b"cc", b"dd"])
     blob = path.read_bytes()
     cut = tmp_path / "cutr.bbgc"
-    cut.write_bytes(blob[:len(blob) - 3])   # clips the final ref payload
-    with pytest.warns(RuntimeWarning):
-        st = read_store(cut, recover=True)
-    assert st.count == 3
-    assert [st.ref(i) for i in range(3)] == [b"aa", b"bb", b"cc"]
+    cut.write_bytes(blob[:len(blob) - 1])   # clips the final ref payload
+    with pytest.raises(TruncatedStoreError, match="promises 4 records, only 3 complete"):
+        read_store(cut)
 
 
 def test_store_bytes_match_hand_assembled_layout(tmp_path):
@@ -245,9 +246,8 @@ def test_header_promising_an_oversized_record_is_a_format_error(tmp_path, count)
     blob = HEADER.pack(MAGIC, VERSION, 2 ** 31, 1, count, 0) + bytes(64)
     path = tmp_path / "wide.bbgc"
     path.write_bytes(blob)
-    for recover in (False, True):
-        with pytest.raises(StoreFormatError, match="exceeds"):
-            read_store(path, recover=recover)
+    with pytest.raises(StoreFormatError, match="exceeds"):
+        read_store(path)
     # the largest dims that still fit are read as usual
     top = (2 ** 31 - 1) // 4 - 2
     path.write_bytes(HEADER.pack(MAGIC, VERSION, top, 1, 0, 0))
@@ -542,6 +542,23 @@ def test_export_table_header_of_a_wide_empty_store_is_bounded(tmp_path):
     names = (tmp_path / "t.csv").read_text().rstrip("\r\n").split(",")
     assert len(names) == width + 1
     assert names[:2] == ["latent_0", "latent_1"] and names[-2:] == [f"latent_{width - 1}", "embedding_0"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_export_table_refuses_a_non_finite_row_before_writing(tmp_path, fmt):
+    lat = np.zeros((4, 2))
+    emb = np.eye(4, 3)
+    emb[2, 1] = np.nan
+    lat[3, 0] = np.inf
+    st = SampleStore(latents=lat, embeddings=emb, seed=0)
+    out = tmp_path / "t.out"
+    with pytest.raises(NonFiniteError, match="row 2 has a non-finite embedding"):
+        export_table(st, out, fmt=fmt, fields=("index", "embedding"))
+    with pytest.raises(NonFiniteError, match="row 3 has a non-finite latent"):
+        export_table(st, out, fmt=fmt, fields=("latent", "index"))
+    assert not out.exists()
+    # a field left out of the table is not read
+    assert export_table(st, out, fmt=fmt, fields=("index", "ref")) == 4
 
 
 def test_export_table_validation(tmp_path):
