@@ -237,7 +237,7 @@ def _population_curves(anchors: SampleStore, pool: SampleStore, sizes: list[int]
 
 def mode_consistency_check(anchors: SampleStore, pool: SampleStore, sizes,
                            radius: float) -> ConsistencyResult:
-    """Worst-case mode recovered at several anchor-set sizes.
+    """Worst-case mode found at several anchor-set sizes.
 
     The statistic is the largest pairwise distance among the winning
     embeddings: small means the same mode keeps winning as the anchor
