@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import os
+import stat
 import sys
 
 import numpy as np
@@ -87,18 +89,18 @@ def _usage_check(check):
     return parse
 
 
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _provenance(seed: int, **paths: str) -> dict:
+    """The seed and the sha256 of each input, taken before the command reads
+    it.  A pipe could be hashed or read, not both, so each must be a regular file."""
     inputs = {}
     for name, path in paths.items():
-        inputs[name] = {"path": os.fspath(path), "sha256": _sha256_file(path)}
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise InvalidConfigError(f"{path}: not a regular file; calibrate records its sha256")
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        inputs[name] = {"path": os.fspath(path), "sha256": digest.hexdigest()}
     return {"seed": int(seed), "inputs": inputs}
 
 
@@ -201,6 +203,8 @@ def _pick_reference(pool: stores.SampleStore, radius: float, seed: int) -> int:
 
 
 def cmd_calibrate_gmm(args, parser) -> int:
+    prov = _provenance(args.seed, source=args.source, anchors=args.anchors,
+                       report=args.report)
     spec = sources.load_source_spec(args.source)
     anchors = _read_unit_store(args.anchors)
     dense = _dense_modes_from_report(args.report, anchors, args.modes)
@@ -209,8 +213,6 @@ def cmd_calibrate_gmm(args, parser) -> int:
         model = gmm.calibrate_gmm(
             src, mode_embs, args.seed, k=args.kmeans_k, r0=args.radius,
             n_fit=args.n_fit, source_seed=spec.seed)
-    prov = _provenance(args.seed, source=args.source, anchors=args.anchors,
-                       report=args.report)
     prov["modes"] = [idx for _, idx in dense]
     gmm.save_mixture(args.out, model, provenance=prov)
     print(f"fit mixture of {model.k} components over {args.n_fit} samples")
@@ -219,14 +221,14 @@ def cmd_calibrate_gmm(args, parser) -> int:
 
 
 def cmd_calibrate_is(args, parser) -> int:
+    prov = _provenance(args.seed, anchors=args.anchors, pool=args.pool,
+                       report=args.report)
     anchors = _read_unit_store(args.anchors)
     pool = _read_unit_store(args.pool)
     dense = _dense_modes_from_report(args.report, anchors, args.modes)
     reference = _pick_reference(pool, args.radius, args.seed)
     plan = importance.build_plan(pool, dense, [reference], args.radius,
                                  hull_size=args.hull_size)
-    prov = _provenance(args.seed, anchors=args.anchors, pool=args.pool,
-                       report=args.report)
     prov["modes"] = [idx for _, idx in dense]
     importance.save_plan(args.out, plan, provenance=prov)
     for entry in plan.entries:
@@ -238,24 +240,17 @@ def cmd_calibrate_is(args, parser) -> int:
 
 # -- evaluate ---------------------------------------------------------------------
 
-_ACCEPT_FIELDS = ("proposals", "accepted", "in_hull", "in_hull_accepted",
-                  "outside_hull", "outside_accepted")
-
-
-def _acceptance_doc(stats: importance.AcceptanceStats) -> dict:
-    return {name: getattr(stats, name) for name in _ACCEPT_FIELDS}
-
-
 def cmd_evaluate(args, parser) -> int:
     if args.anchors < 2:
         parser.error("--anchors must be >= 2 for population statistics")
     spec = sources.load_source_spec(args.source)
+    raw = read_json(args.model)
     try:
-        kind = read_json(args.model)["kind"]
-        load = {"mixture": gmm.load_mixture, "importance": importance.load_plan}[kind]
+        kind = raw["kind"]
+        from_doc = {"mixture": gmm.mixture_from_doc, "importance": importance.plan_from_doc}[kind]
     except CONTENT_ERRORS as exc:
         raise InvalidConfigError(f"{args.model}: unknown model kind: {exc!r}") from exc
-    model = load(args.model)
+    model = from_doc(raw, args.model)
     if model.latent_dim != spec.latent_dim:
         raise InvalidConfigError(f"model latent_dim {model.latent_dim}, source {spec.latent_dim}")
 
@@ -270,8 +265,7 @@ def cmd_evaluate(args, parser) -> int:
             model, spec.latent_dim, args.anchors, seed_a)
         after_c_lat, stats_c = importance.sample_calibrated_is(
             model, spec.latent_dim, args.pool, seed_c)
-        acceptance = {"anchors": _acceptance_doc(stats_a),
-                      "pool": _acceptance_doc(stats_c)}
+        acceptance = {"anchors": dataclasses.asdict(stats_a), "pool": dataclasses.asdict(stats_c)}
 
     with sources.open_source(spec) as src:
         before_a_lat = sources.sample_latents(args.anchors, spec.latent_dim,

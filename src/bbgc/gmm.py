@@ -275,7 +275,10 @@ def save_mixture(path: str, model: MixtureModel, provenance: dict | None = None)
 
 
 def load_mixture(path: str) -> MixtureModel:
-    doc = read_json(path)
+    return mixture_from_doc(read_json(path), path)
+
+
+def mixture_from_doc(doc, path: str) -> MixtureModel:
     try:
         if doc["kind"] != "mixture":
             raise InvalidConfigError(f"{path} is not a mixture model file")

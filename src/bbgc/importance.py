@@ -407,7 +407,10 @@ def save_plan(path: str, plan: ImportanceSamplingPlan,
 
 
 def load_plan(path: str) -> ImportanceSamplingPlan:
-    doc = read_json(path)
+    return plan_from_doc(read_json(path), path)
+
+
+def plan_from_doc(doc, path: str) -> ImportanceSamplingPlan:
     try:
         if doc["kind"] != "importance":
             raise InvalidConfigError(f"{path} is not an importance-sampling plan file")

@@ -12,10 +12,10 @@ Three kinds exist:
 * ``remote``     — an HTTP endpoint speaking the same framing per POST.
 
 A frame is a store header and store records with one dim set to 0;
-:mod:`bbgc.store` owns that format, and this module only calls its
-codec.  The worker's requests, both adapters' replies and
-:func:`unpack_frame` all go through one reader, :func:`read_frame`,
-which checks the header before the body and stops at the frame's end.
+:mod:`bbgc.store` owns that format and its reader, and this module knows no
+layout.  The worker's requests, both adapters' replies and
+:func:`unpack_frame` all read through :func:`_read_frame`, the one place
+where a bad frame header becomes a ``MalformedResponseError``.
 Sources are context managers.  The adapters check only the framing of
 each reply; :func:`non_unit_row` is the one rule on embedding values,
 which :func:`generate` applies to every reply and the CLI to every store
@@ -339,47 +339,11 @@ def pack_frame(vectors: np.ndarray, as_latents: bool) -> bytes:
             + store_format.pack_records(lat, emb))
 
 
-_READ_PIECE = 1 << 20
-
-
-def read_frame(read, check, truncated):
-    """(latent_dim, embed_dim, latents, embeddings, refs) of the next frame
-    that ``read(n)`` yields, or None if the stream ends before it starts.
-
-    ``check(latent_dim, embed_dim, count)`` sees the header before any
-    body byte is read.  Each read asks for at most ``_READ_PIECE`` bytes
-    that the count and the refs seen so far prove the frame still holds,
-    so the reader stops at the frame's end and a lying header sets no
-    allocation.  A stream that ends inside the frame raises
-    ``truncated(got)``, ``got`` being None in the header, else (records, count).
-    """
-    head_size = store_format.HEADER.size
-    buf = bytearray()
-    need, count, done = head_size, None, (0, 0)   # done: (bytes, records) scanned
-    while count is None or done[1] < count:
-        piece = read(min(need - len(buf), _READ_PIECE))
-        if not piece:
-            if not buf:
-                return None
-            raise truncated(None if count is None else (done[1], count))
-        buf += piece
-        if count is None and len(buf) == head_size:
-            try:   # the one place where a store format error becomes a malformed response
-                latent_dim, embed_dim, count, _seed = store_format.unpack_header(buf)
-            except StoreFormatError as exc:
-                raise MalformedResponseError(f"bad frame header: {exc}") from exc
-            check(latent_dim, embed_dim, count)
-            rec = store_format.record_dtype(latent_dim, embed_dim)
-        if count is not None:
-            done = store_format.scan_records(
-                memoryview(buf)[head_size:], latent_dim, embed_dim, count, done)
-            off = head_size + done[0]   # the first record not yet complete
-            need = off + (count - done[1]) * rec.itemsize
-            if len(buf) >= off + rec.itemsize:   # its ref_len is in
-                need += int(np.frombuffer(buf, rec, 1, off)["ref_len"][0])
-    lat, emb, refs = store_format.parse_records(
-        memoryview(buf)[head_size:], latent_dim, embed_dim, done)
-    return latent_dim, embed_dim, lat, emb, refs
+def _read_frame(read, check, truncated):
+    try:   # the one place where a store format error becomes a malformed response
+        return store_format.read_frame(read, check, truncated)
+    except StoreFormatError as exc:
+        raise MalformedResponseError(f"bad frame header: {exc}") from exc
 
 
 def _frame_truncated(got: tuple[int, int] | None) -> MalformedResponseError:
@@ -389,10 +353,10 @@ def _frame_truncated(got: tuple[int, int] | None) -> MalformedResponseError:
 
 def unpack_frame(blob: bytes) -> tuple[int, int, np.ndarray, np.ndarray, list[bytes] | None]:
     """(latent_dim, embed_dim, latents, embeddings, refs) from one frame."""
-    frame = read_frame(io.BytesIO(blob).read, lambda *dims: None, _frame_truncated)
+    frame = _read_frame(io.BytesIO(blob).read, lambda *dims: None, _frame_truncated)
     if frame is None:
         raise _frame_truncated(None)
-    return frame
+    return frame[:5]
 
 
 class _BatchedSource(_Source):
@@ -428,7 +392,7 @@ class _BatchedSource(_Source):
                 raise MalformedResponseError(
                     f"{who} replied latent_dim {latent_dim}, expected 0 or {self.latent_dim}")
 
-        frame = read_frame(read, check, closed)
+        frame = _read_frame(read, check, closed)
         if frame is None:
             raise closed(None)
         return frame[3], frame[4]
@@ -702,7 +666,7 @@ def run_worker(source, stdin, stdout) -> None:
     def truncated(got) -> SourceUnavailableError:
         return SourceUnavailableError("truncated request " + ("header" if got is None else "body"))
 
-    while (frame := read_frame(stdin.read, check, truncated)) is not None:
+    while (frame := _read_frame(stdin.read, check, truncated)) is not None:
         emb, _ = source.embed(frame[2])
         stdout.write(pack_frame(emb, as_latents=False))
         stdout.flush()

@@ -13,8 +13,8 @@ Layout:
              then ref_len ref bytes
 
 The wire frames of :mod:`bbgc.source` are the same header and records
-with one dim set to 0, so this module is the one codec for both: the
-header packer and check, the record packer, and the record scan.
+with one dim set to 0, so this module is the one codec for both, and
+:func:`read_frame` the one reader of files, pipes, stdout and HTTP bodies.
 
 Writers stage into ``<path>.tmp`` and rename at close, so a store path
 either holds a complete previous file or a complete new one.  A store
@@ -111,20 +111,6 @@ def check_record_size(latent_dim: int, embed_dim: int) -> None:
 
 def pack_header(latent_dim: int, embed_dim: int, count: int, seed: int = 0) -> bytes:
     return HEADER.pack(MAGIC, VERSION, latent_dim, embed_dim, count, seed)
-
-
-def unpack_header(head: bytes) -> tuple[int, int, int, int]:
-    """(latent_dim, embed_dim, count, seed) of a header whose length, magic,
-    version and record size are this format's.  A dim may be 0, as in a wire frame."""
-    if len(head) < HEADER.size:
-        raise TruncatedStoreError(f"header needs {HEADER.size} bytes, got {len(head)}")
-    magic, version, latent_dim, embed_dim, count, seed = HEADER.unpack(head[:HEADER.size])
-    if magic != MAGIC:
-        raise BadMagicError(f"magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise VersionMismatchError(f"version {version}, expected {VERSION}")
-    check_record_size(latent_dim, embed_dim)
-    return latent_dim, embed_dim, count, seed
 
 
 def pack_records(latents: np.ndarray, embeddings: np.ndarray,
@@ -390,20 +376,68 @@ def latents_disjoint(a: np.ndarray, b: np.ndarray) -> bool:
     return not any(r.tobytes() in seen for r in rows_a)
 
 
+_READ_PIECE = 1 << 20   # bytes per read, at most
+
+
+def read_frame(read, check, truncated):
+    """(latent_dim, embed_dim, latents, embeddings, refs, seed) of the next
+    store or frame that ``read(n)`` yields, or None if the stream ends first.
+
+    ``check(latent_dim, embed_dim, count)`` sees a header that passed the
+    format's checks before any body byte is read.  Each read asks for at most
+    ``_READ_PIECE`` bytes that the count and refs seen so far prove the frame
+    still holds, so the reader stops at the last record, and the buffer grows
+    to at most 9/8 of the bytes received, so a lying header sets no allocation.
+    A stream that ends inside the frame raises ``truncated(got)``: ``got`` is
+    None in the header, else (records, count).
+    """
+    buf = np.empty(HEADER.size, np.uint8)   # ndarray.resize grows it by realloc
+    got, need, count, done = 0, HEADER.size, None, (0, 0)   # done: (bytes, records) scanned
+    while count is None or done[1] < count:
+        piece = read(min(need - got, _READ_PIECE))
+        if not piece:
+            if not got:
+                return None
+            raise truncated(None if count is None else (done[1], count))
+        if got + len(piece) > len(buf):   # no view of buf is alive here
+            buf.resize(min(need, (got + len(piece)) * 9 // 8), refcheck=False)
+        buf[got:got + len(piece)] = np.frombuffer(piece, np.uint8)
+        got += len(piece)
+        if count is None and got == HEADER.size:
+            magic, version, latent_dim, embed_dim, count, seed = HEADER.unpack(buf)
+            if magic != MAGIC:
+                raise BadMagicError(f"magic {magic!r}, expected {MAGIC!r}")
+            if version != VERSION:
+                raise VersionMismatchError(f"version {version}, expected {VERSION}")
+            check_record_size(latent_dim, embed_dim)
+            check(latent_dim, embed_dim, count)
+            rec = record_dtype(latent_dim, embed_dim)
+        if count is not None:
+            done = scan_records(memoryview(buf)[HEADER.size:got], latent_dim, embed_dim,
+                                count, done)
+            off = HEADER.size + done[0]   # the first record not yet complete
+            need = off + (count - done[1]) * rec.itemsize
+            if got >= off + rec.itemsize:   # its ref_len is in
+                need += int(np.frombuffer(buf, rec, 1, off)["ref_len"][0])
+    # buf is writable, so that parse_records moves records over refs in place
+    lat, emb, refs = parse_records(memoryview(buf)[HEADER.size:got], latent_dim, embed_dim, done)
+    return latent_dim, embed_dim, lat, emb, refs, seed
+
+
 def read_store(path: str | os.PathLike) -> SampleStore:
     """Load a store: every record its header counts, or ``TruncatedStoreError``."""
-    with open(path, "rb") as fh:
-        # writable, so that parse_records moves records over refs in place
-        blob = bytearray(os.fstat(fh.fileno()).st_size)
-        got = fh.readinto(blob)
-        blob[got:] = fh.read()   # what a changing file or a pipe held past that
-    latent_dim, embed_dim, count, seed = unpack_header(blob)
-    if latent_dim < 1 or embed_dim < 1:   # a wire frame's dims, not a store's
-        raise StoreFormatError(f"{path}: store dims {latent_dim}x{embed_dim}, each must be >= 1")
-    payload = memoryview(blob)[HEADER.size:]
-    scanned = scan_records(payload, latent_dim, embed_dim, count)
-    if scanned[1] < count:
-        raise TruncatedStoreError(
-            f"{path}: header promises {count} records, only {scanned[1]} complete")
-    lat, emb, refs = parse_records(payload, latent_dim, embed_dim, scanned)
-    return SampleStore(latents=lat, embeddings=emb, seed=seed, refs=refs)
+    def check(latent_dim: int, embed_dim: int, _count: int) -> None:
+        if latent_dim < 1 or embed_dim < 1:   # a wire frame's dims, not a store's
+            raise StoreFormatError(
+                f"{path}: store dims {latent_dim}x{embed_dim}, each must be >= 1")
+
+    def truncated(got: tuple[int, int] | None) -> TruncatedStoreError:
+        return TruncatedStoreError(f"{path}: " + (
+            f"header needs {HEADER.size} bytes" if got is None
+            else "header promises %d records, only %d complete" % (got[1], got[0])))
+
+    with open(path, "rb", buffering=0) as fh:   # no read-ahead past the last record
+        frame = read_frame(fh.read, check, truncated)
+    if frame is None:
+        raise truncated(None)
+    return SampleStore(latents=frame[2], embeddings=frame[3], seed=frame[5], refs=frame[4])

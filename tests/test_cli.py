@@ -1,5 +1,6 @@
 """End-to-end command-line pipelines and exit-code contracts."""
 
+import builtins
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -854,3 +856,110 @@ def test_sample_batches_wide_latents_within_a_byte_budget(tmp_path):
     assert run.returncode == 0, run.stderr[-400:]
     st = read_store(out)
     assert (st.count, st.latent_dim, st.embed_dim) == (8192, 4096, 16)
+
+
+# -- inputs on pipes -------------------------------------------------------------------
+
+def _run_on_a_pipe(blob: bytes, after: str, argv) -> subprocess.CompletedProcess:
+    """Run ``bbgc *argv(path)`` in a child whose ``path`` is a pipe carrying
+    ``blob``; the writer then closes the pipe ("close"), holds it open
+    ("hold") or writes zeros ("more") until the child exits."""
+    r, w = os.pipe()
+    exited = threading.Event()
+
+    def feed():
+        with open(w, "wb", buffering=0) as fh:
+            try:
+                fh.write(blob)
+                while after == "more":
+                    fh.write(bytes(1 << 16))
+            except BrokenPipeError:   # the child is gone
+                return
+            if after == "hold":
+                exited.wait(120)
+
+    limit = 1 << 30   # a child that reads the zeros until EOF runs out of memory, not the host
+    child = subprocess.Popen(
+        [sys.executable, "-m", "bbgc", *argv(f"/dev/fd/{r}")], pass_fds=(r,), env=_child_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    os.close(r)
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        out, err = child.communicate()
+        err += "\n(timed out: the child read past the store)"
+    finally:
+        exited.set()
+        feeder.join(60)
+    assert not feeder.is_alive()
+    return subprocess.CompletedProcess(child.args, child.returncode, out, err)
+
+
+@pytest.mark.parametrize("after", ["hold", "more"])
+def test_store_on_a_pipe_is_read_up_to_its_last_record(pipeline, tmp_path, after):
+    # read_store read until EOF: it never returned while the writer held the
+    # pipe open, and it kept every byte written after the store
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert main(["report", "--store", str(pipeline["pool"]), "--out", str(want)]) == 0
+    run = _run_on_a_pipe(pipeline["pool"].read_bytes(), after,
+                         lambda path: ["report", "--store", path, "--out", str(got)])
+    assert run.returncode == 0, run.stderr[-400:]
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_store_on_a_pipe_that_ends_early_exits_3(pipeline, tmp_path):
+    blob = pipeline["pool"].read_bytes()
+    record = record_dtype(SPEC["latent_dim"], SPEC["embed_dim"]).itemsize
+    run = _run_on_a_pipe(blob[:HEADER.size + 1000 * record + record // 2], "close",
+                         lambda path: ["report", "--store", path,
+                                       "--out", str(tmp_path / "x.csv")])
+    assert run.returncode == 3, run.stderr[-400:]
+    assert run.stderr.startswith("error: /dev/fd/")
+    assert run.stderr.endswith(": header promises 2500 records, only 1000 complete\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["gmm", "is"])
+def test_calibrate_refuses_an_input_it_cannot_hash(pipeline, tmp_path, capsys, method):
+    # the digest was taken after the command had drained the pipe: the
+    # sha256 of zero bytes, e3b0c442..., with exit 0
+    r, w = os.pipe()
+    os.write(w, pipeline["report"].read_bytes())   # a few KB: the pipe holds them
+    os.close(w)
+    out = tmp_path / "model.json"
+    argv = (["--source", str(pipeline["spec"])] if method == "gmm"
+            else ["--pool", str(pipeline["pool"])])
+    capsys.readouterr()
+    try:
+        code = main(["calibrate", method, *argv, "--anchors", str(pipeline["anchors"]),
+                     "--report", f"/dev/fd/{r}", "--out", str(out)])
+    finally:
+        os.close(r)
+    assert code == 3
+    assert capsys.readouterr().err == \
+        f"error: /dev/fd/{r}: not a regular file; calibrate records its sha256\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["gmm", "is"])
+def test_evaluate_reads_its_model_file_once(pipeline, tmp_path, monkeypatch, method):
+    model = tmp_path / "model.json"
+    argv = (["--source", str(pipeline["spec"]), "--kmeans-k", "8", "--n-fit", "2000"]
+            if method == "gmm" else ["--pool", str(pipeline["pool"]), "--hull-size", "40"])
+    assert main(["calibrate", method, *argv, "--anchors", str(pipeline["anchors"]),
+                 "--report", str(pipeline["report"]), "--out", str(model)]) == 0
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["evaluate", "--source", str(pipeline["spec"]), "--model", str(model),
+                 "--anchors", "50", "--pool", "400", "--out", str(tmp_path / "e.json")]) == 0
+    assert opened.count(str(model)) == 1

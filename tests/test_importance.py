@@ -219,7 +219,7 @@ def test_match_entry_takes_first_containing_hull():
     np.testing.assert_array_equal(match, [0, -1])
 
 
-# -- batched matching against per-row Frank-Wolfe and the enumeration oracle --------
+# -- batched matching against per-row hull_membership and the enumeration oracle ----
 
 def plan_of(*hulls, tol=TOL):
     return ImportanceSamplingPlan(
@@ -260,7 +260,7 @@ def near_vertices(rng, v, n):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_batched_matcher_agrees_with_frank_wolfe_and_oracle(dim):
+def test_batched_matcher_agrees_with_hull_membership_and_oracle(dim):
     rng = np.random.default_rng(40 + dim)
     v = random_hull(rng, k=7, dim=dim)
     plan = plan_of(v)
@@ -317,7 +317,7 @@ def test_batched_matcher_without_facet_screen():
         assert np.count_nonzero(match == 0) >= 20
 
 
-def test_batched_matcher_sends_only_the_boundary_band_to_frank_wolfe(monkeypatch):
+def test_batched_matcher_sends_only_the_boundary_band_to_hull_membership(monkeypatch):
     plan = box_plan(p=0.5)
     z = CounterStream(7, STREAM_IS_PROPOSAL).normal_rows(0, 8192, 2)
     calls = []

@@ -24,7 +24,6 @@ from bbgc.errors import (
 )
 from bbgc.source import (
     _EMBED_ROWS,
-    _READ_PIECE,
     RemoteSource,
     SourceSpec,
     SubprocessSource,
@@ -35,11 +34,11 @@ from bbgc.source import (
     load_source_spec,
     open_source,
     pack_frame,
-    read_frame,
     run_worker,
     sample_latents,
     unpack_frame,
 )
+from bbgc.store import _READ_PIECE, read_frame
 
 BG = [{"weight": 1.0, "spread": 10.0}]
 
