@@ -507,7 +507,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_PRECONDITION if isinstance(exc, CalibrationError)
                 else EXIT_SOURCE if isinstance(exc, SourceError) else EXIT_INPUT)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

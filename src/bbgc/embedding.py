@@ -50,16 +50,19 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`normalize` with the same error contract."""
+def normalize_rows(m: np.ndarray, out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise :func:`normalize` with the same error contract, into ``out``
+    (which may be ``m``) with ``scratch`` for the squares, each allocated if not given."""
     m = np.asarray(m, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
+    norms = np.sqrt(np.add.reduce(np.multiply(m, m, out=scratch), axis=1))
+    # a row holding NaN or inf has a non-finite norm, so finite norms clear m
+    if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(m)):
         raise NonFiniteError("cannot normalize non-finite rows")
-    norms = np.linalg.norm(m, axis=1)
     if np.any(norms < _NORM_EPS):
         bad = int(np.argmin(norms))
         raise ZeroVectorError(f"row {bad} has norm {norms[bad]:.3e}")
-    return m / norms[:, None]
+    return np.divide(m, norms[:, None], out=out)
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -86,13 +86,17 @@ class CounterStream:
         return flat.reshape(n_rows, dim)
 
 
-def splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over uint64 arrays."""
-    with np.errstate(over="ignore"):
-        z = x + _SPLITMIX_GAMMA
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+def splitmix64(x: np.ndarray, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer on uint64 arrays, which wrap silently, computed in
+    ``out`` (which may be ``x``) with ``scratch`` for the shifts, each allocated
+    if not given."""
+    z = np.add(x, _SPLITMIX_GAMMA, out=out)
+    t = np.empty_like(z) if scratch is None else scratch
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=t), out=z)
+        z *= np.uint64(mul)
+    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z)
 
 
 def derive_seed(seed: int, salt: int) -> int:
@@ -112,12 +116,14 @@ def hash_latents(seed: int, latents: np.ndarray) -> np.ndarray:
         z = z[None, :]
     bits = z.view(np.uint64)
     h = np.full(bits.shape[0], np.uint64(seed), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for j in range(bits.shape[1]):
-            h = splitmix64(h ^ bits[:, j])
+    scratch = np.empty_like(h)
+    for j in range(bits.shape[1]):
+        splitmix64(np.bitwise_xor(h, bits[:, j], out=h), h, scratch)
     return h
 
 
-def hash_to_unit(h: np.ndarray) -> np.ndarray:
-    """Map 64-bit hashes to uniforms on (0, 1)."""
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _U64_TO_UNIT
+def hash_to_unit(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map 64-bit hashes to uniforms on (0, 1), in ``out`` if given, shifting ``h`` in place."""
+    u = np.add(np.right_shift(h, np.uint64(11), out=None if out is None else h), 0.5, out=out)
+    u *= _U64_TO_UNIT
+    return u

@@ -32,8 +32,9 @@ the same bits without that module's import cost.  Everything else about a
 latent (background component choice, angular noise) comes from hashing
 the latent's bits, so generation is order-independent and identical no
 matter how work is batched or parallelized.  The synthetic embed works
-through blocks of :func:`block_rows` rows, which bound its working memory;
-each row is computed alone, so its result does not depend on them.
+through blocks of :func:`block_rows` rows, and in pieces of those on two
+arrays that each call allocates once; these bound its working memory.
+Each row is computed alone, so its result does not depend on either.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ _UNIT_NORM_TOL = 1e-4   # 32-bit wire format tolerance
 
 _EMBED_ROWS = 4096   # rows per block of the synthetic embed, at most
 _BLOCK_BYTES = 1 << 25   # of one float64 array of a block's rows
+_KERNEL_BYTES = 1 << 19   # of each of the two arrays the perturbation reuses
 
 # The widest synthetic embedding: each derived center is drawn whole.
 _MAX_SYNTHETIC_EMBED_DIM = 1 << 12
@@ -90,10 +92,10 @@ _MAX_WAIT_S = 86400.0   # one day: the longest a spec may make a source wait
 _MAX_DOUBLINGS = 1023   # of the retry backoff: 2.0 ** 1023 is the largest float power of 2
 
 
-def block_rows(rows: int, width: int) -> int:
-    """At most ``rows`` rows, and no more than fit ``_BLOCK_BYTES`` as float64
+def block_rows(rows: int, width: int, budget: int = _BLOCK_BYTES) -> int:
+    """At most ``rows`` rows, and no more than fit ``budget`` bytes as float64
     rows of ``width`` columns; at least one."""
-    return max(1, min(rows, _BLOCK_BYTES // (8 * width)))
+    return max(1, min(rows, budget // (8 * width)))
 
 
 def sample_latents(n: int, latent_dim: int, seed: int,
@@ -275,20 +277,26 @@ class SyntheticSource(_Source):
         return self.model.embed_dim
 
     @staticmethod
-    def _perturb(center: np.ndarray, spread: float, hashes: np.ndarray) -> np.ndarray:
+    def _perturb(center: np.ndarray, spread: float, hashes: np.ndarray,
+                 work: np.ndarray) -> np.ndarray:
         """``center`` moved along per-latent tangent noise of scale ``spread``;
-        the noise is a pure function of each latent's hash."""
+        the noise is a pure function of each latent's hash.  Each step runs in
+        place on the two arrays of ``work``, the result's shape, in the order
+        and so with the bits of ``tests/oracles.py``'s formula."""
         if spread == 0.0:
             return np.broadcast_to(center, (len(hashes), len(center)))
+        temp, noise = work
         cols = np.arange(1, len(center) + 1, dtype=np.uint64) * _SPLITMIX_GAMMA
-        with np.errstate(over="ignore"):
-            grid = hashes[:, None] + cols[None, :]
-        noise = ndtri(hash_to_unit(splitmix64(grid)))
+        grid = np.add(hashes[:, None], cols, out=temp.view(np.uint64))
+        hash_to_unit(splitmix64(grid, grid, noise.view(np.uint64)), out=noise)
+        ndtri(noise, out=noise)
         # reduce per row rather than via BLAS: gemv kernels round differently
         # depending on row count, which would make results batch-dependent
-        coef = np.add.reduce(noise * center, axis=1)
-        tangent = noise - np.outer(coef, center)
-        return normalize_rows(center[None, :] + spread * tangent)
+        coef = np.add.reduce(np.multiply(noise, center, out=temp), axis=1)
+        noise -= np.multiply(coef[:, None], center, out=temp)   # the tangent
+        noise *= spread
+        noise += center
+        return normalize_rows(noise, noise, temp)
 
     def _components(self, z: np.ndarray) -> np.ndarray:
         """Each row's component: the first planted mode whose ball holds it,
@@ -315,16 +323,19 @@ class SyntheticSource(_Source):
         out = np.empty((len(z), m.embed_dim), dtype=np.float64)
         components = m.planted + m.background
         step = block_rows(_EMBED_ROWS, max(m.latent_dim, m.embed_dim))
+        piece = block_rows(step, m.embed_dim, _KERNEL_BYTES)
+        work = np.empty((2, piece, m.embed_dim))   # reused by every piece of every block
         for lo in range(0, len(z), step):
             block = z[lo:lo + step]
             label = self._components(block)
             hashes = hash_latents(self._noise_seed, block)
             out_block = out[lo:lo + step]
             for c, component in enumerate(components):
-                rows = label == c
-                if rows.any():
-                    out_block[rows] = self._perturb(component.center, component.spread,
-                                                    hashes[rows])
+                rows = np.flatnonzero(label == c)
+                for at in range(0, len(rows), piece):
+                    held = rows[at:at + piece]
+                    out_block[held] = self._perturb(component.center, component.spread,
+                                                    hashes[held], work[:, :len(held)])
         return out, None
 
 
@@ -339,9 +350,9 @@ def pack_frame(vectors: np.ndarray, as_latents: bool) -> bytes:
             + store_format.pack_records(lat, emb))
 
 
-def _read_frame(read, check, truncated):
+def _read_frame(readinto, check, truncated):
     try:   # the one place where a store format error becomes a malformed response
-        return store_format.read_frame(read, check, truncated)
+        return store_format.read_frame(readinto, check, truncated)
     except StoreFormatError as exc:
         raise MalformedResponseError(f"bad frame header: {exc}") from exc
 
@@ -353,7 +364,7 @@ def _frame_truncated(got: tuple[int, int] | None) -> MalformedResponseError:
 
 def unpack_frame(blob: bytes) -> tuple[int, int, np.ndarray, np.ndarray, list[bytes] | None]:
     """(latent_dim, embed_dim, latents, embeddings, refs) from one frame."""
-    frame = _read_frame(io.BytesIO(blob).read, lambda *dims: None, _frame_truncated)
+    frame = _read_frame(io.BytesIO(blob).readinto, lambda *dims: None, _frame_truncated)
     if frame is None:
         raise _frame_truncated(None)
     return frame[:5]
@@ -378,7 +389,7 @@ class _BatchedSource(_Source):
     def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         raise NotImplementedError
 
-    def _read_reply(self, read, n: int, who: str,
+    def _read_reply(self, readinto, n: int, who: str,
                     closed) -> tuple[np.ndarray, list[bytes] | None]:
         """(embeddings, refs) of a reply whose header promises ``n`` rows
         of this source's embed_dim, with no latents or this source's
@@ -392,7 +403,7 @@ class _BatchedSource(_Source):
                 raise MalformedResponseError(
                     f"{who} replied latent_dim {latent_dim}, expected 0 or {self.latent_dim}")
 
-        frame = _read_frame(read, check, closed)
+        frame = _read_frame(readinto, check, closed)
         if frame is None:
             raise closed(None)
         return frame[3], frame[4]
@@ -473,17 +484,17 @@ class SubprocessSource(_BatchedSource):
             poller = select.poll()   # unlike select.select, takes any fd number
             poller.register(proc.stdout, select.POLLIN)
 
-            def read(n: int) -> bytes:
+            def readinto(view: memoryview) -> int:
                 budget = deadline - time.monotonic()
                 if budget <= 0 or not poller.poll(budget * 1000):
                     raise SourceTimeoutError(self._fail("child response timed out"))
-                return os.read(proc.stdout.fileno(), n)
+                return os.readv(proc.stdout.fileno(), [view])
 
             def closed(_got) -> SourceUnavailableError:
                 return SourceUnavailableError(self._fail("child closed its stdout"))
 
             try:
-                return self._read_reply(read, len(latents), "child", closed)
+                return self._read_reply(readinto, len(latents), "child", closed)
             except MalformedResponseError:
                 self._fail("")
                 raise
@@ -549,7 +560,7 @@ class RemoteSource(_BatchedSource):
                 "Content-Type": "application/octet-stream"})
             try:
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    return self._read_reply(resp.read, len(latents), "endpoint",
+                    return self._read_reply(resp.readinto, len(latents), "endpoint",
                                             _frame_truncated)
             except (OSError, http.client.HTTPException) as exc:
                 # HTTPError, URLError and TimeoutError are OSErrors; a reply
@@ -666,7 +677,7 @@ def run_worker(source, stdin, stdout) -> None:
     def truncated(got) -> SourceUnavailableError:
         return SourceUnavailableError("truncated request " + ("header" if got is None else "body"))
 
-    while (frame := _read_frame(stdin.read, check, truncated)) is not None:
+    while (frame := _read_frame(stdin.readinto, check, truncated)) is not None:
         emb, _ = source.embed(frame[2])
         stdout.write(pack_frame(emb, as_latents=False))
         stdout.flush()

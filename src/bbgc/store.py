@@ -379,30 +379,32 @@ def latents_disjoint(a: np.ndarray, b: np.ndarray) -> bool:
 _READ_PIECE = 1 << 20   # bytes per read, at most
 
 
-def read_frame(read, check, truncated):
+def read_frame(readinto, check, truncated):
     """(latent_dim, embed_dim, latents, embeddings, refs, seed) of the next
-    store or frame that ``read(n)`` yields, or None if the stream ends first.
+    store or frame that ``readinto`` yields, or None if the stream ends first.
 
+    ``readinto(view)`` fills a prefix of ``view`` and returns its length, 0 at
+    the end, as a file's or ``HTTPResponse``'s method or ``os.readv`` does.
     ``check(latent_dim, embed_dim, count)`` sees a header that passed the
     format's checks before any body byte is read.  Each read asks for at most
     ``_READ_PIECE`` bytes that the count and refs seen so far prove the frame
-    still holds, so the reader stops at the last record, and the buffer grows
-    to at most 9/8 of the bytes received, so a lying header sets no allocation.
-    A stream that ends inside the frame raises ``truncated(got)``: ``got`` is
-    None in the header, else (records, count).
+    still holds, so the reader stops at the last record, and the buffer holds
+    at most one piece more than was received, so a lying header sets no
+    allocation.  A stream that ends inside the frame raises ``truncated(got)``:
+    ``got`` is None in the header, else (records, count).
     """
     buf = np.empty(HEADER.size, np.uint8)   # ndarray.resize grows it by realloc
     got, need, count, done = 0, HEADER.size, None, (0, 0)   # done: (bytes, records) scanned
     while count is None or done[1] < count:
-        piece = read(min(need - got, _READ_PIECE))
-        if not piece:
+        ask = min(need - got, _READ_PIECE)
+        if got + ask > len(buf):   # no view of buf is alive here
+            buf.resize(min(need, got + _READ_PIECE), refcheck=False)
+        n = readinto(memoryview(buf)[got:got + ask])
+        if not n:
             if not got:
                 return None
             raise truncated(None if count is None else (done[1], count))
-        if got + len(piece) > len(buf):   # no view of buf is alive here
-            buf.resize(min(need, (got + len(piece)) * 9 // 8), refcheck=False)
-        buf[got:got + len(piece)] = np.frombuffer(piece, np.uint8)
-        got += len(piece)
+        got += n
         if count is None and got == HEADER.size:
             magic, version, latent_dim, embed_dim, count, seed = HEADER.unpack(buf)
             if magic != MAGIC:
@@ -437,7 +439,7 @@ def read_store(path: str | os.PathLike) -> SampleStore:
             else "header promises %d records, only %d complete" % (got[1], got[0])))
 
     with open(path, "rb", buffering=0) as fh:   # no read-ahead past the last record
-        frame = read_frame(fh.read, check, truncated)
+        frame = read_frame(fh.readinto, check, truncated)
     if frame is None:
         raise truncated(None)
     return SampleStore(latents=frame[2], embeddings=frame[3], seed=frame[5], refs=frame[4])

@@ -11,6 +11,7 @@ import math
 
 import mpmath
 import numpy as np
+from scipy.special import ndtri
 
 mpmath.mp.dps = 50
 
@@ -110,3 +111,69 @@ def hull_distance(z, vertices):
             if np.all(a >= -1e-9):
                 best = min(best, float(np.linalg.norm(vs.T @ a - z)))
     return best
+
+
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(x):
+    """SplitMix64 finalizer on a uint64 array, one fresh array per step."""
+    with np.errstate(over="ignore"):
+        z = x + np.uint64(_SPLITMIX_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def hash_to_unit(h):
+    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def hash_rows(seed, latents):
+    """Each latent row's 64-bit hash: the row's float64 bits folded column by
+    column through SplitMix64."""
+    bits = np.ascontiguousarray(latents, dtype=np.float64).view(np.uint64)
+    h = np.full(len(bits), np.uint64(seed))
+    for j in range(bits.shape[1]):
+        h = splitmix64(h ^ bits[:, j])
+    return h
+
+
+def perturb(center, spread, hashes):
+    """The synthetic source's embedding formula with a fresh array per step:
+    ``center`` moved along tangent noise of scale ``spread``, drawn column by
+    column from each row's hash, then normalized."""
+    if spread == 0.0:
+        return np.broadcast_to(center, (len(hashes), len(center)))
+    cols = np.arange(1, len(center) + 1, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)
+    with np.errstate(over="ignore"):
+        grid = hashes[:, None] + cols[None, :]
+    noise = ndtri(hash_to_unit(splitmix64(grid)))
+    coef = np.add.reduce(noise * center, axis=1)
+    tangent = noise - np.outer(coef, center)
+    moved = center[None, :] + spread * tangent
+    return moved / np.linalg.norm(moved, axis=1)[:, None]
+
+
+def synthetic_embed(model, select_seed, noise_seed, latents, rows=256):
+    """Each latent's embedding under a synthetic model, ``rows`` latents at a
+    time: the first planted ball that holds it, else the background
+    component its select hash picks, perturbed by its noise hash."""
+    out = np.empty((len(latents), model.embed_dim))
+    components = model.planted + model.background
+    for lo in range(0, len(latents), rows):
+        z = latents[lo:lo + rows]
+        label = np.full(len(z), -1)
+        for j, mode in enumerate(model.planted):
+            if mode.ball_radius2 > 0.0:
+                inside = np.sum((z - mode.latent_anchor) ** 2, axis=1) <= mode.ball_radius2
+                label[(label < 0) & inside] = j
+        pick = np.searchsorted(model.weights_cum, hash_to_unit(hash_rows(select_seed, z)),
+                               side="right")
+        rest = label < 0
+        label[rest] = len(model.planted) + np.minimum(pick, len(model.background) - 1)[rest]
+        hashes = hash_rows(noise_seed, z)
+        for c, component in enumerate(components):
+            held = label == c
+            out[lo:lo + rows][held] = perturb(component.center, component.spread, hashes[held])
+    return out

@@ -536,6 +536,37 @@ def _child_env() -> dict:
         filter(None, [src_root, os.environ.get("PYTHONPATH")])))
 
 
+def test_module_run_delivers_all_output_and_its_exit_code(tmp_path):
+    # `python -m bbgc` flushes its streams and ends without finalization
+    # once main returns: whatever it wrote to a pipe arrives whole
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    store = tmp_path / "s.bbgc"
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)   # so stdout on a pipe is block-buffered
+
+    def run(*argv, stdin=b""):
+        return subprocess.run([sys.executable, "-m", "bbgc", *argv], input=stdin,
+                              env=env, capture_output=True, timeout=120)
+
+    done = run("sample", "--source", str(spec), "--n", "7", "--out", str(store))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"wrote 7 samples to {store}\n".encode(), b"")
+    assert read_store(store).count == 7
+    # the worker's replies outgrow a pipe's buffer; each arrives whole
+    lat = np.random.default_rng(2).normal(size=(5000, 2)).astype(np.float32).astype(np.float64)
+    reply = pack_frame(SyntheticSource(build_synthetic_model(
+        2, 16, 11, **SPEC["parameters"])).embed(lat)[0], as_latents=False)
+    done = run("worker", "--source", str(spec), stdin=2 * pack_frame(lat, as_latents=True))
+    assert (done.returncode, done.stdout, done.stderr) == (0, 2 * reply, b"")
+    missing = str(tmp_path / "missing.json")
+    done = run("sample", "--source", missing, "--n", "7", "--out", str(store))
+    assert done.returncode == 3 and done.stdout == b""
+    assert done.stderr.startswith(b"error: ") and done.stderr.endswith(b"\n")
+    # in-process, the same failure returns its code and this process goes on
+    assert main(["sample", "--source", missing, "--n", "7", "--out", str(store)]) == 3
+
+
 def test_synthetic_spec_at_the_record_bound_exits_3(tmp_path):
     # the widest specs a store can hold, on either side of the record: a
     # synthetic model must be refused before it draws a 4 GiB center, and a
