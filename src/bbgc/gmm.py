@@ -45,6 +45,12 @@ SAMPLE_CHUNK = 8192
 _MAX_ITERS = 100   # Lloyd iterations of a k-means fit, at most
 _TOL = 1e-6        # relative inertia improvement that ends a fit
 
+# numpy's add.reduce sums fewer than 8 contiguous terms left to right and
+# switches to pairwise summation (its 8-way unrolled block) from 8 on, so
+# narrower rows can be summed column by column with the same bits.
+_PAIRWISE_TERMS = 8
+_SEED_BLOCK_BYTES = 1 << 19   # row block of the wide-latent seeding pass
+
 
 @dataclass(frozen=True)
 class ClusterAssignment:
@@ -97,14 +103,48 @@ def _assign(latents: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndar
             np.concatenate([p[1] for p in parts]))
 
 
+def _distance_pass(latents: np.ndarray):
+    """A function ``(center, out)`` that writes each row's squared distance
+    to ``center`` into the n-vector ``out``, as :func:`_kmeans_pp_init` says."""
+    n, dim = latents.shape
+    if dim < _PAIRWISE_TERMS:
+        cols, term = latents.T.copy(), np.empty(n)
+
+        def distances(center: np.ndarray, out: np.ndarray) -> None:
+            out.fill(0.0)
+            for col, c in zip(cols, center):
+                out += np.square(np.subtract(col, c, out=term), out=term)
+        return distances
+    rows = max(1, _SEED_BLOCK_BYTES // (8 * dim))
+    block = np.empty((min(rows, n), dim))
+
+    def distances(center: np.ndarray, out: np.ndarray) -> None:
+        for lo in range(0, n, rows):
+            diff = np.subtract(latents[lo:lo + rows], center, out=block[:min(rows, n - lo)])
+            np.add.reduce(np.square(diff, out=diff), axis=1, out=out[lo:lo + rows])
+    return distances
+
+
 def _kmeans_pp_init(latents: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """k-means++ seeding driven by the kmeans counter stream."""
+    """k-means++ seeding driven by the kmeans counter stream.
+
+    A point's squared distance to a center has the bits of
+    ``np.sum((latents - center) ** 2, axis=1)``.  numpy sums a row of
+    fewer than ``_PAIRWISE_TERMS`` terms left to right, so below that
+    many latent dims the distances are one pass per column over a
+    transposed copy of the latents, adding the columns in order.  From
+    there on each row is reduced by numpy as before, over row blocks of at
+    most ``_SEED_BLOCK_BYTES``.  No pass allocates an n x latent_dim
+    temporary.
+    """
     n = latents.shape[0]
     stream = CounterStream(seed, STREAM_KMEANS)
     u = stream.uniforms(0, k)
     centers = np.empty((k, latents.shape[1]), dtype=np.float64)
+    distances = _distance_pass(latents)
+    d2, new = np.empty(n), np.empty(n)
     centers[0] = latents[int(u[0] * n) % n]
-    d2 = np.sum((latents - centers[0]) ** 2, axis=1)
+    distances(centers[0], d2)
     for j in range(1, k):
         total = float(np.sum(d2))
         if total <= 0.0:
@@ -114,7 +154,8 @@ def _kmeans_pp_init(latents: np.ndarray, k: int, seed: int) -> np.ndarray:
             target = u[j] * total
             idx = int(np.searchsorted(np.cumsum(d2), target, side="right"))
             centers[j] = latents[min(idx, n - 1)]
-        d2 = np.minimum(d2, np.sum((latents - centers[j]) ** 2, axis=1))
+        distances(centers[j], new)
+        np.minimum(d2, new, out=d2)
     return centers
 
 
@@ -171,8 +212,10 @@ def kmeans_fit(latents: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, Clus
         labels, best_d2 = _assign(latents, means)
         _reseed_empty(latents, means, labels, best_d2, k)
         inertia = float(np.sum(best_d2))
-        sums = np.zeros_like(means)
-        np.add.at(sums, labels, latents)
+        # bincount adds each cluster's rows in index order, as np.add.at would
+        sums = np.empty_like(means)
+        for col in range(latents.shape[1]):
+            sums[:, col] = np.bincount(labels, weights=latents[:, col], minlength=k)
         counts = np.bincount(labels, minlength=k).astype(np.float64)
         means = sums / counts[:, None]
         if prev_inertia - inertia <= _TOL * max(prev_inertia, 1e-300):

@@ -35,6 +35,8 @@ STREAM_MODEL = 13
 STREAM_MODEL_LATENT = 14
 
 _U64_TO_UNIT = 2.0 ** -53
+# (2**53 - 1) + 0.5 rounds up to 2**53, so the top 2**11 words would map to 1.0
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -126,4 +128,4 @@ def hash_to_unit(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map 64-bit hashes to uniforms on (0, 1), in ``out`` if given, shifting ``h`` in place."""
     u = np.add(np.right_shift(h, np.uint64(11), out=None if out is None else h), 0.5, out=out)
     u *= _U64_TO_UNIT
-    return u
+    return np.minimum(u, _BELOW_ONE, out=u)

@@ -126,7 +126,8 @@ def splitmix64(x):
 
 
 def hash_to_unit(h):
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return np.minimum(u, np.nextafter(1.0, 0.0))
 
 
 def hash_rows(seed, latents):
@@ -177,3 +178,23 @@ def synthetic_embed(model, select_seed, noise_seed, latents, rows=256):
             held = label == c
             out[lo:lo + rows][held] = perturb(component.center, component.spread, hashes[held])
     return out
+
+
+def kmeans_pp_init(latents, k, u):
+    """k-means++ seeding with one fresh n x L array per distance pass, driven
+    by the k uniforms ``u``: each next center is the first point whose
+    cumulative squared distance to the chosen centers passes ``u[j]`` of
+    the total, or the point ``u[j]`` indexes once every distance is 0."""
+    n = len(latents)
+    centers = np.empty((k, latents.shape[1]))
+    centers[0] = latents[int(u[0] * n) % n]
+    d2 = np.sum((latents - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(np.sum(d2))
+        if total <= 0.0:
+            centers[j] = latents[int(u[j] * n) % n]
+        else:
+            idx = int(np.searchsorted(np.cumsum(d2), u[j] * total, side="right"))
+            centers[j] = latents[min(idx, n - 1)]
+        d2 = np.minimum(d2, np.sum((latents - centers[j]) ** 2, axis=1))
+    return centers

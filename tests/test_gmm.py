@@ -1,6 +1,7 @@
 """Mixture reweighting: clustering, weights, covariance, sampling, files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bbgc.errors import (
     MalformedResponseError,
     NonFiniteError,
 )
+from bbgc import gmm
 from bbgc.gmm import (
     MixtureModel,
     calibrate_gmm,
@@ -24,8 +26,10 @@ from bbgc.gmm import (
     sample_calibrated,
     save_mixture,
 )
-from bbgc.rng import STREAM_GMM_COMPONENT, CounterStream
+from bbgc.rng import STREAM_GMM_COMPONENT, STREAM_KMEANS, CounterStream
 from bbgc.source import SyntheticSource, build_synthetic_model
+
+from oracles import kmeans_pp_init
 
 
 def blobs(seed=0, n_per=100, centers=((0, 0), (10, 0), (0, 10))):
@@ -64,6 +68,72 @@ def test_kmeans_handles_duplicate_points():
     means, assignment = kmeans_fit(lat, 5, seed=2)
     assert np.bincount(assignment.labels, minlength=5).min() >= 1
     assert assignment.inertia >= 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 64, 512])
+def test_kmeans_pp_init_matches_the_allocating_seeding(dim):
+    # 1000 rows cross several wide-latent row blocks and end in a partial one
+    k, seed = 16, 5
+    u = CounterStream(seed, STREAM_KMEANS).uniforms(0, k)
+    rng = np.random.default_rng(dim)
+    lat, center = rng.normal(size=(1000, dim)), rng.normal(size=dim)
+    # random rows, rows with many tied distances, and rows that leave no
+    # distance mass after the first center
+    for rows in (lat, np.round(lat, 1), np.repeat(lat[:1], len(lat), axis=0)):
+        out = np.empty(len(rows))
+        gmm._distance_pass(rows)(center, out)
+        np.testing.assert_array_equal(out, np.sum((rows - center) ** 2, axis=1))
+        np.testing.assert_array_equal(gmm._kmeans_pp_init(rows, k, seed),
+                                      kmeans_pp_init(rows, k, u))
+
+
+def test_wide_latent_seeding_holds_no_full_size_temporary():
+    n, dim, k = 4096, 512, 4
+    lat = np.random.default_rng(0).normal(size=(n, dim))
+    tracemalloc.start()
+    try:
+        gmm._kmeans_pp_init(lat, k, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few n-vectors (distances, their running minimum, the cumulative
+    # sum) plus one row block, against 16 MiB for one n x 512 temporary
+    assert peak < 8 * n * 8 + gmm._SEED_BLOCK_BYTES + k * dim * 8, peak
+
+
+def _lloyd_with_add_at(latents, k, seed):
+    """kmeans_fit's iterations with the mean update taken by np.add.at, and
+    whether any assignment left a cluster empty."""
+    means = gmm._kmeans_pp_init(latents, k, seed)
+    prev_inertia, emptied = np.inf, False
+    for _ in range(gmm._MAX_ITERS):
+        labels, best_d2 = gmm._assign(latents, means)
+        emptied |= bool(np.bincount(labels, minlength=k).min() == 0)
+        gmm._reseed_empty(latents, means, labels, best_d2, k)
+        inertia = float(np.sum(best_d2))
+        sums = np.zeros_like(means)
+        np.add.at(sums, labels, latents)
+        means = sums / np.bincount(labels, minlength=k)[:, None]
+        if prev_inertia - inertia <= gmm._TOL * max(prev_inertia, 1e-300):
+            break
+        prev_inertia = inertia
+    labels, best_d2 = gmm._assign(latents, means)
+    gmm._reseed_empty(latents, means, labels, best_d2, k)
+    return means, labels, float(np.sum(best_d2)), emptied
+
+
+@pytest.mark.parametrize("lat, k, expect_empty", [
+    (np.random.default_rng(3).normal(size=(5000, 2)), 64, False),
+    (np.random.default_rng(4).normal(size=(2000, 9)), 12, False),
+    (np.repeat(np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]]), 30, axis=0), 5, True),
+])
+def test_kmeans_fit_matches_an_add_at_mean_update(lat, k, expect_empty):
+    means, assignment = kmeans_fit(lat, k, seed=9)
+    ref_means, ref_labels, ref_inertia, emptied = _lloyd_with_add_at(lat, k, 9)
+    assert emptied == expect_empty
+    np.testing.assert_array_equal(means, ref_means)
+    np.testing.assert_array_equal(assignment.labels, ref_labels)
+    assert assignment.inertia == ref_inertia
 
 
 def test_kmeans_validation():

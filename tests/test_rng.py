@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from bbgc.rng import (
     CounterStream,
@@ -93,6 +94,17 @@ def test_hash_to_unit_range():
     h = hash_latents(1, np.random.default_rng(1).normal(size=(1000, 3)))
     u = hash_to_unit(h)
     assert np.all(u > 0.0) and np.all(u < 1.0)
+
+
+def test_hash_to_unit_maps_the_top_words_below_one():
+    # (2**53 - 1) + 0.5 rounds up to 2**53 without the clamp
+    top = np.array([2 ** 64 - 1, 2 ** 64 - 2 ** 11], dtype=np.uint64)
+    u = hash_to_unit(top)
+    assert np.all(u < 1.0) and np.all(np.isfinite(ndtri(u)))
+    # the next word down is below 1 already and keeps its bits
+    below = np.array([2 ** 64 - 2 ** 11 - 1], dtype=np.uint64)
+    assert hash_to_unit(below.copy())[0] == (float((2 ** 64 - 2 ** 11 - 1) >> 11) + 0.5) * 2.0 ** -53
+    assert hash_to_unit(below.copy())[0] < np.nextafter(1.0, 0.0)
 
 
 def test_derive_seed_distinct_and_stable():
