@@ -178,8 +178,9 @@ def cmd_find_modes(args, parser) -> int:
 # -- calibrate --------------------------------------------------------------------
 
 def _dense_modes_from_report(report_path: str, anchors: stores.SampleStore,
-                             count: int) -> list[tuple[np.ndarray, int]]:
-    """The ``count`` densest modes listed in a diagnosis report."""
+                             count: int) -> tuple[list[tuple[np.ndarray, int]], float]:
+    """The ``count`` densest modes listed in a diagnosis report, and the
+    radius the report ranked them at."""
     report = _read_report(report_path)
     if "top_k" not in report:
         raise InvalidConfigError(f"{report_path}: not a diagnosis report")
@@ -189,7 +190,7 @@ def _dense_modes_from_report(report_path: str, anchors: stores.SampleStore,
             raise InvalidConfigError(
                 f"{report_path}: mode anchor {idx} outside store of {anchors.count}")
         out.append((anchors.embeddings[idx], idx))
-    return out
+    return out, float(report["radius"])
 
 
 def _pick_reference(pool: stores.SampleStore, radius: float, seed: int) -> int:
@@ -207,11 +208,11 @@ def cmd_calibrate_gmm(args, parser) -> int:
                        report=args.report)
     spec = sources.load_source_spec(args.source)
     anchors = _read_unit_store(args.anchors)
-    dense = _dense_modes_from_report(args.report, anchors, args.modes)
+    dense, radius = _dense_modes_from_report(args.report, anchors, args.modes)
     mode_embs = np.asarray([emb for emb, _ in dense])
     with sources.open_source(spec) as src:
         model = gmm.calibrate_gmm(
-            src, mode_embs, args.seed, k=args.kmeans_k, r0=args.radius,
+            src, mode_embs, args.seed, k=args.kmeans_k, r0=radius,
             n_fit=args.n_fit, source_seed=spec.seed)
     prov["modes"] = [idx for _, idx in dense]
     gmm.save_mixture(args.out, model, provenance=prov)
@@ -225,10 +226,9 @@ def cmd_calibrate_is(args, parser) -> int:
                        report=args.report)
     anchors = _read_unit_store(args.anchors)
     pool = _read_unit_store(args.pool)
-    dense = _dense_modes_from_report(args.report, anchors, args.modes)
-    reference = _pick_reference(pool, args.radius, args.seed)
-    plan = importance.build_plan(pool, dense, [reference], args.radius,
-                                 hull_size=args.hull_size)
+    dense, radius = _dense_modes_from_report(args.report, anchors, args.modes)
+    plan = importance.build_plan(pool, dense, _pick_reference(pool, radius, args.seed),
+                                 radius, hull_size=args.hull_size)
     prov["modes"] = [idx for _, idx in dense]
     importance.save_plan(args.out, plan, provenance=prov)
     for entry in plan.entries:
@@ -267,24 +267,19 @@ def cmd_evaluate(args, parser) -> int:
             model, spec.latent_dim, args.pool, seed_c)
         acceptance = {"anchors": dataclasses.asdict(stats_a), "pool": dataclasses.asdict(stats_c)}
 
-    with sources.open_source(spec) as src:
-        before_a_lat = sources.sample_latents(args.anchors, spec.latent_dim,
-                                              args.seed, STREAM_EVAL_ANCHORS)
-        before_c_lat = sources.sample_latents(args.pool, spec.latent_dim,
-                                              args.seed, STREAM_EVAL_POOL)
-        before_a = stores.SampleStore(
-            before_a_lat, sources.generate(src, before_a_lat)[0], seed=args.seed)
-        before_c = stores.SampleStore(
-            before_c_lat, sources.generate(src, before_c_lat)[0], seed=args.seed)
-        after_a = stores.SampleStore(
-            after_a_lat, sources.generate(src, after_a_lat)[0], seed=seed_a)
-        after_c = stores.SampleStore(
-            after_c_lat, sources.generate(src, after_c_lat)[0], seed=seed_c)
+    def diagnose(anchor_lat, pool_lat, anchor_seed, pool_seed) -> dict:
+        """One phase's report; its stores are freed when it returns."""
+        anchor_st, pool_st = (stores.SampleStore(lat, sources.generate(src, lat)[0], seed=s)
+                              for lat, s in ((anchor_lat, anchor_seed), (pool_lat, pool_seed)))
+        return diagnosis.build_report(anchor_st, pool_st, args.theta, args.radius,
+                                      k=args.k, seed=args.seed)
 
-    before = diagnosis.build_report(before_a, before_c, args.theta, args.radius,
-                                    k=args.k, seed=args.seed)
-    after = diagnosis.build_report(after_a, after_c, args.theta, args.radius,
-                                   k=args.k, seed=args.seed)
+    with sources.open_source(spec) as src:
+        before = diagnose(
+            sources.sample_latents(args.anchors, spec.latent_dim, args.seed, STREAM_EVAL_ANCHORS),
+            sources.sample_latents(args.pool, spec.latent_dim, args.seed, STREAM_EVAL_POOL),
+            args.seed, args.seed)
+        after = diagnose(after_a_lat, after_c_lat, seed_a, seed_c)
     before_count = before["worst_mode"]["neighbor_count"]
     after_count = after["worst_mode"]["neighbor_count"]
     deltas = {
@@ -322,6 +317,7 @@ def _read_report(path: str) -> dict:
     doc = read_json(path)
     try:
         for _, rep in _phases(doc):
+            check_radius(json_field(rep, "radius"))
             if not rep["top_k"]:
                 raise InvalidConfigError(f"{path}: top_k lists no mode")
             for mode in rep["top_k"]:
@@ -447,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="how many of the densest modes to calibrate away")
     cal_gmm.add_argument("--kmeans-k", type=_positive_int, default=64)
     cal_gmm.add_argument("--n-fit", type=_positive_int, default=100_000)
-    cal_gmm.add_argument("--radius", type=_usage_check(check_radius), default=0.25)
     cal_gmm.add_argument("--seed", type=_seed_value, default=0)
     cal_gmm.add_argument("--out", required=True, help="mixture model JSON path")
     cal_gmm.set_defaults(func=cmd_calibrate_gmm)
@@ -458,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal_is.add_argument("--report", required=True, help="diagnosis report JSON")
     cal_is.add_argument("--modes", type=_positive_int, default=1)
     cal_is.add_argument("--hull-size", type=_positive_int, default=100)
-    cal_is.add_argument("--radius", type=_usage_check(check_radius), default=0.25)
     cal_is.add_argument("--seed", type=_seed_value, default=0)
     cal_is.add_argument("--out", required=True, help="plan JSON path")
     cal_is.set_defaults(func=cmd_calibrate_is)

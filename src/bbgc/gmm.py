@@ -241,11 +241,11 @@ def compute_cluster_weights(labels: np.ndarray, k: int, embeddings: np.ndarray,
     occupancy = np.bincount(labels, minlength=k)
     if np.any(occupancy == 0):
         raise EmptyClusterError(f"cluster {int(np.argmin(occupancy))} is empty")
-    counts = np.zeros(k, dtype=np.int64)
     # neighbor_counts is anchor-major; transpose the question: for each
     # mode, flag the samples inside r0, then histogram their labels.
     per_mode = neighbor_counts(embeddings, dense_modes, r0)   # (n,) in [0, #modes]
-    np.add.at(counts, labels, per_mode)
+    # whole numbers below 2**53, so the float64 sums are exact
+    counts = np.bincount(labels, weights=per_mode, minlength=k)
     weights = 1.0 / (counts + 1.0)
     return weights / np.sum(weights)
 

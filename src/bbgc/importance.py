@@ -9,8 +9,8 @@ always kept, so off-mode regions are provably untouched.
 A proposal batch is matched to the plan's entries in order, each entry
 taking the still-unmatched rows through three stages:
 
-1. The entry's bounding sphere rejects rows further than tol·(1+|z|)
-   outside it.
+1. The entry's bounding sphere rejects rows further than the tolerance
+   ``_TOL``·(1+|z|) outside it.
 2. Where Qhull could build the hull (latent dim 2 to 4, vertices not
    flat), an exact screen: a row whose largest violation of the unit
    facet halfspaces exceeds the tolerance, the vertices' own measured
@@ -25,9 +25,9 @@ Hull membership is one nonnegative least-squares solve (Lawson and
 Hanson, Solving Least Squares Problems, 1974, ch. 23): the b >= 0
 minimizing ||[(V - z)^T; 1^T] b - [0; 1]|| is the projection's simplex
 weights a scaled by 1/(1 + d^2), for the distance d from z to the hull,
-so a = b / sum(b).  Membership is claimed only when the residual
-||V^T a - z|| is inside tolerance, so an unconverged solve can never
-produce a false positive.
+so a = b / sum(b).  The solve stops after ``_NNLS_ITERS`` iterations.
+Membership is claimed only when the residual ||V^T a - z|| is inside
+tolerance, so an unconverged solve can never produce a false positive.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ from .store import SampleStore
 _PROPOSAL_BATCH = 8192   # fixed: batch boundaries are part of no contract,
                          # but stats are counted per full batch
 _MAX_PROPOSALS_PER_DRAW = 1000   # proposals per requested draw before a stall
+_TOL = 1e-4          # membership tolerance relative to 1 + |z|
+_NNLS_ITERS = 500    # iteration cap of one hull solve
 
 # Qhull facet counts grow steeply with dimension: for 100 vertices about
 # 166 facets at 4-d, 2479 at 6-d and 48 496 at 8-d, where one batch's
@@ -114,8 +116,6 @@ class ImportanceSamplingPlan:
     reference_embedding: np.ndarray
     r0: float
     hull_size: int
-    tol: float = 1e-4
-    max_iters: int = 500
 
     @property
     def latent_dim(self) -> int:
@@ -174,27 +174,24 @@ def _finish_entry(p: float, vertices: np.ndarray, dense_count: int, ref_count: i
                      screen=_facet_screen(vertices, center))
 
 
-def hull_membership(z: np.ndarray, vertices: np.ndarray, tol: float = 1e-4,
-                    max_iters: int = 500) -> HullMembership:
-    """Is z a convex combination of the vertices, within tol·(1+|z|)?
+def hull_membership(z: np.ndarray, vertices: np.ndarray) -> HullMembership:
+    """Is z a convex combination of the vertices, within ``_TOL``·(1+|z|)?
 
     Solves min ||V^T a - z|| over the simplex.  The bounding sphere of
     the vertices rejects points that provably cannot be members before
     any solve runs: every hull point lies within the sphere, so a query
-    further than tol away from it is further than tol from the hull.  A
-    query with no finite norm is rejected there too.  Every other query
-    is one nonnegative least-squares solve capped at ``max_iters``
-    iterations (0 takes scipy's default of three per vertex); a solve
-    that reaches the cap reports the nearest vertex, as the sphere does.
+    further than the tolerance away from it is further than that from
+    the hull.  A query with no finite norm is rejected there too.  Every
+    other query is one nonnegative least-squares solve capped at
+    ``_NNLS_ITERS`` iterations; a solve that reaches the cap reports the
+    nearest vertex, as the sphere does.
     """
     v = np.ascontiguousarray(vertices, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 1 or z.shape != (v.shape[1],):
         raise ValueError(f"vertices {v.shape} vs query {z.shape}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     k = v.shape[0]
-    tau = tol * (1.0 + float(np.linalg.norm(z)))
+    tau = _TOL * (1.0 + float(np.linalg.norm(z)))
 
     center = v.mean(axis=0)
     bound = float(np.max(np.linalg.norm(v - center, axis=1)))
@@ -202,7 +199,7 @@ def hull_membership(z: np.ndarray, vertices: np.ndarray, tol: float = 1e-4,
         from scipy.optimize import nnls   # only `is` plans get here; see the cold-start test
         try:
             b = nnls(np.vstack([(v - z).T, np.ones(k)]), np.append(np.zeros(len(z)), 1.0),
-                     maxiter=max_iters)[0]
+                     maxiter=_NNLS_ITERS)[0]
         except RuntimeError:   # iteration cap
             pass
         else:
@@ -218,16 +215,14 @@ def hull_membership(z: np.ndarray, vertices: np.ndarray, tol: float = 1e-4,
 
 
 def build_plan(pool: SampleStore, dense_modes: Sequence[tuple[np.ndarray, int]],
-               reference_indices: Sequence[int], r0: float,
+               reference_index: int, r0: float,
                hull_size: int = 100) -> ImportanceSamplingPlan:
     """Acceptance probabilities and hulls for a list of dense modes.
 
     ``dense_modes`` pairs each mode embedding with its anchor index.
-    ``reference_indices`` are pool positions; the first is recorded as
-    the reference sample, and the count used for p averages over all of
-    them (passing one matches the original recipe).  A reference with
-    an empty neighborhood still contributes a count of 1 so that p
-    stays positive.
+    ``reference_index`` is the pool position of the reference sample,
+    whose neighbor count is the numerator of every p.  A reference with
+    an empty neighborhood still counts 1 so that p stays positive.
     """
     check_radius(r0)
     if pool.count == 0:
@@ -236,16 +231,10 @@ def build_plan(pool: SampleStore, dense_modes: Sequence[tuple[np.ndarray, int]],
         raise ValueError("need at least one dense mode")
     if hull_size < 1:
         raise ValueError(f"hull_size must be >= 1, got {hull_size}")
-    if not reference_indices:
-        raise ValueError("need at least one reference index")
-    refs = [int(i) for i in reference_indices]
-    for i in refs:
-        if not 0 <= i < pool.count:
-            raise ValueError(f"reference index {i} outside store of {pool.count}")
-
-    ref_embs = pool.embeddings[refs]
-    ref_counts = neighbor_counts(ref_embs, pool.embeddings, r0)
-    ref_count = max(1.0, float(np.mean(ref_counts)))
+    ref = int(reference_index)
+    if not 0 <= ref < pool.count:
+        raise ValueError(f"reference index {ref} outside store of {pool.count}")
+    ref_count = max(1, int(neighbor_counts(pool.embeddings[[ref]], pool.embeddings, r0)[0]))
 
     mode_embs = np.asarray([np.asarray(e, dtype=np.float64) for e, _ in dense_modes])
     mode_idx = [int(i) for _, i in dense_modes]
@@ -263,16 +252,16 @@ def build_plan(pool: SampleStore, dense_modes: Sequence[tuple[np.ndarray, int]],
         nearest = np.argsort(np.arccos(dots), kind="stable")[:size]
         p = min(1.0, ref_count / dc)
         entries.append(_finish_entry(p, pool.latents[np.sort(nearest)], dc,
-                                     int(round(ref_count)), mode_idx[j]))
+                                     ref_count, mode_idx[j]))
     latent_dim = pool.latents.shape[1]
     if size <= latent_dim:
         warnings.warn(f"hulls of {size} vertices cannot span the {latent_dim}-d latent "
                       "space: they hold almost no prior mass, so the plan will accept "
                       "nearly every draw", RuntimeWarning, stacklevel=2)
     return ImportanceSamplingPlan(
-        entries=tuple(entries), reference_index=refs[0],
-        reference_latent=pool.latents[refs[0]].copy(),
-        reference_embedding=pool.embeddings[refs[0]].astype(np.float64),
+        entries=tuple(entries), reference_index=ref,
+        reference_latent=pool.latents[ref].copy(),
+        reference_embedding=pool.embeddings[ref].astype(np.float64),
         r0=float(r0), hull_size=int(hull_size))
 
 
@@ -310,7 +299,7 @@ def _match_entries(plan: ImportanceSamplingPlan, z: np.ndarray) -> np.ndarray:
     """Per row of z, the index of the first entry whose hull contains it, else -1."""
     match = np.full(z.shape[0], -1, dtype=np.int64)
     znorm = np.linalg.norm(z, axis=1)
-    tau = plan.tol * (1.0 + znorm)
+    tau = _TOL * (1.0 + znorm)
     for e, entry in enumerate(plan.entries):
         rows = np.flatnonzero(match < 0)
         # every hull point lies in the bounding sphere
@@ -321,8 +310,7 @@ def _match_entries(plan: ImportanceSamplingPlan, z: np.ndarray) -> np.ndarray:
             match[rows[inside]] = e
             rows = rows[undecided]
         for i in rows:
-            if hull_membership(z[i], entry.vertices, tol=plan.tol,
-                               max_iters=plan.max_iters).is_member:
+            if hull_membership(z[i], entry.vertices).is_member:
                 match[i] = e
     return match
 
@@ -383,8 +371,8 @@ def save_plan(path: str, plan: ImportanceSamplingPlan,
         "latent_dim": plan.latent_dim,
         "r0": plan.r0,
         "hull_size": plan.hull_size,
-        "tol": plan.tol,
-        "max_iters": plan.max_iters,
+        "tol": _TOL,
+        "max_iters": _NNLS_ITERS,
         "reference": {
             "index": plan.reference_index,
             "latent": [float(x) for x in plan.reference_latent],
@@ -415,10 +403,11 @@ def plan_from_doc(doc, path: str) -> ImportanceSamplingPlan:
         if doc["kind"] != "importance":
             raise InvalidConfigError(f"{path} is not an importance-sampling plan file")
         dim = json_field(doc, "latent_dim", integer=True)
-        max_iters = json_field(doc, "max_iters", 500, integer=True)
-        tol = json_field(doc, "tol", 1e-4)
-        if max_iters < 1 or tol <= 0.0:
-            raise InvalidConfigError(f"{path}: need max_iters >= 1, tol > 0: {max_iters}, {tol}")
+        max_iters = json_field(doc, "max_iters", _NNLS_ITERS, integer=True)
+        tol = json_field(doc, "tol", _TOL)
+        if (max_iters, tol) != (_NNLS_ITERS, _TOL):
+            raise InvalidConfigError(f"{path}: need max_iters {_NNLS_ITERS}, tol {_TOL}: "
+                                     f"{max_iters}, {tol}")
         entries = tuple(
             _finish_entry(json_field(e, "p"), decode_matrix(e["vertices"]),
                           json_field(e, "dense_count", integer=True),
@@ -430,8 +419,7 @@ def plan_from_doc(doc, path: str) -> ImportanceSamplingPlan:
             entries=entries, reference_index=json_field(ref, "index", integer=True),
             reference_latent=json_field(ref, "latent", ndim=1),
             reference_embedding=json_field(ref, "embedding", ndim=1),
-            r0=json_field(doc, "r0"), hull_size=json_field(doc, "hull_size", integer=True),
-            tol=tol, max_iters=max_iters)
+            r0=json_field(doc, "r0"), hull_size=json_field(doc, "hull_size", integer=True))
         if not entries or {plan.latent_dim, *(e.vertices.shape[1] for e in entries)} != {dim}:
             raise InvalidConfigError(f"{path}: need entries, vertices and reference of dim {dim}")
     except CONTENT_ERRORS as exc:

@@ -269,10 +269,12 @@ _HEADER_PIECE = 4096   # CSV column names per write
 
 
 def check_fields(fields: Sequence[str]) -> list[str]:
-    """``fields`` as a list: at least one column, each of ``_TABLE_FIELDS``."""
-    for f in fields:
+    """``fields`` as a list: at least one column, each of ``_TABLE_FIELDS`` once."""
+    for i, f in enumerate(fields):
         if f not in _TABLE_FIELDS:
             raise ValueError(f"unknown field {f!r}; choose from {_TABLE_FIELDS}")
+        if f in fields[:i]:
+            raise ValueError(f"field {f!r} listed twice")
     if not fields:
         raise ValueError("need at least one field")
     return list(fields)
@@ -300,18 +302,13 @@ def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
             row = int(np.argmin(np.isfinite(vectors).all(axis=1)))
             raise NonFiniteError(f"row {row} has a non-finite {f}; a table holds finite values")
 
-    def row_values(i: int) -> dict:
-        out = {}
-        for f in fields:
-            if f == "index":
-                out[f] = i
-            elif f == "latent":
-                out[f] = st.latents[i]
-            elif f == "embedding":
-                out[f] = st.embeddings[i]
-            else:
-                out[f] = base64.b64encode(st.ref(i)).decode("ascii")
-        return out
+    def cells(f: str, i: int) -> list[str]:
+        """Field ``f`` of row ``i`` as table cells: one per vector dimension."""
+        if f == "index":
+            return [str(i)]
+        if f == "ref":
+            return [base64.b64encode(st.ref(i)).decode("ascii")]
+        return [format_float(x) for x in (st.latents if f == "latent" else st.embeddings)[i]]
 
     def header_pieces():
         for f in fields:
@@ -323,17 +320,10 @@ def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "jsonl":
+            wrap = {"index": "{}", "ref": '"{}"'}   # else a vector: "[{}]"
             for i in range(st.count):
-                vals = row_values(i)
-                parts = []
-                for f in fields:
-                    v = vals[f]
-                    if isinstance(v, np.ndarray):
-                        parts.append(f'"{f}": [' + ", ".join(format_float(x) for x in v) + "]")
-                    elif isinstance(v, int):
-                        parts.append(f'"{f}": {v}')
-                    else:
-                        parts.append(f'"{f}": "{v}"')
+                parts = (f'"{f}": ' + wrap.get(f, "[{}]").format(", ".join(cells(f, i)))
+                         for f in fields)
                 fh.write("{" + ", ".join(parts) + "}\n")
         else:
             writer = csv.writer(fh)
@@ -343,15 +333,7 @@ def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
                 fh.write(("," if i else "") + piece)
             fh.write(writer.dialect.lineterminator)
             for i in range(st.count):
-                vals = row_values(i)
-                row: list = []
-                for f in fields:
-                    v = vals[f]
-                    if isinstance(v, np.ndarray):
-                        row.extend(format_float(x) for x in v)
-                    else:
-                        row.append(v)
-                writer.writerow(row)
+                writer.writerow([cell for f in fields for cell in cells(f, i)])
     return st.count
 
 

@@ -296,7 +296,7 @@ def test_criterion_08_is_calibration(capsys):
     ref_center = src.model.planted[1].center
     pool = sampled_store(src, 100_000, seed, STREAM_POOL)
     on_ref = np.flatnonzero(np.all(pool.embeddings == ref_center, axis=1))
-    plan = build_plan(pool, [(dense_center, 0)], [int(on_ref[0])], 0.25, hull_size=100)
+    plan = build_plan(pool, [(dense_center, 0)], int(on_ref[0]), 0.25, hull_size=100)
 
     out, stats = sample_calibrated_is(plan, src.latent_dim, 100_000, seed)
     outside_exact = stats.outside_accepted == stats.outside_hull
@@ -328,7 +328,7 @@ def test_criterion_09_hull_membership(capsys):
             z = v.T @ rng.dirichlet(np.ones(k) * 0.5)
         else:   # just outside a face point
             z = v.T @ rng.dirichlet(np.ones(k)) + rng.normal(size=8) * 5e-3
-        res = hull_membership(z, v, tol=1e-4)
+        res = hull_membership(z, v)
         truth = hull_distance(z, v) <= 1e-4 * (1.0 + np.linalg.norm(z))
         if res.is_member != truth:
             disagreements += 1

@@ -9,13 +9,16 @@ import resource
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import bbgc
-from bbgc.cli import main
+from bbgc.cli import _pick_reference, main
 from bbgc.errors import SourceUnavailableError
+from bbgc.gmm import calibrate_gmm, load_mixture
+from bbgc.importance import build_plan, save_plan
 from bbgc.jsonutil import read_json
 from bbgc.rng import STREAM_ANCHORS, STREAM_POOL, CounterStream
 from bbgc.source import (
@@ -166,6 +169,85 @@ def test_calibrate_is_and_evaluate(pipeline, tmp_path):
     assert ev["deltas"]["worst_count_ratio"] < 1.0
 
 
+def test_calibration_takes_the_report_radius(pipeline, tmp_path):
+    report = tmp_path / "r02.json"
+    assert main(["diagnose", "--anchors", str(pipeline["anchors"]),
+                 "--pool", str(pipeline["pool"]), "--radius", "0.2",
+                 "--out", str(report)]) == 0
+    anchors, pool = read_store(pipeline["anchors"]), read_store(pipeline["pool"])
+    worst = read_json(str(report))["top_k"][0]["anchor_index"]
+    dense = [(anchors.embeddings[worst], worst)]
+
+    plan_path = tmp_path / "plan.json"
+    assert main(["calibrate", "is", "--anchors", str(pipeline["anchors"]),
+                 "--pool", str(pipeline["pool"]), "--report", str(report),
+                 "--hull-size", "40", "--seed", "5", "--out", str(plan_path)]) == 0
+    doc = read_json(str(plan_path))
+    assert doc["r0"] == 0.2
+    plans = {r0: build_plan(pool, dense, _pick_reference(pool, r0, 5), r0, hull_size=40)
+             for r0 in (0.2, 0.25)}
+    want = tmp_path / "want.json"
+    save_plan(str(want), plans[0.2], provenance=doc["provenance"])
+    assert plan_path.read_bytes() == want.read_bytes()
+    # the planted mode counts alike at both radii; the reference probe does not
+    assert plans[0.2].reference_index != plans[0.25].reference_index
+
+    mixture = tmp_path / "mixture.json"
+    assert main(["calibrate", "gmm", "--source", str(pipeline["spec"]),
+                 "--anchors", str(pipeline["anchors"]), "--report", str(report),
+                 "--kmeans-k", "8", "--n-fit", "2000", "--seed", "5",
+                 "--out", str(mixture)]) == 0
+    weights = {}
+    for r0 in (0.2, 0.25):
+        with SyntheticSource(build_synthetic_model(2, 16, 11, **SPEC["parameters"])) as src:
+            weights[r0] = calibrate_gmm(src, anchors.embeddings[[worst]], 5, k=8, r0=r0,
+                                        n_fit=2000, source_seed=11).weights
+    assert np.array_equal(load_mixture(str(mixture)).weights, weights[0.2])
+    assert not np.array_equal(weights[0.2], weights[0.25])
+
+
+@pytest.mark.parametrize("method", ["gmm", "is"])
+@pytest.mark.parametrize("radius, message", [
+    (float("nan"), "radius must be a JSON number, got nan"),
+    (2, "radius must lie in [0, 1], got 2.0"),
+    ("0.25", "radius must be a JSON number, got '0.25'"),
+])
+def test_calibrate_refuses_a_report_radius_outside_the_unit_range(
+        pipeline, tmp_path, capsys, method, radius, message):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(dict(read_json(str(pipeline["report"])), radius=radius)))
+    flags = {"gmm": ["--source", str(pipeline["spec"]), "--n-fit", "100", "--kmeans-k", "2"],
+             "is": ["--pool", str(pipeline["pool"])]}[method]
+    capsys.readouterr()
+    assert main(["calibrate", method, "--anchors", str(pipeline["anchors"]), *flags,
+                 "--report", str(report), "--out", str(tmp_path / "model.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}: ") and message in err, err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_evaluate_frees_the_before_phase_before_the_after_phase_embeds(
+        pipeline, tmp_path, monkeypatch):
+    model = tmp_path / "mixture.json"
+    assert main(["calibrate", "gmm", "--source", str(pipeline["spec"]),
+                 "--anchors", str(pipeline["anchors"]), "--report", str(pipeline["report"]),
+                 "--kmeans-k", "4", "--n-fit", "400", "--out", str(model)]) == 0
+    real = bbgc.source.generate
+    made, alive = [], []
+
+    def generate(src, latents):
+        if len(made) == 2:   # the after phase's first call
+            alive.extend(ref() is not None for ref in made)
+        embeddings, refs = real(src, latents)
+        made.append(weakref.ref(embeddings))
+        return embeddings, refs
+
+    monkeypatch.setattr(bbgc.source, "generate", generate)
+    assert main(["evaluate", "--source", str(pipeline["spec"]), "--model", str(model),
+                 "--anchors", "20", "--pool", "200", "--out", str(tmp_path / "e.json")]) == 0
+    assert len(made) == 4 and alive == [False, False]
+
+
 def test_report_regenerates_tables(pipeline, tmp_path):
     prefix = tmp_path / "tables"
     assert main(["report", "--report", str(pipeline["report"]),
@@ -215,7 +297,7 @@ def test_worker_serves_source(pipeline):
 # -- exit codes -------------------------------------------------------------------
 
 def test_unknown_store_field_exits_2(pipeline, tmp_path, capsys):
-    for fields in ("foo", "latent,foo", ""):
+    for fields in ("foo", "latent,foo", "", "index,index"):
         with pytest.raises(SystemExit) as err:
             main(["report", "--store", str(pipeline["pool"]), "--fields", fields,
                   "--out", str(tmp_path / "x.csv")])
@@ -748,7 +830,8 @@ def test_pipeline_memory_grows_by_a_few_float32_pools(tmp_path):
     assert growth < 2.25 * pool_float32, growth / pool_float32
 
 
-@pytest.mark.parametrize("flags", [["--theta", "0.3"], ["--radius", "nan"]])
+# calibration takes its radius from the report, so --radius is unknown here
+@pytest.mark.parametrize("flags", [["--theta", "0.3"], ["--radius", "0.25"]])
 def test_calibrate_is_rejects_bad_flags(pipeline, tmp_path, flags):
     with pytest.raises(SystemExit) as err:
         main(["calibrate", "is", "--anchors", str(pipeline["anchors"]),
@@ -801,6 +884,10 @@ def _report_edit(report: dict, edit: str) -> dict:
         del doc["curves"][1]["kind"]
     elif edit == "unknown curve kind":
         doc["curves"][1]["kind"] = "mean"
+    elif edit == "radius 2":
+        doc["radius"] = 2
+    elif edit == "no radius":
+        del doc["radius"]
     elif edit == "evaluation":
         doc = {"before": doc, "after": doc}
     else:   # a mode anchor past the 80 anchors of the store
@@ -815,6 +902,9 @@ def _report_edit(report: dict, edit: str) -> dict:
     ("text neighbor_count", "neighbor_count must be a JSON integer"),
     ("no curve kind", "'kind'"),
     ("unknown curve kind", "unknown curve kind 'mean'"),
+    # calibration runs at the report's radius, so every reader checks it
+    ("radius 2", "radius must lie in [0, 1], got 2.0"),
+    ("no radius", "'radius'"),
 ])
 def test_report_with_a_bad_table_field_exits_3(pipeline, tmp_path, capsys, edit, message):
     report = tmp_path / "report.json"

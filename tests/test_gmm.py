@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bbgc.embedding import neighbor_counts
 from bbgc.errors import (
     DegenerateDataError,
     EmptyClusterError,
@@ -170,6 +171,25 @@ def test_cluster_weights_sum_over_modes():
     w = compute_cluster_weights(labels, 2, embeddings, modes, r0=0.25)
     raw = np.array([1 / 3, 1 / 1])
     np.testing.assert_allclose(w, raw / raw.sum(), atol=1e-15)
+
+
+def test_cluster_weights_match_the_add_at_counts_bit_for_bit():
+    # two modes whose radii overlap: a sample near both counts twice
+    rng = np.random.default_rng(21)
+    e = np.eye(8)
+    modes = np.vstack([e[0], np.cos(0.2) * e[0] + np.sin(0.2) * e[1]])
+    emb = np.vstack([modes[rng.integers(0, 2, 300)] + rng.normal(size=(300, 8)) * 0.05,
+                     rng.normal(size=(700, 8))])
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    labels = rng.integers(0, 7, 1000)
+    per_mode = neighbor_counts(emb, modes, 0.25)
+    assert np.any(per_mode == 2) and np.any(per_mode == 1)
+    counts = np.zeros(7, dtype=np.int64)
+    np.add.at(counts, labels, per_mode)
+    want = 1.0 / (counts + 1.0)
+    want = want / np.sum(want)
+    got = compute_cluster_weights(labels, 7, emb, modes, 0.25)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cluster_weights_validation():

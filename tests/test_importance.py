@@ -43,12 +43,12 @@ def test_vertices_and_convex_combinations_are_members():
     rng = np.random.default_rng(1)
     v = random_hull(rng)
     for row in v:
-        res = hull_membership(row, v, tol=TOL)
+        res = hull_membership(row, v)
         assert res.is_member and res.residual <= TOL * (1 + np.linalg.norm(row))
     for _ in range(20):
         w = rng.dirichlet(np.ones(len(v)))
         z = v.T @ w
-        res = hull_membership(z, v, tol=TOL)
+        res = hull_membership(z, v)
         assert res.is_member
         np.testing.assert_allclose(res.coefficients.sum(), 1.0, atol=1e-9)
         np.testing.assert_allclose(v.T @ res.coefficients, z,
@@ -60,9 +60,9 @@ def test_far_points_are_rejected():
     v = random_hull(rng)
     for _ in range(10):
         z = rng.normal(size=4) * 50.0
-        assert not hull_membership(z, v, tol=TOL).is_member
+        assert not hull_membership(z, v).is_member
     for bad in (np.inf, -np.inf, np.nan):
-        assert not hull_membership(np.array([bad, 0.0, 0.0, 0.0]), v, tol=TOL).is_member
+        assert not hull_membership(np.array([bad, 0.0, 0.0, 0.0]), v).is_member
 
 
 def test_verdicts_and_residuals_match_enumeration_oracle():
@@ -75,7 +75,7 @@ def test_verdicts_and_residuals_match_enumeration_oracle():
                 z = v.T @ rng.dirichlet(np.ones(5) * 0.4)    # member or face point
             else:
                 z = rng.normal(size=dim) * 1.5                # usually outside
-            res = hull_membership(z, v, tol=TOL)
+            res = hull_membership(z, v)
             truth = hull_distance(z, v)
             tau = TOL * (1 + np.linalg.norm(z))
             assert res.is_member == (truth <= tau)
@@ -91,18 +91,19 @@ def test_verdicts_and_residuals_match_enumeration_oracle():
 def test_sphere_precheck_reports_nearest_vertex():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     z = np.array([10.0, 0.0])
-    res = hull_membership(z, v, tol=TOL)
+    res = hull_membership(z, v)
     assert not res.is_member
     assert res.residual == 9.0                       # distance to (1, 0)
     np.testing.assert_array_equal(res.coefficients, [0.0, 1.0, 0.0])
 
 
-def test_solve_stopped_at_its_iteration_cap_is_not_a_member():
+def test_solve_stopped_at_its_iteration_cap_is_not_a_member(monkeypatch):
     rng = np.random.default_rng(4)
     v = random_hull(rng, k=10, dim=3)
     z = v.mean(axis=0)
-    assert hull_membership(z, v, tol=TOL).is_member
-    res = hull_membership(z, v, tol=TOL, max_iters=1)
+    assert hull_membership(z, v).is_member
+    monkeypatch.setattr(importance, "_NNLS_ITERS", 1)
+    res = hull_membership(z, v)
     assert not res.is_member
     nearest = np.min(np.linalg.norm(v - z, axis=1))
     assert res.residual == nearest
@@ -112,18 +113,10 @@ def test_single_vertex_hull():
     v = np.array([[2.0, -1.0, 0.5]])
     z_near = v[0] + 1e-6
     z_far = v[0] + 1.0
-    assert hull_membership(z_near, v, tol=TOL).is_member
-    res = hull_membership(z_far, v, tol=TOL)
+    assert hull_membership(z_near, v).is_member
+    res = hull_membership(z_far, v)
     assert not res.is_member
     np.testing.assert_allclose(res.residual, np.sqrt(3.0), atol=1e-12)
-
-
-def test_hull_membership_rejects_a_negative_iteration_cap():
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    z = np.array([0.5, 0.5])
-    with pytest.raises(ValueError, match="max_iters"):
-        hull_membership(z, square, max_iters=-1)
-    assert hull_membership(z, square, max_iters=0).is_member   # 0 is scipy's default cap
 
 
 def test_hull_membership_validation():
@@ -153,7 +146,7 @@ def eight_row_pool():
 
 def test_build_plan_counts_and_ordering():
     pool = eight_row_pool()
-    plan = build_plan(pool, [(unit(2), 9), (unit(0), 4)], [5], r0=0.25, hull_size=3)
+    plan = build_plan(pool, [(unit(2), 9), (unit(0), 4)], 5, r0=0.25, hull_size=3)
     assert plan.reference_index == 5
     np.testing.assert_array_equal(plan.reference_latent, pool.latents[5])
     np.testing.assert_array_equal(plan.reference_embedding, unit(1))
@@ -168,45 +161,34 @@ def test_build_plan_counts_and_ordering():
     np.testing.assert_array_equal(second.vertices, pool.latents[[0, 6, 7]])
 
 
-def test_build_plan_averages_reference_counts():
-    pool = eight_row_pool()
-    plan = build_plan(pool, [(unit(0), 0)], [0, 5], r0=0.25, hull_size=2)
-    # reference counts are 5 (an e0 row) and 1 (the e1 row): mean 3
-    assert plan.entries[0].ref_count == 3
-    assert plan.entries[0].p == 3 / 5
-    assert plan.reference_index == 0
-
-
 def test_build_plan_caps_p_at_one():
     pool = eight_row_pool()
-    plan = build_plan(pool, [(unit(2), 0)], [0], r0=0.25, hull_size=2)
+    plan = build_plan(pool, [(unit(2), 0)], 0, r0=0.25, hull_size=2)
     assert plan.entries[0].p == 1.0                  # ref count 5 > dense count 2
 
 
 def test_build_plan_validation():
     pool = eight_row_pool()
     with pytest.raises(ZeroDenseCountError):
-        build_plan(pool, [(unit(3), 0)], [5], r0=0.25)
+        build_plan(pool, [(unit(3), 0)], 5, r0=0.25)
     with pytest.raises(EmptyStoreError):
         build_plan(SampleStore(np.empty((0, 2)), np.empty((0, 4)), 0),
-                   [(unit(0), 0)], [0], r0=0.25)
+                   [(unit(0), 0)], 0, r0=0.25)
     with pytest.raises(ValueError):
-        build_plan(pool, [], [5], r0=0.25)
+        build_plan(pool, [], 5, r0=0.25)
     with pytest.raises(ValueError):
-        build_plan(pool, [(unit(0), 0)], [], r0=0.25)
+        build_plan(pool, [(unit(0), 0)], 8, r0=0.25)
     with pytest.raises(ValueError):
-        build_plan(pool, [(unit(0), 0)], [8], r0=0.25)
-    with pytest.raises(ValueError):
-        build_plan(pool, [(unit(0), 0)], [5], r0=0.25, hull_size=0)
+        build_plan(pool, [(unit(0), 0)], 5, r0=0.25, hull_size=0)
 
 
 def test_build_plan_warns_on_hull_that_cannot_span_the_latent_space():
     pool = eight_row_pool()                           # latent dim 2
     with pytest.warns(RuntimeWarning, match="2 vertices cannot span the 2-d"):
-        build_plan(pool, [(unit(0), 0)], [5], r0=0.25, hull_size=2)
+        build_plan(pool, [(unit(0), 0)], 5, r0=0.25, hull_size=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        build_plan(pool, [(unit(0), 0)], [5], r0=0.25, hull_size=3)
+        build_plan(pool, [(unit(0), 0)], 5, r0=0.25, hull_size=3)
 
 
 def test_match_entry_takes_first_containing_hull():
@@ -221,11 +203,11 @@ def test_match_entry_takes_first_containing_hull():
 
 # -- batched matching against per-row hull_membership and the enumeration oracle ----
 
-def plan_of(*hulls, tol=TOL):
+def plan_of(*hulls):
     return ImportanceSamplingPlan(
         entries=tuple(_finish_entry(0.5, v, 4, 2, i) for i, v in enumerate(hulls)),
         reference_index=0, reference_latent=np.zeros(hulls[0].shape[1]),
-        reference_embedding=unit(0), r0=0.25, hull_size=len(hulls[0]), tol=tol)
+        reference_embedding=unit(0), r0=0.25, hull_size=len(hulls[0]))
 
 
 def reference_match(plan, z):
@@ -233,8 +215,7 @@ def reference_match(plan, z):
     out = []
     for row in z:
         hits = [e for e, entry in enumerate(plan.entries)
-                if hull_membership(row, entry.vertices, tol=plan.tol,
-                                   max_iters=plan.max_iters).is_member]
+                if hull_membership(row, entry.vertices).is_member]
         out.append(hits[0] if hits else -1)
     return np.array(out)
 
@@ -399,12 +380,11 @@ def test_sampling_validation():
 
 def test_plan_file_round_trip(tmp_path):
     pool = eight_row_pool()
-    plan = build_plan(pool, [(unit(0), 4), (unit(2), 9)], [5], r0=0.25, hull_size=3)
+    plan = build_plan(pool, [(unit(0), 4), (unit(2), 9)], 5, r0=0.25, hull_size=3)
     path = tmp_path / "plan.json"
     save_plan(str(path), plan, provenance={"note": "t"})
     back = load_plan(str(path))
     assert back.r0 == plan.r0 and back.hull_size == plan.hull_size
-    assert back.tol == plan.tol and back.max_iters == plan.max_iters
     assert back.reference_index == plan.reference_index
     np.testing.assert_array_equal(back.reference_latent, plan.reference_latent)
     np.testing.assert_array_equal(back.reference_embedding, plan.reference_embedding)
@@ -422,7 +402,7 @@ def test_plan_file_round_trip_keeps_the_accepted_sequence(tmp_path):
     emb = normalize_rows(rng.normal(size=(400, 4)) * 0.1 + unit(0))
     # f32-exact latents survive the file's f32 vertices unchanged
     lat = rng.normal(size=(400, 3)).astype(np.float32).astype(np.float64)
-    plan = build_plan(SampleStore(lat, emb, seed=0), [(unit(0), 0)], [0],
+    plan = build_plan(SampleStore(lat, emb, seed=0), [(unit(0), 0)], 0,
                       r0=0.25, hull_size=60)
     path = tmp_path / "plan.json"
     save_plan(str(path), plan)
@@ -449,7 +429,7 @@ def test_load_plan_rejects_bad_files(tmp_path):
         load_plan(str(bad))
 
     pool = eight_row_pool()
-    plan = build_plan(pool, [(unit(0), 0)], [5], r0=0.25, hull_size=2)
+    plan = build_plan(pool, [(unit(0), 0)], 5, r0=0.25, hull_size=2)
     path = tmp_path / "plan.json"
     save_plan(str(path), plan)
     text = path.read_text().replace('"p": 0.2', '"p": 0.0')
@@ -459,7 +439,7 @@ def test_load_plan_rejects_bad_files(tmp_path):
 
 
 def test_load_plan_checks_the_shape_it_states(tmp_path):
-    plan = build_plan(eight_row_pool(), [(unit(0), 0)], [5], r0=0.25, hull_size=3)
+    plan = build_plan(eight_row_pool(), [(unit(0), 0)], 5, r0=0.25, hull_size=3)
     path = tmp_path / "plan.json"
     save_plan(str(path), plan)
     doc = json.loads(path.read_text())
@@ -478,15 +458,17 @@ def test_load_plan_checks_the_shape_it_states(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("max_iters", -1), ("max_iters", 0), ("max_iters", 2.5), ("max_iters", "500"),
     ("max_iters", True), ("tol", -1e-4), ("tol", 0.0), ("tol", float("nan")),
-    ("tol", float("inf")), ("tol", "1e-4"),
+    ("tol", float("inf")), ("tol", "1e-4"), ("max_iters", 400), ("tol", 1e-3),
 ])
 def test_load_plan_rejects_bad_iteration_cap_and_tolerance(tmp_path, field, value):
-    plan = build_plan(eight_row_pool(), [(unit(0), 0)], [5], r0=0.25, hull_size=3)
+    plan = build_plan(eight_row_pool(), [(unit(0), 0)], 5, r0=0.25, hull_size=3)
     path = tmp_path / "plan.json"
     save_plan(str(path), plan)
-    back = load_plan(str(path))   # what save_plan writes still loads
-    assert (back.max_iters, back.tol) == (500, 1e-4)
     doc = json.loads(path.read_text())
+    assert (doc["max_iters"], doc["tol"]) == (500, 1e-4)
+    load_plan(str(path))   # what save_plan writes still loads
+    path.write_text(json.dumps({k: v for k, v in doc.items() if k not in ("max_iters", "tol")}))
+    load_plan(str(path))   # and so does a plan that leaves both out
     doc[field] = value
     path.write_text(json.dumps(doc))   # nan and inf travel as NaN and Infinity
     with pytest.raises(InvalidConfigError, match=field):
@@ -506,7 +488,7 @@ def test_build_plan_picks_vertices_on_per_row_float64_dots(tmp_path):
     pool = read_store(tmp_path / "p")
     upcast = SampleStore(pool.latents, pool.embeddings.astype(np.float64), seed=0)
     modes = [(upcast.embeddings[0], 0), (upcast.embeddings[1], 1)]
-    plans = [build_plan(st, modes, [3000], r0=0.25, hull_size=40) for st in (pool, upcast)]
+    plans = [build_plan(st, modes, 3000, r0=0.25, hull_size=40) for st in (pool, upcast)]
     for got, want in zip(*(p.entries for p in plans)):
         assert got.vertices.tobytes() == want.vertices.tobytes() and got.p == want.p
     for entry in plans[0].entries:

@@ -130,7 +130,7 @@ def _read_numbers(kind: str, doc) -> list[tuple]:
         if type(value) not in (int, float) or not path or path[0] in ("schema", "provenance"):
             continue
         if kind == "report" and not (
-                path[0] == "curves" and "points" in path
+                path == ("radius",) or path[0] == "curves" and "points" in path
                 or path[0] == "top_k" and path[-1] in ("anchor_index", "mccs")):
             continue
         out.append(path)

@@ -487,6 +487,28 @@ def test_export_table_jsonl_refs_are_base64(tmp_path):
     assert [base64.b64decode(d["ref"], validate=True) for d in docs] == refs
 
 
+@pytest.mark.parametrize("fmt, fields, want", [
+    ("csv", ("index", "latent", "embedding", "ref"),
+     b"index,latent_0,latent_1,embedding_0,embedding_1,embedding_2,ref\r\n"
+     b"0,-0,1.5,0.600000024,-0.800000012,0,aGk/Pg==\r\n"
+     b"1,0.1,-2,-0,1,9.99999968e-21,\r\n"),
+    # csv.writer quotes a lone empty cell, so the empty ref's line is not blank
+    ("csv", ("ref",), b'ref\r\naGk/Pg==\r\n""\r\n'),
+    ("jsonl", ("index", "latent", "embedding", "ref"),
+     b'{"index": 0, "latent": [-0, 1.5], "embedding": [0.600000024, -0.800000012, 0], '
+     b'"ref": "aGk/Pg=="}\n'
+     b'{"index": 1, "latent": [0.1, -2], "embedding": [-0, 1, 9.99999968e-21], "ref": ""}\n'),
+    ("jsonl", ("ref",), b'{"ref": "aGk/Pg=="}\n{"ref": ""}\n'),
+])
+def test_export_table_bytes(tmp_path, fmt, fields, want):
+    st = SampleStore(latents=np.array([[-0.0, 1.5], [0.1, -2.0]]),
+                     embeddings=np.array([[0.6, -0.8, 0.0], [-0.0, 1.0, 1e-20]], dtype=np.float32),
+                     seed=0, refs=[b"hi?>", b""])
+    out = tmp_path / "t.out"
+    assert export_table(st, out, fmt=fmt, fields=fields) == 2
+    assert out.read_bytes() == want
+
+
 def _csv_reference(st, fields):
     """The table as one csv.writer row per line, the header included."""
     out = io.StringIO(newline="")
@@ -569,6 +591,10 @@ def test_export_table_validation(tmp_path):
         export_table(st, tmp_path / "x", fields=("nope",))
     with pytest.raises(ValueError):
         export_table(st, tmp_path / "x", fields=())
+    # JSON Lines would write the key twice, and a JSON reader keeps one
+    with pytest.raises(ValueError, match="'index' listed twice"):
+        export_table(st, tmp_path / "x", fmt="jsonl", fields=("index", "latent", "index"))
+    assert not (tmp_path / "x").exists()
 
 
 def test_dumps_is_canonical():
