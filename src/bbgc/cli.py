@@ -261,10 +261,8 @@ def cmd_evaluate(args, parser) -> int:
         after_a_lat = gmm.sample_calibrated(model, args.anchors, seed_a)
         after_c_lat = gmm.sample_calibrated(model, args.pool, seed_c)
     else:
-        after_a_lat, stats_a = importance.sample_calibrated_is(
-            model, spec.latent_dim, args.anchors, seed_a)
-        after_c_lat, stats_c = importance.sample_calibrated_is(
-            model, spec.latent_dim, args.pool, seed_c)
+        after_a_lat, stats_a = importance.sample_calibrated_is(model, args.anchors, seed_a)
+        after_c_lat, stats_c = importance.sample_calibrated_is(model, args.pool, seed_c)
         acceptance = {"anchors": dataclasses.asdict(stats_a), "pool": dataclasses.asdict(stats_c)}
 
     def diagnose(anchor_lat, pool_lat, anchor_seed, pool_seed) -> dict:

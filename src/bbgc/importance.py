@@ -315,21 +315,16 @@ def _match_entries(plan: ImportanceSamplingPlan, z: np.ndarray) -> np.ndarray:
     return match
 
 
-def sample_calibrated_is(plan: ImportanceSamplingPlan, latent_dim: int, n: int,
+def sample_calibrated_is(plan: ImportanceSamplingPlan, n: int,
                          seed: int) -> tuple[np.ndarray, AcceptanceStats]:
-    """n accepted prior draws under the plan's hull-gated acceptance.
+    """n accepted prior draws of ``plan.latent_dim`` under the plan's
+    hull-gated acceptance.
 
     Proposal i and its acceptance variate are both addressed by i, so
     the accepted sequence is a pure function of (plan, seed, n).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if latent_dim < 1:
-        raise ValueError(f"latent_dim must be >= 1, got {latent_dim}")
-    for entry in plan.entries:
-        if entry.vertices.shape[1] != latent_dim:
-            raise ValueError(
-                f"plan vertices have dim {entry.vertices.shape[1]}, not {latent_dim}")
     p = np.array([entry.p for entry in plan.entries])
     proposals = CounterStream(seed, STREAM_IS_PROPOSAL)
     accepts = CounterStream(seed, STREAM_IS_ACCEPT)
@@ -343,7 +338,7 @@ def sample_calibrated_is(plan: ImportanceSamplingPlan, latent_dim: int, n: int,
                 f"{accepted} acceptances after {total} proposals; "
                 "the plan's acceptance probabilities look misconfigured")
         batch = min(_PROPOSAL_BATCH, limit - total)
-        z = proposals.normal_rows(offset, batch, latent_dim)
+        z = proposals.normal_rows(offset, batch, plan.latent_dim)
         u = accepts.uniforms(offset, batch)
         match = _match_entries(plan, z)
         hit = match >= 0

@@ -426,7 +426,8 @@ class SubprocessSource(_BatchedSource):
     """One child process speaking the store framing on stdin/stdout.
 
     The lock keeps the frames of callers on different threads apart; a
-    respawned child reuses the (truncated) stderr file.
+    respawned child reuses the (truncated) stderr file, which has no name.
+    ``timeout`` bounds a whole request: writing its frame and reading the reply.
     """
 
     def __init__(self, argv: Sequence[str], latent_dim: int, embed_dim: int,
@@ -445,8 +446,7 @@ class SubprocessSource(_BatchedSource):
         if self._proc is not None and self._proc.poll() is None:
             return self._proc
         if self._stderr is None:
-            self._stderr = tempfile.NamedTemporaryFile(
-                prefix="bbgc-child-", suffix=".err", delete=False)
+            self._stderr = tempfile.TemporaryFile()
         self._stderr.seek(0)
         self._stderr.truncate()
         try:
@@ -454,15 +454,17 @@ class SubprocessSource(_BatchedSource):
                                           stdout=subprocess.PIPE, stderr=self._stderr)
         except OSError as exc:
             raise SourceUnavailableError(f"cannot start {self._argv[0]}: {exc}") from exc
+        os.set_blocking(self._proc.stdin.fileno(), False)   # a write takes what fits
         return self._proc
 
     def _fail(self, reason: str) -> str:
         proc = self._proc
         tail = ""
         if self._stderr is not None:
-            try:
-                with open(self._stderr.name, "rb") as fh:
-                    tail = fh.read()[-800:].decode("utf-8", "replace").strip()
+            try:   # pread leaves alone the file offset that the child writes at
+                fd = self._stderr.fileno()
+                tail = os.pread(fd, 800, max(os.fstat(fd).st_size - 800, 0)).decode(
+                    "utf-8", "replace").strip()
             except OSError:
                 pass
         if proc is not None and proc.poll() is None:
@@ -474,21 +476,30 @@ class SubprocessSource(_BatchedSource):
     def _request(self, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | None]:
         with self._lock:
             proc = self._child()
-            frame = pack_frame(latents, as_latents=True)
+            frame = memoryview(pack_frame(latents, as_latents=True))
             deadline = time.monotonic() + self.timeout
-            try:
-                proc.stdin.write(frame)
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise SourceUnavailableError(self._fail(f"child rejected input: {exc}")) from exc
-            poller = select.poll()   # unlike select.select, takes any fd number
-            poller.register(proc.stdout, select.POLLIN)
 
-            def readinto(view: memoryview) -> int:
+            def ready(pipe, event: int, what: str) -> int:
+                """``pipe``'s fd, once it is ready for ``event`` before the deadline."""
+                poller = select.poll()   # unlike select.select, takes any fd number
+                poller.register(pipe, event)
                 budget = deadline - time.monotonic()
                 if budget <= 0 or not poller.poll(budget * 1000):
-                    raise SourceTimeoutError(self._fail("child response timed out"))
-                return os.readv(proc.stdout.fileno(), [view])
+                    raise SourceTimeoutError(self._fail(f"child {what} timed out"))
+                return pipe.fileno()
+
+            while frame:
+                fd = ready(proc.stdin, select.POLLOUT, "request")
+                try:
+                    frame = frame[os.write(fd, frame):]
+                except BlockingIOError:   # woken with less room than the write needs
+                    pass
+                except OSError as exc:
+                    raise SourceUnavailableError(
+                        self._fail(f"child rejected input: {exc}")) from exc
+
+            def readinto(view: memoryview) -> int:
+                return os.readv(ready(proc.stdout, select.POLLIN, "response"), [view])
 
             def closed(_got) -> SourceUnavailableError:
                 return SourceUnavailableError(self._fail("child closed its stdout"))
@@ -514,14 +525,14 @@ class SubprocessSource(_BatchedSource):
         err, self._stderr = self._stderr, None
         if err is not None:
             err.close()
-            try:
-                os.unlink(err.name)
-            except OSError:
-                pass
 
 
 class RemoteSource(_BatchedSource):
-    """HTTP endpoint speaking the store framing per POST request."""
+    """HTTP endpoint speaking the store framing per POST request.
+
+    ``timeout`` bounds each socket call, and an attempt whose reply is still
+    coming in once ``timeout`` has passed since it started fails.
+    """
 
     def __init__(self, url: str, latent_dim: int, embed_dim: int,
                  batch_size: int = 256, retries: int = 3, backoff: float = 0.25,
@@ -558,9 +569,16 @@ class RemoteSource(_BatchedSource):
                 time.sleep(self.backoff * 2.0 ** min(attempt - 1, _MAX_DOUBLINGS))
             req = urllib.request.Request(self.url, data=frame, method="POST", headers={
                 "Content-Type": "application/octet-stream"})
+            stop = time.monotonic() + self.timeout
             try:
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    return self._read_reply(resp.readinto, len(latents), "endpoint",
+                    def readinto(view: memoryview) -> int:
+                        """At most one socket read, each bounded by the socket timeout."""
+                        if time.monotonic() > stop:
+                            raise TimeoutError(f"no whole reply within {self.timeout:g} s")
+                        return resp.readinto1(view)
+
+                    return self._read_reply(readinto, len(latents), "endpoint",
                                             _frame_truncated)
             except (OSError, http.client.HTTPException) as exc:
                 # HTTPError, URLError and TimeoutError are OSErrors; a reply

@@ -15,6 +15,7 @@ Layout:
 The wire frames of :mod:`bbgc.source` are the same header and records
 with one dim set to 0, so this module is the one codec for both, and
 :func:`read_frame` the one reader of files, pipes, stdout and HTTP bodies.
+Its one pass over a body finds the complete records and parses them.
 
 Writers stage into ``<path>.tmp`` and rename at close, so a store path
 either holds a complete previous file or a complete new one.  A store
@@ -128,10 +129,10 @@ def pack_records(latents: np.ndarray, embeddings: np.ndarray,
 _RUN_PROBE = 16   # empty-ref records in a row before the scan probes ahead with numpy
 
 
-def _segments(payload: bytes | memoryview, rec: np.dtype, count: int, off: int = 0):
-    """(offset, records, ref bytes) of the complete records from ``payload[off:]``
-    on, at most ``count``, in order: runs of empty-ref records (ref bytes 0)
-    and single records that carry a ref.
+def _segments(payload: np.ndarray, rec: np.dtype, count: int, off: int):
+    """(offset, records, ref bytes) of the complete records in the bytes of
+    ``payload`` from ``off`` on, at most ``count``, in order: runs of
+    empty-ref records (ref bytes 0) and single records that carry a ref.
 
     The complete fixed-stride slots at a run's start whose ref_len fields
     read 0 are empty-ref records (induction on record starts), so a run is
@@ -157,19 +158,6 @@ def _segments(payload: bytes | memoryview, rec: np.dtype, count: int, off: int =
             yield off, n, ref_len
         off += n * rec.itemsize + ref_len
         count -= n
-
-
-def scan_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
-                 count: int, start: tuple[int, int] = (0, 0)) -> tuple[int, int]:
-    """(bytes, records) of the complete records at the head of ``payload``,
-    at most ``count``.  ``start`` is what an earlier call returned on a
-    prefix of the same payload; the scan resumes there.  Both figures are
-    bounded by what ``payload`` holds, whatever ``count`` claims."""
-    rec = record_dtype(latent_dim, embed_dim)
-    off, done = start
-    for at, n, ref_len in _segments(payload, rec, count - done, off):
-        off, done = at + n * rec.itemsize + ref_len, done + n
-    return off, done
 
 
 class StoreWriter:
@@ -233,35 +221,6 @@ def write_store(path: str | os.PathLike, latents: np.ndarray, embeddings: np.nda
         raise DimensionMismatchError("latents and embeddings must be 2-D")
     with StoreWriter(path, latents.shape[1], embeddings.shape[1], seed) as w:
         w.append(latents, embeddings, refs)
-
-
-def parse_records(payload: bytes | memoryview, latent_dim: int, embed_dim: int,
-                  scanned: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, list[bytes] | None]:
-    """(latents, embeddings, refs) of the records at the head of ``payload``
-    that :func:`scan_records` found; ``scanned`` is its (bytes, records).
-
-    Latents are float64.  Embeddings are the read-only float32 ``embedding``
-    field of the records: a strided view of the payload, with no copy.
-    Where refs sit between records, the fixed parts are first moved
-    together over the ref bytes: in place in a writable payload, else in
-    one copy of it.  ``refs`` is None when every parsed ref is empty.
-    """
-    size, parsed = scanned
-    rec = record_dtype(latent_dim, embed_dim)
-    refs: list[bytes] | None = None
-    fixed = memoryview(payload)[:size]
-    if size != parsed * rec.itemsize:   # some parsed ref is not empty
-        if fixed.readonly:
-            fixed = memoryview(bytearray(fixed))
-        refs, at = [], 0
-        # each move goes left, onto bytes the segments have passed
-        for off, n, ref_len in _segments(fixed, rec, parsed):
-            end = off + n * rec.itemsize
-            refs.extend([bytes(fixed[end:end + ref_len])] if ref_len else [b""] * n)
-            fixed[at:at + end - off] = fixed[off:end]
-            at += end - off
-    records = np.frombuffer(fixed.toreadonly(), rec, parsed)
-    return records["latent"].astype(np.float64), records["embedding"], refs
 
 
 _TABLE_FIELDS = ("index", "latent", "embedding", "ref")
@@ -374,10 +333,18 @@ def read_frame(readinto, check, truncated):
     at most one piece more than was received, so a lying header sets no
     allocation.  A stream that ends inside the frame raises ``truncated(got)``:
     ``got`` is None in the header, else (records, count).
+
+    The body is walked once, as its records complete.  Where ref bytes lie
+    behind a segment of records, its fixed parts move left over them inside
+    the buffer, so the records end up packed.  Latents are float64 copies;
+    embeddings are the read-only float32 ``embedding`` field, a strided view
+    of the buffer.  ``refs`` is None when every ref is empty.
     """
     buf = np.empty(HEADER.size, np.uint8)   # ndarray.resize grows it by realloc
-    got, need, count, done = 0, HEADER.size, None, (0, 0)   # done: (bytes, records) scanned
-    while count is None or done[1] < count:
+    got, need, count = 0, HEADER.size, None
+    off = packed = HEADER.size   # the first byte not yet walked; the end of the packed records
+    done, refs = 0, None   # records walked; their refs, once one is not empty
+    while count is None or done < count:
         ask = min(need - got, _READ_PIECE)
         if got + ask > len(buf):   # no view of buf is alive here
             buf.resize(min(need, got + _READ_PIECE), refcheck=False)
@@ -385,7 +352,7 @@ def read_frame(readinto, check, truncated):
         if not n:
             if not got:
                 return None
-            raise truncated(None if count is None else (done[1], count))
+            raise truncated(None if count is None else (done, count))
         got += n
         if count is None and got == HEADER.size:
             magic, version, latent_dim, embed_dim, count, seed = HEADER.unpack(buf)
@@ -397,15 +364,23 @@ def read_frame(readinto, check, truncated):
             check(latent_dim, embed_dim, count)
             rec = record_dtype(latent_dim, embed_dim)
         if count is not None:
-            done = scan_records(memoryview(buf)[HEADER.size:got], latent_dim, embed_dim,
-                                count, done)
-            off = HEADER.size + done[0]   # the first record not yet complete
-            need = off + (count - done[1]) * rec.itemsize
+            # each move goes left, onto bytes the segments have passed
+            for at, k, ref_len in _segments(buf[:got], rec, count - done, off):
+                end = at + k * rec.itemsize
+                if packed != at:
+                    buf[packed:packed + end - at] = buf[at:end]
+                if ref_len:
+                    refs = refs or [b""] * done
+                    refs.append(buf[end:end + ref_len].tobytes())
+                elif refs is not None:
+                    refs.extend([b""] * k)
+                packed, off, done = packed + end - at, end + ref_len, done + k
+            need = off + (count - done) * rec.itemsize   # off: the first record not yet complete
             if got >= off + rec.itemsize:   # its ref_len is in
                 need += int(np.frombuffer(buf, rec, 1, off)["ref_len"][0])
-    # buf is writable, so that parse_records moves records over refs in place
-    lat, emb, refs = parse_records(memoryview(buf)[HEADER.size:got], latent_dim, embed_dim, done)
-    return latent_dim, embed_dim, lat, emb, refs, seed
+    records = np.frombuffer(memoryview(buf).toreadonly(), rec, done, HEADER.size)
+    lat = records["latent"].astype(np.float64)
+    return latent_dim, embed_dim, lat, records["embedding"], refs, seed
 
 
 def read_store(path: str | os.PathLike) -> SampleStore:

@@ -298,7 +298,7 @@ def test_criterion_08_is_calibration(capsys):
     on_ref = np.flatnonzero(np.all(pool.embeddings == ref_center, axis=1))
     plan = build_plan(pool, [(dense_center, 0)], int(on_ref[0]), 0.25, hull_size=100)
 
-    out, stats = sample_calibrated_is(plan, src.latent_dim, 100_000, seed)
+    out, stats = sample_calibrated_is(plan, 100_000, seed)
     outside_exact = stats.outside_accepted == stats.outside_hull
     after_emb = src.embed(out)[0]
     dense_after = int(neighbor_counts(dense_center[None], after_emb, 0.25)[0])

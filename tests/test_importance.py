@@ -326,7 +326,7 @@ def test_sampling_without_entries_passes_prior_through():
     plan = ImportanceSamplingPlan(entries=(), reference_index=0,
                                   reference_latent=np.zeros(3),
                                   reference_embedding=unit(0), r0=0.25, hull_size=4)
-    out, stats = sample_calibrated_is(plan, 3, 50, seed=12)
+    out, stats = sample_calibrated_is(plan, 50, seed=12)
     np.testing.assert_array_equal(
         out, CounterStream(12, STREAM_IS_PROPOSAL).normal_rows(0, 50, 3))
     assert stats.in_hull == 0 and stats.outside_hull == stats.proposals
@@ -335,7 +335,7 @@ def test_sampling_without_entries_passes_prior_through():
 
 def test_sampling_acceptance_rate_tracks_p():
     plan = box_plan(p=0.5)
-    out, stats = sample_calibrated_is(plan, 2, 2000, seed=7)
+    out, stats = sample_calibrated_is(plan, 2000, seed=7)
     assert out.shape == (2000, 2)
     assert stats.accepted == stats.in_hull_accepted + stats.outside_accepted
     assert stats.outside_accepted == stats.outside_hull
@@ -352,28 +352,24 @@ def test_sampling_acceptance_rate_tracks_p():
 
 def test_sampling_is_deterministic():
     plan = box_plan(p=0.3)
-    a, stats_a = sample_calibrated_is(plan, 2, 500, seed=3)
-    b, stats_b = sample_calibrated_is(plan, 2, 500, seed=3)
+    a, stats_a = sample_calibrated_is(plan, 500, seed=3)
+    b, stats_b = sample_calibrated_is(plan, 500, seed=3)
     np.testing.assert_array_equal(a, b)
     assert stats_a == stats_b
-    c, _ = sample_calibrated_is(plan, 2, 500, seed=4)
+    c, _ = sample_calibrated_is(plan, 500, seed=4)
     assert not np.array_equal(a, c)
 
 
 def test_sampling_stalls_on_hopeless_plan():
     plan = box_plan(p=1e-12, half=50.0)   # hull swallows the prior, p ~ 0
     with pytest.raises(AcceptanceStallError, match="0 acceptances after 1000 proposals"):
-        sample_calibrated_is(plan, 2, 1, seed=1)
+        sample_calibrated_is(plan, 1, seed=1)
 
 
 def test_sampling_validation():
     plan = box_plan(p=0.5)
     with pytest.raises(ValueError):
-        sample_calibrated_is(plan, 2, 0, seed=1)
-    with pytest.raises(ValueError):
-        sample_calibrated_is(plan, 0, 10, seed=1)
-    with pytest.raises(ValueError):
-        sample_calibrated_is(plan, 3, 10, seed=1)   # plan is 2-D
+        sample_calibrated_is(plan, 0, seed=1)
 
 
 # -- plan files -------------------------------------------------------------------
@@ -408,8 +404,8 @@ def test_plan_file_round_trip_keeps_the_accepted_sequence(tmp_path):
     save_plan(str(path), plan)
     back = load_plan(str(path))
     assert back.entries[0].screen is not None
-    out, stats = sample_calibrated_is(plan, 3, 300, seed=2)
-    out_back, stats_back = sample_calibrated_is(back, 3, 300, seed=2)
+    out, stats = sample_calibrated_is(plan, 300, seed=2)
+    out_back, stats_back = sample_calibrated_is(back, 300, seed=2)
     np.testing.assert_array_equal(out, out_back)
     assert stats == stats_back and stats.in_hull > 0
     z = CounterStream(2, STREAM_IS_PROPOSAL).normal_rows(0, 400, 3)

@@ -1,5 +1,6 @@
 """Generator sources: synthetic testbed, wire framing, child and HTTP adapters."""
 
+import gc
 import http.server
 import inspect
 import io
@@ -584,6 +585,19 @@ def test_subprocess_source_timeout():
             src.embed(np.zeros((2, 4)))
 
 
+def test_subprocess_source_times_out_a_request_the_child_never_reads():
+    # 4096 latents of dim 8 are a 147 488-byte frame, more than a pipe holds,
+    # so the request's write waits on a child that reads nothing
+    child = "import time\ntime.sleep(30)\n"
+    with SubprocessSource([sys.executable, "-c", child], 8, 6, timeout=0.5) as src:
+        proc = src._child()
+        start = time.monotonic()
+        with pytest.raises(SourceTimeoutError):
+            src.embed(np.zeros((4096, 8)))
+        assert time.monotonic() - start < 5.0
+        assert proc.poll() is not None
+
+
 def test_subprocess_source_reports_child_stderr():
     child = ("import sys\n"
              "sys.stderr.write('deliberate child failure\\n')\n"
@@ -647,13 +661,28 @@ def test_adapter_embed_holds_the_output_and_one_frame():
 
 def test_subprocess_source_keeps_one_stderr_file(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    child = "import sys\nsys.exit(0)\n"
+    child = "import sys\nsys.stderr.write('last words')\nsys.exit(0)\n"
+    handles = []
     with SubprocessSource([sys.executable, "-c", child], 4, 6, timeout=10.0) as src:
         for _ in range(3):   # every request respawns the child
-            with pytest.raises(SourceUnavailableError):
+            with pytest.raises(SourceUnavailableError, match=r"\(child stderr: last words\)$"):
                 src.embed(np.zeros((1, 4)))
-        assert len(list(tmp_path.glob("*.err"))) == 1
-    assert not list(tmp_path.glob("*.err"))
+            handles.append(src._stderr)
+        # the one file, truncated for each child; it has no name
+        assert handles[0] is handles[1] is handles[2]
+        assert not list(tmp_path.iterdir())
+    assert src._stderr is None and handles[0].closed
+
+
+def test_subprocess_source_dropped_without_close_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    src = SubprocessSource([sys.executable, "-c", "import sys\nsys.exit(0)\n"], 4, 6,
+                           timeout=10.0)
+    with pytest.raises(SourceUnavailableError):
+        src.embed(np.zeros((1, 4)))
+    del src
+    gc.collect()
+    assert not list(tmp_path.iterdir())
 
 
 def test_subprocess_source_serialises_threads():
@@ -802,7 +831,7 @@ class _Endpoint(http.server.BaseHTTPRequestHandler):
     failures = ()          # per request before the replies: an HTTP error code,
                            # "hang" to answer nothing until teardown, or "not-http"
     mode = "ok"            # ok | garbage | wrong-dim | short | stall | refs
-                           # | huge-length | trailing
+                           # | huge-length | trailing | trickle
     requests = 0
     release = None         # set at teardown to end a stalled reply
 
@@ -862,6 +891,16 @@ class _Endpoint(http.server.BaseHTTPRequestHandler):
         length = 2 ** 40 if cls.mode == "huge-length" else len(payload)
         self.send_header("Content-Length", str(length))
         self.end_headers()
+        if cls.mode == "trickle":
+            # a valid reply, 40 bytes every 0.3 s
+            try:
+                for lo in range(0, len(payload), 40):
+                    self.wfile.write(payload[lo:lo + 40])
+                    if cls.release.wait(0.3):
+                        return
+            except OSError:   # the client has hung up
+                pass
+            return
         self.wfile.write(payload)
 
 
@@ -984,6 +1023,17 @@ def test_remote_source_returns_refs(endpoint):
     # the second reply has no refs: its rows read as empty
     assert refs == [b"r" * (i * 9) for i in range(4)] + [b""] * 3
     assert _Endpoint.requests == 2
+
+
+def test_remote_source_times_out_a_trickling_reply(endpoint):
+    # each socket read gets its 40 bytes well within the timeout; the whole
+    # 1 824-byte reply would take 14 s
+    _Endpoint.mode = "trickle"
+    src = RemoteSource(endpoint, 4, 6, retries=0, timeout=0.5)
+    start = time.monotonic()
+    with pytest.raises(SourceTimeoutError, match="after 1 attempts"):
+        src.embed(sample_latents(64, 4, seed=6))
+    assert time.monotonic() - start < 3.0
 
 
 @pytest.mark.parametrize("kind, parameters", [

@@ -31,9 +31,8 @@ from bbgc.store import (
     latents_disjoint,
     pack_header,
     pack_records,
-    parse_records,
+    read_frame,
     read_store,
-    scan_records,
     write_store,
 )
 
@@ -41,6 +40,36 @@ from bbgc.store import (
 def make_data(n, latent_dim, embed_dim, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, latent_dim)), rng.normal(size=(n, embed_dim))
+
+
+class Stream:
+    """``data`` as a stream whose reads each stop at the next of ``ends``
+    (byte offsets), so that a reader resumes there."""
+
+    def __init__(self, data, ends=()):
+        self.data, self.pos, self.ends = data, 0, sorted(ends)
+
+    def readinto(self, view):
+        stop = min([e for e in self.ends if e > self.pos] + [len(self.data)])
+        piece = self.data[self.pos:min(stop, self.pos + len(view))]
+        view[:len(piece)] = piece
+        self.pos += len(piece)
+        return len(piece)
+
+
+class Cut(Exception):
+    pass
+
+
+def read_body(body, latent_dim, embed_dim, count, ends=()):
+    """(latents, embeddings, refs, bytes read) of ``body`` behind a header
+    counting ``count`` records, read through :func:`read_frame` with reads
+    that stop at each of ``ends`` (offsets into ``body``); a body cut short
+    raises ``Cut((records, count))``."""
+    stream = Stream(pack_header(latent_dim, embed_dim, count) + bytes(body),
+                    [HEADER.size + e for e in ends])
+    frame = read_frame(stream.readinto, lambda *dims: None, Cut)
+    return frame[2], frame[3], frame[4], stream.pos - HEADER.size
 
 
 def test_round_trip_quantizes_to_f32(tmp_path):
@@ -229,7 +258,8 @@ def test_store_bytes_match_hand_assembled_layout(tmp_path):
                 for i, ref in enumerate(refs or [b"", b""]))
             assert pack_header(latent_dim, embed_dim, 2, seed) + pack_records(lat, emb, refs) \
                 == head + body, (latent_dim, embed_dim, refs)
-            got_lat, got_emb, got_refs = parse_records(body, latent_dim, embed_dim, (len(body), 2))
+            got_lat, got_emb, got_refs, size = read_body(body, latent_dim, embed_dim, 2)
+            assert size == len(body)
             np.testing.assert_array_equal(got_lat, lat)
             np.testing.assert_array_equal(got_emb, emb)
             assert got_lat.shape == (2, latent_dim) and got_emb.shape == (2, embed_dim)
@@ -310,18 +340,19 @@ def test_read_store_and_scan_hold_no_copy_of_the_embeddings(tmp_path, ref_every)
 # -- record scan ------------------------------------------------------------------
 
 def test_scan_records_resumes_across_uneven_slices():
+    lat, emb = make_data(6, 3, 2, seed=2)
     fixed = 4 * 3 + 4 * 2
     refs = [b"", b"x" * 9, b"", b"abc", b"y" * 40, b"z"]
-    body = b"".join(bytes(fixed) + REF_LEN.pack(len(r)) + r for r in refs)
-    whole = scan_records(memoryview(body), 3, 2, len(refs))
-    assert whole == (len(body), len(refs))
-    progress = (0, 0)
-    for end in (0, 5, fixed + 2, fixed + 4, 40, 41, 77, 150, len(body) - 1, len(body)):
-        progress = scan_records(memoryview(body)[:end], 3, 2, len(refs), progress)
-        assert progress == scan_records(memoryview(body)[:end], 3, 2, len(refs))
-    assert progress == whole
-    # records past the header's count are not part of the frame
-    assert scan_records(memoryview(body), 3, 2, 2) == (2 * (fixed + 4) + 9, 2)
+    body = pack_records(lat, emb, refs)
+    whole = read_body(body, 3, 2, len(refs))
+    assert whole[2] == refs and whole[3] == len(body)
+    for ends in ((0, 5, fixed + 2, fixed + 4, 40, 41, 77, 150, len(body) - 1),
+                 range(0, len(body), 3), range(0, len(body), 1)):
+        got = read_body(body, 3, 2, len(refs), ends)
+        assert [g.tobytes() for g in got[:2]] == [w.tobytes() for w in whole[:2]]
+        assert got[2:] == whole[2:]
+    # records past the header's count are not part of the frame, and are not read
+    assert read_body(body, 3, 2, 2, (fixed + 3,))[2:] == (refs[:2], 2 * (fixed + 4) + 9)
 
 
 def _scalar_scan(body, fixed, count):
@@ -348,9 +379,16 @@ def test_scan_records_fast_path_matches_scalar_scan(refs):
     for count in (len(refs), 4):
         whole = _scalar_scan(body, fixed, count)
         for cut in range(len(body) + 1):
-            head = scan_records(memoryview(body)[:cut], 3, 2, count)
-            assert head == _scalar_scan(body[:cut], fixed, count)
-            assert scan_records(memoryview(body), 3, 2, count, head) == whole
+            head = _scalar_scan(body[:cut], fixed, count)
+            if head[1] < count:
+                with pytest.raises(Cut) as cut_short:
+                    read_body(body[:cut], 3, 2, count)
+                assert cut_short.value.args == ((head[1], count),)
+            else:
+                assert read_body(body[:cut], 3, 2, count)[3] == head[0]
+            # resumed at the cut, the read takes the whole frame
+            got = read_body(body, 3, 2, count, (cut,))
+            assert got[2:] == ((refs[:count] if any(refs[:count]) else None), whole[0])
 
 
 def _scalar_parse(body, latent_dim, embed_dim, count):
@@ -390,15 +428,20 @@ def test_scan_and_parse_match_a_per_record_reference(kind):
     fixed = 4 * (latent_dim + embed_dim)
     for count in (n, n - 37, n + 5):
         whole = _scalar_scan(body, fixed, count)
+        want_lat, want_emb, want_refs = _scalar_parse(body, latent_dim, embed_dim, whole[1])
         for cut in [len(body), len(body) - 1, *rng.integers(0, len(body), 12)]:
             want = _scalar_scan(body[:cut], fixed, count)
-            got = scan_records(memoryview(body)[:cut], latent_dim, embed_dim, count)
-            assert got == want, (count, cut)
-            assert scan_records(memoryview(body), latent_dim, embed_dim, count, got) == whole
-            want_lat, want_emb, want_refs = _scalar_parse(body, latent_dim, embed_dim, want[1])
-            # a writable payload is compacted in place, a read-only one in a copy
-            for payload in (body[:cut], bytearray(body[:cut])):
-                got_lat, got_emb, got_refs = parse_records(payload, latent_dim, embed_dim, got)
+            if want[1] < count:
+                with pytest.raises(Cut) as cut_short:
+                    read_body(body[:cut], latent_dim, embed_dim, count)
+                assert cut_short.value.args == ((want[1], count),), (count, cut)
+            if whole[1] < count:
+                continue
+            # read whole, in uneven pieces, and resumed at the cut
+            for ends in ((), (cut,), np.cumsum(rng.integers(1, 300, 40)).tolist()):
+                got_lat, got_emb, got_refs, size = read_body(body, latent_dim, embed_dim,
+                                                             count, ends)
+                assert size == whole[0]
                 assert got_lat.tobytes() == want_lat.tobytes()
                 assert got_emb.dtype == np.float32 and not got_emb.flags.writeable
                 assert got_emb.astype(np.float64).tobytes() == want_emb.tobytes()
@@ -422,24 +465,38 @@ def test_read_store_with_one_ref_takes_at_most_twice_the_time(tmp_path):
     assert best["one"] <= 2 * best["none"], best
 
 
-def test_parse_records_cuts_what_the_caller_scanned(monkeypatch):
-    # the caller's (bytes, records) is the one scan: parse_records cuts out
-    # those records, refs included, without scanning again
+def test_read_frame_walks_each_body_byte_once(tmp_path, monkeypatch):
+    # the segments that the walk yields tile the body, in order, with no
+    # second pass over a store with refs
     import bbgc.store as store
-    lat, emb = make_data(5, 3, 2, seed=4)
-    refs = [b"", b"x" * 9, b"", b"abc", b""]
-    body = pack_records(lat, emb, refs) + b"tail"
-    scanned = scan_records(memoryview(body), 3, 2, 4)
+    segments, walked = store._segments, []
 
-    def rescan(*args):
-        raise AssertionError("records scanned twice")
+    def recording(payload, rec, count, off):
+        for at, n, ref_len in segments(payload, rec, count, off):
+            walked.append((at, at + n * rec.itemsize + ref_len, n))
+            yield at, n, ref_len
 
-    monkeypatch.setattr(store, "scan_records", rescan)
-    got_lat, got_emb, got_refs = parse_records(body, 3, 2, scanned)
-    np.testing.assert_array_equal(got_lat, lat[:4].astype(np.float32))
-    np.testing.assert_array_equal(got_emb, emb[:4].astype(np.float32))
-    assert got_refs == refs[:4]
-    assert parse_records(body, 3, 2, (0, 0))[2] is None
+    monkeypatch.setattr(store, "_segments", recording)
+    n = 60_000   # 1.7 MB, so the file is read in two pieces
+    lat, emb = make_data(n, 3, 2, seed=4)
+    refs = [b"x" * (i % 7) if i % 500 < 3 else b"" for i in range(n)]
+    path = tmp_path / "refs.bbgc"
+    write_store(path, lat, emb, seed=0, refs=refs)
+
+    def assert_walked_once(got_lat, got_emb, got_refs):
+        assert got_refs == refs
+        np.testing.assert_array_equal(got_lat, lat.astype(np.float32))
+        np.testing.assert_array_equal(got_emb, emb.astype(np.float32))
+        starts, ends, counts = zip(*walked)
+        assert starts[0] == HEADER.size and ends[-1] == path.stat().st_size
+        assert starts[1:] == ends[:-1] and sum(counts) == n
+        walked.clear()
+
+    st = read_store(path)
+    assert_walked_once(st.latents, st.embeddings, st.refs)
+    # and in uneven pieces, each of which resumes the walk
+    assert_walked_once(*read_body(path.read_bytes()[HEADER.size:], 3, 2, n,
+                                  range(5, 2_000_000, 4999))[:3])
 
 
 def test_latents_disjoint():
