@@ -25,7 +25,7 @@ import numpy as np
 from . import diagnosis, gmm, importance
 from . import source as sources
 from . import store as stores
-from .embedding import check_radius, check_theta, neighbor_counts
+from .embedding import block_rows, check_radius, check_theta, neighbor_counts
 from .errors import (
     BbgcError,
     CalibrationError,
@@ -125,7 +125,7 @@ def _read_unit_store(path: str) -> stores.SampleStore:
 def cmd_sample(args, parser) -> int:
     spec = sources.load_source_spec(args.source)
     stream = _ROLE_STREAMS[args.role]
-    batch = sources.block_rows(_GEN_BATCH, spec.latent_dim + spec.embed_dim)
+    batch = block_rows(_GEN_BATCH, spec.latent_dim + spec.embed_dim)
     with (sources.open_source(spec) as src,
           stores.StoreWriter(args.out, spec.latent_dim, spec.embed_dim,
                              args.seed) as writer):
@@ -333,31 +333,28 @@ def _read_report(path: str) -> dict:
     return doc
 
 
+def _write_csv(path: str, header: list[str], rows: list[list]) -> str:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def _write_tables(doc: dict, prefix: str) -> list[str]:
     """Plot-ready CSV projections of a diagnosis or evaluation report."""
-    paths = []
-    modes_path = prefix + ".modes.csv"
-    with open(modes_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "rank", "anchor_index", "neighbor_count", "mccs"])
-        for phase, rep in _phases(doc):
-            for rank, mode in enumerate(rep["top_k"]):
-                writer.writerow([phase, rank, mode["anchor_index"],
-                                 mode["neighbor_count"], format_float(mode["mccs"])])
-    paths.append(modes_path)
-
-    curve_rows = []
+    modes, curves = [], []
     for phase, rep in _phases(doc):
+        for rank, mode in enumerate(rep["top_k"]):
+            modes.append([phase, rank, mode["anchor_index"], mode["neighbor_count"],
+                          format_float(mode["mccs"])])
         for curve in rep.get("curves", ()):
             for size, value in curve["points"]:
-                curve_rows.append([phase, curve["kind"], size, format_float(value)])
-    if curve_rows:
-        curves_path = prefix + ".curves.csv"
-        with open(curves_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["phase", "kind", "size", "value"])
-            writer.writerows(curve_rows)
-        paths.append(curves_path)
+                curves.append([phase, curve["kind"], size, format_float(value)])
+    paths = [_write_csv(prefix + ".modes.csv",
+                        ["phase", "rank", "anchor_index", "neighbor_count", "mccs"], modes)]
+    if curves:
+        paths.append(_write_csv(prefix + ".curves.csv", ["phase", "kind", "size", "value"], curves))
     return paths
 
 
@@ -384,12 +381,16 @@ def cmd_worker(args, parser) -> int:
 
 # -- parser ---------------------------------------------------------------------------
 
-def _add_stat_flags(sub: argparse.ArgumentParser, k_help: str) -> None:
-    sub.add_argument("--theta", type=_usage_check(check_theta), default=0.3,
-                     help="similarity cutoff as a fraction of the max distance")
+def _add_mode_flags(sub: argparse.ArgumentParser, k_help: str) -> None:
     sub.add_argument("--radius", type=_usage_check(check_radius), default=0.25,
                      help="neighborhood radius as a fraction of the max distance")
     sub.add_argument("--k", type=_positive_int, default=24, help=k_help)
+
+
+def _add_stat_flags(sub: argparse.ArgumentParser, k_help: str) -> None:
+    sub.add_argument("--theta", type=_usage_check(check_theta), default=0.3,
+                     help="similarity cutoff as a fraction of the max distance")
+    _add_mode_flags(sub, k_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     find = commands.add_parser("find-modes", help="list the k densest anchors")
     find.add_argument("--anchors", required=True)
     find.add_argument("--pool", required=True)
-    find.add_argument("--radius", type=_usage_check(check_radius), default=0.25)
-    find.add_argument("--k", type=_positive_int, default=24)
+    _add_mode_flags(find, "dense modes listed")
     find.add_argument("--out", required=True)
     find.set_defaults(func=cmd_find_modes)
 

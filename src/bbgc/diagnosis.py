@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import (
-    _terms,
     check_radius,
     check_theta,
     cosine_distance,
     mccs as mccs_of_mean,
     mean_similarities,
+    near_terms,
     neighbor_counts,
     row_dots,
     scan,
@@ -192,7 +192,7 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
     (size s uses s anchors against s pool samples), so a single curve
     answers how many samples of each kind a stable estimate needs.
     """
-    check_theta(theta)
+    theta = check_theta(theta)
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}")
     if kind == "mccs_single":
@@ -202,12 +202,9 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
         # the scan's per-pair float64 kernel, so no BLAS rounds these dots; a row's
         # dot does not depend on where the row sits, so shuffle the dots, not the pool
         dots = row_dots(pool.embeddings, np.ascontiguousarray(anchor_embedding, dtype=np.float64))
-        dots = dots[_shuffled(pool.count, seed)]
-        cos_t = math.cos(math.pi * theta)
+        near, terms = near_terms(dots[_shuffled(pool.count, seed)], theta)
         sims = np.zeros(pool.count, dtype=np.float64)
-        near = dots > cos_t
-        d = np.arccos(np.clip(dots[near], -1.0, 1.0)) / math.pi
-        sims[near] = _terms(d, theta) / math.expm1(theta)
+        sims[near] = terms / math.expm1(theta)
         csum = np.cumsum(sims)
         points = tuple((s, mccs_of_mean(min(1.0, csum[s - 1] / s))) for s in sizes)
         return ConvergenceCurve(statistic_kind=kind, points=points)

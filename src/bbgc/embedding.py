@@ -92,9 +92,7 @@ def check_radius(radius: float) -> float:
 
 
 def _terms(distances, theta: float):
-    """Similarities of ``distances`` times ``expm1(theta)``: the one copy
-    of the formula, shared by :func:`similarity`, :func:`scan` and the
-    single-anchor convergence curve."""
+    """Similarities of ``distances`` times ``expm1(theta)``: the one formula."""
     return np.expm1(np.maximum(theta - distances, 0.0))
 
 
@@ -129,10 +127,22 @@ def mccs(mean_similarity: float) -> float:
 TILE_ROWS = 256
 TILE_COLS = 8192
 _U32 = 2.0 ** -24   # float32 unit roundoff
-# Pairs per float64 einsum: the gathered rows of a batch stay in cache.
-_PAIR_BATCH = 256
-# Rows per float64 copy in row_dots: 8 MB at embed 128.
-_ROW_BLOCK = 8192
+BLOCK_BYTES = 1 << 25   # of a row block whose size sets no bit, as float64
+PIECE_BYTES = 1 << 19   # of a piece that a kernel reuses or gathers, kept in cache
+
+
+def block_rows(rows: int, width: int, piece: bool = False) -> int:
+    """At most ``rows`` rows, and no more than fit one block (one piece with
+    ``piece``) as float64 rows of ``width`` columns; at least one."""
+    return max(1, min(rows, (PIECE_BYTES if piece else BLOCK_BYTES) // (8 * max(width, 1))))
+
+
+def near_terms(dots: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one step from float64 dots to similarities: the mask of ``dots``
+    above cos(pi * theta), and :func:`_terms` of those dots, in order."""
+    theta = check_theta(theta)
+    near = dots > math.cos(math.pi * theta)
+    return near, _terms(np.arccos(np.clip(dots[near], -1.0, 1.0)) / math.pi, theta)
 
 
 def _screen_limit(cos_min: float, d: int, amax: float, pmax: float) -> np.float32:
@@ -160,15 +170,16 @@ def _screen_limit(cos_min: float, d: int, amax: float, pmax: float) -> np.float3
 def _pair_dots(anchors: np.ndarray, pool: np.ndarray, rows: np.ndarray,
                cols: np.ndarray) -> np.ndarray:
     """Float64 dots of anchors[rows[k]] and pool[cols[k]], one einsum per
-    ``_PAIR_BATCH`` gathered pairs, upcast after the gather.
+    piece of gathered pairs, upcast after the gather.
 
     einsum sums each pair of contiguous rows in a fixed order, so every
     dot's bits depend on the pair's two rows alone: not on BLAS, the tiles
     or which other pairs share the call.
     """
     out = np.empty(rows.size)
-    for k in range(0, rows.size, _PAIR_BATCH):
-        part = slice(k, k + _PAIR_BATCH)
+    step = block_rows(rows.size, 2 * pool.shape[1], piece=True)
+    for k in range(0, rows.size, step):
+        part = slice(k, k + step)
         out[part] = np.einsum("ij,ij->i", np.asarray(anchors[rows[part]], dtype=np.float64),
                               np.asarray(pool[cols[part]], dtype=np.float64))
     return out
@@ -177,15 +188,16 @@ def _pair_dots(anchors: np.ndarray, pool: np.ndarray, rows: np.ndarray,
 def row_dots(m: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     """Float64 dot of each row of ``m`` with ``v``, or with itself when
     ``v`` is None: the per-pair kernel of :func:`_pair_dots`, taken over
-    contiguous float64 copies of ``_ROW_BLOCK`` rows at a time.
+    contiguous float64 copies of at most 8192 rows and one block's bytes.
 
     Each row's bits depend on that row alone, and a float32 ``m`` gets
     the bits of its (exact) float64 upcast without a full-size copy.
     """
     out = np.empty(len(m))
-    for lo in range(0, len(m), _ROW_BLOCK):
-        block = np.ascontiguousarray(m[lo:lo + _ROW_BLOCK], dtype=np.float64)
-        out[lo:lo + _ROW_BLOCK] = np.einsum("ij,ij->i", block, block) if v is None \
+    step = block_rows(8192, m.shape[1])
+    for lo in range(0, len(m), step):
+        block = np.ascontiguousarray(m[lo:lo + step], dtype=np.float64)
+        out[lo:lo + step] = np.einsum("ij,ij->i", block, block) if v is None \
             else np.einsum("ij,j->i", block, v)
         del block   # else it lives on while the next one is made
     return out
@@ -233,12 +245,11 @@ def scan(anchors: np.ndarray, pool: np.ndarray, theta: float | None,
             dots = _pair_dots(anchors[lo:hi], pool, rows, cols + c0)
             if cos_r is not None:
                 counts += np.bincount(rows[dots >= cos_r], minlength=hi - lo)
-            if cos_t is not None:
-                near = dots > cos_t
-                tile_terms.append(_terms(np.arccos(np.clip(dots[near], -1.0, 1.0)) / math.pi,
-                                         theta))
+            if theta is not None:
+                near, terms = near_terms(dots, theta)
+                tile_terms.append(terms)
                 tile_ends.append(np.cumsum(np.bincount(rows[near], minlength=hi - lo)))
-        if cos_t is None:
+        if theta is None:
             return counts, None
         # each tile is row-major and tiles come in column order, so joining a
         # row's slice of every tile lists its terms in column order

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import neighbor_counts
+from .embedding import block_rows, neighbor_counts
 from .errors import (
     DegenerateDataError,
     EmptyClusterError,
@@ -49,7 +49,6 @@ _TOL = 1e-6        # relative inertia improvement that ends a fit
 # switches to pairwise summation (its 8-way unrolled block) from 8 on, so
 # narrower rows can be summed column by column with the same bits.
 _PAIRWISE_TERMS = 8
-_SEED_BLOCK_BYTES = 1 << 19   # row block of the wide-latent seeding pass
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,8 @@ def _distance_pass(latents: np.ndarray):
             for col, c in zip(cols, center):
                 out += np.square(np.subtract(col, c, out=term), out=term)
         return distances
-    rows = max(1, _SEED_BLOCK_BYTES // (8 * dim))
-    block = np.empty((min(rows, n), dim))
+    rows = block_rows(n, dim, piece=True)
+    block = np.empty((rows, dim))
 
     def distances(center: np.ndarray, out: np.ndarray) -> None:
         for lo in range(0, n, rows):
@@ -133,9 +132,9 @@ def _kmeans_pp_init(latents: np.ndarray, k: int, seed: int) -> np.ndarray:
     fewer than ``_PAIRWISE_TERMS`` terms left to right, so below that
     many latent dims the distances are one pass per column over a
     transposed copy of the latents, adding the columns in order.  From
-    there on each row is reduced by numpy as before, over row blocks of at
-    most ``_SEED_BLOCK_BYTES``.  No pass allocates an n x latent_dim
-    temporary.
+    there on each row is reduced by numpy as before, over row blocks of
+    one :func:`~bbgc.embedding.block_rows` piece.  No pass allocates an
+    n x latent_dim temporary.
     """
     n = latents.shape[0]
     stream = CounterStream(seed, STREAM_KMEANS)
@@ -207,7 +206,6 @@ def kmeans_fit(latents: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, Clus
 
     means = _kmeans_pp_init(latents, k, seed)
     prev_inertia = np.inf
-    labels = np.zeros(n, dtype=np.int64)
     for _ in range(_MAX_ITERS):
         labels, best_d2 = _assign(latents, means)
         _reseed_empty(latents, means, labels, best_d2, k)

@@ -159,6 +159,12 @@ def _facet_screen(vertices: np.ndarray, center: np.ndarray) -> _FacetScreen | No
         scale=float(np.max(np.linalg.norm(vertices, axis=1)) + np.max(np.abs(offsets))))
 
 
+def _bounding_sphere(vertices: np.ndarray) -> tuple[np.ndarray, float]:
+    """(center, radius) of a sphere that holds the hull: the vertex mean, its furthest vertex."""
+    center = vertices.mean(axis=0)
+    return center, float(np.max(np.linalg.norm(vertices - center, axis=1)))
+
+
 def _finish_entry(p: float, vertices: np.ndarray, dense_count: int, ref_count: int,
                   mode_index: int) -> PlanEntry:
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
@@ -166,8 +172,7 @@ def _finish_entry(p: float, vertices: np.ndarray, dense_count: int, ref_count: i
         raise ValueError("plan vertices must be finite")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"plan entry has p={p} outside (0, 1]")
-    center = vertices.mean(axis=0)
-    radius = float(np.max(np.linalg.norm(vertices - center, axis=1)))
+    center, radius = _bounding_sphere(vertices)
     return PlanEntry(p=float(p), vertices=vertices, dense_count=int(dense_count),
                      ref_count=int(ref_count), mode_index=int(mode_index),
                      bound_center=center, bound_radius=radius,
@@ -193,8 +198,7 @@ def hull_membership(z: np.ndarray, vertices: np.ndarray) -> HullMembership:
     k = v.shape[0]
     tau = _TOL * (1.0 + float(np.linalg.norm(z)))
 
-    center = v.mean(axis=0)
-    bound = float(np.max(np.linalg.norm(v - center, axis=1)))
+    center, bound = _bounding_sphere(v)
     if math.isfinite(tau) and float(np.linalg.norm(z - center)) <= bound + tau:
         from scipy.optimize import nnls   # only `is` plans get here; see the cold-start test
         try:
@@ -330,7 +334,6 @@ def sample_calibrated_is(plan: ImportanceSamplingPlan, n: int,
     accepts = CounterStream(seed, STREAM_IS_ACCEPT)
     kept: list[np.ndarray] = []
     total = accepted = in_hull = in_hull_accepted = 0
-    offset = 0
     limit = _MAX_PROPOSALS_PER_DRAW * n
     while accepted < n:
         if total >= limit:
@@ -338,8 +341,8 @@ def sample_calibrated_is(plan: ImportanceSamplingPlan, n: int,
                 f"{accepted} acceptances after {total} proposals; "
                 "the plan's acceptance probabilities look misconfigured")
         batch = min(_PROPOSAL_BATCH, limit - total)
-        z = proposals.normal_rows(offset, batch, plan.latent_dim)
-        u = accepts.uniforms(offset, batch)
+        z = proposals.normal_rows(total, batch, plan.latent_dim)
+        u = accepts.uniforms(total, batch)
         match = _match_entries(plan, z)
         hit = match >= 0
         keep = ~hit
@@ -349,7 +352,6 @@ def sample_calibrated_is(plan: ImportanceSamplingPlan, n: int,
         kept.append(z[keep])
         total += batch
         accepted += int(np.count_nonzero(keep))
-        offset += batch
     out = np.concatenate(kept)[:n]
     # stats cover every processed proposal, including acceptances past n
     return out, AcceptanceStats(

@@ -32,8 +32,8 @@ the same bits without that module's import cost.  Everything else about a
 latent (background component choice, angular noise) comes from hashing
 the latent's bits, so generation is order-independent and identical no
 matter how work is batched or parallelized.  The synthetic embed works
-through blocks of :func:`block_rows` rows, and in pieces of those on two
-arrays that each call allocates once; these bound its working memory.
+through blocks of ``embedding.block_rows`` rows, and in pieces of those on
+two arrays that each call allocates once; these bound its working memory.
 Each row is computed alone, so its result does not depend on either.
 """
 
@@ -54,7 +54,7 @@ import numpy as np
 from scipy.special import chndtrix, gammaincinv, ndtri
 
 from . import store as store_format
-from .embedding import normalize, normalize_rows, row_dots
+from .embedding import block_rows, normalize, normalize_rows, row_dots
 from .errors import (
     InvalidConfigError,
     MalformedResponseError,
@@ -81,8 +81,6 @@ _NOISE_SALT = 0x4E4F49534553414C54 % (1 << 64)
 _UNIT_NORM_TOL = 1e-4   # 32-bit wire format tolerance
 
 _EMBED_ROWS = 4096   # rows per block of the synthetic embed, at most
-_BLOCK_BYTES = 1 << 25   # of one float64 array of a block's rows
-_KERNEL_BYTES = 1 << 19   # of each of the two arrays the perturbation reuses
 
 # The widest synthetic embedding: each derived center is drawn whole.
 _MAX_SYNTHETIC_EMBED_DIM = 1 << 12
@@ -90,12 +88,6 @@ _MAX_SYNTHETIC_EMBED_DIM = 1 << 12
 _MAX_LATENT_DIM = 1 << 16   # sample draws latents whole: 5 rows of 2**29 took 20 GiB
 _MAX_WAIT_S = 86400.0   # one day: the longest a spec may make a source wait
 _MAX_DOUBLINGS = 1023   # of the retry backoff: 2.0 ** 1023 is the largest float power of 2
-
-
-def block_rows(rows: int, width: int, budget: int = _BLOCK_BYTES) -> int:
-    """At most ``rows`` rows, and no more than fit ``budget`` bytes as float64
-    rows of ``width`` columns; at least one."""
-    return max(1, min(rows, budget // (8 * width)))
 
 
 def sample_latents(n: int, latent_dim: int, seed: int,
@@ -227,8 +219,7 @@ def build_synthetic_model(latent_dim: int, embed_dim: int, seed: int,
             ra, rb = modes[a].ball_radius2, modes[b].ball_radius2
             if ra == 0.0 or rb == 0.0:
                 continue
-            if math.isinf(ra) or math.isinf(rb):
-                raise InvalidConfigError(f"planted balls {a} and {b} overlap")
+            # an infinite ball overlaps any other: sqrt(inf) is inf
             gap = float(np.linalg.norm(modes[a].latent_anchor - modes[b].latent_anchor))
             if gap <= math.sqrt(ra) + math.sqrt(rb):
                 raise InvalidConfigError(f"planted balls {a} and {b} overlap")
@@ -323,7 +314,7 @@ class SyntheticSource(_Source):
         out = np.empty((len(z), m.embed_dim), dtype=np.float64)
         components = m.planted + m.background
         step = block_rows(_EMBED_ROWS, max(m.latent_dim, m.embed_dim))
-        piece = block_rows(step, m.embed_dim, _KERNEL_BYTES)
+        piece = block_rows(step, m.embed_dim, piece=True)
         work = np.empty((2, piece, m.embed_dim))   # reused by every piece of every block
         for lo in range(0, len(z), step):
             block = z[lo:lo + step]
@@ -612,7 +603,7 @@ def load_source_spec(path: str) -> SourceSpec:
         latent_dim = json_field(raw, "latent_dim", integer=True)
         embed_dim = json_field(raw, "embed_dim", integer=True)
         seed = json_field(raw, "seed", 0, integer=True)
-        parameters = dict(raw.get("parameters", {}))
+        parameters = {**raw.get("parameters", {})}   # only a mapping unpacks, not pairs
         if kind not in ("synthetic", "subprocess", "remote"):
             raise InvalidConfigError(f"{path}: unknown source kind {kind!r}")
         if not 1 <= latent_dim <= _MAX_LATENT_DIM:

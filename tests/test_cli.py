@@ -527,6 +527,11 @@ NESTED = "[" * 200_000 + "]" * 200_000   # JSON text that json.dumps cannot make
     ("calibrate", {"top_k": [{"anchor_index": True}]}),
     # a store of these dims could not be read back
     ("sample", {"kind": "synthetic", "latent_dim": 1, "embed_dim": 2 ** 29 - 2}),
+    # dict() would read these as {"a": "b", "c": "d"} and as real parameters
+    ("sample", {"kind": "synthetic", "latent_dim": 2, "embed_dim": 4,
+                "parameters": ["ab", "cd"]}),
+    ("sample", {"kind": "synthetic", "latent_dim": 2, "embed_dim": 4,
+                "parameters": [["background", [{"weight": 1.0, "spread": 0.2}]]]}),
     # deeper than the JSON parser recurses: a spec, a report and a model file
     pytest.param("sample", NESTED, id="sample-nested"),
     pytest.param("report", NESTED, id="report-nested"),

@@ -1,5 +1,6 @@
 """Diagnosis statistics against the naive double-loop references."""
 
+import math
 import warnings
 
 import numpy as np
@@ -153,6 +154,22 @@ def test_mccs_single_curve_matches_direct_recompute():
         direct = mccs_of_mean(float(mean_similarities(
             anchor[None, :], pool.embeddings[perm[:s]], 0.3)[0]))
         assert abs(v - direct) <= 1e-12
+
+
+def test_mccs_single_curve_takes_the_checked_theta():
+    # a float32 theta is the scan's theta, float64: one pool row's dot lies
+    # between cos(pi * theta) and cos of the product rounded to float32
+    theta = np.float32(0.3)
+    cut = math.cos(math.pi * float(theta))
+    assert math.cos(math.pi * theta) < 0.5877852 < cut
+    pool = make_store(50, 32, 26)
+    pool.embeddings[7] = [0.5877852, math.sqrt(1 - 0.5877852 ** 2)] + [0.0] * 30
+    anchor = np.eye(32)[0]
+    got, want = (convergence_curve("mccs_single", pool, [50], t, seed=27,
+                                   anchor_embedding=anchor) for t in (theta, float(theta)))
+    assert got.points == want.points
+    direct = mean_similarities(anchor[None, :], pool.embeddings, float(theta))[0]
+    assert abs(want.points[0][1] - mccs_of_mean(float(direct))) <= 1e-12
 
 
 def test_mccs_single_curve_holds_no_copy_of_the_pool():

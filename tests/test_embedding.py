@@ -257,6 +257,52 @@ def test_scan_memory_stays_bounded():
         assert peak < b.nbytes / 2 + 32 * 2 ** 20, (n, peak)
 
 
+def test_scan_bits_do_not_depend_on_block_budgets(monkeypatch):
+    # one pair per float64 einsum and one row per row_dots copy
+    import bbgc.embedding as E
+    a, b = dense_rows()
+    base = [scan(a, b, theta, 0.25) for theta in (0.3, 0.05)]
+    monkeypatch.setattr(E, "PIECE_BYTES", 16 * a.shape[1])
+    monkeypatch.setattr(E, "BLOCK_BYTES", 8 * a.shape[1])
+    assert E.block_rows(10, 2 * a.shape[1], piece=True) == E.block_rows(10, a.shape[1]) == 1
+    for theta, (counts, sims) in zip((0.3, 0.05), base):
+        got_counts, got_sims = scan(a, b, theta, 0.25)
+        assert got_counts.tobytes() == counts.tobytes()
+        assert got_sims.tobytes() == sims.tobytes()
+
+
+def test_near_terms_cuts_at_the_checked_theta():
+    # cos(pi * theta) of a float32 theta rounds the product to float32 and
+    # cuts at 0.58778518..., below the float64 cutoff 0.58778522...
+    from bbgc.embedding import near_terms
+    dots = np.array([0.5877852, 0.9, 1.0, -1.0])
+    for theta in (np.float32(0.3), float(np.float32(0.3))):
+        near, terms = near_terms(dots, theta)
+        assert near.tolist() == [False, True, True, False]
+        t = float(theta)
+        assert terms.tolist() == [np.expm1(t - np.arccos(0.9) / math.pi), np.expm1(t)]
+    with pytest.raises(ValueError):
+        near_terms(dots, 0.0)
+
+
+def test_row_dots_of_a_wide_matrix_copy_one_block():
+    # 4096 is the widest synthetic embedding: float64 copies of 8192 rows
+    # of it would be 256 MiB, and of 2048 rows twice the float32 input
+    import tracemalloc
+    from bbgc.embedding import row_dots
+    from bbgc.source import non_unit_row
+    m = np.full((2048, 4096), 1 / 64, dtype=np.float32)   # unit rows
+    for f in (row_dots, non_unit_row, lambda x: row_dots(x, np.ones(4096))):
+        tracemalloc.start()
+        try:
+            f(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 33 * 2 ** 20, peak
+    assert non_unit_row(m) is None and row_dots(m).tobytes() == np.ones(2048).tobytes()
+
+
 def test_scan_empty_anchor_set():
     counts, sims = scan(np.empty((0, 4)), unit_rows(5, 4, 10), 0.3, 0.25)
     assert counts.shape == sims.shape == (0,)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbgc.embedding import neighbor_counts
+from bbgc.embedding import PIECE_BYTES, neighbor_counts
 from bbgc.errors import (
     DegenerateDataError,
     EmptyClusterError,
@@ -99,7 +99,7 @@ def test_wide_latent_seeding_holds_no_full_size_temporary():
         tracemalloc.stop()
     # a few n-vectors (distances, their running minimum, the cumulative
     # sum) plus one row block, against 16 MiB for one n x 512 temporary
-    assert peak < 8 * n * 8 + gmm._SEED_BLOCK_BYTES + k * dim * 8, peak
+    assert peak < 8 * n * 8 + PIECE_BYTES + k * dim * 8, peak
 
 
 def _lloyd_with_add_at(latents, k, seed):

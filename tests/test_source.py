@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from bbgc import store as store_format
+from bbgc.embedding import block_rows
 from bbgc.errors import (
     InvalidConfigError,
     MalformedResponseError,
@@ -31,7 +32,6 @@ from bbgc.source import (
     SubprocessSource,
     SyntheticSource,
     _ball_radius2,
-    block_rows,
     build_synthetic_model,
     generate,
     load_source_spec,
