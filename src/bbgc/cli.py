@@ -25,7 +25,7 @@ import numpy as np
 from . import diagnosis, gmm, importance
 from . import source as sources
 from . import store as stores
-from .embedding import block_rows, check_radius, check_theta, neighbor_counts
+from .embedding import check_radius, check_theta, neighbor_counts
 from .errors import (
     BbgcError,
     CalibrationError,
@@ -57,7 +57,6 @@ _ROLE_STREAMS = {"anchors": STREAM_ANCHORS, "pool": STREAM_POOL}
 _AFTER_ANCHORS_SALT = 0xA11C40125
 _AFTER_POOL_SALT = 0xC011EC7104
 
-_GEN_BATCH = 8192   # rows per batch that `sample` streams into its store, at most
 _REFERENCE_PROBES = 256
 
 
@@ -125,10 +124,10 @@ def _read_unit_store(path: str) -> stores.SampleStore:
 def cmd_sample(args, parser) -> int:
     spec = sources.load_source_spec(args.source)
     stream = _ROLE_STREAMS[args.role]
-    batch = block_rows(_GEN_BATCH, spec.latent_dim + spec.embed_dim)
     with (sources.open_source(spec) as src,
           stores.StoreWriter(args.out, spec.latent_dim, spec.embed_dim,
                              args.seed) as writer):
+        batch = sources.generate_batch(src)
         for lo in range(0, args.n, batch):
             count = min(args.n, lo + batch) - lo
             latents = sources.sample_latents(count, spec.latent_dim,

@@ -17,6 +17,10 @@ rounding margin of a threshold; each kept pair is then decided on its
 float64 dot, one einsum over the pair's two rows.  A float32 operand,
 such as the strided embedding view of a store, is the screen operand
 itself; only the rows a float64 kernel reads are upcast, which is exact.
+A float64 operand is cast to float32 one tile at a time, into a buffer
+the scan reuses, so no copy of a whole operand is made.  Pool tiles are
+the outer loop, so each is cast once; an anchor chunk is cast once per
+tile, which costs a small fraction of that tile's GEMM.
 Counts and sums therefore depend neither on how BLAS rounds, threads or
 blocks a GEMM, nor on the tile sizes, nor on whether the embeddings come
 as float32 or as their float64 upcast.  Each row's terms are summed in
@@ -30,7 +34,6 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, ZeroVectorError
-from .parallel import run_chunks
 
 _NORM_EPS = 1e-12
 
@@ -203,6 +206,15 @@ def row_dots(m: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _float32(rows: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
+    """``rows`` as float32: themselves when they are, else cast into a
+    prefix of ``buf``."""
+    if rows.dtype == np.float32:
+        return rows
+    np.copyto(buf[:len(rows)], rows)
+    return buf[:len(rows)]
+
+
 def scan(anchors: np.ndarray, pool: np.ndarray, theta: float | None,
          radius: float | None) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-anchor (neighbor counts, mean similarities) from one pass.
@@ -216,55 +228,62 @@ def scan(anchors: np.ndarray, pool: np.ndarray, theta: float | None,
     cos_r = None if radius is None else math.cos(math.pi * check_radius(radius))
     theta = None if theta is None else check_theta(theta)
     cos_t = None if theta is None else math.cos(math.pi * theta)
-    # a float32 operand, strided view included, is its own screen operand
     anchors, pool = (x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
                      for x in (np.asarray(anchors), np.asarray(pool)))
     if anchors.ndim != 2 or pool.ndim != 2 or anchors.shape[1] != pool.shape[1]:
         raise DimensionMismatchError(f"shapes {anchors.shape} and {pool.shape}")
-    n, d = pool.shape
+    (m, d), n = anchors.shape, pool.shape[0]
     cos_min = min(c for c in (cos_r, cos_t, math.inf) if c is not None)
-    anchors32, pool32 = (x.astype(np.float32, copy=False) for x in (anchors, pool))
-    anchor_sq = row_dots(anchors)
-    pmax = math.sqrt(np.max(row_dots(pool), initial=0.0))
     chunk = max(TILE_ROWS, TILE_ROWS * TILE_COLS // max(n, 1))
-    # every tile's float32 block reuses one buffer of at most 8 MB
-    block_buf = np.empty(min(chunk, anchors.shape[0]) * min(n, TILE_COLS), dtype=np.float32)
-
-    def scan_chunk(lo: int, hi: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        limit = _screen_limit(cos_min, d, math.sqrt(np.max(anchor_sq[lo:hi], initial=0.0)),
-                              pmax)
-        counts = None if cos_r is None else np.zeros(hi - lo, dtype=np.int64)
-        tile_terms, tile_ends = [], []
-        # an empty pool still yields one (empty) tile
-        for c0 in range(0, max(n, 1), TILE_COLS):
-            tile = pool32[c0:c0 + TILE_COLS]
-            block = np.matmul(anchors32[lo:hi], tile.T,
-                              out=block_buf[:(hi - lo) * len(tile)].reshape(hi - lo, len(tile)))
+    chunks = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
+    # an empty pool still yields one (empty) tile
+    tiles = range(0, max(n, 1), TILE_COLS)
+    # the largest norm of each anchor chunk and of each tile, for its screen;
+    # taken before the buffers, so row_dots' float64 copies are not held beside them
+    anchor_sq = row_dots(anchors)
+    amax = [math.sqrt(np.max(anchor_sq[lo:hi])) for lo, hi in chunks]
+    pmax = [math.sqrt(np.max(row_dots(pool[c0:c0 + TILE_COLS]), initial=0.0)) for c0 in tiles]
+    # every tile's float32 block (at most 8 MB) and its screen mask reuse one
+    # buffer each, and a float64 operand is cast into one buffer an anchor
+    # chunk or a pool tile at a time; a float32 one, strided view included,
+    # is used as it is
+    rows, cols = min(chunk, m), min(n, TILE_COLS)
+    block_buf, mask_buf = (np.empty(rows * cols, dtype=t) for t in (np.float32, bool))
+    anchor_buf, tile_buf = (None if x.dtype == np.float32 else np.empty((k, d), dtype=np.float32)
+                            for x, k in ((anchors, rows), (pool, cols)))
+    counts = None if cos_r is None else np.zeros(m, dtype=np.int64)
+    found = [([], []) for _ in chunks]   # per chunk: each tile's terms and row ends
+    # tiles outside, so each is cast once
+    for c0, p_max in zip(tiles, pmax):
+        tile = pool[c0:c0 + TILE_COLS]
+        tile32 = _float32(tile, tile_buf)
+        for (lo, hi), a_max, (tile_terms, tile_ends) in zip(chunks, amax, found):
+            size = (hi - lo) * len(tile)
+            block = np.matmul(_float32(anchors[lo:hi], anchor_buf), tile32.T,
+                              out=block_buf[:size].reshape(hi - lo, len(tile)))
             # "not below" keeps a NaN dot, which the float64 dot then decides
-            rows, cols = np.divmod(np.flatnonzero(~(block < limit)), block.shape[1])
-            dots = _pair_dots(anchors[lo:hi], pool, rows, cols + c0)
+            keep = np.less(block, _screen_limit(cos_min, d, a_max, p_max),
+                           out=mask_buf[:size].reshape(block.shape))
+            i, j = np.divmod(np.flatnonzero(np.logical_not(keep, out=keep)), len(tile))
+            dots = _pair_dots(anchors[lo:hi], pool, i, j + c0)
             if cos_r is not None:
-                counts += np.bincount(rows[dots >= cos_r], minlength=hi - lo)
+                counts[lo:hi] += np.bincount(i[dots >= cos_r], minlength=hi - lo)
             if theta is not None:
                 near, terms = near_terms(dots, theta)
                 tile_terms.append(terms)
-                tile_ends.append(np.cumsum(np.bincount(rows[near], minlength=hi - lo)))
-        if theta is None:
-            return counts, None
-        # each tile is row-major and tiles come in column order, so joining a
-        # row's slice of every tile lists its terms in column order
-        tiles = [(t, [0, *e.tolist()]) for t, e in zip(tile_terms, tile_ends)]
-        return counts, np.array([np.sum(np.concatenate([t[b[r]:b[r + 1]] for t, b in tiles]))
-                                 for r in range(hi - lo)])
-
-    # an empty anchor set still yields one (empty) part of each dtype
-    parts = run_chunks(scan_chunk, anchors.shape[0], chunk) or [scan_chunk(0, 0)]
-    counts, sums = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
+                tile_ends.append(np.cumsum(np.bincount(i[near], minlength=hi - lo)))
     if theta is None:
         return counts, None
+    # each tile is row-major and tiles come in column order, so joining a
+    # row's slice of every tile lists its terms in column order
+    sums = np.empty(m)
+    for (lo, hi), (tile_terms, tile_ends) in zip(chunks, found):
+        spans = [(t, [0, *e.tolist()]) for t, e in zip(tile_terms, tile_ends)]
+        sums[lo:hi] = [np.sum(np.concatenate([t[b[r]:b[r + 1]] for t, b in spans]))
+                       for r in range(hi - lo)]
     # np.expm1(theta) can exceed math.expm1(theta) in the last bit, so a
     # fully collapsed anchor's mean could land at 1 + 2**-52
-    return counts, np.minimum(sums / (math.expm1(theta) * pool.shape[0]), 1.0)
+    return counts, np.minimum(sums / (math.expm1(theta) * n), 1.0)
 
 
 def neighbor_counts(anchors: np.ndarray, pool: np.ndarray, radius: float) -> np.ndarray:

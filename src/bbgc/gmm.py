@@ -33,7 +33,7 @@ from .rng import (
     STREAM_KMEANS,
     CounterStream,
 )
-from .source import generate, sample_latents
+from .source import generate, generate_batch, sample_latents
 
 _VARIANCE_FLOOR = 1e-12
 
@@ -235,16 +235,20 @@ def compute_cluster_weights(labels: np.ndarray, k: int, embeddings: np.ndarray,
     dense_modes = np.atleast_2d(np.asarray(dense_modes, dtype=np.float64))
     if dense_modes.size == 0:   # atleast_2d makes no modes one of width 0
         raise EmptyModeListError("need at least one dense mode to reweight")
+    # neighbor_counts is anchor-major; transpose the question: for each
+    # sample, count the modes within r0 of it, then histogram by label.
+    return _weights(labels, k, neighbor_counts(embeddings, dense_modes, r0))
+
+
+def _weights(labels: np.ndarray, k: int, hits: np.ndarray) -> np.ndarray:
+    """The weight formula: 1/(count+1) per cluster, normalized, where a
+    cluster's count sums the ``hits`` (dense modes near it) of its samples."""
     labels = np.asarray(labels)
     occupancy = np.bincount(labels, minlength=k)
     if np.any(occupancy == 0):
         raise EmptyClusterError(f"cluster {int(np.argmin(occupancy))} is empty")
-    # neighbor_counts is anchor-major; transpose the question: for each
-    # mode, flag the samples inside r0, then histogram their labels.
-    per_mode = neighbor_counts(embeddings, dense_modes, r0)   # (n,) in [0, #modes]
     # whole numbers below 2**53, so the float64 sums are exact
-    counts = np.bincount(labels, weights=per_mode, minlength=k)
-    weights = 1.0 / (counts + 1.0)
+    weights = 1.0 / (np.bincount(labels, weights=hits, minlength=k) + 1.0)
     return weights / np.sum(weights)
 
 
@@ -283,17 +287,25 @@ def calibrate_gmm(source, dense_modes: np.ndarray, seed: int, k: int = 64,
                   r0: float = 0.25, n_fit: int = 100_000, source_seed: int = 0) -> MixtureModel:
     """Fit the reweighted mixture against a source's dense modes.
 
-    Draws ``n_fit`` fresh prior latents, embeds them through the source
-    (the only interaction with it), clusters the latents, and assembles
-    the mixture with down-weighted dense clusters.
+    Draws ``n_fit`` fresh prior latents and embeds them through the source
+    (the only interaction with it) one :func:`~bbgc.source.generate_batch`
+    at a time, counting each batch's dense modes within ``r0`` as it comes,
+    so only those counts outlive a batch.  It then clusters the latents and
+    assembles the mixture with down-weighted dense clusters: the weights of
+    :func:`compute_cluster_weights` over the whole fit set, bit for bit.
     """
     dense_modes = np.atleast_2d(np.asarray(dense_modes, dtype=np.float64))
     if dense_modes.size == 0:   # atleast_2d makes no modes one of width 0
         raise EmptyModeListError("need at least one dense mode to calibrate")
     latents = sample_latents(n_fit, source.latent_dim, seed, STREAM_FIT)
-    embeddings, _ = generate(source, latents)
+    hits = np.empty(n_fit, dtype=np.int64)
+    step = generate_batch(source)
+    for lo in range(0, n_fit, step):
+        embeddings, _ = generate(source, latents[lo:lo + step])
+        hits[lo:lo + step] = neighbor_counts(embeddings, dense_modes, r0)
+        del embeddings   # else it lives on while the next batch is embedded
     means, assignment = kmeans_fit(latents, k, seed)
-    weights = compute_cluster_weights(assignment.labels, k, embeddings, dense_modes, r0)
+    weights = _weights(assignment.labels, k, hits)
     variances = estimate_covariance(latents, assignment.labels, means)
     return MixtureModel(means=means, variances=variances, weights=weights,
                         source_seed=int(source_seed)).validate()

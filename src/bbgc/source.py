@@ -81,6 +81,7 @@ _NOISE_SALT = 0x4E4F49534553414C54 % (1 << 64)
 _UNIT_NORM_TOL = 1e-4   # 32-bit wire format tolerance
 
 _EMBED_ROWS = 4096   # rows per block of the synthetic embed, at most
+_GENERATE_ROWS = 8192   # rows per generate call of a streamed set, at most
 
 # The widest synthetic embedding: each derived center is drawn whole.
 _MAX_SYNTHETIC_EMBED_DIM = 1 << 12
@@ -671,6 +672,14 @@ def generate(source, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | Non
     if bad is not None:
         raise MalformedResponseError("source returned embedding %d with norm %.6f" % bad)
     return emb, refs
+
+
+def generate_batch(source) -> int:
+    """Rows per :func:`generate` call where a set streams through ``source``
+    (``sample`` into its store, calibration's fit set): at most
+    ``_GENERATE_ROWS``, and fewer where a float64 row of latent and embedding
+    is wide, so a batch stays within one block."""
+    return block_rows(_GENERATE_ROWS, source.latent_dim + source.embed_dim)
 
 
 def run_worker(source, stdin, stdout) -> None:

@@ -26,6 +26,7 @@ it raises ``TruncatedStoreError``.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -320,7 +321,7 @@ def latents_disjoint(a: np.ndarray, b: np.ndarray) -> bool:
 _READ_PIECE = 1 << 20   # bytes per read, at most
 
 
-def read_frame(readinto, check, truncated):
+def read_frame(readinto, check, truncated, size: int | None = None):
     """(latent_dim, embed_dim, latents, embeddings, refs, seed) of the next
     store or frame that ``readinto`` yields, or None if the stream ends first.
 
@@ -332,7 +333,10 @@ def read_frame(readinto, check, truncated):
     still holds, so the reader stops at the last record, and the buffer holds
     at most one piece more than was received, so a lying header sets no
     allocation.  A stream that ends inside the frame raises ``truncated(got)``:
-    ``got`` is None in the header, else (records, count).
+    ``got`` is None in the header, else (records, count).  ``size`` is the
+    stream's length where it is known, as a regular file's is: the buffer is
+    then sized once after the header, to at most ``size`` and the header's
+    records, and grows by pieces only past that (refs, or a growing file).
 
     The body is walked once, as its records complete.  Where ref bytes lie
     behind a segment of records, its fixed parts move left over them inside
@@ -363,6 +367,10 @@ def read_frame(readinto, check, truncated):
             check_record_size(latent_dim, embed_dim)
             check(latent_dim, embed_dim, count)
             rec = record_dtype(latent_dim, embed_dim)
+            if size is not None:   # those bytes exist, so they set the allocation
+                held = np.empty(max(got, min(size, HEADER.size + count * rec.itemsize)), np.uint8)
+                held[:got] = buf[:got]
+                buf = held
         if count is not None:
             # each move goes left, onto bytes the segments have passed
             for at, k, ref_len in _segments(buf[:got], rec, count - done, off):
@@ -396,7 +404,9 @@ def read_store(path: str | os.PathLike) -> SampleStore:
             else "header promises %d records, only %d complete" % (got[1], got[0])))
 
     with open(path, "rb", buffering=0) as fh:   # no read-ahead past the last record
-        frame = read_frame(fh.readinto, check, truncated)
+        st = os.fstat(fh.fileno())
+        frame = read_frame(fh.readinto, check, truncated,
+                           st.st_size if stat.S_ISREG(st.st_mode) else None)
     if frame is None:
         raise truncated(None)
     return SampleStore(latents=frame[2], embeddings=frame[3], seed=frame[5], refs=frame[4])

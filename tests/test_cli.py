@@ -835,6 +835,44 @@ def test_pipeline_memory_grows_by_a_few_float32_pools(tmp_path):
     assert growth < 2.25 * pool_float32, growth / pool_float32
 
 
+_CALIBRATE_PROBE = """
+import contextlib, io, resource, sys
+import bbgc.cli
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+base = peak()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert bbgc.cli.main(["calibrate", "gmm", *sys.argv[1:]]) == 0
+print(peak() - base)
+"""
+
+
+def test_calibrate_gmm_memory_holds_no_fit_set_embeddings(tmp_path):
+    # calibrate embeds its fit set and counts each batch's dense modes as it
+    # comes, so 10**5 fit rows of embed 32 never sit in memory at once
+    from configs import GMM_CALIBRATION, spec_dict
+    n_fit = 100_000
+    spec = tmp_path / "source.json"
+    spec.write_text(json.dumps(spec_dict(GMM_CALIBRATION, 7)))
+    for argv in (["sample", "--source", str(spec), "--n", "300", "--role", "anchors",
+                  "--out", str(tmp_path / "a")],
+                 ["sample", "--source", str(spec), "--n", "5000", "--out", str(tmp_path / "p")],
+                 ["diagnose", "--anchors", str(tmp_path / "a"), "--pool", str(tmp_path / "p"),
+                  "--curve-sizes", "100,5000", "--out", str(tmp_path / "r.json")]):
+        assert main(argv) == 0, argv
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", _CALIBRATE_PROBE,
+                          "--source", str(spec), "--anchors", str(tmp_path / "a"),
+                          "--report", str(tmp_path / "r.json"), "--n-fit", str(n_fit),
+                          "--out", str(tmp_path / "m.json")],
+                         env=_child_env(), check=True, capture_output=True, text=True,
+                         timeout=300)
+    growth = int(out.stdout.split()[-1])
+    fit_embeddings = n_fit * GMM_CALIBRATION["embed_dim"] * 8   # as float64
+    # measured 0 (the import's own peak stays the higher); holding the fit
+    # set's float64 embeddings and the scan's float32 copy of them, 0.93
+    assert growth < fit_embeddings / 2, growth / fit_embeddings
+
+
 # calibration takes its radius from the report, so --radius is unknown here
 @pytest.mark.parametrize("flags", [["--theta", "0.3"], ["--radius", "0.25"]])
 def test_calibrate_is_rejects_bad_flags(pipeline, tmp_path, flags):

@@ -257,6 +257,23 @@ def test_scan_memory_stays_bounded():
         assert peak < b.nbytes / 2 + 32 * 2 ** 20, (n, peak)
 
 
+def test_scan_memory_does_not_grow_with_a_float64_pool():
+    # a float64 pool is cast to float32 one tile at a time, and each tile
+    # bounds its own rows' norms: no pool-sized copy or vector is made
+    import tracemalloc
+    a = unit_rows(64, 8, 11)
+    peaks = []
+    for n in (100_000, 400_000):
+        b = unit_rows(n, 8, 12)
+        tracemalloc.start()
+        try:
+            scan(a, b, 0.02, 0.25)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 2 ** 20, peaks
+
+
 def test_scan_bits_do_not_depend_on_block_budgets(monkeypatch):
     # one pair per float64 einsum and one row per row_dots copy
     import bbgc.embedding as E
@@ -332,11 +349,13 @@ def test_scan_of_float32_rows_equals_scan_of_their_upcast(tmp_path, monkeypatch,
     monkeypatch.setattr(E, "TILE_ROWS", rows)
     monkeypatch.setattr(E, "TILE_COLS", cols)
     pools = float32_pools(tmp_path)
-    # every pair holds the same values, so one float64 upcast gives the reference
+    # every pair holds the same values, so one float64 upcast gives the
+    # reference; a float64 operand is cast one anchor chunk or pool tile at a
+    # time, and at the smaller tile sizes both operands span several
     a64, b64 = (x.astype(np.float64) for x in pools[0])
     for theta, radius in ((0.3, 0.25), (0.05, 0.02), (None, 0.5), (0.5, None)):
         want = scan(a64, b64, theta, radius)
-        for a32, b32 in pools:
+        for a32, b32 in [*pools, (pools[0][0], b64)]:
             for anchors in (a32, a64):
                 got = scan(anchors, b32, theta, radius)
                 for w, g in zip(want, got):

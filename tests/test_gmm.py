@@ -27,8 +27,8 @@ from bbgc.gmm import (
     sample_calibrated,
     save_mixture,
 )
-from bbgc.rng import STREAM_GMM_COMPONENT, STREAM_KMEANS, CounterStream
-from bbgc.source import SyntheticSource, build_synthetic_model
+from bbgc.rng import STREAM_FIT, STREAM_GMM_COMPONENT, STREAM_KMEANS, CounterStream
+from bbgc.source import SyntheticSource, build_synthetic_model, sample_latents
 
 from oracles import kmeans_pp_init
 
@@ -309,6 +309,50 @@ def test_calibrate_gmm_downweights_dense_cluster():
     assert mix.weights[origin_cluster] < 1.0 / 8 / 4
     with pytest.raises(EmptyModeListError):
         calibrate_gmm(src, np.empty((0, 16)), seed=5, k=8, n_fit=1000)
+
+
+def _calibration_source():
+    model = build_synthetic_model(
+        2, 32, 7, background=[{"weight": 1.0, "spread": 10.0}],
+        planted=[{"mass": 0.05, "spread": 0.0, "latent_norm": 3.0}])
+    return SyntheticSource(model), model.planted[0].center[None, :]
+
+
+def test_calibrate_gmm_bits_do_not_depend_on_the_fit_batch(monkeypatch):
+    # the fit set is embedded and counted one batch at a time; the hit
+    # counts are whole numbers decided per pair, so any batch gives the
+    # weights of compute_cluster_weights over the whole float64 fit set
+    import bbgc.source as sources
+    src, modes = _calibration_source()
+    n_fit, k = 4000, 8
+    base = calibrate_gmm(src, modes, seed=5, k=k, n_fit=n_fit)
+    sizes = []
+    embed = src.embed
+    monkeypatch.setattr(src, "embed", lambda z: (sizes.append(len(z)), embed(z))[1])
+    monkeypatch.setattr(sources, "_GENERATE_ROWS", 7)
+    small = calibrate_gmm(src, modes, seed=5, k=k, n_fit=n_fit)
+    assert sizes == [7] * (n_fit // 7) + [n_fit % 7]
+    latents = sample_latents(n_fit, 2, 5, STREAM_FIT)
+    means, assignment = kmeans_fit(latents, k, 5)
+    weights = compute_cluster_weights(assignment.labels, k, embed(latents)[0], modes, 0.25)
+    assert weights.min() < weights.max()   # the planted mode's clusters weigh less
+    for model in (base, small):
+        assert model.means.tobytes() == means.tobytes()
+        assert model.variances.tobytes() == base.variances.tobytes()
+        assert model.weights.tobytes() == weights.tobytes()
+
+
+def test_calibrate_gmm_memory_holds_no_fit_set_embeddings():
+    # 10**5 fit rows of embed 32 are 24.4 MiB as float64, and the scan's
+    # float32 copy of them 12.2 MiB more: calibrate held both (41.7 MiB)
+    src, modes = _calibration_source()
+    tracemalloc.start()
+    try:
+        calibrate_gmm(src, modes, seed=7, k=64, n_fit=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak / 2 ** 20
 
 
 def test_empty_mode_list_raises_before_sampling():

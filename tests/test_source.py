@@ -523,6 +523,19 @@ def test_read_frame_reads_a_large_frame_in_bounded_pieces():
     assert len(reader.asked) > 1 and max(reader.asked) <= _READ_PIECE
 
 
+@pytest.mark.parametrize("size", [0, 40, 1000, 10 ** 9])
+def test_read_frame_of_a_stated_size_reads_the_same_frame(size):
+    # a regular file's size sizes the buffer once; refs past it, or bytes a
+    # growing file added after its size was taken, still grow it by pieces
+    for blob in (ref_frame(0, 5, 3, 5, [b"", b"a", b"", b"z" * 100, b""]),
+                 ref_frame(2, 3000, 2, 128, None)):
+        for stated in (size, len(blob)):
+            reader = PieceReader(blob + b"trailing", [1 << 30])
+            got = read_frame(reader.readinto, lambda *dims: None, not_truncated, stated)
+            assert_same_frame(got, unpack_frame(blob))
+            assert reader.pos == len(blob) and max(reader.asked) <= _READ_PIECE
+
+
 def test_read_frame_reports_where_a_stream_ends():
     blob = ref_frame(0, 5, 3, 5, [b"", b"a", b"", b"z" * 100, b""])
     cut = {}
