@@ -25,7 +25,7 @@ import numpy as np
 from . import diagnosis, gmm, importance
 from . import source as sources
 from . import store as stores
-from .embedding import check_radius, check_theta, neighbor_counts
+from .embedding import TILE_COLS, check_radius, check_theta, neighbor_counts, row_dots
 from .errors import (
     BbgcError,
     CalibrationError,
@@ -107,16 +107,41 @@ def _out_prefix(path: str) -> str:
     return path[:-5] if path.endswith(".json") else path
 
 
-def _read_unit_store(path: str) -> stores.SampleStore:
-    """A store for analysis: unit-norm embeddings, as the scan assumes, and finite latents."""
-    st = stores.read_store(path)
-    bad = sources.non_unit_row(st.embeddings)
+def _check_unit(path: str, block: stores.SampleStore, start: int = 0) -> np.ndarray:
+    """The squared norms of a block's embeddings, once the block, whose first
+    row is row ``start`` of the store at ``path``, is fit for analysis:
+    unit-norm embeddings, as the scan assumes, and finite latents."""
+    sq = row_dots(block.embeddings)
+    bad = sources.non_unit_row(block.embeddings, sq)
     if bad is not None:
         row, norm = bad
-        raise NonUnitEmbeddingError(f"{path}: embedding {row} has norm {norm:.6f}, not 1")
-    if not np.all(np.isfinite(st.latents)):
+        raise NonUnitEmbeddingError(f"{path}: embedding {start + row} has norm {norm:.6f}, not 1")
+    if not np.all(np.isfinite(block.latents)):
         raise NonFiniteError(f"{path}: latents must be finite")
+    return sq
+
+
+def _read_unit_store(path: str) -> stores.SampleStore:
+    """A whole store for analysis, checked as :func:`_check_unit` says."""
+    st = stores.read_store(path)
+    _check_unit(path, st)
     return st
+
+
+def _stream_unit_store(path: str) -> stores.StoreStream:
+    """A pool store for the scan, read and checked one scan tile of rows at a
+    time as the scan asks for it, so a pool on a pipe is read once.  Each
+    block keeps the squared norms of its check for the scan's screen."""
+    pool = stores.stream_store(path, TILE_COLS)
+
+    def blocks():
+        start = 0
+        for block in pool:
+            block.sq_norms = _check_unit(path, block, start)
+            yield block
+            start += block.count
+
+    return stores.StoreStream(pool.count, blocks())
 
 
 # -- sample ---------------------------------------------------------------------
@@ -142,7 +167,7 @@ def cmd_sample(args, parser) -> int:
 
 def cmd_diagnose(args, parser) -> int:
     anchors = _read_unit_store(args.anchors)
-    pool = _read_unit_store(args.pool)
+    pool = _stream_unit_store(args.pool)
     report = diagnosis.build_report(
         anchors, pool, args.theta, args.radius, k=args.k,
         curve_sizes=args.curve_sizes, seed=args.seed)
@@ -158,7 +183,7 @@ def cmd_diagnose(args, parser) -> int:
 
 def cmd_find_modes(args, parser) -> int:
     anchors = _read_unit_store(args.anchors)
-    pool = _read_unit_store(args.pool)
+    pool = _stream_unit_store(args.pool)
     modes = diagnosis.top_k_modes(anchors, pool, radius=args.radius, k=args.k)
     doc = {
         "schema": 1,

@@ -6,6 +6,13 @@ per-anchor collapse scores, their population mean and spread, the
 worst-case dense mode (the anchor with the most pool neighbors inside a
 radius), top-k dense-mode listings, and convergence curves over
 deterministic shuffled prefixes.
+
+:func:`build_report`, :func:`top_k_modes` and :func:`check_disjoint` take
+the pool as a store or as a :class:`~bbgc.store.StoreStream` of store
+blocks, which they read through once: each block is checked against the
+anchors' latent hashes and scanned as it passes, and the curves take what
+they need of it then (the rows of the population curves, and the scan's
+near columns for ``mccs_single``), so they never hold the pool.
 """
 
 from __future__ import annotations
@@ -22,9 +29,7 @@ from .embedding import (
     cosine_distance,
     mccs as mccs_of_mean,
     mean_similarities,
-    near_terms,
     neighbor_counts,
-    row_dots,
     scan,
 )
 from .errors import (
@@ -34,7 +39,7 @@ from .errors import (
     TooFewAnchorsError,
 )
 from .rng import STREAM_SHUFFLE, CounterStream
-from .store import SampleStore, latents_disjoint
+from .store import SampleStore, StoreStream, hash_rows, latents_disjoint
 
 # Anchor permutations start this deep into the shuffle stream so they
 # never reuse the pool permutation's uniforms.
@@ -82,11 +87,26 @@ class ConsistencyResult:
     statistic: float   # max pairwise distance among winning embeddings
 
 
-def check_disjoint(anchors: SampleStore, pool: SampleStore) -> None:
-    if anchors.count == 0 or pool.count == 0:
+def _checked(anchors: SampleStore, pool: SampleStore | StoreStream):
+    """The pool's blocks (a store is one), each tested against the anchors'
+    latents, hashed once, as it passes; past the last block, the verdict of
+    :func:`check_disjoint`, so that a fault of the pool's own, found in a
+    block (a short store, a bad row), is the one reported."""
+    hashed, shared, n = hash_rows(anchors.latents), False, 0
+    for block in [pool] if isinstance(pool, SampleStore) else pool:
+        shared = shared or not latents_disjoint(hashed, block.latents)
+        n += block.count
+        yield block
+    if anchors.count == 0 or n == 0:
         raise EmptyCollectionError("anchors and pool must both be non-empty")
-    if not latents_disjoint(anchors.latents, pool.latents):
+    if shared:
         raise OverlappingCollectionsError("anchor latents appear in the pool")
+
+
+def check_disjoint(anchors: SampleStore, pool: SampleStore | StoreStream) -> None:
+    """Both are non-empty and no anchor latent is a pool latent; a stream is read through."""
+    for _ in _checked(anchors, pool):
+        pass
 
 
 def expected_similarity(anchor_embedding: np.ndarray, pool_embeddings: np.ndarray,
@@ -107,10 +127,36 @@ def mccs(anchor_embedding: np.ndarray, pool_embeddings: np.ndarray, theta: float
                      mean_similarity=s, n_samples=int(np.asarray(pool_embeddings).shape[0]))
 
 
-def _check_population(anchors: SampleStore, pool: SampleStore) -> None:
-    check_disjoint(anchors, pool)
-    if anchors.count < 2:
-        raise TooFewAnchorsError(f"need >= 2 anchors, got {anchors.count}")
+def _check_anchors(anchors: SampleStore, least: int) -> None:
+    if anchors.count < least:
+        raise TooFewAnchorsError(f"need >= {least} anchors, got {anchors.count}")
+
+
+def _scan_pool(anchors: SampleStore, pool: SampleStore | StoreStream, theta: float | None,
+               radius: float | None, least: int = 1, on_block=None, near: bool = False):
+    """:func:`~bbgc.embedding.scan` of the anchors against a store, once it
+    passed :func:`check_disjoint` and has ``least`` anchors, or against a
+    stream, whose blocks are checked as they pass and whose verdict comes
+    after its last block.  ``on_block(block, start)`` sees each block, whose
+    first row is pool row ``start``, before it is scanned; ``near`` keeps
+    each anchor's near columns."""
+    if isinstance(pool, SampleStore):
+        check_disjoint(anchors, pool)
+        _check_anchors(anchors, least)
+        if on_block is not None:
+            on_block(pool, 0)
+        return scan(anchors.embeddings, pool.embeddings, theta, radius, near=near)
+
+    def blocks():
+        start = 0
+        for block in _checked(anchors, pool):
+            if on_block is not None:
+                on_block(block, start)
+            start += block.count
+            yield block.embeddings, block.sq_norms
+        _check_anchors(anchors, least)
+
+    return scan(anchors.embeddings, blocks(), theta, radius, near=near)
 
 
 def _stats(sims: np.ndarray, n_samples: int) -> PopulationStats:
@@ -124,7 +170,8 @@ def _stats(sims: np.ndarray, n_samples: int) -> PopulationStats:
 
 def population_stats(anchors: SampleStore, pool: SampleStore, theta: float) -> PopulationStats:
     """Per-anchor MCCS plus population mean and unbiased standard deviation."""
-    _check_population(anchors, pool)
+    check_disjoint(anchors, pool)
+    _check_anchors(anchors, 2)
     return _stats(mean_similarities(anchors.embeddings, pool.embeddings, theta), pool.count)
 
 
@@ -151,13 +198,12 @@ def find_worst_mode(anchors: SampleStore, pool: SampleStore, radius: float) -> D
                            radius=float(radius), no_dense_mode=bool(counts[winner] == 0))
 
 
-def top_k_modes(anchors: SampleStore, pool: SampleStore, radius: float = 0.25,
+def top_k_modes(anchors: SampleStore, pool: SampleStore | StoreStream, radius: float = 0.25,
                 k: int = 24) -> list[DenseModeResult]:
     """The k densest anchors, descending count, index tie-break."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    check_disjoint(anchors, pool)
-    counts = neighbor_counts(anchors.embeddings, pool.embeddings, radius)
+    counts = _scan_pool(anchors, pool, None, radius)[0]
     order = _count_order(counts)[:min(k, anchors.count)]
     return [DenseModeResult(anchor_index=int(i), neighbor_count=int(counts[i]),
                             radius=float(radius),
@@ -199,15 +245,9 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
         if anchor_embedding is None:
             raise ValueError("mccs_single needs anchor_embedding")
         sizes = _check_sizes(sizes, pool.count, "pool")
-        # the scan's per-pair float64 kernel, so no BLAS rounds these dots; a row's
-        # dot does not depend on where the row sits, so shuffle the dots, not the pool
-        dots = row_dots(pool.embeddings, np.ascontiguousarray(anchor_embedding, dtype=np.float64))
-        near, terms = near_terms(dots[_shuffled(pool.count, seed)], theta)
-        sims = np.zeros(pool.count, dtype=np.float64)
-        sims[near] = terms / math.expm1(theta)
-        csum = np.cumsum(sims)
-        points = tuple((s, mccs_of_mean(min(1.0, csum[s - 1] / s))) for s in sizes)
-        return ConvergenceCurve(statistic_kind=kind, points=points)
+        anchor = np.asarray(anchor_embedding)[None, :]
+        return _single_curve(scan(anchor, pool.embeddings, theta, None, near=True).near(0),
+                             pool.count, sizes, theta, _shuffled(pool.count, seed))
 
     if anchors is None:
         raise ValueError(f"{kind} needs an anchors store")
@@ -215,15 +255,29 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
     sizes = _check_sizes(sizes, min(pool.count, anchors.count), "pool and anchors")
     if sizes[0] < 2:
         raise SizesOutOfRangeError("population curves need sizes >= 2")
-    mu, sigma = _population_curves(anchors, pool, sizes, theta, seed)
+    pool_emb = pool.embeddings[_shuffled(pool.count, seed)[:sizes[-1]]]
+    mu, sigma = _population_curves(anchors, pool_emb, sizes, theta, seed)
     return mu if kind == "mu_mccs" else sigma
 
 
-def _population_curves(anchors: SampleStore, pool: SampleStore, sizes: list[int],
+def _single_curve(near: tuple[np.ndarray, np.ndarray], n: int, sizes: list[int],
+                  theta: float, order: np.ndarray) -> ConvergenceCurve:
+    """mccs_single of one anchor over prefixes of the n pool rows taken in
+    ``order``, from its near (columns, terms) as the scan keeps them: the
+    scan's per-pair float64 kernel, so no BLAS rounds these dots."""
+    cols, terms = near
+    sims = np.zeros(n, dtype=np.float64)
+    sims[cols] = terms / math.expm1(theta)
+    csum = np.cumsum(sims[order])
+    return ConvergenceCurve("mccs_single", tuple(
+        (s, mccs_of_mean(min(1.0, csum[s - 1] / s))) for s in sizes))
+
+
+def _population_curves(anchors: SampleStore, pool_emb: np.ndarray, sizes: list[int],
                        theta: float, seed: int) -> tuple[ConvergenceCurve, ConvergenceCurve]:
-    """Both population curves from one prefix scan per size, gathering only rows read."""
+    """Both population curves from one prefix scan per size, over the pool
+    rows at the first ``sizes[-1]`` shuffled positions, gathering only rows read."""
     top = sizes[-1]
-    pool_emb = pool.embeddings[_shuffled(pool.count, seed)[:top]]
     anchor_emb = anchors.embeddings[
         _shuffled(anchors.count, seed, offset=_ANCHOR_SHUFFLE_OFFSET)[:top]]
     stats = [(s, _stats(mean_similarities(anchor_emb[:s], pool_emb[:s], theta), s))
@@ -256,30 +310,43 @@ def mode_consistency_check(anchors: SampleStore, pool: SampleStore, sizes,
     return ConsistencyResult(points=tuple(points), statistic=worst)
 
 
-def build_report(anchors: SampleStore, pool: SampleStore, theta: float, radius: float,
-                 k: int = 24, curve_sizes=None, seed: int = 0) -> dict:
-    """Full diagnosis as a JSON-ready mapping with a fixed field order."""
-    _check_population(anchors, pool)
+def build_report(anchors: SampleStore, pool: SampleStore | StoreStream, theta: float,
+                 radius: float, k: int = 24, curve_sizes=None, seed: int = 0) -> dict:
+    """Full diagnosis as a JSON-ready mapping with a fixed field order, from
+    one scan of the pool."""
+    n = pool.count
+    shuffled = _shuffled(n, seed) if curve_sizes else None
+    population_sizes = [int(s) for s in curve_sizes or () if 2 <= s <= anchors.count]
+    # the population curves' pool rows, taken from each block as it passes
+    want = shuffled[:max(population_sizes)] if population_sizes else None
+    pool_emb = []   # one array, made at the first block
+
+    def gather(block: SampleStore, start: int) -> None:
+        if not pool_emb:
+            pool_emb.append(np.empty((len(want), block.embed_dim), block.embeddings.dtype))
+        at = np.flatnonzero((want >= start) & (want < start + block.count))
+        pool_emb[0][at] = block.embeddings[want[at] - start]
+
     # theta and radius are validated once, by the scan
-    counts, sims = scan(anchors.embeddings, pool.embeddings, theta, radius)
-    stats = _stats(sims, pool.count)
+    result = _scan_pool(anchors, pool, theta, radius, 2, gather if want is not None else None,
+                        near=bool(curve_sizes))
+    counts, sims = result
+    stats = _stats(sims, n)
     order = _rank(counts)
     worst = int(order[0])
     top = order[:min(k, anchors.count)]
     curves = []
     if curve_sizes:
-        curves.append(convergence_curve(
-            "mccs_single", pool, curve_sizes, theta, seed,
-            anchor_embedding=anchors.embeddings[worst]))
-        population_sizes = [int(s) for s in curve_sizes if 2 <= s <= anchors.count]
+        curves.append(_single_curve(result.near(worst), n, _check_sizes(curve_sizes, n, "pool"),
+                                    theta, shuffled))
         if population_sizes:
-            curves.extend(_population_curves(anchors, pool, population_sizes, theta, seed))
+            curves.extend(_population_curves(anchors, pool_emb[0], population_sizes, theta, seed))
     return {
         "schema": 1,
         "theta": float(theta),
         "radius": float(radius),
         "m": anchors.count,
-        "n": pool.count,
+        "n": n,
         "mu_mccs": stats.mu,
         "sigma_mccs": stats.sigma,
         "worst_mode": {

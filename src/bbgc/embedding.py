@@ -8,7 +8,9 @@ of an anchor against a comparison pool into [0, 1], with 0.5 hit when
 the mean similarity is 1/e.
 
 One batch kernel, :func:`scan`, reduces the anchor x pool pairs to both
-neighbor counts and similarity sums.  It compares dots against cosine
+neighbor counts and similarity sums.  The pool may come as an array or as
+an iterator of row blocks in pool order, such as a store read block by
+block, so a scan need not hold its pool.  It compares dots against cosine
 thresholds instead of taking an arccos per pair: ``arccos`` is monotone
 decreasing, so ``d <= r`` and ``dot >= cos(pi*r)`` pick the same pairs,
 and only the surviving pairs need transcendentals.  A float32 GEMM over
@@ -22,14 +24,17 @@ the scan reuses, so no copy of a whole operand is made.  Pool tiles are
 the outer loop, so each is cast once; an anchor chunk is cast once per
 tile, which costs a small fraction of that tile's GEMM.
 Counts and sums therefore depend neither on how BLAS rounds, threads or
-blocks a GEMM, nor on the tile sizes, nor on whether the embeddings come
-as float32 or as their float64 upcast.  Each row's terms are summed in
-column order by one ``np.sum``.
+blocks a GEMM, nor on the tile or pool block sizes, nor on whether the
+embeddings come as float32 or as their float64 upcast.  Each row's terms
+are summed in column order by one ``np.sum``.  Asked to, the scan keeps
+them with their pool columns, so a curve over one anchor's pool prefixes
+needs no second pass over the pool.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -191,13 +196,14 @@ def _pair_dots(anchors: np.ndarray, pool: np.ndarray, rows: np.ndarray,
 def row_dots(m: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     """Float64 dot of each row of ``m`` with ``v``, or with itself when
     ``v`` is None: the per-pair kernel of :func:`_pair_dots`, taken over
-    contiguous float64 copies of at most 8192 rows and one block's bytes.
+    contiguous float64 copies of at most 8192 rows and one piece's bytes,
+    which stay in cache.
 
     Each row's bits depend on that row alone, and a float32 ``m`` gets
     the bits of its (exact) float64 upcast without a full-size copy.
     """
     out = np.empty(len(m))
-    step = block_rows(8192, m.shape[1])
+    step = block_rows(8192, m.shape[1], piece=True)
     for lo in range(0, len(m), step):
         block = np.ascontiguousarray(m[lo:lo + step], dtype=np.float64)
         out[lo:lo + step] = np.einsum("ij,ij->i", block, block) if v is None \
@@ -215,75 +221,122 @@ def _float32(rows: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
     return buf[:len(rows)]
 
 
-def scan(anchors: np.ndarray, pool: np.ndarray, theta: float | None,
-         radius: float | None) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Per-anchor (neighbor counts, mean similarities) from one pass.
+class ScanResult(tuple):
+    """(neighbor counts, mean similarities) from :func:`scan`, which also
+    keeps each anchor's near pool columns for :meth:`near` when asked to."""
 
-    Counts include pairs exactly at ``radius``; pairs at distance >= theta
-    add exactly 0 to the mean.  A ``None`` threshold skips that half and
-    returns ``None`` for it.  A float32 GEMM screens out pairs that a
-    proven margin puts below both thresholds; every other pair is decided
-    on its float64 dot from :func:`_pair_dots`.
+    def __new__(cls, counts, sims, chunk: int = 0, found: list | None = None):
+        result = super().__new__(cls, (counts, sims))
+        result._chunk, result._found = chunk, found
+        return result
+
+    def near(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, terms) of the pool rows within theta of anchor ``row``,
+        in column order: :func:`near_terms` of the scan's own float64 dots."""
+        r = row % self._chunk
+        spans = [(t, c, e[r - 1] if r else 0, e[r]) for t, c, e in self._found[row // self._chunk]]
+        return (np.concatenate([c[lo:hi] for _, c, lo, hi in spans]),
+                np.concatenate([t[lo:hi] for t, _, lo, hi in spans]))
+
+
+def _blocks(pool):
+    """The pool's (rows, squared norms or None) blocks: an array is one."""
+    if isinstance(pool, Iterator):
+        for block in pool:
+            yield block if isinstance(block, tuple) else (block, None)
+    else:
+        yield pool, None
+
+
+def _operand(x) -> np.ndarray:
+    """``x`` as float32 when it is, else as float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+
+
+def scan(anchors: np.ndarray, pool, theta: float | None,
+         radius: float | None, near: bool = False) -> ScanResult:
+    """Per-anchor (neighbor counts, mean similarities) from one pass, and
+    with ``near`` each anchor's near pool columns for :meth:`ScanResult.near`.
+
+    ``pool`` is an array, or an iterator of row blocks in pool order, each
+    an array or a pair (rows, their squared norms as :func:`row_dots` gives
+    them); an array is one block, and a block wider than ``TILE_COLS`` rows
+    is split into tiles.  Counts include pairs exactly at ``radius``; pairs
+    at distance >= theta add exactly 0 to the mean.  A ``None`` threshold
+    skips that half and returns ``None`` for it.  A float32 GEMM screens out
+    pairs that a proven margin puts below both thresholds; every other pair
+    is decided on its float64 dot from :func:`_pair_dots`.
     """
     cos_r = None if radius is None else math.cos(math.pi * check_radius(radius))
     theta = None if theta is None else check_theta(theta)
     cos_t = None if theta is None else math.cos(math.pi * theta)
-    anchors, pool = (x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
-                     for x in (np.asarray(anchors), np.asarray(pool)))
-    if anchors.ndim != 2 or pool.ndim != 2 or anchors.shape[1] != pool.shape[1]:
-        raise DimensionMismatchError(f"shapes {anchors.shape} and {pool.shape}")
-    (m, d), n = anchors.shape, pool.shape[0]
+    anchors = _operand(anchors)
+    if anchors.ndim != 2:
+        raise DimensionMismatchError(f"anchors of shape {anchors.shape}")
+    (m, d), n = anchors.shape, 0
     cos_min = min(c for c in (cos_r, cos_t, math.inf) if c is not None)
-    chunk = max(TILE_ROWS, TILE_ROWS * TILE_COLS // max(n, 1))
+    # a streamed pool's size is not known up front; its blocks are TILE_COLS wide
+    width = TILE_COLS if isinstance(pool, Iterator) else len(np.asarray(pool))
+    chunk = max(TILE_ROWS, TILE_ROWS * TILE_COLS // max(width, 1))
     chunks = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
-    # an empty pool still yields one (empty) tile
-    tiles = range(0, max(n, 1), TILE_COLS)
-    # the largest norm of each anchor chunk and of each tile, for its screen;
-    # taken before the buffers, so row_dots' float64 copies are not held beside them
     anchor_sq = row_dots(anchors)
     amax = [math.sqrt(np.max(anchor_sq[lo:hi])) for lo, hi in chunks]
-    pmax = [math.sqrt(np.max(row_dots(pool[c0:c0 + TILE_COLS]), initial=0.0)) for c0 in tiles]
-    # every tile's float32 block (at most 8 MB) and its screen mask reuse one
-    # buffer each, and a float64 operand is cast into one buffer an anchor
-    # chunk or a pool tile at a time; a float32 one, strided view included,
-    # is used as it is
-    rows, cols = min(chunk, m), min(n, TILE_COLS)
-    block_buf, mask_buf = (np.empty(rows * cols, dtype=t) for t in (np.float32, bool))
-    anchor_buf, tile_buf = (None if x.dtype == np.float32 else np.empty((k, d), dtype=np.float32)
-                            for x, k in ((anchors, rows), (pool, cols)))
+    # every tile's float32 block and its screen mask reuse one buffer each,
+    # and a float64 operand is cast into one buffer an anchor chunk or a pool
+    # tile at a time; a float32 one, strided view included, is used as it
+    # is.  The tile buffers are made at the first tile and remade only for a
+    # wider one, so the widest tile sizes them.
+    k = min(chunk, m)
+    anchor_buf = None if anchors.dtype == np.float32 else np.empty((k, d), np.float32)
+    block_buf = mask_buf = tile_buf = None
     counts = None if cos_r is None else np.zeros(m, dtype=np.int64)
-    found = [([], []) for _ in chunks]   # per chunk: each tile's terms and row ends
-    # tiles outside, so each is cast once
-    for c0, p_max in zip(tiles, pmax):
-        tile = pool[c0:c0 + TILE_COLS]
-        tile32 = _float32(tile, tile_buf)
-        for (lo, hi), a_max, (tile_terms, tile_ends) in zip(chunks, amax, found):
-            size = (hi - lo) * len(tile)
-            block = np.matmul(_float32(anchors[lo:hi], anchor_buf), tile32.T,
-                              out=block_buf[:size].reshape(hi - lo, len(tile)))
-            # "not below" keeps a NaN dot, which the float64 dot then decides
-            keep = np.less(block, _screen_limit(cos_min, d, a_max, p_max),
-                           out=mask_buf[:size].reshape(block.shape))
-            i, j = np.divmod(np.flatnonzero(np.logical_not(keep, out=keep)), len(tile))
-            dots = _pair_dots(anchors[lo:hi], pool, i, j + c0)
-            if cos_r is not None:
-                counts[lo:hi] += np.bincount(i[dots >= cos_r], minlength=hi - lo)
-            if theta is not None:
-                near, terms = near_terms(dots, theta)
-                tile_terms.append(terms)
-                tile_ends.append(np.cumsum(np.bincount(i[near], minlength=hi - lo)))
+    found = [[] for _ in chunks]   # per chunk: each tile's (terms, columns, row ends)
+    for rows, sq in _blocks(pool):
+        rows = _operand(rows)
+        if rows.ndim != 2 or rows.shape[1] != d:
+            raise DimensionMismatchError(f"shapes {anchors.shape} and {rows.shape}")
+        starts = range(0, max(len(rows), n == 0), TILE_COLS)   # an empty pool still has one tile
+        # the largest norm of each tile, for its screen; taken before the tile's
+        # GEMM, so row_dots' float64 copies are not held beside the buffers
+        pmax = [math.sqrt(np.max(row_dots(rows[c0:c0 + TILE_COLS]) if sq is None
+                                 else sq[c0:c0 + TILE_COLS], initial=0.0)) for c0 in starts]
+        for c0, p_max in zip(starts, pmax):
+            tile = rows[c0:c0 + TILE_COLS]
+            if block_buf is None or len(tile) * k > len(block_buf):
+                block_buf, mask_buf = (np.empty(len(tile) * k, dtype=t) for t in (np.float32, bool))
+            if tile.dtype != np.float32 and (tile_buf is None or len(tile_buf) < len(tile)):
+                tile_buf = np.empty((len(tile), d), dtype=np.float32)
+            tile32 = _float32(tile, tile_buf)
+            for (lo, hi), a_max, tiles in zip(chunks, amax, found):
+                size = (hi - lo) * len(tile)
+                block = np.matmul(_float32(anchors[lo:hi], anchor_buf), tile32.T,
+                                  out=block_buf[:size].reshape(hi - lo, len(tile)))
+                # "not below" keeps a NaN dot, which the float64 dot then decides
+                keep = np.less(block, _screen_limit(cos_min, d, a_max, p_max),
+                               out=mask_buf[:size].reshape(block.shape))
+                i, j = np.divmod(np.flatnonzero(np.logical_not(keep, out=keep)), len(tile))
+                dots = _pair_dots(anchors[lo:hi], tile, i, j)
+                if cos_r is not None:
+                    counts[lo:hi] += np.bincount(i[dots >= cos_r], minlength=hi - lo)
+                if theta is not None:
+                    kept, terms = near_terms(dots, theta)
+                    tiles.append((terms, j[kept] + (n + c0) if near else None,
+                                  np.cumsum(np.bincount(i[kept], minlength=hi - lo))))
+        n += len(rows)
     if theta is None:
-        return counts, None
+        return ScanResult(counts, None)
     # each tile is row-major and tiles come in column order, so joining a
     # row's slice of every tile lists its terms in column order
     sums = np.empty(m)
-    for (lo, hi), (tile_terms, tile_ends) in zip(chunks, found):
-        spans = [(t, [0, *e.tolist()]) for t, e in zip(tile_terms, tile_ends)]
+    for (lo, hi), tiles in zip(chunks, found):
+        spans = [(t, [0, *e.tolist()]) for t, _, e in tiles]
         sums[lo:hi] = [np.sum(np.concatenate([t[b[r]:b[r + 1]] for t, b in spans]))
-                       for r in range(hi - lo)]
+                       for r in range(hi - lo)] if spans else 0.0   # a pool of no block
     # np.expm1(theta) can exceed math.expm1(theta) in the last bit, so a
     # fully collapsed anchor's mean could land at 1 + 2**-52
-    return counts, np.minimum(sums / (math.expm1(theta) * n), 1.0)
+    return ScanResult(counts, np.minimum(sums / (math.expm1(theta) * n), 1.0), chunk,
+                      found if near else None)
 
 
 def neighbor_counts(anchors: np.ndarray, pool: np.ndarray, radius: float) -> np.ndarray:

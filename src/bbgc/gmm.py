@@ -87,12 +87,17 @@ class MixtureModel:
 
 
 def _assign(latents: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, squared distances to the winning mean), chunked over points."""
+    """(labels, squared distances to the winning mean), chunked over points.
+    Each chunk's distances are made in place in one chunk x k buffer, the
+    steps of ``mean_sq - 2.0 * (part @ means.T)`` one by one."""
     mean_sq = np.sum(means ** 2, axis=1)
+    buf = np.empty((min(SAMPLE_CHUNK, latents.shape[0]), means.shape[0]))
 
     def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         part = latents[lo:hi]
-        d2 = mean_sq[None, :] - 2.0 * (part @ means.T)
+        d2 = np.matmul(part, means.T, out=buf[:hi - lo])
+        d2 *= 2.0
+        np.subtract(mean_sq, d2, out=d2)
         labels = np.argmin(d2, axis=1)
         best = d2[np.arange(hi - lo), labels] + np.sum(part ** 2, axis=1)
         return labels.astype(np.int64), np.maximum(best, 0.0)

@@ -650,16 +650,18 @@ def open_source(spec: SourceSpec):
         raise InvalidConfigError(f"bad {spec.kind} source parameters: {exc}") from exc
 
 
-def non_unit_row(embeddings: np.ndarray) -> tuple[int, float] | None:
+def non_unit_row(embeddings: np.ndarray,
+                 sq: np.ndarray | None = None) -> tuple[int, float] | None:
     """(row, norm) of the first row without unit norm, else None: the one
     rule on embedding values, for a source's replies and for stores.
 
     A row passes when its norm is within ``_UNIT_NORM_TOL`` of 1, so one
     holding NaN or inf fails.  Norms come from float64 :func:`row_dots`,
     so a float32 row gets the verdict of its upcast and the check holds
-    no full-size temporary.
+    no full-size temporary; ``sq`` is that squared norm where the caller
+    took it already.
     """
-    norms = np.sqrt(row_dots(embeddings))
+    norms = np.sqrt(row_dots(embeddings) if sq is None else sq)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
     return None if bad.size == 0 else (int(bad[0]), float(norms[bad[0]]))
 

@@ -14,8 +14,11 @@ Layout:
 
 The wire frames of :mod:`bbgc.source` are the same header and records
 with one dim set to 0, so this module is the one codec for both, and
-:func:`read_frame` the one reader of files, pipes, stdout and HTTP bodies.
-Its one pass over a body finds the complete records and parses them.
+:func:`frame_blocks` the one reader of files, pipes, stdout and HTTP bodies.
+Its one pass over a body finds the complete records and parses them, a
+block of records at a time: :func:`read_frame` and :func:`read_store` take
+every record in one block, and :func:`stream_store` hands a store on block
+by block as it reads it, so a scan of the store holds one block of it.
 
 Writers stage into ``<path>.tmp`` and rename at close, so a store path
 either holds a complete previous file or a complete new one.  A store
@@ -28,8 +31,9 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +60,8 @@ class SampleStore:
     embeddings: np.ndarray   # (count, embed_dim) float32 as read; float32 or float64 if built
     seed: int
     refs: list[bytes] | None = None   # None means every ref is empty
+    # the embeddings' squared norms (embedding.row_dots), where a reader took them
+    sq_norms: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -297,102 +303,158 @@ def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
     return st.count
 
 
-def latents_disjoint(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when no latent row of ``a`` equals (bitwise) a row of ``b``.
+class HashedLatents(NamedTuple):
+    """Latent rows as contiguous float64 and their row hashes, taken once
+    where one set is tested against many."""
+
+    rows: np.ndarray
+    hashes: np.ndarray
+
+
+def hash_rows(latents: np.ndarray) -> HashedLatents:
+    from .rng import hash_latents
+    rows = np.ascontiguousarray(latents, dtype=np.float64)
+    return HashedLatents(rows, hash_latents(0, rows))
+
+
+def latents_disjoint(a: np.ndarray | HashedLatents, b: np.ndarray) -> bool:
+    """True when no latent row of ``a`` equals (bitwise) a row of ``b``;
+    ``a`` may come from :func:`hash_rows`, to test many ``b`` against it.
 
     Row hashes prefilter; only hash collisions pay for an exact compare.
     """
-    from .rng import hash_latents
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
+    a = a if isinstance(a, HashedLatents) else hash_rows(a)
+    b = hash_rows(b)
+    if a.rows.size == 0 or b.rows.size == 0:
         return True
-    ha = hash_latents(0, a)
-    hb = hash_latents(0, b)
-    shared = np.intersect1d(ha, hb)
+    shared = np.intersect1d(a.hashes, b.hashes)
     if shared.size == 0:
         return True
-    rows_a = a[np.isin(ha, shared)]
-    rows_b = b[np.isin(hb, shared)]
-    seen = {r.tobytes() for r in rows_b}
-    return not any(r.tobytes() in seen for r in rows_a)
+    seen = {r.tobytes() for r in b.rows[np.isin(b.hashes, shared)]}
+    return not any(r.tobytes() in seen for r in a.rows[np.isin(a.hashes, shared)])
 
 
 _READ_PIECE = 1 << 20   # bytes per read, at most
 
 
-def read_frame(readinto, check, truncated, size: int | None = None):
-    """(latent_dim, embed_dim, latents, embeddings, refs, seed) of the next
-    store or frame that ``readinto`` yields, or None if the stream ends first.
+def frame_blocks(readinto, check, truncated, size: int | None = None,
+                 rows: int | None = None):
+    """The next store or frame that ``readinto`` yields, as a generator: first
+    its header (latent_dim, embed_dim, count, seed), then (latents,
+    embeddings, refs) of each ``rows`` records in order, the last block
+    shorter.  With ``rows`` None every record is in one block, which comes
+    even when the count is 0.  It yields nothing if the stream ends first.
 
     ``readinto(view)`` fills a prefix of ``view`` and returns its length, 0 at
     the end, as a file's or ``HTTPResponse``'s method or ``os.readv`` does.
     ``check(latent_dim, embed_dim, count)`` sees a header that passed the
     format's checks before any body byte is read.  Each read asks for at most
-    ``_READ_PIECE`` bytes that the count and refs seen so far prove the frame
-    still holds, so the reader stops at the last record, and the buffer holds
-    at most one piece more than was received, so a lying header sets no
-    allocation.  A stream that ends inside the frame raises ``truncated(got)``:
-    ``got`` is None in the header, else (records, count).  ``size`` is the
-    stream's length where it is known, as a regular file's is: the buffer is
-    then sized once after the header, to at most ``size`` and the header's
-    records, and grows by pieces only past that (refs, or a growing file).
+    ``_READ_PIECE`` bytes that the block's count and the refs seen so far
+    prove the frame still holds, so the reader stops at the last record, and
+    the buffer holds at most one piece more than was received, so a lying
+    header sets no allocation.  A stream that ends inside the frame raises
+    ``truncated(got)``: ``got`` is None in the header, else (records, count).
+    ``size`` is the stream's length where it is known, as a regular file's
+    is: the buffer is then sized once after the header, to at most ``size``
+    and the first block's records, and grows by pieces only past that (refs,
+    or a growing file).
 
-    The body is walked once, as its records complete.  Where ref bytes lie
+    Each block is walked once, as its records complete.  Where ref bytes lie
     behind a segment of records, its fixed parts move left over them inside
     the buffer, so the records end up packed.  Latents are float64 copies;
     embeddings are the read-only float32 ``embedding`` field, a strided view
-    of the buffer.  ``refs`` is None when every ref is empty.
+    of the one buffer that every block is read into, so a block's embeddings
+    hold until the next block is asked for.  ``refs`` is None when every ref
+    of the block is empty.
     """
     buf = np.empty(HEADER.size, np.uint8)   # ndarray.resize grows it by realloc
-    got, need, count = 0, HEADER.size, None
-    off = packed = HEADER.size   # the first byte not yet walked; the end of the packed records
-    done, refs = 0, None   # records walked; their refs, once one is not empty
-    while count is None or done < count:
-        ask = min(need - got, _READ_PIECE)
-        if got + ask > len(buf):   # no view of buf is alive here
-            buf.resize(min(need, got + _READ_PIECE), refcheck=False)
-        n = readinto(memoryview(buf)[got:got + ask])
+    got = 0
+    while got < HEADER.size:
+        n = readinto(memoryview(buf)[got:])
         if not n:
-            if not got:
-                return None
-            raise truncated(None if count is None else (done, count))
+            if got:
+                raise truncated(None)
+            return
         got += n
-        if count is None and got == HEADER.size:
-            magic, version, latent_dim, embed_dim, count, seed = HEADER.unpack(buf)
-            if magic != MAGIC:
-                raise BadMagicError(f"magic {magic!r}, expected {MAGIC!r}")
-            if version != VERSION:
-                raise VersionMismatchError(f"version {version}, expected {VERSION}")
-            check_record_size(latent_dim, embed_dim)
-            check(latent_dim, embed_dim, count)
-            rec = record_dtype(latent_dim, embed_dim)
-            if size is not None:   # those bytes exist, so they set the allocation
-                held = np.empty(max(got, min(size, HEADER.size + count * rec.itemsize)), np.uint8)
-                held[:got] = buf[:got]
-                buf = held
-        if count is not None:
+    magic, version, latent_dim, embed_dim, count, seed = HEADER.unpack(buf)
+    if magic != MAGIC:
+        raise BadMagicError(f"magic {magic!r}, expected {MAGIC!r}")
+    if version != VERSION:
+        raise VersionMismatchError(f"version {version}, expected {VERSION}")
+    check_record_size(latent_dim, embed_dim)
+    check(latent_dim, embed_dim, count)
+    rec = record_dtype(latent_dim, embed_dim)
+    yield latent_dim, embed_dim, count, seed
+    per = rows or count
+    if size is not None:   # those bytes exist, so they set the allocation
+        held = np.empty(max(got, min(size, HEADER.size + min(count, per) * rec.itemsize)), np.uint8)
+        held[:got] = buf
+        buf = held
+    for done in range(0, count, per) if rows else [0]:   # done: records of earlier blocks
+        end = min(count, done + per)
+        # the header stays in front of each block's records
+        got = off = packed = HEADER.size   # bytes held; the first not yet walked; the packed end
+        walked, refs = done, None   # records walked; their refs, once one is not empty
+        need = off + (end - walked) * rec.itemsize
+        while walked < end:
+            ask = min(need - got, _READ_PIECE)
+            if got + ask > len(buf):
+                grown = min(need, got + _READ_PIECE)
+                if done:   # a yielded block may still view buf, so it keeps the old one
+                    buf = np.concatenate([buf[:got], np.empty(grown - got, np.uint8)])
+                else:   # no view of buf is alive here
+                    buf.resize(grown, refcheck=False)
+            n = readinto(memoryview(buf)[got:got + ask])
+            if not n:
+                raise truncated((walked, count))
+            got += n
             # each move goes left, onto bytes the segments have passed
-            for at, k, ref_len in _segments(buf[:got], rec, count - done, off):
-                end = at + k * rec.itemsize
+            for at, k, ref_len in _segments(buf[:got], rec, end - walked, off):
+                stop = at + k * rec.itemsize
                 if packed != at:
-                    buf[packed:packed + end - at] = buf[at:end]
+                    buf[packed:packed + stop - at] = buf[at:stop]
                 if ref_len:
-                    refs = refs or [b""] * done
-                    refs.append(buf[end:end + ref_len].tobytes())
+                    refs = refs or [b""] * (walked - done)
+                    refs.append(buf[stop:stop + ref_len].tobytes())
                 elif refs is not None:
                     refs.extend([b""] * k)
-                packed, off, done = packed + end - at, end + ref_len, done + k
-            need = off + (count - done) * rec.itemsize   # off: the first record not yet complete
+                packed, off, walked = packed + stop - at, stop + ref_len, walked + k
+            need = off + (end - walked) * rec.itemsize   # off: the first record not yet complete
             if got >= off + rec.itemsize:   # its ref_len is in
                 need += int(np.frombuffer(buf, rec, 1, off)["ref_len"][0])
-    records = np.frombuffer(memoryview(buf).toreadonly(), rec, done, HEADER.size)
-    lat = records["latent"].astype(np.float64)
-    return latent_dim, embed_dim, lat, records["embedding"], refs, seed
+        records = np.frombuffer(memoryview(buf).toreadonly(), rec, walked - done, HEADER.size)
+        yield records["latent"].astype(np.float64), records["embedding"], refs
 
 
-def read_store(path: str | os.PathLike) -> SampleStore:
-    """Load a store: every record its header counts, or ``TruncatedStoreError``."""
+def read_frame(readinto, check, truncated, size: int | None = None):
+    """(latent_dim, embed_dim, latents, embeddings, refs, seed) of the next
+    store or frame that ``readinto`` yields, or None if the stream ends first:
+    :func:`frame_blocks` with every record in one block."""
+    blocks = frame_blocks(readinto, check, truncated, size)
+    head = next(blocks, None)
+    if head is None:
+        return None
+    (latents, embeddings, refs), = blocks
+    return head[0], head[1], latents, embeddings, refs, head[3]
+
+
+@dataclass
+class StoreStream:
+    """A store whose header is read and whose records are read as the stream
+    is iterated, one :class:`SampleStore` block at a time."""
+
+    count: int
+    blocks: Iterator[SampleStore]
+
+    def __iter__(self) -> Iterator[SampleStore]:
+        return self.blocks
+
+
+def stream_store(path: str | os.PathLike, rows: int | None = None) -> StoreStream:
+    """A store read in blocks of ``rows`` records (one block when None), each
+    read as it is asked for, into one buffer (see :func:`frame_blocks`); the
+    header is read and checked here.  A store that ends before its header's
+    count raises ``TruncatedStoreError`` at the block it cuts."""
     def check(latent_dim: int, embed_dim: int, _count: int) -> None:
         if latent_dim < 1 or embed_dim < 1:   # a wire frame's dims, not a store's
             raise StoreFormatError(
@@ -403,10 +465,23 @@ def read_store(path: str | os.PathLike) -> SampleStore:
             f"header needs {HEADER.size} bytes" if got is None
             else "header promises %d records, only %d complete" % (got[1], got[0])))
 
-    with open(path, "rb", buffering=0) as fh:   # no read-ahead past the last record
-        st = os.fstat(fh.fileno())
-        frame = read_frame(fh.readinto, check, truncated,
-                           st.st_size if stat.S_ISREG(st.st_mode) else None)
-    if frame is None:
-        raise truncated(None)
-    return SampleStore(latents=frame[2], embeddings=frame[3], seed=frame[5], refs=frame[4])
+    def blocks():
+        with open(path, "rb", buffering=0) as fh:   # no read-ahead past the last record
+            st = os.fstat(fh.fileno())
+            frame = frame_blocks(fh.readinto, check, truncated,
+                                 st.st_size if stat.S_ISREG(st.st_mode) else None, rows)
+            head = next(frame, None)
+            if head is None:
+                raise truncated(None)
+            yield head[2]
+            for latents, embeddings, refs in frame:
+                yield SampleStore(latents, embeddings, seed=head[3], refs=refs)
+
+    stream = blocks()
+    return StoreStream(count=next(stream), blocks=stream)
+
+
+def read_store(path: str | os.PathLike) -> SampleStore:
+    """Load a store: every record its header counts, or ``TruncatedStoreError``."""
+    (store,) = stream_store(path)
+    return store

@@ -28,7 +28,15 @@ from bbgc.source import (
     pack_frame,
     unpack_frame,
 )
-from bbgc.store import HEADER, MAGIC, VERSION, latents_disjoint, read_store, record_dtype
+from bbgc.store import (
+    HEADER,
+    MAGIC,
+    VERSION,
+    latents_disjoint,
+    read_store,
+    record_dtype,
+    write_store,
+)
 
 SPEC = {
     "kind": "synthetic",
@@ -789,6 +797,17 @@ def test_store_import_loads_no_analysis_modules():
     assert out.stdout.strip() == "[]"
 
 
+def _probe(code: str, *args: str) -> int:
+    """The last number that ``code`` prints, run with ``args`` in a fresh
+    interpreter.  Linux starts a child's ru_maxrss at its parent's peak RSS,
+    so the probe runs as the child of a small launcher, not of this process."""
+    launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-W", "ignore",
+                          "-c", code, *args], env=_child_env(), check=True,
+                         capture_output=True, text=True, timeout=300)
+    return int(out.stdout.split()[-1])
+
+
 # Run in a fresh interpreter: sample, diagnose and find-modes at embed 128,
 # printing the growth of ru_maxrss (KiB on Linux) over the import.
 _MEMORY_PROBE = """
@@ -825,14 +844,52 @@ def test_pipeline_memory_grows_by_a_few_float32_pools(tmp_path):
         "embed_dim": DETECTION["embed_dim"],
         "parameters": {"argv": [sys.executable, "-m", "bbgc", "worker",
                                 "--source", str(synthetic)]}}))
-    env = _child_env()
-    out = subprocess.run([sys.executable, "-W", "ignore", "-c", _MEMORY_PROBE, str(spec),
-                          str(tmp_path), str(pool)],
-                         env=env, check=True, capture_output=True, text=True, timeout=300)
-    growth = int(out.stdout.split()[-1])
+    growth = _probe(_MEMORY_PROBE, str(spec), str(tmp_path), str(pool))
     pool_float32 = pool * DETECTION["embed_dim"] * 4
-    # measured 1.75 to 1.83 pools; with float64 embeddings in memory, 3.0 to 3.6
-    assert growth < 2.25 * pool_float32, growth / pool_float32
+    # measured 1.60 to 1.61 pools, now that diagnose and find-modes stream the
+    # pool; 2.21 when each read the whole store (both from the launcher)
+    assert growth < 1.9 * pool_float32, growth / pool_float32
+
+
+# Run in a fresh interpreter: diagnose and find-modes over the stores given,
+# printing the growth of ru_maxrss over the import.
+_ANALYSIS_PROBE = """
+import contextlib, io, resource, sys
+import bbgc.cli
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+base = peak()
+anchors, pool, out = sys.argv[1:4]
+for argv in (["diagnose", "--anchors", anchors, "--pool", pool, "--curve-sizes", "100,1000",
+              "--out", out + "/r.json"],
+             ["find-modes", "--anchors", anchors, "--pool", pool, "--out", out + "/m.json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bbgc.cli.main(argv) == 0, argv
+print(peak() - base)
+"""
+
+
+def test_diagnose_and_find_modes_memory_does_not_grow_with_the_pool(tmp_path):
+    # each scans its pool store block by block as it reads it, so a pool
+    # twice as large needs no more memory: only anchors, one block and the
+    # scan's fixed buffers are held
+    from configs import DETECTION, spec_dict
+    n = 20_000
+    spec = tmp_path / "source.json"
+    spec.write_text(json.dumps(spec_dict(DETECTION, 7)))
+    for argv in (["sample", "--source", str(spec), "--n", "300", "--role", "anchors",
+                  "--out", str(tmp_path / "a")],
+                 ["sample", "--source", str(spec), "--n", str(2 * n),
+                  "--out", str(tmp_path / "p2")]):
+        assert main(argv) == 0, argv
+    st = read_store(tmp_path / "p2")
+    write_store(tmp_path / "p1", st.latents[:n], st.embeddings[:n], seed=0)
+    small, large = (_probe(_ANALYSIS_PROBE, str(tmp_path / "a"), str(tmp_path / name),
+                           str(tmp_path)) for name in ("p1", "p2"))
+    pool_float32 = n * DETECTION["embed_dim"] * 4   # of the rows the larger pool adds
+    # measured 0.02 to 0.04 of them, each probe about 18 MiB over the import;
+    # 1.23 when each command read its whole pool store
+    assert large - small < 0.25 * pool_float32, (small, large)
 
 
 _CALIBRATE_PROBE = """
@@ -1085,6 +1142,68 @@ def test_store_on_a_pipe_that_ends_early_exits_3(pipeline, tmp_path):
     assert run.stderr.startswith("error: /dev/fd/")
     assert run.stderr.endswith(": header promises 2500 records, only 1000 complete\n")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def wide_pool(pipeline, tmp_path_factory):
+    """A pool store of more rows than one scan tile, so a stream of it has two blocks."""
+    path = tmp_path_factory.mktemp("wide") / "pool.bbgc"
+    assert main(["sample", "--source", str(pipeline["spec"]), "--n", "9000",
+                 "--role", "pool", "--seed", "3", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("after", ["hold", "more"])
+def test_diagnose_reads_a_pool_on_a_pipe_once(pipeline, wide_pool, tmp_path, after):
+    # the report's curves come from the one pass of the scan, so a pool on a
+    # pipe gives the report of its file, and no byte past its last record is read
+    def argv(pool, out):
+        return ["diagnose", "--anchors", str(pipeline["anchors"]), "--pool", pool,
+                "--curve-sizes", "10,80,9000", "--seed", "3", "--out", str(out)]
+
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    assert main(argv(str(wide_pool), want)) == 0
+    run = _run_on_a_pipe(wide_pool.read_bytes(), after, lambda path: argv(path, got))
+    assert run.returncode == 0, run.stderr[-400:]
+    assert got.read_bytes() == want.read_bytes()
+
+
+def _fault_in_the_last_block(fault: str, pipeline, path) -> tuple[str, str]:
+    """A copy of the pipeline's pool at ``path`` with ``fault`` in its last
+    1000-row block, and the message that reports it."""
+    st = read_store(pipeline["pool"])
+    rec = record_dtype(st.latent_dim, st.embed_dim)
+    blob = bytearray(pipeline["pool"].read_bytes())
+    if fault == "truncated":
+        path.write_bytes(bytes(blob[:HEADER.size + 2300 * rec.itemsize + 9]))
+        return str(path), "header promises 2500 records, only 2300 complete"
+    if fault == "non-unit":
+        at = HEADER.size + 2400 * rec.itemsize + rec.fields["embedding"][1]
+        blob[at:at + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        return str(path), "embedding 2400 has norm nan, not 1"
+    at = HEADER.size + 2450 * rec.itemsize   # row 2450's latent becomes anchor 9's
+    blob[at:at + 4 * st.latent_dim] = read_store(pipeline["anchors"]).latents[9].astype(
+        "<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    return None, "anchor latents appear in the pool"
+
+
+@pytest.mark.parametrize("fault", ["truncated", "non-unit", "anchor latent"])
+@pytest.mark.parametrize("command", ["diagnose", "find-modes"])
+def test_a_fault_in_the_last_pool_block_exits_3_with_no_output(pipeline, tmp_path, capsys,
+                                                                monkeypatch, command, fault):
+    # blocks of 1000 rows: each fault shows only after two blocks were scanned,
+    # and is reported as it was when the pool was read whole before its scan
+    import bbgc.cli
+    monkeypatch.setattr(bbgc.cli, "TILE_COLS", 1000)
+    where, message = _fault_in_the_last_block(fault, pipeline, tmp_path / "pool.bbgc")
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main([*_analysis_argv(command, pipeline, pipeline["anchors"], tmp_path / "pool.bbgc"),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {where + ': ' if where else ''}{message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["gmm", "is"])

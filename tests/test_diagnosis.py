@@ -333,9 +333,9 @@ def test_build_report_scans_once_and_checks_disjointness_once(monkeypatch):
     real_scan, real_disjoint = E.scan, D.latents_disjoint
     shapes, disjoint_calls = [], []
 
-    def counting_scan(anchors, pool, theta, radius):
+    def counting_scan(anchors, pool, theta, radius, **options):
         shapes.append((len(anchors), len(pool)))
-        return real_scan(anchors, pool, theta, radius)
+        return real_scan(anchors, pool, theta, radius, **options)
 
     def counting_disjoint(x, y):
         disjoint_calls.append(1)
@@ -366,3 +366,65 @@ def test_report_of_float32_stores_equals_report_of_their_upcast(tmp_path):
     sizes = [2, 10, 60, 500, 3000]
     assert dumps(build_report(a32, p32, 0.3, 0.25, k=5, curve_sizes=sizes, seed=4)) \
         == dumps(build_report(a64, p64, 0.3, 0.25, k=5, curve_sizes=sizes, seed=4))
+
+
+def row_dots_curve(anchor, pool, sizes, theta, seed):
+    """The mccs_single points by the row_dots formulation, the reference for
+    the curve that the scan keeps: row_dots of every pool row, shuffled, then cut."""
+    from bbgc.embedding import near_terms, row_dots
+    dots = row_dots(pool.embeddings, np.ascontiguousarray(anchor, dtype=np.float64))
+    near, terms = near_terms(dots[shuffle_perm(pool.count, seed)], theta)
+    sims = np.zeros(pool.count)
+    sims[near] = terms / math.expm1(theta)
+    csum = np.cumsum(sims)
+    return tuple((s, mccs_of_mean(min(1.0, csum[s - 1] / s))) for s in sizes)
+
+
+def test_scan_kept_mccs_single_curve_equals_the_row_dots_formulation(tmp_path):
+    from bbgc.store import read_store, write_store
+    center = normalize_rows(np.random.default_rng(50).normal(size=(1, 16)))[0]
+    anchors = planted_store(40, 16, 51, center, 0.2)
+    pool = planted_store(3000, 16, 52, center, 0.05)
+    write_store(tmp_path / "p", pool.latents, pool.embeddings, seed=0)
+    sizes = [10, 300, 3000]
+    for p in (pool, read_store(tmp_path / "p")):   # float64, then float32 views
+        for row in (0, 13, 39):
+            curve = convergence_curve("mccs_single", p, sizes, 0.3, seed=8,
+                                      anchor_embedding=anchors.embeddings[row])
+            assert curve.points == row_dots_curve(anchors.embeddings[row], p, sizes, 0.3, 8)
+        report = build_report(anchors, p, 0.3, 0.25, curve_sizes=sizes, seed=8)
+        worst = anchors.embeddings[report["worst_mode"]["anchor_index"]]
+        assert [tuple(pt) for pt in report["curves"][0]["points"]] == \
+            list(row_dots_curve(worst, p, sizes, 0.3, 8))
+
+
+@pytest.mark.parametrize("rows", [997, 8193])
+def test_a_pool_streamed_in_blocks_gives_the_reports_of_the_whole_store(tmp_path, rows):
+    # the scan, the disjointness test and the curves' rows take each block
+    # as it passes; a report, a mode list and each fault are those of the store
+    from bbgc.store import read_store, stream_store, write_store
+    center = normalize_rows(np.random.default_rng(60).normal(size=(1, 16)))[0]
+    anchors = planted_store(300, 16, 61, center, 0.1)
+    pool = planted_store(9000, 16, 62, center, 0.05)
+    path = tmp_path / "p"
+    write_store(path, pool.latents, pool.embeddings, seed=0)
+    sizes = [2, 50, 300, 9000]
+    want = dumps(build_report(anchors, read_store(path), 0.3, 0.25, k=7,
+                              curve_sizes=sizes, seed=3))
+    assert dumps(build_report(anchors, stream_store(path, rows), 0.3, 0.25, k=7,
+                              curve_sizes=sizes, seed=3)) == want
+    assert top_k_modes(anchors, stream_store(path, rows), 0.25, k=7) == \
+        top_k_modes(anchors, read_store(path), 0.25, k=7)
+    check_disjoint(anchors, stream_store(path, rows))
+    # an anchor latent in the last block
+    shared = pool.latents.copy()
+    shared[-2] = anchors.latents[5].astype(np.float32)
+    write_store(path, shared, pool.embeddings, seed=0)
+    lat32 = SampleStore(anchors.latents.astype(np.float32).astype(np.float64),
+                        anchors.embeddings, 0)
+    for run in (lambda p: build_report(lat32, p, 0.3, 0.25, curve_sizes=sizes),
+                lambda p: top_k_modes(lat32, p, 0.25), lambda p: check_disjoint(lat32, p)):
+        with pytest.raises(OverlappingCollectionsError):
+            run(stream_store(path, rows))
+    with pytest.raises(TooFewAnchorsError):
+        build_report(make_store(1, 16, 63), stream_store(path, rows), 0.3, 0.25)

@@ -320,6 +320,42 @@ def test_row_dots_of_a_wide_matrix_copy_one_block():
     assert non_unit_row(m) is None and row_dots(m).tobytes() == np.ones(2048).tobytes()
 
 
+def blocks_of(rows, k, norms=False):
+    """``rows`` as an iterator of blocks of ``k`` rows, each with its squared norms if ``norms``."""
+    from bbgc.embedding import row_dots
+    return ((b, row_dots(b)) if norms else b
+            for b in (rows[i:i + k] for i in range(0, len(rows), k)))
+
+
+@pytest.mark.parametrize("k,read", [(1, True), (7, False), (7, True), (8193, False), (8193, True)])
+def test_scan_of_a_pool_in_blocks_equals_the_scan_of_one_block(k, read):
+    # blocks set tiles and screens only: each row's terms still meet in
+    # column order, whatever the block sizes and whoever took the norms;
+    # ``read`` feeds float32 blocks with their norms, as a store stream does
+    a, b = dense_rows()
+    b = np.vstack([b, unit_rows(6_000, 8, 13)])   # 9000 rows: two tiles, and 8193 + 807
+    pool = b.astype(np.float32) if read else b
+    want = scan(a, pool, 0.3, 0.25, near=True)
+    got = scan(a, blocks_of(pool, k, norms=read), 0.3, 0.25, near=True)
+    assert [w.tobytes() for w in want] == [g.tobytes() for g in got]
+    for r in (0, 39, 149):
+        assert [w.tobytes() for w in want.near(r)] == [g.tobytes() for g in got.near(r)]
+
+
+def test_scan_keeps_each_rows_near_columns_with_their_row_dots_terms():
+    # the terms near() returns are those of row_dots, the formulation that
+    # the mccs_single curve took before the scan kept them
+    from bbgc.embedding import near_terms, row_dots
+    a, b = dense_rows()
+    for pool in (b, b.astype(np.float32)):
+        result = scan(a, pool, 0.3, None, near=True)
+        for r, x in enumerate(a):
+            near, terms = near_terms(row_dots(pool, x), 0.3)
+            cols, got = result.near(r)
+            assert cols.tolist() == np.flatnonzero(near).tolist()
+            assert got.tobytes() == terms.tobytes()
+
+
 def test_scan_empty_anchor_set():
     counts, sims = scan(np.empty((0, 4)), unit_rows(5, 4, 10), 0.3, 0.25)
     assert counts.shape == sims.shape == (0,)

@@ -28,11 +28,14 @@ from bbgc.store import (
     SampleStore,
     StoreWriter,
     export_table,
+    frame_blocks,
+    hash_rows,
     latents_disjoint,
     pack_header,
     pack_records,
     read_frame,
     read_store,
+    stream_store,
     write_store,
 )
 
@@ -506,6 +509,59 @@ def test_latents_disjoint():
     shared = np.vstack([b, a[17]])
     assert not latents_disjoint(a, shared)
     assert latents_disjoint(np.empty((0, 4)), b)
+    # hashed once, a set gives the same verdicts against many blocks
+    hashed = hash_rows(a)
+    assert latents_disjoint(hashed, b) and not latents_disjoint(hashed, shared)
+    assert latents_disjoint(hash_rows(np.empty((0, 4))), b)
+
+
+def block_refs(n):
+    """Refs for ``n`` records: most empty, some long enough that a block
+    with one outgrows the buffer that the first block sized."""
+    return [b"r" * (i % 5) if i % 11 == 0 else b"z" * 70_000 if i == n - 3 else b""
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("refs", [False, True])
+@pytest.mark.parametrize("rows", [1, 7, 8193])
+def test_a_store_read_in_blocks_equals_the_store_read_whole(tmp_path, rows, refs):
+    n = 9000
+    lat, emb = make_data(n, 3, 5, seed=8)
+    path = tmp_path / "s.bbgc"
+    write_store(path, lat, emb, seed=5, refs=block_refs(n) if refs else None)
+    whole = read_store(path)
+    stream = stream_store(path, rows)
+    assert stream.count == n
+    # each block's embeddings view the buffer that the next block reuses
+    blocks = [(b.latents, b.embeddings.copy(), b.refs, b.seed) for b in stream]
+    assert [len(b[0]) for b in blocks] == [min(rows, n - lo) for lo in range(0, n, rows)]
+    assert np.vstack([b[0] for b in blocks]).tobytes() == whole.latents.tobytes()
+    assert np.vstack([b[1] for b in blocks]).tobytes() == whole.embeddings.tobytes()
+    assert [r for b in blocks for r in (b[2] or [b""] * len(b[0]))] == \
+        [whole.ref(i) for i in range(n)]
+    assert {b[3] for b in blocks} == {5}
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8193])
+def test_frame_blocks_read_a_stream_up_to_its_last_record(rows):
+    # in uneven pieces, each block stops at its own last record, and a cut
+    # in a later block reports every record that came before it
+    n = 9000
+    lat, emb = make_data(n, 3, 5, seed=9)
+    body = pack_records(lat, emb, block_refs(n))
+    frame = pack_header(3, 5, n, seed=4) + body
+    stream = Stream(frame + b"trailing", range(5, len(frame), 4999))
+    blocks = frame_blocks(stream.readinto, lambda *dims: None, Cut, rows=rows)
+    assert next(blocks) == (3, 5, n, 4)
+    got = [b[1].copy() for b in blocks]
+    assert stream.pos == len(frame)
+    assert np.vstack(got).tobytes() == emb.astype(np.float32).tobytes()
+    cut = Stream(frame[:-100])
+    blocks = frame_blocks(cut.readinto, lambda *dims: None, Cut, rows=rows)
+    with pytest.raises(Cut) as err:
+        for _ in blocks:
+            pass
+    assert err.value.args[0] == (n - 3, n)   # the long ref's record is the one cut
 
 
 def test_export_table_csv(tmp_path):
