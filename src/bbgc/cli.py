@@ -280,28 +280,43 @@ def cmd_evaluate(args, parser) -> int:
 
     seed_a = derive_seed(args.seed, _AFTER_ANCHORS_SALT)
     seed_c = derive_seed(args.seed, _AFTER_POOL_SALT)
-    acceptance = None
+    acceptance = {}
+
+    def diagnose(anchor_lat, anchor_seed, pool_lat, pool_seed) -> dict:
+        """One phase's report from its anchor latents, embedded whole, and its
+        pool's latent blocks, each drawn and embedded as the scan asks for it,
+        so the phase holds its anchors and one pool block."""
+        def store(lat, seed):
+            return stores.SampleStore(lat, sources.generate(src, lat)[0], seed=seed)
+        pool = stores.StoreStream(args.pool, (store(lat, pool_seed) for lat in pool_lat))
+        return diagnosis.build_report(store(anchor_lat, anchor_seed), pool, args.theta,
+                                      args.radius, k=args.k, seed=args.seed)
+
+    def batches(draw):
+        """``draw(rows, start)`` for each generate batch of the pool, in order."""
+        step = sources.generate_batch(src)
+        for lo in range(0, args.pool, step):
+            yield draw(min(step, args.pool - lo), lo)
+
+    def accepted_blocks():
+        stats = yield from importance.calibrated_is_blocks(model, args.pool, seed_c)
+        acceptance["pool"] = dataclasses.asdict(stats)
+
+    # the pools are generators, which draw their blocks once the source is open
     if kind == "mixture":
         after_a_lat = gmm.sample_calibrated(model, args.anchors, seed_a)
-        after_c_lat = gmm.sample_calibrated(model, args.pool, seed_c)
+        after_c_lat = batches(lambda rows, lo: gmm.sample_calibrated(model, rows, seed_c, start=lo))
     else:
         after_a_lat, stats_a = importance.sample_calibrated_is(model, args.anchors, seed_a)
-        after_c_lat, stats_c = importance.sample_calibrated_is(model, args.pool, seed_c)
-        acceptance = {"anchors": dataclasses.asdict(stats_a), "pool": dataclasses.asdict(stats_c)}
-
-    def diagnose(anchor_lat, pool_lat, anchor_seed, pool_seed) -> dict:
-        """One phase's report; its stores are freed when it returns."""
-        anchor_st, pool_st = (stores.SampleStore(lat, sources.generate(src, lat)[0], seed=s)
-                              for lat, s in ((anchor_lat, anchor_seed), (pool_lat, pool_seed)))
-        return diagnosis.build_report(anchor_st, pool_st, args.theta, args.radius,
-                                      k=args.k, seed=args.seed)
+        acceptance["anchors"] = dataclasses.asdict(stats_a)
+        after_c_lat = accepted_blocks()
 
     with sources.open_source(spec) as src:
         before = diagnose(
             sources.sample_latents(args.anchors, spec.latent_dim, args.seed, STREAM_EVAL_ANCHORS),
-            sources.sample_latents(args.pool, spec.latent_dim, args.seed, STREAM_EVAL_POOL),
-            args.seed, args.seed)
-        after = diagnose(after_a_lat, after_c_lat, seed_a, seed_c)
+            args.seed, batches(lambda rows, lo: sources.sample_latents(
+                rows, spec.latent_dim, args.seed, STREAM_EVAL_POOL, start=lo)), args.seed)
+        after = diagnose(after_a_lat, seed_a, after_c_lat, seed_c)
     before_count = before["worst_mode"]["neighbor_count"]
     after_count = after["worst_mode"]["neighbor_count"]
     deltas = {
@@ -312,7 +327,7 @@ def cmd_evaluate(args, parser) -> int:
     }
     doc = {"schema": 1, "model_kind": kind, "before": before, "after": after,
            "deltas": deltas}
-    if acceptance is not None:
+    if acceptance:
         doc["acceptance"] = acceptance
     write_json(args.out, doc)
     table_paths = _write_tables(doc, _out_prefix(args.out))

@@ -285,11 +285,13 @@ def scan(anchors: np.ndarray, pool, theta: float | None,
     # every tile's float32 block and its screen mask reuse one buffer each,
     # and a float64 operand is cast into one buffer an anchor chunk or a pool
     # tile at a time; a float32 one, strided view included, is used as it
-    # is.  The tile buffers are made at the first tile and remade only for a
-    # wider one, so the widest tile sizes them.
-    k = min(chunk, m)
+    # is.  The buffers are sized once for the widest tile there can be, so
+    # blocks of changing sizes make no new ones; pages never written are
+    # never resident.
+    k, cols = min(chunk, m), min(width, TILE_COLS)
     anchor_buf = None if anchors.dtype == np.float32 else np.empty((k, d), np.float32)
-    block_buf = mask_buf = tile_buf = None
+    block_buf, mask_buf = (np.empty(k * cols, dtype=t) for t in (np.float32, bool))
+    tile_buf = None
     counts = None if cos_r is None else np.zeros(m, dtype=np.int64)
     found = [[] for _ in chunks]   # per chunk: each tile's (terms, columns, row ends)
     for rows, sq in _blocks(pool):
@@ -303,10 +305,8 @@ def scan(anchors: np.ndarray, pool, theta: float | None,
                                  else sq[c0:c0 + TILE_COLS], initial=0.0)) for c0 in starts]
         for c0, p_max in zip(starts, pmax):
             tile = rows[c0:c0 + TILE_COLS]
-            if block_buf is None or len(tile) * k > len(block_buf):
-                block_buf, mask_buf = (np.empty(len(tile) * k, dtype=t) for t in (np.float32, bool))
-            if tile.dtype != np.float32 and (tile_buf is None or len(tile_buf) < len(tile)):
-                tile_buf = np.empty((len(tile), d), dtype=np.float32)
+            if tile.dtype != np.float32 and tile_buf is None:
+                tile_buf = np.empty((cols, d), dtype=np.float32)
             tile32 = _float32(tile, tile_buf)
             for (lo, hi), a_max, tiles in zip(chunks, amax, found):
                 size = (hi - lo) * len(tile)

@@ -284,8 +284,11 @@ def sample_calibrated(model: MixtureModel, n: int, seed: int, start: int = 0) ->
     u = CounterStream(seed, STREAM_GMM_COMPONENT).uniforms(start, n)
     comp = np.searchsorted(cum, u, side="right")
     comp = np.minimum(comp, model.k - 1)
-    noise = CounterStream(seed, STREAM_GMM_NOISE).normal_rows(start, n, model.latent_dim)
-    return model.means[comp] + noise * np.sqrt(model.variances)[None, :]
+    out = CounterStream(seed, STREAM_GMM_NOISE).normal_rows(start, n, model.latent_dim)
+    # in place: mean + noise * sd, whose sum has the bits of noise * sd + mean
+    out *= np.sqrt(model.variances)
+    out += model.means[comp]
+    return out
 
 
 def calibrate_gmm(source, dense_modes: np.ndarray, seed: int, k: int = 64,

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import check_radius, neighbor_counts, row_dots
+from .embedding import block_rows, check_radius, neighbor_counts, row_dots
 from .errors import (
     AcceptanceStallError,
     EmptyStoreError,
@@ -299,16 +299,27 @@ def _screen(entry: PlanEntry, z: np.ndarray, znorm: np.ndarray,
     return inside, ~(outside | inside)
 
 
+def _row_norms(z: np.ndarray, rows: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
+    """``np.linalg.norm(z[rows] - center, axis=1)`` (``center`` None: 0), taken
+    a piece of rows at a time: each norm is a reduction over its own row, so
+    the bits are those of the whole call, with no temporary of the batch's size."""
+    out = np.empty(len(rows))
+    step = block_rows(len(rows), z.shape[1], piece=True)
+    for lo in range(0, len(rows), step):
+        part = z[rows[lo:lo + step]]
+        out[lo:lo + step] = np.linalg.norm(part if center is None else part - center, axis=1)
+    return out
+
+
 def _match_entries(plan: ImportanceSamplingPlan, z: np.ndarray) -> np.ndarray:
     """Per row of z, the index of the first entry whose hull contains it, else -1."""
     match = np.full(z.shape[0], -1, dtype=np.int64)
-    znorm = np.linalg.norm(z, axis=1)
+    znorm = _row_norms(z, np.arange(z.shape[0]))
     tau = _TOL * (1.0 + znorm)
     for e, entry in enumerate(plan.entries):
         rows = np.flatnonzero(match < 0)
         # every hull point lies in the bounding sphere
-        rows = rows[np.linalg.norm(z[rows] - entry.bound_center, axis=1)
-                    <= entry.bound_radius + tau[rows]]
+        rows = rows[_row_norms(z, rows, entry.bound_center) <= entry.bound_radius + tau[rows]]
         if entry.screen is not None:
             inside, undecided = _screen(entry, z[rows], znorm[rows], tau[rows])
             match[rows[inside]] = e
@@ -319,20 +330,22 @@ def _match_entries(plan: ImportanceSamplingPlan, z: np.ndarray) -> np.ndarray:
     return match
 
 
-def sample_calibrated_is(plan: ImportanceSamplingPlan, n: int,
-                         seed: int) -> tuple[np.ndarray, AcceptanceStats]:
-    """n accepted prior draws of ``plan.latent_dim`` under the plan's
-    hull-gated acceptance.
+def calibrated_is_blocks(plan: ImportanceSamplingPlan, n: int, seed: int):
+    """The first n accepted prior draws of ``plan.latent_dim`` under the plan's
+    hull-gated acceptance, as a generator: each proposal batch's accepted
+    rows, cut at n, and no empty block.  Once used up it returns the
+    :class:`AcceptanceStats` of every proposal it processed, acceptances
+    past n included.
 
-    Proposal i and its acceptance variate are both addressed by i, so
-    the accepted sequence is a pure function of (plan, seed, n).
+    Proposal i and its acceptance variate are both addressed by i, and the
+    batches are fixed, so the accepted sequence is a pure function of (plan,
+    seed, n).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p = np.array([entry.p for entry in plan.entries])
     proposals = CounterStream(seed, STREAM_IS_PROPOSAL)
     accepts = CounterStream(seed, STREAM_IS_ACCEPT)
-    kept: list[np.ndarray] = []
     total = accepted = in_hull = in_hull_accepted = 0
     limit = _MAX_PROPOSALS_PER_DRAW * n
     while accepted < n:
@@ -349,15 +362,26 @@ def sample_calibrated_is(plan: ImportanceSamplingPlan, n: int,
         keep[hit] = u[hit] <= p[match[hit]]
         in_hull += int(np.count_nonzero(hit))
         in_hull_accepted += int(np.count_nonzero(keep[hit]))
-        kept.append(z[keep])
+        kept = z[keep][:n - accepted]
         total += batch
         accepted += int(np.count_nonzero(keep))
-    out = np.concatenate(kept)[:n]
-    # stats cover every processed proposal, including acceptances past n
-    return out, AcceptanceStats(
+        if len(kept):
+            yield kept
+    return AcceptanceStats(
         proposals=total, accepted=accepted, in_hull=in_hull,
         in_hull_accepted=in_hull_accepted, outside_hull=total - in_hull,
         outside_accepted=accepted - in_hull_accepted)
+
+
+def sample_calibrated_is(plan: ImportanceSamplingPlan, n: int,
+                         seed: int) -> tuple[np.ndarray, AcceptanceStats]:
+    """The rows of :func:`calibrated_is_blocks` in one array, and its stats."""
+    kept, blocks = [], calibrated_is_blocks(plan, n, seed)
+    while True:
+        try:
+            kept.append(next(blocks))
+        except StopIteration as done:
+            return np.concatenate(kept), done.value
 
 
 def save_plan(path: str, plan: ImportanceSamplingPlan,

@@ -304,34 +304,61 @@ def export_table(st: SampleStore, path: str | os.PathLike, fmt: str = "csv",
 
 
 class HashedLatents(NamedTuple):
-    """Latent rows as contiguous float64 and their row hashes, taken once
-    where one set is tested against many."""
+    """Latent rows as float64 with their row hashes in ascending order, and
+    the row of each hash, taken once where one set is tested against many."""
 
     rows: np.ndarray
     hashes: np.ndarray
+    order: np.ndarray
+
+
+def _row_hashes(rows: np.ndarray) -> np.ndarray:
+    """Each float64 row's 64-bit hash: the sum mod 2**64 of ``splitmix64``
+    of each value's bits xored with a key of its column.
+
+    The pass runs over contiguous pieces of rows, and takes a strided view
+    as it is.  A piece is an eighth of ``embedding.PIECE_BYTES``: a pool
+    block is tested while the scan's buffers and the block's reader are
+    alive, and its two uint64 temporaries would otherwise raise that peak.
+    """
+    from .embedding import block_rows
+    from .rng import splitmix64
+    keys = splitmix64(np.arange(rows.shape[1], dtype=np.uint64))
+    hashes = np.empty(len(rows), np.uint64)
+    step = block_rows(len(rows), 8 * rows.shape[1], piece=True)
+    for lo in range(0, len(rows), step):
+        mixed = np.bitwise_xor(np.ascontiguousarray(rows[lo:lo + step]).view(np.uint64), keys)
+        np.sum(splitmix64(mixed, mixed), axis=1, out=hashes[lo:lo + step])
+    return hashes
 
 
 def hash_rows(latents: np.ndarray) -> HashedLatents:
-    from .rng import hash_latents
-    rows = np.ascontiguousarray(latents, dtype=np.float64)
-    return HashedLatents(rows, hash_latents(0, rows))
+    """``latents`` hashed and sorted by hash once, for :func:`latents_disjoint`."""
+    rows = np.asarray(latents, dtype=np.float64)
+    hashes = _row_hashes(rows)
+    order = np.argsort(hashes)
+    return HashedLatents(rows, hashes[order], order)
 
 
 def latents_disjoint(a: np.ndarray | HashedLatents, b: np.ndarray) -> bool:
-    """True when no latent row of ``a`` equals (bitwise) a row of ``b``;
-    ``a`` may come from :func:`hash_rows`, to test many ``b`` against it.
+    """True when no latent row of ``a`` equals (bitwise, as float64) a row
+    of ``b``; ``a`` may come from :func:`hash_rows`, to test many ``b``
+    against it.
 
-    Row hashes prefilter; only hash collisions pay for an exact compare.
+    Row hashes prefilter: each of ``b``'s is looked up among ``a``'s sorted
+    ones, and only hash collisions pay for an exact compare.
     """
     a = a if isinstance(a, HashedLatents) else hash_rows(a)
-    b = hash_rows(b)
-    if a.rows.size == 0 or b.rows.size == 0:
+    b = np.asarray(b, dtype=np.float64)
+    if a.rows.size == 0 or b.size == 0:
         return True
-    shared = np.intersect1d(a.hashes, b.hashes)
-    if shared.size == 0:
+    hashes = _row_hashes(b)
+    hit = a.hashes[np.minimum(np.searchsorted(a.hashes, hashes), len(a.hashes) - 1)] == hashes
+    if not hit.any():
         return True
-    seen = {r.tobytes() for r in b.rows[np.isin(b.hashes, shared)]}
-    return not any(r.tobytes() in seen for r in a.rows[np.isin(a.hashes, shared)])
+    seen = {r.tobytes() for r in b[hit]}
+    return not any(r.tobytes() in seen
+                   for r in a.rows[a.order[np.isin(a.hashes, hashes[hit])]])
 
 
 _READ_PIECE = 1 << 20   # bytes per read, at most

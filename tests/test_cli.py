@@ -1,6 +1,7 @@
 """End-to-end command-line pipelines and exit-code contracts."""
 
 import builtins
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,23 +16,41 @@ import numpy as np
 import pytest
 
 import bbgc
+from bbgc import diagnosis
 from bbgc.cli import _pick_reference, main
 from bbgc.errors import SourceUnavailableError
-from bbgc.gmm import calibrate_gmm, load_mixture
-from bbgc.importance import build_plan, save_plan
+from bbgc.gmm import calibrate_gmm, load_mixture, sample_calibrated
+from bbgc.importance import (
+    ImportanceSamplingPlan,
+    _finish_entry,
+    build_plan,
+    load_plan,
+    sample_calibrated_is,
+    save_plan,
+)
 from bbgc.jsonutil import read_json
-from bbgc.rng import STREAM_ANCHORS, STREAM_POOL, CounterStream
+from bbgc.rng import (
+    STREAM_ANCHORS,
+    STREAM_EVAL_ANCHORS,
+    STREAM_EVAL_POOL,
+    STREAM_POOL,
+    CounterStream,
+    derive_seed,
+)
 from bbgc.source import (
     SubprocessSource,
     SyntheticSource,
     build_synthetic_model,
     pack_frame,
+    sample_latents,
     unpack_frame,
 )
 from bbgc.store import (
     HEADER,
     MAGIC,
     VERSION,
+    SampleStore,
+    StoreStream,
     latents_disjoint,
     read_store,
     record_dtype,
@@ -254,6 +273,120 @@ def test_evaluate_frees_the_before_phase_before_the_after_phase_embeds(
     assert main(["evaluate", "--source", str(pipeline["spec"]), "--model", str(model),
                  "--anchors", "20", "--pool", "200", "--out", str(tmp_path / "e.json")]) == 0
     assert len(made) == 4 and alive == [False, False]
+
+
+@pytest.fixture(scope="module")
+def models(pipeline, tmp_path_factory):
+    """A mixture and a plan calibrated from the shared stores and report."""
+    root = tmp_path_factory.mktemp("models")
+    paths = {"gmm": root / "mixture.json", "is": root / "plan.json"}
+    flags = {"gmm": ["--source", str(pipeline["spec"]), "--kmeans-k", "8", "--n-fit", "2000"],
+             "is": ["--pool", str(pipeline["pool"]), "--hull-size", "40"]}
+    for method, path in paths.items():
+        assert main(["calibrate", method, *flags[method], "--anchors", str(pipeline["anchors"]),
+                     "--report", str(pipeline["report"]), "--seed", "5",
+                     "--out", str(path)]) == 0
+    return paths
+
+
+@pytest.mark.filterwarnings("ignore:no anchor has any neighbor")
+@pytest.mark.parametrize("method", ["gmm", "is"])
+def test_block_fed_evaluate_gives_the_reports_of_whole_pools(pipeline, models, tmp_path,
+                                                             monkeypatch, method):
+    # each phase's pool is drawn, embedded and scanned one generate batch (8192
+    # rows here), or one proposal batch's acceptances, at a time; its report is
+    # build_report's over the whole pool drawn and embedded in one piece
+    import bbgc.cli as cli
+    real_report, real_generate = diagnosis.build_report, bbgc.source.generate
+    reports, rows = [], []
+
+    def report(anchors, pool, *args, **kwargs):
+        assert isinstance(pool, StoreStream)
+        reports.append(real_report(anchors, pool, *args, **kwargs))
+        return reports[-1]
+
+    def generate(src, latents):
+        rows.append(len(latents))
+        return real_generate(src, latents)
+
+    monkeypatch.setattr(diagnosis, "build_report", report)
+    monkeypatch.setattr(bbgc.source, "generate", generate)
+    m, seed = 20, 4
+    seed_a = derive_seed(seed, cli._AFTER_ANCHORS_SALT)
+    seed_c = derive_seed(seed, cli._AFTER_POOL_SALT)
+    for n in (1, 8191, 8192, 8193, 2 * 8192 + 1):
+        reports.clear(), rows.clear()
+        out = tmp_path / f"eval{n}.json"
+        assert main(["evaluate", "--source", str(pipeline["spec"]),
+                     "--model", str(models[method]), "--anchors", str(m), "--pool", str(n),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        assert sum(rows) == 2 * (m + n) and max(rows) <= max(m, 8192)
+        before = [sample_latents(count, 2, seed, stream)
+                  for count, stream in ((m, STREAM_EVAL_ANCHORS), (n, STREAM_EVAL_POOL))]
+        if method == "gmm":
+            mixture = load_mixture(str(models[method]))
+            after = [sample_calibrated(mixture, count, s) for count, s in ((m, seed_a), (n, seed_c))]
+        else:
+            plan = load_plan(str(models[method]))
+            (a, stats_a), (c, stats_c) = (sample_calibrated_is(plan, count, s)
+                                          for count, s in ((m, seed_a), (n, seed_c)))
+            after = [a, c]
+            assert read_json(str(out))["acceptance"] == {
+                "anchors": dataclasses.asdict(stats_a), "pool": dataclasses.asdict(stats_c)}
+        with SyntheticSource(build_synthetic_model(2, 16, 11, **SPEC["parameters"])) as src:
+            want = [real_report(*(SampleStore(lat, real_generate(src, lat)[0], seed=s)
+                                  for lat, s in zip(phase, seeds)), 0.3, 0.25, k=24, seed=seed)
+                    for phase, seeds in ((before, (seed, seed)), (after, (seed_a, seed_c)))]
+        assert reports == want, n
+
+
+def test_a_plan_that_stalls_in_the_after_pool_exits_4_with_no_output(pipeline, tmp_path,
+                                                                      capsys):
+    # p = 0.0009 under a hull that holds the whole prior: the after phase's 2
+    # anchors are accepted, its pool of 200 stalls after 25 scanned batches
+    box = np.array([[-50.0, -50.0], [50.0, -50.0], [-50.0, 50.0], [50.0, 50.0]])
+    plan = ImportanceSamplingPlan(
+        entries=(_finish_entry(0.0009, box, 10, 5, 0),), reference_index=0,
+        reference_latent=np.zeros(2), reference_embedding=np.eye(16)[0], r0=0.25, hull_size=4)
+    save_plan(str(tmp_path / "plan.json"), plan)
+    out = tmp_path / "eval.json"
+    capsys.readouterr()
+    assert main(["evaluate", "--source", str(pipeline["spec"]),
+                 "--model", str(tmp_path / "plan.json"), "--anchors", "2", "--pool", "200",
+                 "--seed", "1", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: 162 acceptances after 200000 proposals; "
+        "the plan's acceptance probabilities look misconfigured\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
+
+def test_a_source_failing_in_the_after_phase_exits_5_with_no_output(pipeline, models,
+                                                                     tmp_path, capsys):
+    # the child serves five requests, one per generate call: the before phase's
+    # anchors and two pool blocks, the after phase's anchors and first pool
+    # block; it closes its stdout on the sixth, the after phase's last block
+    child = ("import os, sys\n"
+             "from bbgc.source import load_source_spec, open_source, run_worker\n"
+             f"src = open_source(load_source_spec({str(pipeline['spec'])!r}))\n"
+             "embed, calls = src.embed, []\n"
+             "def embed_five(latents):\n"
+             "    calls.append(len(latents))\n"
+             "    if len(calls) > 5:\n"
+             "        os._exit(0)\n"
+             "    return embed(latents)\n"
+             "src.embed = embed_five\n"
+             "run_worker(src, sys.stdin.buffer, sys.stdout.buffer)\n")
+    spec = tmp_path / "child.json"
+    spec.write_text(json.dumps({
+        "kind": "subprocess", "latent_dim": 2, "embed_dim": 16,
+        "parameters": {"argv": [sys.executable, "-c", child], "batch": 8192, "timeout": 60}}))
+    out = tmp_path / "eval.json"
+    capsys.readouterr()
+    assert main(["evaluate", "--source", str(spec), "--model", str(models["gmm"]),
+                 "--anchors", "20", "--pool", "8292", "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "closed its stdout" in err and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["child.json"]
 
 
 def test_report_regenerates_tables(pipeline, tmp_path):
@@ -890,6 +1023,42 @@ def test_diagnose_and_find_modes_memory_does_not_grow_with_the_pool(tmp_path):
     # measured 0.02 to 0.04 of them, each probe about 18 MiB over the import;
     # 1.23 when each command read its whole pool store
     assert large - small < 0.25 * pool_float32, (small, large)
+
+
+# Run in a fresh interpreter: evaluate with the flags given, in blocks of
+# 1024 rows, printing the growth of ru_maxrss over the import and the scipy
+# modules that a plan loads.
+_EVALUATE_PROBE = """
+import contextlib, io, resource, sys
+import bbgc.cli, bbgc.importance, bbgc.source, scipy.optimize, scipy.spatial
+bbgc.source._GENERATE_ROWS = bbgc.importance._PROPOSAL_BATCH = 1024
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+base = peak()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert bbgc.cli.main(["evaluate", *sys.argv[1:]]) == 0
+print(peak() - base)
+"""
+
+
+@pytest.mark.parametrize("method", ["gmm", "is"])
+def test_evaluate_memory_does_not_grow_with_the_pool(models, tmp_path, method):
+    # each phase draws, embeds and scans its pool one generate batch (or one
+    # proposal batch's acceptances) at a time, so a pool twice as large needs
+    # no more memory: only the anchors, one block and the scan's buffers.
+    # The blocks are small because glibc's heap keeps one or two freed blocks
+    # resident at random: with 8192-row blocks of 8 MB that added up to half
+    # of the rows below, and with a fixed mmap threshold nothing
+    n, embed_dim = 20_000, 128
+    spec = tmp_path / "source.json"
+    spec.write_text(json.dumps(dict(SPEC, embed_dim=embed_dim)))
+    small, large = (_probe(_EVALUATE_PROBE, "--source", str(spec), "--model", str(models[method]),
+                           "--anchors", "200", "--pool", str(pool),
+                           "--out", str(tmp_path / "e.json"))
+                    for pool in (n, 2 * n))
+    pool_float64 = n * embed_dim * 8   # of the rows the larger pool adds
+    # measured -0.08 to 0.09 of them; 1.03 to 1.06 when each phase held its pool
+    assert large - small < 0.25 * pool_float64, (small, large)
 
 
 _CALIBRATE_PROBE = """

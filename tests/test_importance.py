@@ -20,6 +20,7 @@ from bbgc.importance import (
     _finish_entry,
     _match_entries,
     build_plan,
+    calibrated_is_blocks,
     hull_membership,
     load_plan,
     sample_calibrated_is,
@@ -27,7 +28,7 @@ from bbgc.importance import (
 )
 from bbgc.embedding import normalize_rows
 from bbgc.jsonutil import encode_matrix
-from bbgc.rng import STREAM_IS_PROPOSAL, CounterStream
+from bbgc.rng import STREAM_IS_ACCEPT, STREAM_IS_PROPOSAL, CounterStream
 from bbgc.store import SampleStore
 
 from oracles import hull_distance
@@ -358,6 +359,53 @@ def test_sampling_is_deterministic():
     assert stats_a == stats_b
     c, _ = sample_calibrated_is(plan, 500, seed=4)
     assert not np.array_equal(a, c)
+
+
+def _sample_joined(plan, n, seed):
+    """The sampler as it was before it yielded blocks: every proposal batch's
+    acceptances joined, then cut at n, with the stats of every batch."""
+    p = np.array([entry.p for entry in plan.entries])
+    proposals = CounterStream(seed, STREAM_IS_PROPOSAL)
+    accepts = CounterStream(seed, STREAM_IS_ACCEPT)
+    kept, total, accepted, in_hull, in_hull_accepted = [], 0, 0, 0, 0
+    while accepted < n:
+        batch = min(importance._PROPOSAL_BATCH, 1000 * n - total)
+        z = proposals.normal_rows(total, batch, plan.latent_dim)
+        u = accepts.uniforms(total, batch)
+        match = _match_entries(plan, z)
+        hit = match >= 0
+        keep = ~hit
+        keep[hit] = u[hit] <= p[match[hit]]
+        in_hull += int(np.count_nonzero(hit))
+        in_hull_accepted += int(np.count_nonzero(keep[hit]))
+        kept.append(z[keep])
+        total += batch
+        accepted += int(np.count_nonzero(keep))
+    return np.concatenate(kept)[:n], importance.AcceptanceStats(
+        proposals=total, accepted=accepted, in_hull=in_hull,
+        in_hull_accepted=in_hull_accepted, outside_hull=total - in_hull,
+        outside_accepted=accepted - in_hull_accepted)
+
+
+@pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 2 * 8192 + 1])
+def test_sampler_blocks_join_to_the_joined_sample_with_its_stats(n):
+    assert importance._PROPOSAL_BATCH == 8192
+    plan = box_plan(p=0.5)
+    want, want_stats = _sample_joined(plan, n, seed=5)
+    blocks, gen = [], calibrated_is_blocks(plan, n, 5)
+    while True:
+        try:
+            blocks.append(next(gen))
+        except StopIteration as done:
+            stats = done.value
+            break
+    # every proposal batch accepts rows here, so each gives one block
+    assert len(blocks) == -(-stats.proposals // 8192) and all(len(b) for b in blocks)
+    np.testing.assert_array_equal(np.concatenate(blocks), want)
+    assert stats == want_stats
+    out, out_stats = sample_calibrated_is(plan, n, seed=5)
+    np.testing.assert_array_equal(out, want)
+    assert out_stats == want_stats
 
 
 def test_sampling_stalls_on_hopeless_plan():

@@ -515,6 +515,22 @@ def test_latents_disjoint():
     assert latents_disjoint(hash_rows(np.empty((0, 4))), b)
 
 
+def test_row_hashes_tell_apart_rows_of_the_same_values():
+    # each value is mixed with its column's key before the row sum, so sign
+    # flips and swapped columns change the hash, and a strided view hashes
+    # as its copy; rows that share a hash still get the exact compare
+    base = np.array([1.5, -2.0, 0.25, 3.0])
+    rows = np.array([base, -base, base[::-1], base * [1, -1, 1, -1], [0.0, -0.0, 0.0, 0.0],
+                     np.zeros(4)])
+    hashes = hash_rows(rows).hashes
+    assert len(set(hashes.tolist())) == len(rows)
+    wide = np.random.default_rng(3).normal(size=(300, 10))
+    np.testing.assert_array_equal(hash_rows(wide[:, ::2]).hashes,
+                                  hash_rows(np.ascontiguousarray(wide[:, ::2])).hashes)
+    forged = hash_rows(wide[:1])._replace(rows=wide[1:2])   # row 0's hash, row 1's bits
+    assert latents_disjoint(forged, wide[:1])
+
+
 def block_refs(n):
     """Refs for ``n`` records: most empty, some long enough that a block
     with one outgrows the buffer that the first block sized."""
