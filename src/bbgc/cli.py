@@ -107,41 +107,33 @@ def _out_prefix(path: str) -> str:
     return path[:-5] if path.endswith(".json") else path
 
 
-def _check_unit(path: str, block: stores.SampleStore, start: int = 0) -> np.ndarray:
-    """The squared norms of a block's embeddings, once the block, whose first
-    row is row ``start`` of the store at ``path``, is fit for analysis:
-    unit-norm embeddings, as the scan assumes, and finite latents."""
-    sq = row_dots(block.embeddings)
-    bad = sources.non_unit_row(block.embeddings, sq)
-    if bad is not None:
-        row, norm = bad
-        raise NonUnitEmbeddingError(f"{path}: embedding {start + row} has norm {norm:.6f}, not 1")
-    if not np.all(np.isfinite(block.latents)):
-        raise NonFiniteError(f"{path}: latents must be finite")
-    return sq
-
-
-def _read_unit_store(path: str) -> stores.SampleStore:
-    """A whole store for analysis, checked as :func:`_check_unit` says."""
-    st = stores.read_store(path)
-    _check_unit(path, st)
-    return st
-
-
-def _stream_unit_store(path: str) -> stores.StoreStream:
-    """A pool store for the scan, read and checked one scan tile of rows at a
-    time as the scan asks for it, so a pool on a pipe is read once.  Each
-    block keeps the squared norms of its check for the scan's screen."""
-    pool = stores.stream_store(path, TILE_COLS)
+def _unit_store(path: str, rows: int | None = None) -> stores.StoreStream:
+    """The store at ``path`` for analysis, read in blocks of ``rows`` records
+    (one block when None) as they are asked for, so a pool on a pipe is read
+    once.  Each block is checked as it is read, unit-norm embeddings as the
+    scan assumes and finite latents, and keeps its squared norms for the scan."""
+    st = stores.stream_store(path, rows)
 
     def blocks():
         start = 0
-        for block in pool:
-            block.sq_norms = _check_unit(path, block, start)
+        for block in st:
+            block.sq_norms = row_dots(block.embeddings)
+            bad = sources.non_unit_row(block.embeddings, block.sq_norms)
+            if bad is not None:
+                raise NonUnitEmbeddingError(
+                    f"{path}: embedding {start + bad[0]} has norm {bad[1]:.6f}, not 1")
+            if not np.all(np.isfinite(block.latents)):
+                raise NonFiniteError(f"{path}: latents must be finite")
             yield block
             start += block.count
 
-    return stores.StoreStream(pool.count, blocks())
+    return stores.StoreStream(st.count, blocks())
+
+
+def _read_unit_store(path: str) -> stores.SampleStore:
+    """A whole store for analysis: :func:`_unit_store` in one block."""
+    (st,) = _unit_store(path)
+    return st
 
 
 # -- sample ---------------------------------------------------------------------
@@ -152,13 +144,9 @@ def cmd_sample(args, parser) -> int:
     with (sources.open_source(spec) as src,
           stores.StoreWriter(args.out, spec.latent_dim, spec.embed_dim,
                              args.seed) as writer):
-        batch = sources.generate_batch(src)
-        for lo in range(0, args.n, batch):
-            count = min(args.n, lo + batch) - lo
-            latents = sources.sample_latents(count, spec.latent_dim,
-                                             args.seed, stream, start=lo)
-            embeddings, refs = sources.generate(src, latents)
-            writer.append(latents, embeddings, refs)
+        for latents in sources.batches(spec, args.n, lambda rows, lo: sources.sample_latents(
+                rows, spec.latent_dim, args.seed, stream, start=lo)):
+            writer.append(latents, *sources.generate(src, latents))
     print(f"wrote {args.n} samples to {args.out}")
     return 0
 
@@ -167,7 +155,7 @@ def cmd_sample(args, parser) -> int:
 
 def cmd_diagnose(args, parser) -> int:
     anchors = _read_unit_store(args.anchors)
-    pool = _stream_unit_store(args.pool)
+    pool = _unit_store(args.pool, TILE_COLS)
     report = diagnosis.build_report(
         anchors, pool, args.theta, args.radius, k=args.k,
         curve_sizes=args.curve_sizes, seed=args.seed)
@@ -183,7 +171,7 @@ def cmd_diagnose(args, parser) -> int:
 
 def cmd_find_modes(args, parser) -> int:
     anchors = _read_unit_store(args.anchors)
-    pool = _stream_unit_store(args.pool)
+    pool = _unit_store(args.pool, TILE_COLS)
     modes = diagnosis.top_k_modes(anchors, pool, radius=args.radius, k=args.k)
     doc = {
         "schema": 1,
@@ -292,12 +280,6 @@ def cmd_evaluate(args, parser) -> int:
         return diagnosis.build_report(store(anchor_lat, anchor_seed), pool, args.theta,
                                       args.radius, k=args.k, seed=args.seed)
 
-    def batches(draw):
-        """``draw(rows, start)`` for each generate batch of the pool, in order."""
-        step = sources.generate_batch(src)
-        for lo in range(0, args.pool, step):
-            yield draw(min(step, args.pool - lo), lo)
-
     def accepted_blocks():
         stats = yield from importance.calibrated_is_blocks(model, args.pool, seed_c)
         acceptance["pool"] = dataclasses.asdict(stats)
@@ -305,7 +287,8 @@ def cmd_evaluate(args, parser) -> int:
     # the pools are generators, which draw their blocks once the source is open
     if kind == "mixture":
         after_a_lat = gmm.sample_calibrated(model, args.anchors, seed_a)
-        after_c_lat = batches(lambda rows, lo: gmm.sample_calibrated(model, rows, seed_c, start=lo))
+        after_c_lat = sources.batches(spec, args.pool, lambda rows, lo: gmm.sample_calibrated(
+            model, rows, seed_c, start=lo))
     else:
         after_a_lat, stats_a = importance.sample_calibrated_is(model, args.anchors, seed_a)
         acceptance["anchors"] = dataclasses.asdict(stats_a)
@@ -314,7 +297,7 @@ def cmd_evaluate(args, parser) -> int:
     with sources.open_source(spec) as src:
         before = diagnose(
             sources.sample_latents(args.anchors, spec.latent_dim, args.seed, STREAM_EVAL_ANCHORS),
-            args.seed, batches(lambda rows, lo: sources.sample_latents(
+            args.seed, sources.batches(spec, args.pool, lambda rows, lo: sources.sample_latents(
                 rows, spec.latent_dim, args.seed, STREAM_EVAL_POOL, start=lo)), args.seed)
         after = diagnose(after_a_lat, seed_a, after_c_lat, seed_c)
     before_count = before["worst_mode"]["neighbor_count"]

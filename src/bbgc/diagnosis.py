@@ -8,11 +8,14 @@ radius), top-k dense-mode listings, and convergence curves over
 deterministic shuffled prefixes.
 
 :func:`build_report`, :func:`top_k_modes` and :func:`check_disjoint` take
-the pool as a store or as a :class:`~bbgc.store.StoreStream` of store
-blocks, which they read through once: each block is checked against the
-anchors' latent hashes and scanned as it passes, and the curves take what
-they need of it then (the rows of the population curves, and the scan's
-near columns for ``mccs_single``), so they never hold the pool.
+the pool as an iterable of store blocks with a known ``count``: a
+:class:`~bbgc.store.StoreStream`, or a store, which is a pool of one block.
+They read it through once: each block is checked against the anchors'
+latent hashes and scanned as it passes, and the curves take what they need
+of it then (the rows of the population curves, and the scan's near columns
+for ``mccs_single``), so they never hold a streamed pool.  The pool's
+verdicts come after its last block, so a fault of a block's own (a short
+store, a bad row) is the one reported.
 """
 
 from __future__ import annotations
@@ -88,12 +91,10 @@ class ConsistencyResult:
 
 
 def _checked(anchors: SampleStore, pool: SampleStore | StoreStream):
-    """The pool's blocks (a store is one), each tested against the anchors'
-    latents, hashed once, as it passes; past the last block, the verdict of
-    :func:`check_disjoint`, so that a fault of the pool's own, found in a
-    block (a short store, a bad row), is the one reported."""
+    """The pool's blocks, each tested against the anchors' latents, hashed
+    once, as it passes; past the last block, the verdict of :func:`check_disjoint`."""
     hashed, shared, n = hash_rows(anchors.latents), False, 0
-    for block in [pool] if isinstance(pool, SampleStore) else pool:
+    for block in pool:
         shared = shared or not latents_disjoint(hashed, block.latents)
         n += block.count
         yield block
@@ -104,7 +105,7 @@ def _checked(anchors: SampleStore, pool: SampleStore | StoreStream):
 
 
 def check_disjoint(anchors: SampleStore, pool: SampleStore | StoreStream) -> None:
-    """Both are non-empty and no anchor latent is a pool latent; a stream is read through."""
+    """Both are non-empty and no anchor latent is a pool latent; the pool is read through."""
     for _ in _checked(anchors, pool):
         pass
 
@@ -134,19 +135,11 @@ def _check_anchors(anchors: SampleStore, least: int) -> None:
 
 def _scan_pool(anchors: SampleStore, pool: SampleStore | StoreStream, theta: float | None,
                radius: float | None, least: int = 1, on_block=None, near: bool = False):
-    """:func:`~bbgc.embedding.scan` of the anchors against a store, once it
-    passed :func:`check_disjoint` and has ``least`` anchors, or against a
-    stream, whose blocks are checked as they pass and whose verdict comes
-    after its last block.  ``on_block(block, start)`` sees each block, whose
-    first row is pool row ``start``, before it is scanned; ``near`` keeps
-    each anchor's near columns."""
-    if isinstance(pool, SampleStore):
-        check_disjoint(anchors, pool)
-        _check_anchors(anchors, least)
-        if on_block is not None:
-            on_block(pool, 0)
-        return scan(anchors.embeddings, pool.embeddings, theta, radius, near=near)
-
+    """:func:`~bbgc.embedding.scan` of the anchors against the pool's blocks,
+    each checked as it passes; after the last block come the pool's verdict
+    and the check that there are ``least`` anchors.  ``on_block(block,
+    start)`` sees each block, whose first row is pool row ``start``, before
+    it is scanned; ``near`` keeps each anchor's near columns."""
     def blocks():
         start = 0
         for block in _checked(anchors, pool):

@@ -8,12 +8,13 @@ of an anchor against a comparison pool into [0, 1], with 0.5 hit when
 the mean similarity is 1/e.
 
 One batch kernel, :func:`scan`, reduces the anchor x pool pairs to both
-neighbor counts and similarity sums.  The pool may come as an array or as
-an iterator of row blocks in pool order, such as a store read block by
-block, so a scan need not hold its pool.  It compares dots against cosine
-thresholds instead of taking an arccos per pair: ``arccos`` is monotone
-decreasing, so ``d <= r`` and ``dot >= cos(pi*r)`` pick the same pairs,
-and only the surviving pairs need transcendentals.  A float32 GEMM over
+neighbor counts and similarity sums.  The pool may come as an array, or
+as an iterator of (rows, squared norms or None) blocks in pool order, such
+as a store read block by block, so a scan need not hold its pool.  It
+compares dots against cosine thresholds instead of taking an arccos per
+pair: ``arccos`` is monotone decreasing, so ``d <= r`` and ``dot >=
+cos(pi*r)`` pick the same pairs, and only the surviving pairs need
+transcendentals.  A float32 GEMM over
 fixed tiles screens the pairs first, keeping every pair within a proven
 rounding margin of a threshold; each kept pair is then decided on its
 float64 dot, one einsum over the pair's two rows.  A float32 operand,
@@ -239,15 +240,6 @@ class ScanResult(tuple):
                 np.concatenate([t[lo:hi] for t, _, lo, hi in spans]))
 
 
-def _blocks(pool):
-    """The pool's (rows, squared norms or None) blocks: an array is one."""
-    if isinstance(pool, Iterator):
-        for block in pool:
-            yield block if isinstance(block, tuple) else (block, None)
-    else:
-        yield pool, None
-
-
 def _operand(x) -> np.ndarray:
     """``x`` as float32 when it is, else as float64."""
     x = np.asarray(x)
@@ -259,10 +251,10 @@ def scan(anchors: np.ndarray, pool, theta: float | None,
     """Per-anchor (neighbor counts, mean similarities) from one pass, and
     with ``near`` each anchor's near pool columns for :meth:`ScanResult.near`.
 
-    ``pool`` is an array, or an iterator of row blocks in pool order, each
-    an array or a pair (rows, their squared norms as :func:`row_dots` gives
-    them); an array is one block, and a block wider than ``TILE_COLS`` rows
-    is split into tiles.  Counts include pairs exactly at ``radius``; pairs
+    ``pool`` is an array, which is one block, or an iterator of blocks in
+    pool order, each a pair (rows, their squared norms as :func:`row_dots`
+    gives them, or None); a block wider than ``TILE_COLS`` rows is split
+    into tiles.  Counts include pairs exactly at ``radius``; pairs
     at distance >= theta add exactly 0 to the mean.  A ``None`` threshold
     skips that half and returns ``None`` for it.  A float32 GEMM screens out
     pairs that a proven margin puts below both thresholds; every other pair
@@ -276,8 +268,10 @@ def scan(anchors: np.ndarray, pool, theta: float | None,
         raise DimensionMismatchError(f"anchors of shape {anchors.shape}")
     (m, d), n = anchors.shape, 0
     cos_min = min(c for c in (cos_r, cos_t, math.inf) if c is not None)
-    # a streamed pool's size is not known up front; its blocks are TILE_COLS wide
-    width = TILE_COLS if isinstance(pool, Iterator) else len(np.asarray(pool))
+    # an array is one block; a streamed pool's size is not known up front,
+    # and its blocks are TILE_COLS wide
+    blocks, width = ((pool, TILE_COLS) if isinstance(pool, Iterator)
+                     else ([(pool, None)], len(pool)))
     chunk = max(TILE_ROWS, TILE_ROWS * TILE_COLS // max(width, 1))
     chunks = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
     anchor_sq = row_dots(anchors)
@@ -294,7 +288,7 @@ def scan(anchors: np.ndarray, pool, theta: float | None,
     tile_buf = None
     counts = None if cos_r is None else np.zeros(m, dtype=np.int64)
     found = [[] for _ in chunks]   # per chunk: each tile's (terms, columns, row ends)
-    for rows, sq in _blocks(pool):
+    for rows, sq in blocks:
         rows = _operand(rows)
         if rows.ndim != 2 or rows.shape[1] != d:
             raise DimensionMismatchError(f"shapes {anchors.shape} and {rows.shape}")

@@ -25,7 +25,6 @@ from .errors import (
     NonFiniteError,
 )
 from .jsonutil import CONTENT_ERRORS, json_field, read_json, write_json
-from .parallel import run_chunks
 from .rng import (
     STREAM_FIT,
     STREAM_GMM_COMPONENT,
@@ -33,7 +32,7 @@ from .rng import (
     STREAM_KMEANS,
     CounterStream,
 )
-from .source import generate, generate_batch, sample_latents
+from .source import batches, generate, sample_latents
 
 _VARIANCE_FLOOR = 1e-12
 
@@ -87,24 +86,23 @@ class MixtureModel:
 
 
 def _assign(latents: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, squared distances to the winning mean), chunked over points.
-    Each chunk's distances are made in place in one chunk x k buffer, the
-    steps of ``mean_sq - 2.0 * (part @ means.T)`` one by one."""
+    """(labels, squared distances to the winning mean), chunked over points
+    into arrays allocated once.  Each chunk's distances are made in place in
+    one chunk x k buffer, the steps of ``mean_sq - 2.0 * (part @ means.T)``
+    one by one."""
+    n = latents.shape[0]
     mean_sq = np.sum(means ** 2, axis=1)
-    buf = np.empty((min(SAMPLE_CHUNK, latents.shape[0]), means.shape[0]))
-
-    def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        part = latents[lo:hi]
-        d2 = np.matmul(part, means.T, out=buf[:hi - lo])
+    buf = np.empty((min(SAMPLE_CHUNK, n), means.shape[0]))
+    labels, best = np.empty(n, dtype=np.int64), np.empty(n)
+    for lo in range(0, n, SAMPLE_CHUNK):
+        part = latents[lo:lo + SAMPLE_CHUNK]
+        d2 = np.matmul(part, means.T, out=buf[:len(part)])
         d2 *= 2.0
         np.subtract(mean_sq, d2, out=d2)
-        labels = np.argmin(d2, axis=1)
-        best = d2[np.arange(hi - lo), labels] + np.sum(part ** 2, axis=1)
-        return labels.astype(np.int64), np.maximum(best, 0.0)
-
-    parts = run_chunks(chunk, latents.shape[0], SAMPLE_CHUNK)
-    return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]))
+        won = np.argmin(d2, axis=1, out=labels[lo:lo + len(part)])
+        np.maximum(d2[np.arange(len(part)), won] + np.sum(part ** 2, axis=1), 0.0,
+                   out=best[lo:lo + len(part)])
+    return labels, best
 
 
 def _distance_pass(latents: np.ndarray):
@@ -296,7 +294,7 @@ def calibrate_gmm(source, dense_modes: np.ndarray, seed: int, k: int = 64,
     """Fit the reweighted mixture against a source's dense modes.
 
     Draws ``n_fit`` fresh prior latents and embeds them through the source
-    (the only interaction with it) one :func:`~bbgc.source.generate_batch`
+    (the only interaction with it) one :func:`~bbgc.source.batches` batch
     at a time, counting each batch's dense modes within ``r0`` as it comes,
     so only those counts outlive a batch.  It then clusters the latents and
     assembles the mixture with down-weighted dense clusters: the weights of
@@ -306,12 +304,8 @@ def calibrate_gmm(source, dense_modes: np.ndarray, seed: int, k: int = 64,
     if dense_modes.size == 0:   # atleast_2d makes no modes one of width 0
         raise EmptyModeListError("need at least one dense mode to calibrate")
     latents = sample_latents(n_fit, source.latent_dim, seed, STREAM_FIT)
-    hits = np.empty(n_fit, dtype=np.int64)
-    step = generate_batch(source)
-    for lo in range(0, n_fit, step):
-        embeddings, _ = generate(source, latents[lo:lo + step])
-        hits[lo:lo + step] = neighbor_counts(embeddings, dense_modes, r0)
-        del embeddings   # else it lives on while the next batch is embedded
+    hits = np.concatenate(list(batches(source, n_fit, lambda rows, lo: neighbor_counts(
+        generate(source, latents[lo:lo + rows])[0], dense_modes, r0))))
     means, assignment = kmeans_fit(latents, k, seed)
     weights = _weights(assignment.labels, k, hits)
     variances = estimate_covariance(latents, assignment.labels, means)

@@ -676,12 +676,16 @@ def generate(source, latents: np.ndarray) -> tuple[np.ndarray, list[bytes] | Non
     return emb, refs
 
 
-def generate_batch(source) -> int:
-    """Rows per :func:`generate` call where a set streams through ``source``
-    (``sample`` into its store, calibration's fit set): at most
-    ``_GENERATE_ROWS``, and fewer where a float64 row of latent and embedding
-    is wide, so a batch stays within one block."""
-    return block_rows(_GENERATE_ROWS, source.latent_dim + source.embed_dim)
+def batches(dims, n: int, draw):
+    """``draw(rows, start)`` for each :func:`generate` batch of a set of ``n``
+    rows that streams through a source (``sample`` into its store,
+    calibration's fit set, ``evaluate``'s pools), in order.  A batch has at
+    most ``_GENERATE_ROWS`` rows, and fewer where a float64 row of latent and
+    embedding is wide, so it stays within one block; ``dims`` is anything
+    with ``latent_dim`` and ``embed_dim``, a source or its spec."""
+    step = block_rows(_GENERATE_ROWS, dims.latent_dim + dims.embed_dim)
+    for lo in range(0, n, step):
+        yield draw(min(step, n - lo), lo)
 
 
 def run_worker(source, stdin, stdout) -> None:

@@ -78,6 +78,10 @@ class SampleStore:
     def ref(self, i: int) -> bytes:
         return b"" if self.refs is None else self.refs[i]
 
+    def __iter__(self) -> Iterator[SampleStore]:
+        """A store is a pool of one block: itself (see :class:`StoreStream`)."""
+        yield self
+
 
 def _check_batch(latents: np.ndarray, embeddings: np.ndarray,
                  latent_dim: int, embed_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,7 +472,8 @@ def read_frame(readinto, check, truncated, size: int | None = None):
 @dataclass
 class StoreStream:
     """A store whose header is read and whose records are read as the stream
-    is iterated, one :class:`SampleStore` block at a time."""
+    is iterated, one :class:`SampleStore` block at a time: the lazy form of a
+    pool, of which a whole store is the one-block form."""
 
     count: int
     blocks: Iterator[SampleStore]

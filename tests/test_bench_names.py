@@ -9,7 +9,8 @@ import importlib.util
 import os
 import sys
 
-import bbgc.cli  # noqa: F401  (loads every bbgc module)
+import bbgc.cli  # noqa: F401  (loads every bbgc module but one)
+import bbgc.parallel  # noqa: F401  (the benchmark's alone; the tracer imports it)
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 
@@ -54,6 +55,19 @@ def test_tracer_wraps_every_target_and_restores_every_binding():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_tracer_wraps_neighbor_counts_where_the_smoke_run_asserts_it():
+    # bench/smoke.py asserts these bindings; a module that stops importing
+    # neighbor_counts by name fails here too, not only in the smoke run
+    tracer = _load_spans().Tracer("names")
+    try:
+        wrapped = {(owner.__name__, attr) for owner, attr in tracer.install()}
+    finally:
+        tracer.uninstall()
+    for module in ("bbgc.embedding", "bbgc.diagnosis", "bbgc.gmm", "bbgc.importance",
+                   "bbgc.cli"):
+        assert (module, "neighbor_counts") in wrapped, module
 
 
 def test_bench_imports_resolve():

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -334,8 +335,10 @@ def test_build_report_scans_once_and_checks_disjointness_once(monkeypatch):
     shapes, disjoint_calls = [], []
 
     def counting_scan(anchors, pool, theta, radius, **options):
-        shapes.append((len(anchors), len(pool)))
-        return real_scan(anchors, pool, theta, radius, **options)
+        # the rows of the blocks the scan is fed; an array is one block
+        blocks = list(pool) if isinstance(pool, Iterator) else [(pool, None)]
+        shapes.append((len(anchors), sum(len(rows) for rows, _ in blocks)))
+        return real_scan(anchors, iter(blocks), theta, radius, **options)
 
     def counting_disjoint(x, y):
         disjoint_calls.append(1)
@@ -422,9 +425,11 @@ def test_a_pool_streamed_in_blocks_gives_the_reports_of_the_whole_store(tmp_path
     write_store(path, shared, pool.embeddings, seed=0)
     lat32 = SampleStore(anchors.latents.astype(np.float32).astype(np.float64),
                         anchors.embeddings, 0)
-    for run in (lambda p: build_report(lat32, p, 0.3, 0.25, curve_sizes=sizes),
-                lambda p: top_k_modes(lat32, p, 0.25), lambda p: check_disjoint(lat32, p)):
-        with pytest.raises(OverlappingCollectionsError):
-            run(stream_store(path, rows))
-    with pytest.raises(TooFewAnchorsError):
-        build_report(make_store(1, 16, 63), stream_store(path, rows), 0.3, 0.25)
+    # a whole store is a pool of one block, whose verdicts also come after its scan
+    for pool_of in (lambda: stream_store(path, rows), lambda: read_store(path)):
+        for run in (lambda p: build_report(lat32, p, 0.3, 0.25, curve_sizes=sizes),
+                    lambda p: top_k_modes(lat32, p, 0.25), lambda p: check_disjoint(lat32, p)):
+            with pytest.raises(OverlappingCollectionsError):
+                run(pool_of())
+        with pytest.raises(TooFewAnchorsError):
+            build_report(make_store(1, 16, 63), pool_of(), 0.3, 0.25)

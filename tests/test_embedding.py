@@ -321,9 +321,10 @@ def test_row_dots_of_a_wide_matrix_copy_one_block():
 
 
 def blocks_of(rows, k, norms=False):
-    """``rows`` as an iterator of blocks of ``k`` rows, each with its squared norms if ``norms``."""
+    """``rows`` as an iterator of (block of ``k`` rows, its squared norms if
+    ``norms``, else None) pairs."""
     from bbgc.embedding import row_dots
-    return ((b, row_dots(b)) if norms else b
+    return ((b, row_dots(b) if norms else None)
             for b in (rows[i:i + k] for i in range(0, len(rows), k)))
 
 
