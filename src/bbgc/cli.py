@@ -75,7 +75,10 @@ def _seed_value(text: str) -> int:
 
 
 def _size_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    sizes = [int(part) for part in text.split(",") if part.strip()]
+    if not sizes:
+        raise ValueError(f"no size in {text!r}")
+    return sizes
 
 
 def _usage_check(check):

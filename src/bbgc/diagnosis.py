@@ -7,15 +7,14 @@ worst-case dense mode (the anchor with the most pool neighbors inside a
 radius), top-k dense-mode listings, and convergence curves over
 deterministic shuffled prefixes.
 
-:func:`build_report`, :func:`top_k_modes` and :func:`check_disjoint` take
-the pool as an iterable of store blocks with a known ``count``: a
-:class:`~bbgc.store.StoreStream`, or a store, which is a pool of one block.
-They read it through once: each block is checked against the anchors'
-latent hashes and scanned as it passes, and the curves take what they need
-of it then (the rows of the population curves, and the scan's near columns
-for ``mccs_single``), so they never hold a streamed pool.  The pool's
-verdicts come after its last block, so a fault of a block's own (a short
-store, a bad row) is the one reported.
+Every function that scans a pool takes a store or a stream, reads it
+once, and gives its verdicts after the last block.  A pool is an iterable
+of store blocks with a known ``count``: a :class:`~bbgc.store.StoreStream`,
+or a store, which is a pool of one block.  Each block is checked against
+the anchors' latent hashes and scanned as it passes, and the report's
+curves take their pool rows and near columns then.  Arguments are checked
+first; then come a block's own fault (a short store, a bad row), an empty
+or overlapping pool, and too few anchors.
 """
 
 from __future__ import annotations
@@ -26,13 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# neighbor_counts is bound for the bench alone: bench/smoke.py and
+# tests/test_bench_names.py assert that its tracer wraps this binding
 from .embedding import (
-    check_radius,
     check_theta,
     cosine_distance,
     mccs as mccs_of_mean,
     mean_similarities,
-    neighbor_counts,
+    neighbor_counts,  # noqa: F401
     scan,
 )
 from .errors import (
@@ -90,23 +90,31 @@ class ConsistencyResult:
     statistic: float   # max pairwise distance among winning embeddings
 
 
-def _checked(anchors: SampleStore, pool: SampleStore | StoreStream):
-    """The pool's blocks, each tested against the anchors' latents, hashed
-    once, as it passes; past the last block, the verdict of :func:`check_disjoint`."""
-    hashed, shared, n = hash_rows(anchors.latents), False, 0
+def _blocks(anchors: SampleStore, pool: SampleStore | StoreStream, least: int = 1,
+            on_block=None):
+    """The pool's blocks as :func:`~bbgc.embedding.scan` takes them,
+    (embeddings, squared norms), each tested against the anchors' latents,
+    hashed once, and shown to ``on_block(block, start)``, whose first row is
+    pool row ``start``, as it passes.  After the last block come the empty
+    and overlap verdicts, then the check that there are ``least`` anchors."""
+    hashed, shared, start = hash_rows(anchors.latents), False, 0
     for block in pool:
         shared = shared or not latents_disjoint(hashed, block.latents)
-        n += block.count
-        yield block
-    if anchors.count == 0 or n == 0:
+        if on_block is not None:
+            on_block(block, start)
+        start += block.count
+        yield block.embeddings, block.sq_norms
+    if anchors.count == 0 or start == 0:
         raise EmptyCollectionError("anchors and pool must both be non-empty")
     if shared:
         raise OverlappingCollectionsError("anchor latents appear in the pool")
+    if anchors.count < least:
+        raise TooFewAnchorsError(f"need >= {least} anchors, got {anchors.count}")
 
 
 def check_disjoint(anchors: SampleStore, pool: SampleStore | StoreStream) -> None:
     """Both are non-empty and no anchor latent is a pool latent; the pool is read through."""
-    for _ in _checked(anchors, pool):
+    for _ in _blocks(anchors, pool):
         pass
 
 
@@ -128,30 +136,6 @@ def mccs(anchor_embedding: np.ndarray, pool_embeddings: np.ndarray, theta: float
                      mean_similarity=s, n_samples=int(np.asarray(pool_embeddings).shape[0]))
 
 
-def _check_anchors(anchors: SampleStore, least: int) -> None:
-    if anchors.count < least:
-        raise TooFewAnchorsError(f"need >= {least} anchors, got {anchors.count}")
-
-
-def _scan_pool(anchors: SampleStore, pool: SampleStore | StoreStream, theta: float | None,
-               radius: float | None, least: int = 1, on_block=None, near: bool = False):
-    """:func:`~bbgc.embedding.scan` of the anchors against the pool's blocks,
-    each checked as it passes; after the last block come the pool's verdict
-    and the check that there are ``least`` anchors.  ``on_block(block,
-    start)`` sees each block, whose first row is pool row ``start``, before
-    it is scanned; ``near`` keeps each anchor's near columns."""
-    def blocks():
-        start = 0
-        for block in _checked(anchors, pool):
-            if on_block is not None:
-                on_block(block, start)
-            start += block.count
-            yield block.embeddings, block.sq_norms
-        _check_anchors(anchors, least)
-
-    return scan(anchors.embeddings, blocks(), theta, radius, near=near)
-
-
 def _stats(sims: np.ndarray, n_samples: int) -> PopulationStats:
     """Per-anchor MCCS of mean similarities, with their mean and spread."""
     values = np.array([mccs_of_mean(s) for s in sims], dtype=np.float64)
@@ -161,11 +145,11 @@ def _stats(sims: np.ndarray, n_samples: int) -> PopulationStats:
                            mean_similarities=sims, n_samples=n_samples)
 
 
-def population_stats(anchors: SampleStore, pool: SampleStore, theta: float) -> PopulationStats:
+def population_stats(anchors: SampleStore, pool: SampleStore | StoreStream,
+                     theta: float) -> PopulationStats:
     """Per-anchor MCCS plus population mean and unbiased standard deviation."""
-    check_disjoint(anchors, pool)
-    _check_anchors(anchors, 2)
-    return _stats(mean_similarities(anchors.embeddings, pool.embeddings, theta), pool.count)
+    return _stats(scan(anchors.embeddings, _blocks(anchors, pool, 2), theta, None)[1],
+                  pool.count)
 
 
 def _count_order(counts: np.ndarray) -> np.ndarray:
@@ -182,10 +166,10 @@ def _rank(counts: np.ndarray) -> np.ndarray:
     return order
 
 
-def find_worst_mode(anchors: SampleStore, pool: SampleStore, radius: float) -> DenseModeResult:
+def find_worst_mode(anchors: SampleStore, pool: SampleStore | StoreStream,
+                    radius: float) -> DenseModeResult:
     """The anchor with the most pool neighbors within ``radius``."""
-    check_disjoint(anchors, pool)
-    counts = neighbor_counts(anchors.embeddings, pool.embeddings, radius)
+    counts = scan(anchors.embeddings, _blocks(anchors, pool), None, radius)[0]
     winner = int(_rank(counts)[0])
     return DenseModeResult(anchor_index=winner, neighbor_count=int(counts[winner]),
                            radius=float(radius), no_dense_mode=bool(counts[winner] == 0))
@@ -196,7 +180,7 @@ def top_k_modes(anchors: SampleStore, pool: SampleStore | StoreStream, radius: f
     """The k densest anchors, descending count, index tie-break."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    counts = _scan_pool(anchors, pool, None, radius)[0]
+    counts = scan(anchors.embeddings, _blocks(anchors, pool), None, radius)[0]
     order = _count_order(counts)[:min(k, anchors.count)]
     return [DenseModeResult(anchor_index=int(i), neighbor_count=int(counts[i]),
                             radius=float(radius),
@@ -279,7 +263,7 @@ def _population_curves(anchors: SampleStore, pool_emb: np.ndarray, sizes: list[i
             ConvergenceCurve("sigma_mccs", tuple((s, st.sigma) for s, st in stats)))
 
 
-def mode_consistency_check(anchors: SampleStore, pool: SampleStore, sizes,
+def mode_consistency_check(anchors: SampleStore, pool: SampleStore | StoreStream, sizes,
                            radius: float) -> ConsistencyResult:
     """Worst-case mode found at several anchor-set sizes.
 
@@ -287,10 +271,8 @@ def mode_consistency_check(anchors: SampleStore, pool: SampleStore, sizes,
     embeddings: small means the same mode keeps winning as the anchor
     budget grows.
     """
-    check_radius(radius)
-    check_disjoint(anchors, pool)
     sizes = _check_sizes(sizes, anchors.count, "anchors")
-    counts = neighbor_counts(anchors.embeddings, pool.embeddings, radius)
+    counts = scan(anchors.embeddings, _blocks(anchors, pool), None, radius)[0]
     points = []
     for s in sizes:
         order = _count_order(counts[:s])
@@ -308,10 +290,12 @@ def build_report(anchors: SampleStore, pool: SampleStore | StoreStream, theta: f
     """Full diagnosis as a JSON-ready mapping with a fixed field order, from
     one scan of the pool."""
     n = pool.count
-    shuffled = _shuffled(n, seed) if curve_sizes else None
-    population_sizes = [int(s) for s in curve_sizes or () if 2 <= s <= anchors.count]
+    # sizes are arguments, so their fault comes before a block is read
+    sizes = _check_sizes(curve_sizes, n, "pool") if curve_sizes else None
+    shuffled = _shuffled(n, seed) if sizes else None
+    population_sizes = [s for s in sizes or () if 2 <= s <= anchors.count]
     # the population curves' pool rows, taken from each block as it passes
-    want = shuffled[:max(population_sizes)] if population_sizes else None
+    want = shuffled[:population_sizes[-1]] if population_sizes else None
     pool_emb = []   # one array, made at the first block
 
     def gather(block: SampleStore, start: int) -> None:
@@ -321,17 +305,17 @@ def build_report(anchors: SampleStore, pool: SampleStore | StoreStream, theta: f
         pool_emb[0][at] = block.embeddings[want[at] - start]
 
     # theta and radius are validated once, by the scan
-    result = _scan_pool(anchors, pool, theta, radius, 2, gather if want is not None else None,
-                        near=bool(curve_sizes))
+    result = scan(anchors.embeddings,
+                  _blocks(anchors, pool, 2, gather if want is not None else None),
+                  theta, radius, near=bool(sizes))
     counts, sims = result
     stats = _stats(sims, n)
     order = _rank(counts)
     worst = int(order[0])
     top = order[:min(k, anchors.count)]
     curves = []
-    if curve_sizes:
-        curves.append(_single_curve(result.near(worst), n, _check_sizes(curve_sizes, n, "pool"),
-                                    theta, shuffled))
+    if sizes:
+        curves.append(_single_curve(result.near(worst), n, sizes, theta, shuffled))
         if population_sizes:
             curves.extend(_population_curves(anchors, pool_emb[0], population_sizes, theta, seed))
     return {

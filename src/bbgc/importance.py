@@ -238,11 +238,11 @@ def build_plan(pool: SampleStore, dense_modes: Sequence[tuple[np.ndarray, int]],
     ref = int(reference_index)
     if not 0 <= ref < pool.count:
         raise ValueError(f"reference index {ref} outside store of {pool.count}")
-    ref_count = max(1, int(neighbor_counts(pool.embeddings[[ref]], pool.embeddings, r0)[0]))
-
     mode_embs = np.asarray([np.asarray(e, dtype=np.float64) for e, _ in dense_modes])
     mode_idx = [int(i) for _, i in dense_modes]
-    dense_counts = neighbor_counts(mode_embs, pool.embeddings, r0)
+    # each count is decided on its own float64 dots, so one scan serves both
+    counts = neighbor_counts(np.vstack([pool.embeddings[[ref]], mode_embs]), pool.embeddings, r0)
+    ref_count, dense_counts = max(1, int(counts[0])), counts[1:]
 
     entries = []
     size = min(hull_size, pool.count)

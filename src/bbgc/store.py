@@ -37,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .embedding import _operand, block_rows
 from .errors import (
     BadMagicError,
     DimensionMismatchError,
@@ -86,7 +87,7 @@ class SampleStore:
 def _check_batch(latents: np.ndarray, embeddings: np.ndarray,
                  latent_dim: int, embed_dim: int) -> tuple[np.ndarray, np.ndarray]:
     latents = np.asarray(latents, dtype=np.float64)
-    embeddings = _float_rows(embeddings)
+    embeddings = _operand(embeddings)
     if latents.ndim != 2 or latents.shape[1] != latent_dim:
         raise DimensionMismatchError(
             f"latents shape {latents.shape}, expected (*, {latent_dim})")
@@ -99,13 +100,6 @@ def _check_batch(latents: np.ndarray, embeddings: np.ndarray,
     if not np.all(np.isfinite(latents)) or not np.all(np.isfinite(embeddings)):
         raise NonFiniteError("store records must be finite")
     return latents, embeddings
-
-
-def _float_rows(embeddings) -> np.ndarray:
-    """Embeddings as given when float32, else as float64: either packs to
-    the same float32 bytes."""
-    embeddings = np.asarray(embeddings)
-    return embeddings if embeddings.dtype == np.float32 else embeddings.astype(np.float64, copy=False)
 
 
 def record_dtype(latent_dim: int, embed_dim: int) -> np.dtype:
@@ -227,7 +221,7 @@ class StoreWriter:
 def write_store(path: str | os.PathLike, latents: np.ndarray, embeddings: np.ndarray,
                 seed: int, refs: list[bytes] | None = None) -> None:
     latents = np.asarray(latents, dtype=np.float64)
-    embeddings = _float_rows(embeddings)
+    embeddings = _operand(embeddings)
     if latents.ndim != 2 or embeddings.ndim != 2:
         raise DimensionMismatchError("latents and embeddings must be 2-D")
     with StoreWriter(path, latents.shape[1], embeddings.shape[1], seed) as w:
@@ -325,7 +319,6 @@ def _row_hashes(rows: np.ndarray) -> np.ndarray:
     block is tested while the scan's buffers and the block's reader are
     alive, and its two uint64 temporaries would otherwise raise that peak.
     """
-    from .embedding import block_rows
     from .rng import splitmix64
     keys = splitmix64(np.arange(rows.shape[1], dtype=np.uint64))
     hashes = np.empty(len(rows), np.uint64)

@@ -471,6 +471,13 @@ def test_usage_errors_exit_2(pipeline, tmp_path):
               "--pool", str(pipeline["pool"]), "--radius", "2",
               "--out", str(tmp_path / "x.json")])
     assert err.value.code == 2
+    for sizes in ("", ","):   # curve sizes that name no size
+        with pytest.raises(SystemExit) as err:
+            main(["diagnose", "--anchors", str(pipeline["anchors"]),
+                  "--pool", str(pipeline["pool"]), "--curve-sizes", sizes,
+                  "--out", str(tmp_path / "x.json")])
+        assert err.value.code == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_input_errors_exit_3(pipeline, tmp_path):
@@ -899,10 +906,11 @@ def test_pool_with_a_non_finite_latent_exits_3(pipeline, tmp_path, capsys, comma
 def test_cli_import_does_not_load_scipy_stats(pipeline):
     # scipy.stats costs more import time than the rest of bbgc together;
     # Qhull, nnls and the HTTP client are imported by the code that uses them,
-    # on first use, so neither bbgc.cli nor the worker child loads them
+    # on first use, so neither bbgc.cli nor the worker child loads them; no
+    # module of the package imports bbgc.parallel, which the bench alone uses
     env = _child_env()
     cold = {"scipy.spatial", "scipy.optimize", "scipy.stats", "http.client",
-            "urllib.request", "ssl"}
+            "urllib.request", "ssl", "bbgc.parallel"}
     probe = f"import sys, bbgc.cli; print(sorted(m for m in {sorted(cold)!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)

@@ -1,5 +1,6 @@
 """Diagnosis statistics against the naive double-loop references."""
 
+import dataclasses
 import math
 import warnings
 from collections.abc import Iterator
@@ -28,7 +29,7 @@ from bbgc.errors import (
 )
 from bbgc.jsonutil import dumps
 from bbgc.rng import STREAM_SHUFFLE, CounterStream
-from bbgc.store import SampleStore
+from bbgc.store import SampleStore, StoreStream
 
 from oracles import naive_counts, naive_mccs, naive_mean_similarity, naive_population, naive_worst
 
@@ -401,10 +402,22 @@ def test_scan_kept_mccs_single_curve_equals_the_row_dots_formulation(tmp_path):
             list(row_dots_curve(worst, p, sizes, 0.3, 8))
 
 
+def bits(result):
+    """A result as nested tuples, each array as its dtype and bytes, so
+    that == compares bits."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if dataclasses.is_dataclass(result):
+        return tuple(bits(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, tuple):
+        return tuple(bits(v) for v in result)
+    return result
+
+
 @pytest.mark.parametrize("rows", [997, 8193])
 def test_a_pool_streamed_in_blocks_gives_the_reports_of_the_whole_store(tmp_path, rows):
     # the scan, the disjointness test and the curves' rows take each block
-    # as it passes; a report, a mode list and each fault are those of the store
+    # as it passes; every result and each fault is that of the whole store
     from bbgc.store import read_store, stream_store, write_store
     center = normalize_rows(np.random.default_rng(60).normal(size=(1, 16)))[0]
     anchors = planted_store(300, 16, 61, center, 0.1)
@@ -419,6 +432,11 @@ def test_a_pool_streamed_in_blocks_gives_the_reports_of_the_whole_store(tmp_path
     assert top_k_modes(anchors, stream_store(path, rows), 0.25, k=7) == \
         top_k_modes(anchors, read_store(path), 0.25, k=7)
     check_disjoint(anchors, stream_store(path, rows))
+    whole = read_store(path)
+    for run in (lambda p: population_stats(anchors, p, 0.3),
+                lambda p: find_worst_mode(anchors, p, 0.25),
+                lambda p: mode_consistency_check(anchors, p, [7, 30, 300], 0.25)):
+        assert bits(run(stream_store(path, rows))) == bits(run(whole))
     # an anchor latent in the last block
     shared = pool.latents.copy()
     shared[-2] = anchors.latents[5].astype(np.float32)
@@ -428,8 +446,31 @@ def test_a_pool_streamed_in_blocks_gives_the_reports_of_the_whole_store(tmp_path
     # a whole store is a pool of one block, whose verdicts also come after its scan
     for pool_of in (lambda: stream_store(path, rows), lambda: read_store(path)):
         for run in (lambda p: build_report(lat32, p, 0.3, 0.25, curve_sizes=sizes),
-                    lambda p: top_k_modes(lat32, p, 0.25), lambda p: check_disjoint(lat32, p)):
+                    lambda p: top_k_modes(lat32, p, 0.25), lambda p: check_disjoint(lat32, p),
+                    lambda p: population_stats(lat32, p, 0.3),
+                    lambda p: find_worst_mode(lat32, p, 0.25),
+                    lambda p: mode_consistency_check(lat32, p, [7, 30], 0.25)):
             with pytest.raises(OverlappingCollectionsError):
                 run(pool_of())
         with pytest.raises(TooFewAnchorsError):
             build_report(make_store(1, 16, 63), pool_of(), 0.3, 0.25)
+
+
+@pytest.mark.parametrize("sizes", [[10, 5], [10, 600]])
+def test_report_checks_curve_sizes_before_it_reads_a_block(sizes):
+    # sizes are arguments, checked against the pool's count before its first
+    # block is drawn, like theta and the radius
+    anchors, pool = make_store(20, 8, 70), make_store(500, 8, 71)
+    drawn = []
+
+    def blocks():
+        for lo in range(0, pool.count, 100):
+            drawn.append(lo)
+            yield SampleStore(pool.latents[lo:lo + 100], pool.embeddings[lo:lo + 100], 0)
+
+    with pytest.raises(SizesOutOfRangeError):
+        build_report(anchors, StoreStream(pool.count, blocks()), 0.3, 0.25, curve_sizes=sizes)
+    assert drawn == []
+    # a pool of no rows: its sizes fault comes before its emptiness
+    with pytest.raises(SizesOutOfRangeError):
+        build_report(anchors, make_store(0, 8, 72), 0.3, 0.25, curve_sizes=[1])
