@@ -127,8 +127,9 @@ def _unit_store(path: str, rows: int | None = None) -> stores.StoreStream:
                     f"{path}: embedding {start + bad[0]} has norm {bad[1]:.6f}, not 1")
             if not np.all(np.isfinite(block.latents)):
                 raise NonFiniteError(f"{path}: latents must be finite")
-            yield block
             start += block.count
+            yield block
+            block = None   # else it lives on while the next one is read
 
     return stores.StoreStream(st.count, blocks())
 
@@ -279,7 +280,8 @@ def cmd_evaluate(args, parser) -> int:
         so the phase holds its anchors and one pool block."""
         def store(lat, seed):
             return stores.SampleStore(lat, sources.generate(src, lat)[0], seed=seed)
-        pool = stores.StoreStream(args.pool, (store(lat, pool_seed) for lat in pool_lat))
+        # map holds no block once it has handed it on, as a loop variable would
+        pool = stores.StoreStream(args.pool, map(lambda lat: store(lat, pool_seed), pool_lat))
         return diagnosis.build_report(store(anchor_lat, anchor_seed), pool, args.theta,
                                       args.radius, k=args.k, seed=args.seed)
 

@@ -104,12 +104,28 @@ def _blocks(anchors: SampleStore, pool: SampleStore | StoreStream, least: int = 
             on_block(block, start)
         start += block.count
         yield block.embeddings, block.sq_norms
+        block = None   # else it lives on while the pool makes the next one
     if anchors.count == 0 or start == 0:
         raise EmptyCollectionError("anchors and pool must both be non-empty")
     if shared:
         raise OverlappingCollectionsError("anchor latents appear in the pool")
     if anchors.count < least:
         raise TooFewAnchorsError(f"need >= {least} anchors, got {anchors.count}")
+
+
+def _gatherer(want: np.ndarray):
+    """(on_block, rows): an ``on_block`` for :func:`_blocks` that gathers the
+    pool rows at positions ``want``, in that order, into the one array that
+    ``rows`` holds once the first block has passed."""
+    rows = []
+
+    def gather(block: SampleStore, start: int) -> None:
+        if not rows:
+            rows.append(np.empty((len(want), block.embed_dim), block.embeddings.dtype))
+        at = np.flatnonzero((want >= start) & (want < start + block.count))
+        rows[0][at] = block.embeddings[want[at] - start]
+
+    return gather, rows
 
 
 def check_disjoint(anchors: SampleStore, pool: SampleStore | StoreStream) -> None:
@@ -205,10 +221,11 @@ def _check_sizes(sizes, limit: int, what: str) -> list[int]:
     return sizes
 
 
-def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: int,
-                      anchor_embedding: np.ndarray | None = None,
+def convergence_curve(kind: str, pool: SampleStore | StoreStream, sizes, theta: float,
+                      seed: int, anchor_embedding: np.ndarray | None = None,
                       anchors: SampleStore | None = None) -> ConvergenceCurve:
-    """Statistic vs sample size over prefixes of a seed-shuffled ordering.
+    """Statistic vs sample size over prefixes of a seed-shuffled ordering,
+    from one read of the pool.
 
     ``mccs_single`` tracks one anchor against growing pool prefixes.
     ``mu_mccs``/``sigma_mccs`` grow the anchor set and the pool together
@@ -223,17 +240,19 @@ def convergence_curve(kind: str, pool: SampleStore, sizes, theta: float, seed: i
             raise ValueError("mccs_single needs anchor_embedding")
         sizes = _check_sizes(sizes, pool.count, "pool")
         anchor = np.asarray(anchor_embedding)[None, :]
-        return _single_curve(scan(anchor, pool.embeddings, theta, None, near=True).near(0),
+        blocks = ((block.embeddings, block.sq_norms) for block in pool)
+        return _single_curve(scan(anchor, blocks, theta, None, near=True).near(0),
                              pool.count, sizes, theta, _shuffled(pool.count, seed))
 
     if anchors is None:
         raise ValueError(f"{kind} needs an anchors store")
-    check_disjoint(anchors, pool)
     sizes = _check_sizes(sizes, min(pool.count, anchors.count), "pool and anchors")
     if sizes[0] < 2:
         raise SizesOutOfRangeError("population curves need sizes >= 2")
-    pool_emb = pool.embeddings[_shuffled(pool.count, seed)[:sizes[-1]]]
-    mu, sigma = _population_curves(anchors, pool_emb, sizes, theta, seed)
+    gather, pool_emb = _gatherer(_shuffled(pool.count, seed)[:sizes[-1]])
+    for _ in _blocks(anchors, pool, on_block=gather):
+        pass
+    mu, sigma = _population_curves(anchors, pool_emb[0], sizes, theta, seed)
     return mu if kind == "mu_mccs" else sigma
 
 
@@ -295,18 +314,10 @@ def build_report(anchors: SampleStore, pool: SampleStore | StoreStream, theta: f
     shuffled = _shuffled(n, seed) if sizes else None
     population_sizes = [s for s in sizes or () if 2 <= s <= anchors.count]
     # the population curves' pool rows, taken from each block as it passes
-    want = shuffled[:population_sizes[-1]] if population_sizes else None
-    pool_emb = []   # one array, made at the first block
-
-    def gather(block: SampleStore, start: int) -> None:
-        if not pool_emb:
-            pool_emb.append(np.empty((len(want), block.embed_dim), block.embeddings.dtype))
-        at = np.flatnonzero((want >= start) & (want < start + block.count))
-        pool_emb[0][at] = block.embeddings[want[at] - start]
-
+    gather, pool_emb = (_gatherer(shuffled[:population_sizes[-1]]) if population_sizes
+                        else (None, None))
     # theta and radius are validated once, by the scan
-    result = scan(anchors.embeddings,
-                  _blocks(anchors, pool, 2, gather if want is not None else None),
+    result = scan(anchors.embeddings, _blocks(anchors, pool, 2, gather),
                   theta, radius, near=bool(sizes))
     counts, sims = result
     stats = _stats(sims, n)

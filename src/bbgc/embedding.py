@@ -14,22 +14,27 @@ as a store read block by block, so a scan need not hold its pool.  It
 compares dots against cosine thresholds instead of taking an arccos per
 pair: ``arccos`` is monotone decreasing, so ``d <= r`` and ``dot >=
 cos(pi*r)`` pick the same pairs, and only the surviving pairs need
-transcendentals.  A float32 GEMM over
-fixed tiles screens the pairs first, keeping every pair within a proven
-rounding margin of a threshold; each kept pair is then decided on its
-float64 dot, one einsum over the pair's two rows.  A float32 operand,
-such as the strided embedding view of a store, is the screen operand
-itself; only the rows a float64 kernel reads are upcast, which is exact.
-A float64 operand is cast to float32 one tile at a time, into a buffer
-the scan reuses, so no copy of a whole operand is made.  Pool tiles are
-the outer loop, so each is cast once; an anchor chunk is cast once per
-tile, which costs a small fraction of that tile's GEMM.
+transcendentals.  A float32 GEMM of an
+anchor chunk against a pool tile screens the pairs first, keeping every
+pair within a proven rounding margin of a threshold; each kept pair is
+then decided on its float64 dot, one einsum over the pair's two rows.
+The GEMM's float32 output, its mask and each float32 cast fit one screen
+block of ``SCREEN_BYTES`` (1 MiB), so the screen's working memory does
+not grow with the pool, the anchors or the pool's blocks.  A float32
+operand, such as the strided embedding view of a store, is the screen
+operand itself; only the rows a float64 kernel reads are upcast, which is
+exact.  A float64 operand is cast to float32 one tile at a time, into a
+buffer the scan reuses, so no copy of a whole operand is made.  Pool
+tiles are the outer loop, so each is cast once; an anchor chunk is cast
+once per tile, which costs a small fraction of that tile's GEMM.
 Counts and sums therefore depend neither on how BLAS rounds, threads or
-blocks a GEMM, nor on the tile or pool block sizes, nor on whether the
-embeddings come as float32 or as their float64 upcast.  Each row's terms
-are summed in column order by one ``np.sum``.  Asked to, the scan keeps
-them with their pool columns, so a curve over one anchor's pool prefixes
-needs no second pass over the pool.
+blocks a GEMM, nor on the tile, screen or pool block sizes, nor on whether
+the embeddings come as float32 or as their float64 upcast.  Each row's
+terms are summed in column order by one ``np.sum``: after the last block,
+each GEMM's run of a row's terms moves to its place in that row, one
+vectorised step per GEMM.  Asked to, the scan keeps them with their pool
+columns, so a curve over one anchor's pool prefixes needs no second pass
+over the pool.
 """
 
 from __future__ import annotations
@@ -131,10 +136,13 @@ def mccs(mean_similarity: float) -> float:
     return 1.0 / (1.0 - math.log(s))
 
 
-# The scan's float32 screen runs over tiles of TILE_ROWS anchors x TILE_COLS
-# pool rows (more anchor rows when the pool is narrower): an 8 MB block.
+# The scan's float32 screen runs GEMMs of at least TILE_ROWS anchors against
+# as many pool rows as keep each GEMM's float32 output and each float32 cast
+# within SCREEN_BYTES (see _screen_shape); a streamed pool comes in blocks of
+# TILE_COLS rows.
 TILE_ROWS = 256
 TILE_COLS = 8192
+SCREEN_BYTES = 1 << 20   # of a float32 block that the screen makes or casts into
 _U32 = 2.0 ** -24   # float32 unit roundoff
 BLOCK_BYTES = 1 << 25   # of a row block whose size sets no bit, as float64
 PIECE_BYTES = 1 << 19   # of a piece that a kernel reuses or gathers, kept in cache
@@ -234,10 +242,23 @@ class ScanResult(tuple):
     def near(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """(columns, terms) of the pool rows within theta of anchor ``row``,
         in column order: :func:`near_terms` of the scan's own float64 dots."""
+        cols, terms, ends = self._found[row // self._chunk]
         r = row % self._chunk
-        spans = [(t, c, e[r - 1] if r else 0, e[r]) for t, c, e in self._found[row // self._chunk]]
-        return (np.concatenate([c[lo:hi] for _, c, lo, hi in spans]),
-                np.concatenate([t[lo:hi] for t, _, lo, hi in spans]))
+        lo = ends[r - 1] if r else 0
+        return cols[lo:ends[r]], terms[lo:ends[r]]
+
+
+def _screen_shape(m: int, d: int, width: int) -> tuple[int, int]:
+    """(anchor rows, pool rows) of one screen GEMM of ``m`` anchors against
+    a pool block of ``width`` rows, all of dim ``d``.  Anchor rows: as many
+    as one screen block holds both as a GEMM output against min(width,
+    TILE_ROWS) pool rows and as their own float32 cast, but at least
+    TILE_ROWS, since a shorter GEMM runs slower per pair.  Pool rows: as many,
+    up to ``width``, as keep the GEMM's output and their own float32 cast
+    within one screen block."""
+    screen = SCREEN_BYTES // 4   # float32 values
+    k = max(1, min(m, max(TILE_ROWS, screen // max(d, min(width, TILE_ROWS), 1))))
+    return k, max(1, min(width, screen // max(k, d)))
 
 
 def _operand(x) -> np.ndarray:
@@ -253,8 +274,8 @@ def scan(anchors: np.ndarray, pool, theta: float | None,
 
     ``pool`` is an array, which is one block, or an iterator of blocks in
     pool order, each a pair (rows, their squared norms as :func:`row_dots`
-    gives them, or None); a block wider than ``TILE_COLS`` rows is split
-    into tiles.  Counts include pairs exactly at ``radius``; pairs
+    gives them, or None); each block is screened one tile of pool rows at
+    a time.  Counts include pairs exactly at ``radius``; pairs
     at distance >= theta add exactly 0 to the mean.  A ``None`` threshold
     skips that half and returns ``None`` for it.  A float32 GEMM screens out
     pairs that a proven margin puts below both thresholds; every other pair
@@ -272,64 +293,80 @@ def scan(anchors: np.ndarray, pool, theta: float | None,
     # and its blocks are TILE_COLS wide
     blocks, width = ((pool, TILE_COLS) if isinstance(pool, Iterator)
                      else ([(pool, None)], len(pool)))
-    chunk = max(TILE_ROWS, TILE_ROWS * TILE_COLS // max(width, 1))
-    chunks = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
+    k, cols = _screen_shape(m, d, width)
+    chunks = [(lo, min(lo + k, m)) for lo in range(0, m, k)]
     anchor_sq = row_dots(anchors)
     amax = [math.sqrt(np.max(anchor_sq[lo:hi])) for lo, hi in chunks]
-    # every tile's float32 block and its screen mask reuse one buffer each,
-    # and a float64 operand is cast into one buffer an anchor chunk or a pool
-    # tile at a time; a float32 one, strided view included, is used as it
-    # is.  The buffers are sized once for the widest tile there can be, so
-    # blocks of changing sizes make no new ones; pages never written are
-    # never resident.
-    k, cols = min(chunk, m), min(width, TILE_COLS)
+    # the GEMM output and its mask reuse one buffer each, and a float64
+    # operand is cast into one buffer an anchor chunk or a pool tile at a
+    # time; a float32 one, strided view included, is used as it is.  The
+    # buffers are sized once, so blocks of changing sizes make no new ones
     anchor_buf = None if anchors.dtype == np.float32 else np.empty((k, d), np.float32)
     block_buf, mask_buf = (np.empty(k * cols, dtype=t) for t in (np.float32, bool))
     tile_buf = None
     counts = None if cos_r is None else np.zeros(m, dtype=np.int64)
-    found = [[] for _ in chunks]   # per chunk: each tile's (terms, columns, row ends)
+    found = [[] for _ in chunks]   # per chunk: each GEMM's kept (rows, terms, columns)
+    row_type = np.min_scalar_type(k - 1)   # of a row within its chunk
     for rows, sq in blocks:
         rows = _operand(rows)
         if rows.ndim != 2 or rows.shape[1] != d:
             raise DimensionMismatchError(f"shapes {anchors.shape} and {rows.shape}")
-        starts = range(0, max(len(rows), n == 0), TILE_COLS)   # an empty pool still has one tile
-        # the largest norm of each tile, for its screen; taken before the tile's
-        # GEMM, so row_dots' float64 copies are not held beside the buffers
-        pmax = [math.sqrt(np.max(row_dots(rows[c0:c0 + TILE_COLS]) if sq is None
-                                 else sq[c0:c0 + TILE_COLS], initial=0.0)) for c0 in starts]
-        for c0, p_max in zip(starts, pmax):
-            tile = rows[c0:c0 + TILE_COLS]
+        for c0 in range(0, len(rows), cols):
+            tile = rows[c0:c0 + cols]
+            # the largest norm of the tile, for its screen
+            p_max = math.sqrt(np.max(row_dots(tile) if sq is None else sq[c0:c0 + cols]))
             if tile.dtype != np.float32 and tile_buf is None:
                 tile_buf = np.empty((cols, d), dtype=np.float32)
             tile32 = _float32(tile, tile_buf)
-            for (lo, hi), a_max, tiles in zip(chunks, amax, found):
+            for (lo, hi), a_max, pieces in zip(chunks, amax, found):
                 size = (hi - lo) * len(tile)
                 block = np.matmul(_float32(anchors[lo:hi], anchor_buf), tile32.T,
                                   out=block_buf[:size].reshape(hi - lo, len(tile)))
-                # "not below" keeps a NaN dot, which the float64 dot then decides
-                keep = np.less(block, _screen_limit(cos_min, d, a_max, p_max),
-                               out=mask_buf[:size].reshape(block.shape))
-                i, j = np.divmod(np.flatnonzero(np.logical_not(keep, out=keep)), len(tile))
+                limit = _screen_limit(cos_min, d, a_max, p_max)
+                keep = np.greater_equal(block, limit, out=mask_buf[:size].reshape(block.shape))
+                if limit == -np.inf:   # so a NaN dot is kept too, for its float64 dot
+                    keep.fill(True)
+                i, j = np.divmod(np.flatnonzero(keep), len(tile))
+                if not i.size:
+                    continue
                 dots = _pair_dots(anchors[lo:hi], tile, i, j)
                 if cos_r is not None:
                     counts[lo:hi] += np.bincount(i[dots >= cos_r], minlength=hi - lo)
                 if theta is not None:
                     kept, terms = near_terms(dots, theta)
-                    tiles.append((terms, j[kept] + (n + c0) if near else None,
-                                  np.cumsum(np.bincount(i[kept], minlength=hi - lo))))
+                    pieces.append((i[kept].astype(row_type), terms,
+                                   j[kept] + (n + c0) if near else None))
         n += len(rows)
+        rows = sq = tile = tile32 = None   # else the block lives on while the next is made
     if theta is None:
         return ScanResult(counts, None)
-    # each tile is row-major and tiles come in column order, so joining a
-    # row's slice of every tile lists its terms in column order
-    sums = np.empty(m)
-    for (lo, hi), tiles in zip(chunks, found):
-        spans = [(t, [0, *e.tolist()]) for t, _, e in tiles]
-        sums[lo:hi] = [np.sum(np.concatenate([t[b[r]:b[r + 1]] for t, b in spans]))
-                       for r in range(hi - lo)] if spans else 0.0   # a pool of no block
+    # a chunk's GEMMs come in column order and each lists its pairs row by
+    # row, so moving each GEMM's run of a row to that row's next free place
+    # lists each row's terms in column order
+    sums = np.zeros(m)
+    for c, (lo, hi) in enumerate(chunks):
+        pieces, found[c] = found[c], None
+        per_row = np.zeros(hi - lo, np.int64)
+        for rows, _, _ in pieces:
+            per_row += np.bincount(rows, minlength=hi - lo)
+        ends = np.cumsum(per_row)
+        at = ends - per_row   # each row's next free place
+        terms = np.empty(ends[-1])
+        columns = np.empty(ends[-1], np.intp) if near else None
+        for x, (rows, part, part_cols) in enumerate(pieces):
+            pieces[x] = None   # freed once it is placed
+            runs = np.bincount(rows, minlength=hi - lo)
+            to = (at - (np.cumsum(runs) - runs))[rows] + np.arange(len(part))
+            terms[to] = part
+            if near:
+                columns[to] = part_cols
+            at += runs
+        for r in np.flatnonzero(per_row):
+            sums[lo + r] = np.sum(terms[ends[r] - per_row[r]:ends[r]])
+        found[c] = (columns, terms, ends)
     # np.expm1(theta) can exceed math.expm1(theta) in the last bit, so a
     # fully collapsed anchor's mean could land at 1 + 2**-52
-    return ScanResult(counts, np.minimum(sums / (math.expm1(theta) * n), 1.0), chunk,
+    return ScanResult(counts, np.minimum(sums / (math.expm1(theta) * n), 1.0), k,
                       found if near else None)
 
 

@@ -367,6 +367,7 @@ def calibrated_is_blocks(plan: ImportanceSamplingPlan, n: int, seed: int):
         accepted += int(np.count_nonzero(keep))
         if len(kept):
             yield kept
+        z = kept = None   # else they live on while the next batch is drawn
     return AcceptanceStats(
         proposals=total, accepted=accepted, in_hull=in_hull,
         in_hull_accepted=in_hull_accepted, outside_hull=total - in_hull,

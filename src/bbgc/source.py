@@ -333,13 +333,19 @@ class SyntheticSource(_Source):
 
 # -- wire framing shared by subprocess and remote adapters --------------------
 
-def pack_frame(vectors: np.ndarray, as_latents: bool) -> bytes:
-    """One store-framed batch: latent-only frames zero embed_dim and vice versa."""
+def _frame_parts(vectors: np.ndarray, as_latents: bool) -> tuple[bytes, np.ndarray]:
+    """The header and the packed records of one store-framed batch:
+    latent-only frames zero embed_dim and vice versa."""
     vectors = np.asarray(vectors)
     empty = np.empty((len(vectors), 0))
     lat, emb = (vectors, empty) if as_latents else (empty, vectors)
-    return (store_format.pack_header(lat.shape[1], emb.shape[1], len(vectors))
-            + store_format.pack_records(lat, emb))
+    return (store_format.pack_header(lat.shape[1], emb.shape[1], len(vectors)),
+            store_format.packed_records(lat, emb))
+
+
+def pack_frame(vectors: np.ndarray, as_latents: bool) -> bytes:
+    """One store-framed batch as bytes: its :func:`_frame_parts` joined."""
+    return b"".join(_frame_parts(vectors, as_latents))
 
 
 def _read_frame(readinto, check, truncated):
@@ -703,5 +709,5 @@ def run_worker(source, stdin, stdout) -> None:
 
     while (frame := _read_frame(stdin.readinto, check, truncated)) is not None:
         emb, _ = source.embed(frame[2])
-        stdout.write(pack_frame(emb, as_latents=False))
+        stdout.writelines(_frame_parts(emb, as_latents=False))   # no joined copy
         stdout.flush()

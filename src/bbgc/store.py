@@ -119,12 +119,20 @@ def pack_header(latent_dim: int, embed_dim: int, count: int, seed: int = 0) -> b
     return HEADER.pack(MAGIC, VERSION, latent_dim, embed_dim, count, seed)
 
 
+def packed_records(latents: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
+    """The records of rows of (latents, embeddings) with empty refs, vectors
+    cast to float32, as one packed array whose buffer holds their bytes: a
+    file's ``write`` takes it with no copy."""
+    rec = np.zeros(len(latents), record_dtype(np.shape(latents)[1], np.shape(embeddings)[1]))
+    rec["latent"], rec["embedding"] = latents, embeddings
+    return rec
+
+
 def pack_records(latents: np.ndarray, embeddings: np.ndarray,
                  refs: Sequence[bytes] | None = None) -> bytes:
     """The records of rows of (latents, embeddings, refs), vectors cast to
     float32.  ``refs`` None means every ref is empty."""
-    rec = np.zeros(len(latents), record_dtype(np.shape(latents)[1], np.shape(embeddings)[1]))
-    rec["latent"], rec["embedding"] = latents, embeddings
+    rec = packed_records(latents, embeddings)
     if refs is None:
         return rec.tobytes()
     rec["ref_len"] = [len(r) for r in refs]
@@ -188,7 +196,8 @@ class StoreWriter:
         n = latents.shape[0]
         if refs is not None and len(refs) != n:
             raise DimensionMismatchError(f"{len(refs)} refs for {n} records")
-        self._fh.write(pack_records(latents, embeddings, refs))
+        self._fh.write(packed_records(latents, embeddings) if refs is None
+                       else pack_records(latents, embeddings, refs))
         self.count += n
 
     def close(self) -> None:
@@ -501,6 +510,7 @@ def stream_store(path: str | os.PathLike, rows: int | None = None) -> StoreStrea
             yield head[2]
             for latents, embeddings, refs in frame:
                 yield SampleStore(latents, embeddings, seed=head[3], refs=refs)
+                latents = embeddings = refs = None   # else they live on while the next is read
 
     stream = blocks()
     return StoreStream(count=next(stream), blocks=stream)

@@ -1033,6 +1033,40 @@ def test_diagnose_and_find_modes_memory_does_not_grow_with_the_pool(tmp_path):
     assert large - small < 0.25 * pool_float32, (small, large)
 
 
+# Run in a fresh interpreter: diagnose with the flags given, printing the
+# growth of ru_maxrss over the import and one small float32 GEMM, which
+# touches the BLAS threads' own buffers whatever the scan's blocks are.
+_DIAGNOSE_PROBE = """
+import contextlib, io, resource, sys
+import numpy as np
+import bbgc.cli
+np.ones((256, 128), np.float32) @ np.ones((128, 1024), np.float32)
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+base = peak()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert bbgc.cli.main(["diagnose", *sys.argv[1:]]) == 0
+print(peak() - base)
+"""
+
+
+def test_diagnose_memory_stays_below_one_wide_screen_block(tmp_path):
+    # the scan screens in blocks of at most 1 MiB, so diagnose of an embed-128
+    # pool holds its anchors, one 8192-row store block and those blocks: less
+    # than the float32 GEMM output alone of a 256 x 8192 screen, 8 MiB
+    from configs import DETECTION, spec_dict
+    spec = tmp_path / "source.json"
+    spec.write_text(json.dumps(spec_dict(DETECTION, 7)))
+    for argv in (["sample", "--source", str(spec), "--n", "300", "--role", "anchors",
+                  "--out", str(tmp_path / "a")],
+                 ["sample", "--source", str(spec), "--n", "20000", "--out", str(tmp_path / "p")]):
+        assert main(argv) == 0, argv
+    growth = _probe(_DIAGNOSE_PROBE, "--anchors", str(tmp_path / "a"), "--pool",
+                    str(tmp_path / "p"), "--out", str(tmp_path / "r.json"))
+    # measured 6.1 to 6.3 MiB; 15.5 to 15.9 MiB with the 256 x 8192 screen
+    assert growth < 8 * 2 ** 20, growth / 2 ** 20
+
+
 # Run in a fresh interpreter: evaluate with the flags given, in blocks of
 # 1024 rows, printing the growth of ru_maxrss over the import and the scipy
 # modules that a plan loads.

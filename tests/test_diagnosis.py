@@ -456,6 +456,30 @@ def test_a_pool_streamed_in_blocks_gives_the_reports_of_the_whole_store(tmp_path
             build_report(make_store(1, 16, 63), pool_of(), 0.3, 0.25)
 
 
+def test_convergence_curves_of_a_streamed_pool_are_those_of_the_whole_store(tmp_path):
+    # each curve reads its pool once, block by block: the single anchor's
+    # near terms from the scan, the population curves' rows as they pass
+    from bbgc.store import read_store, stream_store, write_store
+    anchors, pool = make_store(60, 8, 73), make_store(500, 8, 74)
+    path = tmp_path / "p"
+    write_store(path, pool.latents, pool.embeddings, seed=0)
+    whole = read_store(path)
+    anchor = anchors.embeddings[3]
+    for kind, sizes, extra in (("mccs_single", [10, 150, 500], {"anchor_embedding": anchor}),
+                               ("mu_mccs", [5, 20, 60], {"anchors": anchors}),
+                               ("sigma_mccs", [5, 20, 60], {"anchors": anchors})):
+        want = convergence_curve(kind, whole, sizes, 0.3, 9, **extra)
+        got = convergence_curve(kind, stream_store(path, 100), sizes, 0.3, 9, **extra)
+        assert bits(got) == bits(want) and got.statistic_kind == kind
+    shared = pool.latents.copy()
+    shared[-1] = anchors.latents[7].astype(np.float32)
+    write_store(path, shared, pool.embeddings, seed=0)
+    lat32 = SampleStore(anchors.latents.astype(np.float32).astype(np.float64),
+                        anchors.embeddings, 0)
+    with pytest.raises(OverlappingCollectionsError):
+        convergence_curve("mu_mccs", stream_store(path, 100), [5, 20], 0.3, 9, anchors=lat32)
+
+
 @pytest.mark.parametrize("sizes", [[10, 5], [10, 600]])
 def test_report_checks_curve_sizes_before_it_reads_a_block(sizes):
     # sizes are arguments, checked against the pool's count before its first

@@ -206,16 +206,23 @@ def test_scan_matches_both_views_bit_for_bit():
 
 @pytest.mark.parametrize("rows,cols", [(17, 1000), (5, 33), (1, 4096)])
 def test_scan_bits_do_not_depend_on_tile_sizes(monkeypatch, rows, cols):
-    # tiles change which pairs share a GEMM and a float64 einsum, never the bits
+    # tiles and screen blocks change which pairs share a GEMM and a float64
+    # einsum, never the bits; a screen block of 1 or 7 pool rows also puts
+    # a row's terms in many GEMMs of its chunk
     import bbgc.embedding as E
     a, b = dense_rows()
-    base = [scan(a, b, theta, 0.25) for theta in (0.3, 0.05)]
+    base = [scan(a, b, theta, 0.25, near=True) for theta in (0.3, 0.05)]
     monkeypatch.setattr(E, "TILE_ROWS", rows)
     monkeypatch.setattr(E, "TILE_COLS", cols)
-    for theta, (counts, sims) in zip((0.3, 0.05), base):
-        got_counts, got_sims = scan(a, b, theta, 0.25)
-        assert got_counts.tobytes() == counts.tobytes()
-        assert got_sims.tobytes() == sims.tobytes()
+    for width in (None, 1, 7):
+        if width is not None:
+            monkeypatch.setattr(E, "SCREEN_BYTES", 4 * width * max(rows, a.shape[1]))
+            assert E._screen_shape(len(a), a.shape[1], len(b))[1] == width
+        for theta, want in zip((0.3, 0.05), base):
+            got = scan(a, b, theta, 0.25, near=True)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            for r in (0, 39, 149):
+                assert [g.tobytes() for g in got.near(r)] == [w.tobytes() for w in want.near(r)]
 
 
 def test_scan_keeps_pairs_whose_float32_dot_misses_the_cutoff():
@@ -241,6 +248,18 @@ def test_scan_keeps_pairs_whose_float32_dot_misses_the_cutoff():
     assert sims[1] > 0.0
 
 
+def test_scan_screens_nothing_out_where_a_float32_dot_overflows():
+    # rows of norm 1e39 are finite in float64 but inf as float32, so their
+    # float32 dots are inf or NaN: no margin holds, and every pair goes to
+    # its float64 dot
+    a, b = dense_rows()
+    big = a[:20] * 1e39
+    cos_r = math.cos(math.pi * 0.25)
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = neighbor_counts(big, b, 0.25)
+    assert counts.tolist() == [int(np.sum(pair_dots(x, b) >= cos_r)) for x in big]
+
+
 def test_scan_memory_stays_bounded():
     # the scan holds float32 casts, one fixed tile and the surviving terms,
     # never an anchor-chunk x pool float64 block
@@ -255,6 +274,23 @@ def test_scan_memory_stays_bounded():
         finally:
             tracemalloc.stop()
         assert peak < b.nbytes / 2 + 32 * 2 ** 20, (n, peak)
+
+
+@pytest.mark.parametrize("fed", ["array", "blocks"])
+def test_scan_screens_in_blocks_of_one_mib(fed):
+    # the GEMM output of a screen block, its mask and the kept pairs are the
+    # scan's own buffers: 1.5 to 1.9 MiB here, 10.6 MiB with a float32
+    # output of 256 anchors x 8192 pool rows and its mask
+    import tracemalloc
+    a = unit_rows(1000, 128, 14).astype(np.float32)
+    b = unit_rows(16_384, 128, 15).astype(np.float32)
+    tracemalloc.start()
+    try:
+        scan(a, b if fed == "array" else blocks_of(b, 8192, norms=True), 0.3, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20, peak / 2 ** 20
 
 
 def test_scan_memory_does_not_grow_with_a_float64_pool():
