@@ -25,7 +25,9 @@ import numpy as np
 from . import diagnosis, gmm, importance
 from . import source as sources
 from . import store as stores
-from .embedding import TILE_COLS, check_radius, check_theta, neighbor_counts, row_dots
+# neighbor_counts is bound for the bench alone: bench/smoke.py and
+# tests/test_bench_names.py assert that its tracer wraps this binding
+from .embedding import TILE_COLS, check_radius, check_theta, neighbor_counts, row_dots  # noqa: F401
 from .errors import (
     BbgcError,
     CalibrationError,
@@ -40,8 +42,6 @@ from .rng import (
     STREAM_EVAL_ANCHORS,
     STREAM_EVAL_POOL,
     STREAM_POOL,
-    STREAM_REFERENCE,
-    CounterStream,
     derive_seed,
 )
 
@@ -56,8 +56,6 @@ _ROLE_STREAMS = {"anchors": STREAM_ANCHORS, "pool": STREAM_POOL}
 # the pre-calibration draws.
 _AFTER_ANCHORS_SALT = 0xA11C40125
 _AFTER_POOL_SALT = 0xC011EC7104
-
-_REFERENCE_PROBES = 256
 
 
 def _positive_int(text: str) -> int:
@@ -209,16 +207,6 @@ def _dense_modes_from_report(report_path: str, anchors: stores.SampleStore,
     return out, float(report["radius"])
 
 
-def _pick_reference(pool: stores.SampleStore, radius: float, seed: int) -> int:
-    """An off-mode pool position: the least-dense of a seeded probe set."""
-    k = min(_REFERENCE_PROBES, pool.count)
-    u = CounterStream(seed, STREAM_REFERENCE).uniforms(0, k)
-    idx = np.unique((u * pool.count).astype(np.int64) % pool.count)
-    counts = neighbor_counts(pool.embeddings[idx], pool.embeddings, radius)
-    order = np.lexsort((idx, counts))
-    return int(idx[order[0]])
-
-
 def cmd_calibrate_gmm(args, parser) -> int:
     prov = _provenance(args.seed, source=args.source, anchors=args.anchors,
                        report=args.report)
@@ -243,7 +231,7 @@ def cmd_calibrate_is(args, parser) -> int:
     anchors = _read_unit_store(args.anchors)
     pool = _read_unit_store(args.pool)
     dense, radius = _dense_modes_from_report(args.report, anchors, args.modes)
-    plan = importance.build_plan(pool, dense, _pick_reference(pool, radius, args.seed),
+    plan = importance.build_plan(pool, dense, importance.reference_probes(pool.count, args.seed),
                                  radius, hull_size=args.hull_size)
     prov["modes"] = [idx for _, idx in dense]
     importance.save_plan(args.out, plan, provenance=prov)
@@ -420,6 +408,15 @@ def _add_stat_flags(sub: argparse.ArgumentParser, k_help: str) -> None:
     _add_mode_flags(sub, k_help)
 
 
+def _add_calibrate_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--anchors", required=True, help="anchor store")
+    sub.add_argument("--report", required=True, help="diagnosis report JSON")
+    sub.add_argument("--modes", type=_positive_int, default=1,
+                     help="how many of the densest modes to calibrate away")
+    sub.add_argument("--seed", type=_seed_value, default=0,
+                     help="seed of the calibration's draws")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bbgc",
@@ -462,23 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal_gmm = methods.add_parser("gmm", help="reweighted Gaussian mixture")
     cal_gmm.add_argument("--source", required=True, help="source spec JSON")
-    cal_gmm.add_argument("--anchors", required=True, help="anchor store")
-    cal_gmm.add_argument("--report", required=True, help="diagnosis report JSON")
-    cal_gmm.add_argument("--modes", type=_positive_int, default=1,
-                         help="how many of the densest modes to calibrate away")
+    _add_calibrate_flags(cal_gmm)
     cal_gmm.add_argument("--kmeans-k", type=_positive_int, default=64)
     cal_gmm.add_argument("--n-fit", type=_positive_int, default=100_000)
-    cal_gmm.add_argument("--seed", type=_seed_value, default=0)
     cal_gmm.add_argument("--out", required=True, help="mixture model JSON path")
     cal_gmm.set_defaults(func=cmd_calibrate_gmm)
 
     cal_is = methods.add_parser("is", help="convex-hull importance sampling plan")
-    cal_is.add_argument("--anchors", required=True, help="anchor store")
     cal_is.add_argument("--pool", required=True, help="pool store for counts and hulls")
-    cal_is.add_argument("--report", required=True, help="diagnosis report JSON")
-    cal_is.add_argument("--modes", type=_positive_int, default=1)
+    _add_calibrate_flags(cal_is)
     cal_is.add_argument("--hull-size", type=_positive_int, default=100)
-    cal_is.add_argument("--seed", type=_seed_value, default=0)
     cal_is.add_argument("--out", required=True, help="plan JSON path")
     cal_is.set_defaults(func=cmd_calibrate_is)
 

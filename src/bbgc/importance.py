@@ -48,7 +48,7 @@ from .errors import (
 )
 from .jsonutil import (CONTENT_ERRORS, decode_matrix, encode_matrix, json_field, read_json,
                        write_json)
-from .rng import STREAM_IS_ACCEPT, STREAM_IS_PROPOSAL, CounterStream
+from .rng import STREAM_IS_ACCEPT, STREAM_IS_PROPOSAL, STREAM_REFERENCE, CounterStream
 from .store import SampleStore
 
 _PROPOSAL_BATCH = 8192   # fixed: batch boundaries are part of no contract,
@@ -56,6 +56,7 @@ _PROPOSAL_BATCH = 8192   # fixed: batch boundaries are part of no contract,
 _MAX_PROPOSALS_PER_DRAW = 1000   # proposals per requested draw before a stall
 _TOL = 1e-4          # membership tolerance relative to 1 + |z|
 _NNLS_ITERS = 500    # iteration cap of one hull solve
+_REFERENCE_PROBES = 256   # seeded reference candidates per pool
 
 # Qhull facet counts grow steeply with dimension: for 100 vertices about
 # 166 facets at 4-d, 2479 at 6-d and 48 496 at 8-d, where one batch's
@@ -218,15 +219,22 @@ def hull_membership(z: np.ndarray, vertices: np.ndarray) -> HullMembership:
                           coefficients=alpha)
 
 
+def reference_probes(count: int, seed: int) -> np.ndarray:
+    """Seeded candidate reference positions in a pool of ``count`` rows, duplicates kept."""
+    u = CounterStream(seed, STREAM_REFERENCE).uniforms(0, min(_REFERENCE_PROBES, count))
+    return (u * count).astype(np.int64) % count
+
+
 def build_plan(pool: SampleStore, dense_modes: Sequence[tuple[np.ndarray, int]],
-               reference_index: int, r0: float,
+               references: int | Sequence[int], r0: float,
                hull_size: int = 100) -> ImportanceSamplingPlan:
     """Acceptance probabilities and hulls for a list of dense modes.
 
-    ``dense_modes`` pairs each mode embedding with its anchor index.
-    ``reference_index`` is the pool position of the reference sample,
-    whose neighbor count is the numerator of every p.  A reference with
-    an empty neighborhood still counts 1 so that p stays positive.
+    ``dense_modes`` pairs each mode embedding with its anchor index.  The
+    reference sample is the least dense of the candidate pool positions
+    ``references`` (an int is one; ties go to the lowest), such as
+    :func:`reference_probes` gives.  Its neighbor count, at least 1 so that
+    p stays positive, is the numerator of every p.
     """
     check_radius(r0)
     if pool.count == 0:
@@ -235,14 +243,15 @@ def build_plan(pool: SampleStore, dense_modes: Sequence[tuple[np.ndarray, int]],
         raise ValueError("need at least one dense mode")
     if hull_size < 1:
         raise ValueError(f"hull_size must be >= 1, got {hull_size}")
-    ref = int(reference_index)
-    if not 0 <= ref < pool.count:
-        raise ValueError(f"reference index {ref} outside store of {pool.count}")
+    refs = np.unique(np.asarray(references, dtype=np.int64))
+    if refs.size == 0 or refs[0] < 0 or refs[-1] >= pool.count:
+        raise ValueError(f"reference positions must be given and lie in [0, {pool.count})")
     mode_embs = np.asarray([np.asarray(e, dtype=np.float64) for e, _ in dense_modes])
     mode_idx = [int(i) for _, i in dense_modes]
     # each count is decided on its own float64 dots, so one scan serves both
-    counts = neighbor_counts(np.vstack([pool.embeddings[[ref]], mode_embs]), pool.embeddings, r0)
-    ref_count, dense_counts = max(1, int(counts[0])), counts[1:]
+    counts = neighbor_counts(np.vstack([pool.embeddings[refs], mode_embs]), pool.embeddings, r0)
+    first = int(np.argmin(counts[:refs.size]))   # refs are sorted: ties go to the lowest
+    ref, ref_count, dense_counts = int(refs[first]), max(1, int(counts[first])), counts[refs.size:]
 
     entries = []
     size = min(hull_size, pool.count)

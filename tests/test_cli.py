@@ -17,7 +17,7 @@ import pytest
 
 import bbgc
 from bbgc import diagnosis
-from bbgc.cli import _pick_reference, main
+from bbgc.cli import main
 from bbgc.errors import SourceUnavailableError
 from bbgc.gmm import calibrate_gmm, load_mixture, sample_calibrated
 from bbgc.importance import (
@@ -25,6 +25,7 @@ from bbgc.importance import (
     _finish_entry,
     build_plan,
     load_plan,
+    reference_probes,
     sample_calibrated_is,
     save_plan,
 )
@@ -211,7 +212,7 @@ def test_calibration_takes_the_report_radius(pipeline, tmp_path):
                  "--hull-size", "40", "--seed", "5", "--out", str(plan_path)]) == 0
     doc = read_json(str(plan_path))
     assert doc["r0"] == 0.2
-    plans = {r0: build_plan(pool, dense, _pick_reference(pool, r0, 5), r0, hull_size=40)
+    plans = {r0: build_plan(pool, dense, reference_probes(pool.count, 5), r0, hull_size=40)
              for r0 in (0.2, 0.25)}
     want = tmp_path / "want.json"
     save_plan(str(want), plans[0.2], provenance=doc["provenance"])
@@ -231,6 +232,30 @@ def test_calibration_takes_the_report_radius(pipeline, tmp_path):
                                         n_fit=2000, source_seed=11).weights
     assert np.array_equal(load_mixture(str(mixture)).weights, weights[0.2])
     assert not np.array_equal(weights[0.2], weights[0.25])
+
+
+def test_calibrate_is_scans_its_pool_once(pipeline, tmp_path, monkeypatch):
+    # the reference candidates and the modes are counted in one scan
+    import bbgc.embedding
+    calls, scan = [], bbgc.embedding.scan
+    monkeypatch.setattr(bbgc.embedding, "scan",
+                        lambda anchors, pool, *rest, **kw: calls.append(len(pool))
+                        or scan(anchors, pool, *rest, **kw))
+    assert main(["calibrate", "is", "--anchors", str(pipeline["anchors"]),
+                 "--pool", str(pipeline["pool"]), "--report", str(pipeline["report"]),
+                 "--modes", "2", "--hull-size", "40", "--out", str(tmp_path / "plan.json")]) == 0
+    assert calls == [2500]
+
+
+def test_calibrate_is_on_an_empty_pool_exits_4(pipeline, tmp_path, capsys):
+    # an empty pool has no reference probes; it once ended in an IndexError
+    empty = tmp_path / "empty.bbgc"
+    write_store(empty, np.empty((0, 2)), np.empty((0, 16), np.float32), seed=0)
+    assert main(["calibrate", "is", "--anchors", str(pipeline["anchors"]),
+                 "--pool", str(empty), "--report", str(pipeline["report"]),
+                 "--out", str(tmp_path / "plan.json")]) == 4
+    assert "cannot build a plan from an empty store" in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
 
 
 @pytest.mark.parametrize("method", ["gmm", "is"])

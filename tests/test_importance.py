@@ -23,15 +23,16 @@ from bbgc.importance import (
     calibrated_is_blocks,
     hull_membership,
     load_plan,
+    reference_probes,
     sample_calibrated_is,
     save_plan,
 )
 from bbgc.embedding import normalize_rows
 from bbgc.jsonutil import encode_matrix
-from bbgc.rng import STREAM_IS_ACCEPT, STREAM_IS_PROPOSAL, CounterStream
+from bbgc.rng import STREAM_IS_ACCEPT, STREAM_IS_PROPOSAL, STREAM_REFERENCE, CounterStream
 from bbgc.store import SampleStore
 
-from oracles import hull_distance
+from oracles import hull_distance, naive_counts
 
 TOL = 1e-4
 
@@ -181,6 +182,66 @@ def test_build_plan_validation():
         build_plan(pool, [(unit(0), 0)], 8, r0=0.25)
     with pytest.raises(ValueError):
         build_plan(pool, [(unit(0), 0)], 5, r0=0.25, hull_size=0)
+
+
+@pytest.mark.parametrize("references, want", [
+    ([0, 6, 5], 5),        # the least dense candidate: row 5 counts 1
+    ([7, 6], 6),           # rows 6 and 7 count 2 each: the lower position
+    ([4, 2, 3], 2),        # rows 0-4 count 5 each
+    (np.array([3, 7]), 7),
+])
+def test_build_plan_picks_the_least_dense_reference(references, want):
+    plan = build_plan(eight_row_pool(), [(unit(0), 0)], references, r0=0.25, hull_size=3)
+    assert plan.reference_index == want
+    assert plan.entries[0].ref_count == {5: 1, 6: 2, 2: 5, 7: 2}[want]
+    np.testing.assert_array_equal(plan.reference_latent, eight_row_pool().latents[want])
+
+
+def test_build_plan_counts_each_reference_candidate_once(monkeypatch, tmp_path):
+    rows = []
+    counts = importance.neighbor_counts
+    monkeypatch.setattr(importance, "neighbor_counts",
+                        lambda a, *rest: rows.append(len(a)) or counts(a, *rest))
+    pool, modes = eight_row_pool(), [(unit(0), 0)]
+    saved = []
+    for references in ([6, 6, 7, 7, 6], [7, 6], 6, np.array([6])):
+        plan = build_plan(pool, modes, references, r0=0.25, hull_size=3)
+        path = tmp_path / f"plan{len(saved)}.json"
+        save_plan(str(path), plan)
+        saved.append(path.read_bytes())
+    # duplicates collapse into one row of the one scan, beside the mode
+    assert rows == [3, 3, 2, 2]
+    # an int and a one-element array give the same plan, and so do a
+    # candidate list whose least dense position is that one
+    assert len(set(saved)) == 1
+
+
+@pytest.mark.parametrize("references", [[], np.array([], dtype=np.int64), -1, 8,
+                                        [3, 8], [-1, 3]])
+def test_build_plan_rejects_empty_or_outside_references(references):
+    with pytest.raises(ValueError, match="reference positions"):
+        build_plan(eight_row_pool(), [(unit(0), 0)], references, r0=0.25)
+
+
+@pytest.mark.parametrize("count", [1, 7, 255, 256, 50_000])
+def test_reference_probes_are_seeded_pool_positions(count):
+    probes = reference_probes(count, 5)
+    assert probes.dtype == np.int64 and len(probes) == min(count, 256)
+    assert np.all((0 <= probes) & (probes < count))
+    u = CounterStream(5, STREAM_REFERENCE).uniforms(0, len(probes))
+    np.testing.assert_array_equal(probes, (u * count).astype(np.int64) % count)
+
+
+def test_build_plan_reference_is_the_least_dense_probe():
+    # against the exact count of every probe on its own
+    rng = np.random.default_rng(3)
+    emb = normalize_rows(rng.normal(size=(600, 6)))
+    emb[:150] = normalize_rows(emb[0] + 0.05 * rng.normal(size=(150, 6)))
+    pool = SampleStore(rng.normal(size=(600, 2)), emb, seed=0)
+    probes = reference_probes(pool.count, 11)
+    best = min(zip(naive_counts(emb[probes], emb, 0.25), probes))
+    plan = build_plan(pool, [(emb[0], 0)], probes, r0=0.25, hull_size=10)
+    assert (plan.entries[0].ref_count, plan.reference_index) == (max(1, best[0]), best[1])
 
 
 def test_build_plan_warns_on_hull_that_cannot_span_the_latent_space():

@@ -9,6 +9,7 @@ import threading
 
 import bbgc
 from bbgc.cli import main
+from bbgc.embedding import TILE_COLS, _screen_shape
 from bbgc.parallel import run_chunks, worker_count
 
 from configs import NEAR_CUTOFFS, spec_dict
@@ -29,8 +30,11 @@ def test_run_chunks_in_order_on_calling_thread():
 
 
 def test_diagnose_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # each float32 screen GEMM of the scan (256 x 128 x 8192) is far above
-    # the size at which OpenBLAS splits a call across its threads
+    # each float32 screen GEMM of the scan (300 x 128 x 873: the 300 anchors
+    # against a screen block of pool rows) is above the size at which
+    # OpenBLAS splits a call across its threads
+    assert NEAR_CUTOFFS["embed_dim"] == 128
+    assert _screen_shape(300, 128, TILE_COLS) == (300, 873)
     spec = tmp_path / "source.json"
     spec.write_text(json.dumps(spec_dict(NEAR_CUTOFFS, 3)))
     anchors, pool = tmp_path / "a.bbgc", tmp_path / "c.bbgc"
