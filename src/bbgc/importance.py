@@ -7,19 +7,31 @@ reference-to-dense neighbor count ratio); draws outside every hull are
 always kept, so off-mode regions are provably untouched.
 
 A proposal batch is matched to the plan's entries in order, each entry
-taking the still-unmatched rows through three stages:
+taking the still-unmatched rows through four stages:
 
 1. The entry's bounding sphere rejects rows further than the tolerance
    ``_TOL``·(1+|z|) outside it.
-2. Where Qhull could build the hull (latent dim 2 to 4, vertices not
+2. Where the hull is flat (no more vertices than the latent dim), an
+   exact span test: a row whose residual off the vertices' affine span
+   exceeds the tolerance, the vertices' own measured residual and a
+   rounding bound is provably outside.
+3. Where Qhull could build the hull (latent dim 2 to 4, vertices not
    flat), an exact screen: a row whose largest violation of the unit
    facet halfspaces exceeds the tolerance, the vertices' own measured
-   violation and a floating-point rounding bound is provably outside.
-   A row is provably inside when it has nonnegative coefficients over
-   the entry's vertex rows that reproduce it within tolerance: they are
-   its barycentric coordinates in the cone from the vertex centroid over
-   the facet its ray from the centroid leaves through.
-3. Every other row goes to :func:`hull_membership`.
+   violation and a rounding bound is provably outside.  A row is
+   provably inside when nonnegative weights that sum to one over the
+   entry's vertex rows reproduce it within the tolerance less the
+   rounding bound.  Two candidates are tried: its barycentric
+   coordinates in the cone from the vertex centroid over the facet its
+   ray from the centroid leaves through, then, for a row that cone
+   leaves undecided (one just past that facet), its orthogonal foot on
+   the facet weighted on the facet's corners, negative weights clipped
+   to 0 and the rest scaled to sum to one.
+4. Every other row goes to :func:`hull_membership`.
+
+Each rounding bound sums the worst-case errors of the products it
+compares (Higham, Accuracy and Stability of Numerical Algorithms, §3.1);
+see ``_ROUNDING`` and ``_span_rounding``.
 
 Hull membership is one nonnegative least-squares solve (Lawson and
 Hanson, Solving Least Squares Problems, 1974, ch. 23): the b >= 0
@@ -63,12 +75,13 @@ _REFERENCE_PROBES = 256   # seeded reference candidates per pool
 # violation block alone would take 3.2 GB.
 _FACET_MAX_DIM = 4
 
-# Each quantity the screen compares (n·z + b, a vertex's n·v + b, the
-# centroid, V^T a - z) is a sum of at most k + dim + 2 rounded terms, for
-# k vertices, whose magnitudes add up to at most 1 + |z| + scale, so its
-# error is below gamma_(k+dim+2)·(1 + |z| + scale) <= (k + dim + 2)·eps·(...)
-# in any summation order (Higham, Accuracy and Stability of Numerical
-# Algorithms, §3.1).  The factor 4 covers the few that stack in one verdict.
+# Each quantity the facet screen compares (n·z + b, a vertex's n·v + b, the
+# centroid, a candidate hull point V^T a and its distance to z) is a sum of
+# at most k + dim + 2 rounded terms, for k vertices, whose magnitudes add up
+# to at most 1 + |z| + scale, so its error is below
+# gamma_(k+dim+2)·(1 + |z| + scale) <= (k + dim + 2)·eps·(...) in any
+# summation order (Higham, Accuracy and Stability of Numerical Algorithms,
+# §3.1).  The factor 4 covers the few that stack in one verdict.
 _ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 
 
@@ -98,6 +111,15 @@ class _FacetScreen:
 
 
 @dataclass(frozen=True)
+class _SpanScreen:
+    """A flat entry's affine span: its first vertex plus the column space of ``basis``."""
+
+    basis: np.ndarray          # (L, k - 1) orthonormal columns, a QR of (V - v0)^T
+    slack: float               # largest residual of the entry's own vertices, rounding included
+    scale: float               # max |v|, the size of rounded terms
+
+
+@dataclass(frozen=True)
 class PlanEntry:
     p: float
     vertices: np.ndarray       # (hull size, L) float64
@@ -107,6 +129,7 @@ class PlanEntry:
     bound_center: np.ndarray = field(repr=False, default=None)
     bound_radius: float = 0.0
     screen: _FacetScreen | None = field(repr=False, compare=False, default=None)
+    span: _SpanScreen | None = field(repr=False, compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -160,6 +183,39 @@ def _facet_screen(vertices: np.ndarray, center: np.ndarray) -> _FacetScreen | No
         scale=float(np.max(np.linalg.norm(vertices, axis=1)) + np.max(np.abs(offsets))))
 
 
+def _span_rounding(k: int, dim: int, size: np.ndarray | float, scale: float):
+    """A bound on the rounding error of a computed span residual
+    ||(I - QQ^T)(z - v0)|| for |z| <= ``size``, Q with k - 1 columns.
+
+    z - v0 is off by eps·|u| for u = z - v0, |u| <= size + scale.  Each
+    entry of Q^T u and of Q(Q^T u) is a sum of at most dim terms, and
+    ||Q||_F <= sqrt(2k), ||Q|| <= sqrt(2), so the two products are off by
+    at most 2·sqrt(k)·gamma_(dim + k)·|u|; the difference and its norm add
+    (dim + 4)·eps·|u| more.  I - QQ^T has norm at most 1, so every error
+    passes through unamplified."""
+    return _ROUNDING * (k + dim + 2) * math.sqrt(k) * (1.0 + size + scale)
+
+
+def _span_screen(vertices: np.ndarray) -> _SpanScreen | None:
+    """The affine span of a flat hull (k <= dim vertices), else None.
+
+    With P = QQ^T and f(x) = ||(I - P)(x - v0)||, f is convex and, as long
+    as Q's singular values stay below sqrt(2), 1-Lipschitz.  So every hull
+    point y has f(y) <= max f(v_i), and |z - y| >= f(z) - max f(v_i): a row
+    whose residual exceeds tau plus the vertices' own is further than tau
+    from the hull."""
+    k, dim = vertices.shape
+    if k > dim:
+        return None
+    basis = np.linalg.qr((vertices[1:] - vertices[0]).T)[0]
+    if np.linalg.norm(basis.T @ basis - np.eye(k - 1)) > 0.5:
+        return None
+    scale = float(np.max(np.linalg.norm(vertices, axis=1)))
+    residuals = _row_norms(vertices, np.arange(k), vertices[0], basis)
+    return _SpanScreen(basis=basis, scale=scale,
+                       slack=float(np.max(residuals)) + _span_rounding(k, dim, scale, scale))
+
+
 def _bounding_sphere(vertices: np.ndarray) -> tuple[np.ndarray, float]:
     """(center, radius) of a sphere that holds the hull: the vertex mean, its furthest vertex."""
     center = vertices.mean(axis=0)
@@ -177,7 +233,7 @@ def _finish_entry(p: float, vertices: np.ndarray, dense_count: int, ref_count: i
     return PlanEntry(p=float(p), vertices=vertices, dense_count=int(dense_count),
                      ref_count=int(ref_count), mode_index=int(mode_index),
                      bound_center=center, bound_radius=radius,
-                     screen=_facet_screen(vertices, center))
+                     screen=_facet_screen(vertices, center), span=_span_screen(vertices))
 
 
 def hull_membership(z: np.ndarray, vertices: np.ndarray) -> HullMembership:
@@ -201,7 +257,9 @@ def hull_membership(z: np.ndarray, vertices: np.ndarray) -> HullMembership:
 
     center, bound = _bounding_sphere(v)
     if math.isfinite(tau) and float(np.linalg.norm(z - center)) <= bound + tau:
-        from scipy.optimize import nnls   # only `is` plans get here; see the cold-start test
+        # on first use: only rows that neither the sphere nor a screen settles
+        # get here, so an `is` run whose rows all settle never loads scipy.optimize
+        from scipy.optimize import nnls
         try:
             b = nnls(np.vstack([(v - z).T, np.ones(k)]), np.append(np.zeros(len(z)), 1.0),
                      maxiter=_NNLS_ITERS)[0]
@@ -302,21 +360,41 @@ def _screen(entry: PlanEntry, z: np.ndarray, znorm: np.ndarray,
     w0 = 1.0 - w.sum(axis=1)
     x = w0[:, None] * c + np.einsum("mi,mij->mj", w, screen.corners[facet])
     residual = np.linalg.norm(x - z[rows], axis=1)
+    proven = ((w0 >= 0.0) & np.all(w >= 0.0, axis=1)
+              & (residual + rounding[rows] <= tau[rows]))
+    # the second candidate, for a row just past that facet: its foot
+    # z - gap·n on the facet, weighted on the facet's corners alone, the
+    # weights clipped to >= 0 and scaled to sum to one
+    rest = rows[~proven]
+    f = facet[~proven]
+    foot = z[rest] - gap[rest, f][:, None] * screen.normals[f]
+    a = np.maximum(np.einsum("mij,mj->mi", screen.inverses[f], foot - c), 0.0)
+    total = a.sum(axis=1)
+    y = np.einsum("mi,mij->mj", a / np.where(total > 0.0, total, 1.0)[:, None],
+                  screen.corners[f])
+    residual = np.linalg.norm(y - z[rest], axis=1)
+    proven[~proven] = (total > 0.0) & (residual + rounding[rest] <= tau[rest])
     inside = np.zeros(len(z), dtype=bool)
-    inside[rows] = ((w0 >= 0.0) & np.all(w >= 0.0, axis=1)
-                    & (residual + rounding[rows] <= tau[rows]))
+    inside[rows] = proven
     return inside, ~(outside | inside)
 
 
-def _row_norms(z: np.ndarray, rows: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
+def _row_norms(z: np.ndarray, rows: np.ndarray, center: np.ndarray | None = None,
+               basis: np.ndarray | None = None) -> np.ndarray:
     """``np.linalg.norm(z[rows] - center, axis=1)`` (``center`` None: 0), taken
-    a piece of rows at a time: each norm is a reduction over its own row, so
-    the bits are those of the whole call, with no temporary of the batch's size."""
+    a piece of rows at a time, with no temporary of the batch's size.  Each
+    norm is a reduction over its own row, so the bits are those of the whole
+    call.  With ``basis``, each row's part in its column space is taken out
+    first: the residual off that span, which a rounding bound covers."""
     out = np.empty(len(rows))
     step = block_rows(len(rows), z.shape[1], piece=True)
     for lo in range(0, len(rows), step):
         part = z[rows[lo:lo + step]]
-        out[lo:lo + step] = np.linalg.norm(part if center is None else part - center, axis=1)
+        if center is not None:
+            part = part - center
+        if basis is not None:
+            part -= (part @ basis) @ basis.T
+        out[lo:lo + step] = np.linalg.norm(part, axis=1)
     return out
 
 
@@ -329,6 +407,11 @@ def _match_entries(plan: ImportanceSamplingPlan, z: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(match < 0)
         # every hull point lies in the bounding sphere
         rows = rows[_row_norms(z, rows, entry.bound_center) <= entry.bound_radius + tau[rows]]
+        if entry.span is not None:
+            k, dim = entry.vertices.shape
+            off = _row_norms(z, rows, entry.vertices[0], entry.span.basis)
+            rows = rows[off <= tau[rows] + entry.span.slack
+                        + _span_rounding(k, dim, znorm[rows], entry.span.scale)]
         if entry.screen is not None:
             inside, undecided = _screen(entry, z[rows], znorm[rows], tau[rows])
             match[rows[inside]] = e

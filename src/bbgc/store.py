@@ -173,6 +173,9 @@ def _segments(payload: np.ndarray, rec: np.dtype, count: int, off: int):
         count -= n
 
 
+_WRITE_PIECE = 1 << 20   # bytes of empty-ref records packed per write, at most
+
+
 class StoreWriter:
     """Streaming store writer with atomic replace on close."""
 
@@ -196,8 +199,12 @@ class StoreWriter:
         n = latents.shape[0]
         if refs is not None and len(refs) != n:
             raise DimensionMismatchError(f"{len(refs)} refs for {n} records")
-        self._fh.write(packed_records(latents, embeddings) if refs is None
-                       else pack_records(latents, embeddings, refs))
+        if refs is None:
+            step = max(1, _WRITE_PIECE // record_dtype(self.latent_dim, self.embed_dim).itemsize)
+            for lo in range(0, n, step):
+                self._fh.write(packed_records(latents[lo:lo + step], embeddings[lo:lo + step]))
+        else:
+            self._fh.write(pack_records(latents, embeddings, refs))
         self.count += n
 
     def close(self) -> None:

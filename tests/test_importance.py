@@ -360,18 +360,129 @@ def test_batched_matcher_without_facet_screen():
         assert np.count_nonzero(match == 0) >= 20
 
 
-def test_batched_matcher_sends_only_the_boundary_band_to_hull_membership(monkeypatch):
-    plan = box_plan(p=0.5)
-    z = CounterStream(7, STREAM_IS_PROPOSAL).normal_rows(0, 8192, 2)
+def count_hull_calls(monkeypatch):
     calls = []
     monkeypatch.setattr(importance, "hull_membership",
                         lambda *a, **k: calls.append(1) or hull_membership(*a, **k))
+    return calls
+
+
+def test_batched_matcher_sends_only_the_boundary_band_to_hull_membership(monkeypatch):
+    plan = box_plan(p=0.5)
+    z = CounterStream(7, STREAM_IS_PROPOSAL).normal_rows(0, 8192, 2)
+    calls = count_hull_calls(monkeypatch)
     match = _match_entries(plan, z)
     assert len(calls) <= 5
     inside = np.all(np.abs(z) <= 3.5, axis=1)
     far = np.all(np.abs(np.abs(z) - 3.5) > 1e-3, axis=1)
     np.testing.assert_array_equal(match[far] == 0, inside[far])
     np.testing.assert_array_equal(match[~far], reference_match(plan, z[~far]))
+
+
+def past_facets(rng, screen, n, lo, hi):
+    """Points lo to hi tau beyond random points of random facet interiors:
+    each corner weighs at least half its even share, so the nearest hull
+    point is the one on the facet."""
+    f = rng.integers(0, len(screen.corners), n)
+    dim = screen.corners.shape[2]
+    w = 0.5 * rng.dirichlet(np.ones(dim), n) + 0.5 / dim
+    on = np.einsum("mi,mij->mj", w, screen.corners[f])
+    tau = TOL * (1.0 + np.linalg.norm(on, axis=1))
+    return on + screen.normals[f] * (rng.uniform(lo, hi, n) * tau)[:, None]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_rows_just_past_a_facet_are_proven_inside_without_nnls(dim, monkeypatch):
+    # their foot on the facet, weighted on its corners, is a hull point within tau
+    rng = np.random.default_rng(70 + dim)
+    v = random_hull(rng, k=7, dim=dim)
+    plan = plan_of(v)
+    screen = plan.entries[0].screen
+    z = past_facets(rng, screen, 60, 0.05, 0.9)
+    calls = count_hull_calls(monkeypatch)
+    match = _match_entries(plan, z)
+    assert len(calls) == 0 and np.all(match == 0)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(match, reference_match(plan, z))
+    assert all(hull_distance(row, v) <= TOL * (1 + np.linalg.norm(row)) for row in z)
+    # rows past tau are never claimed, and rows near vertices keep their verdicts
+    z = np.vstack([past_facets(rng, screen, 30, 1.1, 3.0), near_vertices(rng, v, 40)])
+    match = _match_entries(plan, z)
+    np.testing.assert_array_equal(match, reference_match(plan, z))
+    assert np.all(match[:30] == -1)
+    truth = [hull_distance(row, v) <= TOL * (1 + np.linalg.norm(row)) for row in z]
+    np.testing.assert_array_equal(match == 0, truth)
+
+
+# Run in a fresh interpreter: match rows just past 2-d facets, then print
+# whether each was matched and whether scipy.optimize (nnls) was loaded.
+_COLD_MATCH_PROBE = """
+import sys
+import numpy as np
+from bbgc.importance import _TOL, ImportanceSamplingPlan, _finish_entry, _match_entries
+rng = np.random.default_rng(3)
+entry = _finish_entry(0.5, rng.normal(size=(7, 2)), 4, 2, 0)
+s = entry.screen
+f = rng.integers(0, len(s.corners), 500)
+on = np.einsum("mi,mij->mj", 0.5 * rng.dirichlet(np.ones(2), 500) + 0.25, s.corners[f])
+gap = rng.uniform(0.05, 0.9, 500) * _TOL * (1.0 + np.linalg.norm(on, axis=1))
+plan = ImportanceSamplingPlan(entries=(entry,), reference_index=0, reference_latent=np.zeros(2),
+                              reference_embedding=np.eye(4)[0], r0=0.25, hull_size=7)
+match = _match_entries(plan, on + s.normals[f] * gap[:, None])
+print(bool(np.all(match == 0)), "scipy.optimize" in sys.modules)
+"""
+
+
+def test_matching_rows_just_past_a_facet_does_not_load_nnls():
+    import os
+    import subprocess
+    import sys
+    src_root = os.path.dirname(os.path.dirname(importance.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _COLD_MATCH_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["True", "False"], out.stdout
+
+
+def test_flat_hull_sends_no_prior_draw_to_nnls(monkeypatch):
+    # 100 vertices span 99 of 128 dims: a prior draw sits about sqrt(29)
+    # off their span, which the span test proves outside
+    rng = np.random.default_rng(128)
+    plan = plan_of(random_hull(rng, k=100, dim=128))
+    assert plan.entries[0].screen is None and plan.entries[0].span is not None
+    z = CounterStream(7, STREAM_IS_PROPOSAL).normal_rows(0, 2000, 128)
+    calls = count_hull_calls(monkeypatch)
+    match = _match_entries(plan, z)
+    assert len(calls) <= 0.01 * len(z)
+    assert np.all(match == -1)
+
+
+@pytest.mark.parametrize("k, dim", [(2, 2), (4, 6), (20, 32), (7, 3), (12, 5)])
+def test_span_test_agrees_with_hull_membership(k, dim):
+    rng = np.random.default_rng(1000 * k + dim)
+    v = random_hull(rng, k=k, dim=dim)
+    plan = plan_of(v)
+    span = plan.entries[0].span
+    assert (span is not None) == (k <= dim)
+    inside = rng.dirichlet(np.ones(k), 40) @ v
+    a = rng.normal(size=(40, k))
+    on_span = (a + (1.0 - a.sum(axis=1, keepdims=True)) / k) @ v   # affine, most off the hull
+    # 0 to 3 tau off hull points, orthogonal to the span where it is flat
+    base = rng.dirichlet(np.ones(k), 80) @ v
+    step = rng.normal(size=(80, dim))
+    if span is not None:
+        step -= (step @ span.basis) @ span.basis.T
+    step /= np.linalg.norm(step, axis=1)[:, None]
+    near = base + step * (rng.uniform(0.0, 3.0, 80) * TOL
+                          * (1.0 + np.linalg.norm(base, axis=1)))[:, None]
+    z = np.vstack([inside, on_span, near, near_vertices(rng, v, 40),
+                   rng.normal(size=(40, dim)) * 2.0])
+    match = _match_entries(plan, z)
+    np.testing.assert_array_equal(match, reference_match(plan, z))
+    assert np.all(match[:40] == 0)
+    if span is not None:   # off the span by up to 3 tau: some within tau, some not
+        assert 0 < np.count_nonzero(match[80:160] == 0) < 80
 
 
 # -- gated sampling ---------------------------------------------------------------

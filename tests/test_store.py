@@ -290,6 +290,26 @@ def test_header_promising_an_oversized_record_is_a_format_error(tmp_path, count)
         read_store(path)
 
 
+def test_append_packs_a_batch_a_piece_at_a_time(tmp_path):
+    # an 8192-row batch at embed 128 is 4.3 MB of records; append packs at
+    # most 1 MiB of them at a time beside its inputs, and writes the same bytes
+    import tracemalloc
+    path = tmp_path / "big.bbgc"
+    lat, emb = make_data(8192, 8, 128, seed=4)
+    emb = emb.astype(np.float32)
+    records = pack_records(lat, emb)
+    assert len(records) > 4 * 2 ** 20
+    with StoreWriter(path, 8, 128, seed=3) as w:
+        tracemalloc.start()
+        try:
+            w.append(lat, emb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20, peak
+    assert path.read_bytes() == pack_header(8, 128, 8192, 3) + records
+
+
 def test_read_store_holds_the_file_and_its_float64_arrays(tmp_path):
     # latents go from the file bytes straight to float64; embeddings are a
     # view of the file bytes, with no copy at all
